@@ -51,16 +51,15 @@ class FixedCaller : public core::HatCaller {
     cpu_ = &client.cpu();
   }
 
-  Task<core::Buffer> call(std::string method,
-                          core::View payload) override {
-    core::Buffer env = core::HatDispatcher::make_call(method, payload, 0);
-    co_await cpu_->compute(2us + sim::transfer_time(env.size(), 1.0));
+  Task<core::Reply> call(std::string method,
+                         core::Buffer envelope) override {
+    co_await cpu_->compute(2us + sim::transfer_time(envelope.size(), 1.0));
     // Response sizing pre-knowledge mirrors what each system's client
     // would configure: ~1KB single ops, ~11KB batched ops.
     uint32_t hint = method.starts_with("Multi") ? 11 << 10 : 1200;
-    core::Buffer reply = (co_await channel_->call(env, hint)).value();
+    core::Buffer reply = (co_await channel_->call(envelope, hint)).value();
     co_await cpu_->compute(2us + sim::transfer_time(reply.size(), 1.0));
-    co_return core::HatDispatcher::parse_reply(reply, method);
+    co_return core::HatDispatcher::reply_of(std::move(reply), method);
   }
 
   void shutdown() { channel_->shutdown(); }

@@ -46,6 +46,10 @@ core::Buffer bytes_of(const std::string& s) {
   return core::Buffer(p, p + s.size());
 }
 
+void write_text(thrift::TMemoryBuffer& out, std::string_view s) {
+  out.write(s.data(), s.size());
+}
+
 const char* poll_name(sim::PollMode m) {
   return m == sim::PollMode::kBusy ? "busy" : "event";
 }
@@ -60,18 +64,20 @@ int main() {
 
   core::HatServer server(*server_node, dfs_hints(), {});
   server.dispatcher().register_method(
-      "Stat", [&](core::View) -> Task<core::Buffer> {
+      "Stat", [&](core::View, thrift::TMemoryBuffer& out) -> Task<void> {
         co_await server_node->cpu().compute(400ns);  // inode lookup
-        co_return bytes_of("size=4096 mode=0644 mtime=1636000000");
+        write_text(out, "size=4096 mode=0644 mtime=1636000000");
       });
   server.dispatcher().register_method(
-      "ReadChunk", [&](core::View) -> Task<core::Buffer> {
+      "ReadChunk", [&](core::View, thrift::TMemoryBuffer& out) -> Task<void> {
         co_await server_node->cpu().compute(5us);  // page-cache read
-        co_return core::Buffer(256 << 10, std::byte{0x42});
+        const core::Buffer chunk(256 << 10, std::byte{0x42});
+        out.write(chunk.data(), chunk.size());
       });
   server.dispatcher().register_method(
-      "Heartbeat", [&](core::View) -> Task<core::Buffer> {
-        co_return bytes_of("ok");
+      "Heartbeat", [](core::View, thrift::TMemoryBuffer& out) -> Task<void> {
+        write_text(out, "ok");
+        co_return;
       });
 
   core::HatConnection conn(*client_node, server);
@@ -92,13 +98,13 @@ int main() {
     for (int i = 0; i < 60; ++i) {
       sim::Time t0 = sim.now();
       if (i % 12 == 11) {
-        co_await conn.call("ReadChunk", bytes_of("chunk-7"));
+        co_await conn.call_raw("ReadChunk", bytes_of("chunk-7"));
         chunk_total += sim.now() - t0;
         ++chunks;
       } else if (i % 20 == 19) {
-        co_await conn.call("Heartbeat", {});
+        co_await conn.call_raw("Heartbeat", {});
       } else {
-        co_await conn.call("Stat", bytes_of("/data/file.txt"));
+        co_await conn.call_raw("Stat", bytes_of("/data/file.txt"));
         stat_total += sim.now() - t0;
         ++stats;
       }

@@ -46,23 +46,27 @@ sim::Duration measure(bool query_on_tcp) {
   verbs::Node* server_node = fabric.add_node();
   core::HatServer server(*server_node, hints_with(query_on_tcp), {}, &net);
   server.dispatcher().register_method(
-      "Query", [&](core::View) -> Task<core::Buffer> {
+      "Query",
+      [&](core::View, thrift::TMemoryBuffer& out) -> Task<void> {
         co_await server_node->cpu().compute(500ns);
-        co_return core::Buffer(2048, std::byte{0x7});
+        const core::Buffer rows(2048, std::byte{0x7});
+        out.write(rows.data(), rows.size());
       });
   server.dispatcher().register_method(
-      "AdminDump", [&](core::View) -> Task<core::Buffer> {
-        co_return core::Buffer(4096, std::byte{0x1});
+      "AdminDump", [](core::View, thrift::TMemoryBuffer& out) -> Task<void> {
+        const core::Buffer dump(4096, std::byte{0x1});
+        out.write(dump.data(), dump.size());
+        co_return;
       });
   core::HatConnection conn(*client_node, server);
   sim::Duration mean{};
   sim.spawn([](sim::Simulator& sim, core::HatConnection& conn,
                core::HatServer& server, sim::Duration& mean) -> Task<void> {
-    co_await conn.call("AdminDump", {});  // legacy path works alongside
+    co_await conn.call_raw("AdminDump", {});  // legacy path works alongside
     sim::Time t0 = sim.now();
     constexpr int kN = 40;
     for (int i = 0; i < kN; ++i)
-      co_await conn.call("Query", bytes_of("select *"));
+      co_await conn.call_raw("Query", bytes_of("select *"));
     mean = (sim.now() - t0) / kN;
     server.stop();
   }(sim, conn, server, mean));

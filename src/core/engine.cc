@@ -116,10 +116,10 @@ Task<void> HatConnection::charge_serialize(verbs::Node& node, size_t bytes) {
       cfg.serialize_fixed + sim::transfer_time(bytes, cfg.serialize_gbps));
 }
 
-Task<Buffer> HatConnection::call(std::string method, View payload) {
+Task<Reply> HatConnection::call(std::string method, Buffer envelope) {
   if (closed_) throw std::runtime_error("connection closed");
   const hint::Plan& plan = plan_for(method);
-  Buffer envelope = HatDispatcher::make_call(method, payload, ++seq_);
+  HatDispatcher::stamp_seqid(envelope, ++seq_);
   co_await charge_serialize(client_, envelope.size());
 
   Buffer reply;
@@ -133,7 +133,7 @@ Task<Buffer> HatConnection::call(std::string method, View payload) {
   }
 
   co_await charge_serialize(client_, reply.size());
-  co_return HatDispatcher::parse_reply(reply, method);
+  co_return HatDispatcher::reply_of(std::move(reply), method);
 }
 
 void HatConnection::close() {

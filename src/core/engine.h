@@ -75,7 +75,7 @@ class HatConnection : public HatCaller {
  public:
   HatConnection(verbs::Node& client, HatServer& server);
 
-  sim::Task<Buffer> call(std::string method, View payload) override;
+  sim::Task<Reply> call(std::string method, Buffer envelope) override;
 
   /// Resolved + cached plan for a method (exposed for tests/benches).
   const hint::Plan& plan_for(const std::string& method);

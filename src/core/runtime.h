@@ -1,15 +1,19 @@
 // Byte-level RPC runtime interfaces that generated code targets.
 //
-// A generated client stub serializes its argument struct, then issues
-// HatCaller::call(method, payload); a generated processor deserializes,
-// invokes the user's handler implementation, and serializes the result.
-// The envelope is a standard Thrift message (name, type, seqid) so the
-// same bytes flow over TSocket and TRdma unchanged.
+// A generated client stub writes the call header (HatCaller::begin_call)
+// and then its argument struct into one buffer, and hands that envelope to
+// HatCaller::call; it decodes the result struct in place from the returned
+// Reply. A generated processor decodes the args, invokes the user's handler
+// implementation, and appends the result struct to the reply envelope that
+// HatDispatcher::process has already begun. The envelope is a standard
+// Thrift message (name, type, seqid) so the same bytes flow over TSocket and
+// TRdma unchanged.
 #pragma once
 
 #include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 
 #include "sim/task.h"
 #include "thrift/buffer.h"
@@ -21,23 +25,25 @@ namespace hatrpc::core {
 using thrift::Buffer;
 using thrift::View;
 
-/// Client-side generic call interface (implemented by HatConnection and by
-/// the plain socket client).
-class HatCaller {
- public:
-  virtual ~HatCaller() = default;
-  /// `method` is taken by value: coroutine implementations move it into
-  /// their frame, so callers may pass temporaries safely.
-  virtual sim::Task<Buffer> call(std::string method, View payload) = 0;
+/// A reply envelope as it arrived, with the offset of the result struct
+/// that follows the message header.
+struct Reply {
+  Buffer bytes;
+  size_t body = 0;
+
+  /// The serialized result struct.
+  View view() const { return View(bytes).subspan(body); }
 };
 
 /// Server-side method table: method name -> handler over serialized args.
-/// process() parses the Thrift message envelope, dispatches, and wraps the
-/// result (or a TApplicationException) in a reply envelope.
+/// process() parses the Thrift message envelope, writes the reply header,
+/// dispatches, and turns a throw into a TApplicationException reply.
 class HatDispatcher {
  public:
-  /// Takes the serialized args struct; returns the serialized result struct.
-  using MethodFn = std::function<sim::Task<Buffer>(View args)>;
+  /// Takes the serialized args struct and appends the serialized result
+  /// struct to `out`, which already holds the reply header.
+  using MethodFn =
+      std::function<sim::Task<void>(View args, thrift::TMemoryBuffer& out)>;
 
   void register_method(std::string name, MethodFn fn) {
     methods_[std::move(name)] = std::move(fn);
@@ -66,12 +72,12 @@ class HatDispatcher {
     size_t consumed = request.size() - in.readable();
     // Undeclared exceptions escaping a handler become INTERNAL_ERROR
     // replies (Apache Thrift behaviour) rather than tearing down the
-    // server's serve loop.
+    // server's serve loop; whatever part of a result the handler had
+    // written is discarded.
     try {
-      Buffer result = co_await it->second(request.subspan(consumed));
       op.writeMessageBegin(head.name, thrift::TMessageType::kReply,
                            head.seqid);
-      out.write(result.data(), result.size());
+      co_await it->second(request.subspan(consumed), out);
     } catch (const std::exception& e) {
       out.reset();
       op.writeMessageBegin(head.name, thrift::TMessageType::kException,
@@ -91,9 +97,20 @@ class HatDispatcher {
     return buf.take();
   }
 
+  /// Overwrites the seqid of a Binary-protocol message envelope in place.
+  static void stamp_seqid(Buffer& envelope, int32_t seqid) {
+    thrift::TMemoryBuffer in = thrift::TMemoryBuffer::wrap(envelope);
+    thrift::TBinaryProtocol ip(in);
+    ip.readMessageBegin();  // validates the header
+    const size_t end = envelope.size() - in.readable();
+    thrift::TMemoryBuffer at = thrift::TMemoryBuffer::backed(
+        std::span(envelope).subspan(end - sizeof(int32_t), sizeof(int32_t)));
+    thrift::TBinaryProtocol(at).writeI32(seqid);
+  }
+
   /// Strips the reply envelope; throws TApplicationException on error
-  /// replies. Returns the serialized result struct bytes.
-  static Buffer parse_reply(View reply, const std::string& method) {
+  /// replies. Returns the serialized result struct, a view into `reply`.
+  static View parse_reply(View reply, const std::string& method) {
     thrift::TMemoryBuffer buf = thrift::TMemoryBuffer::wrap(reply);
     thrift::TBinaryProtocol p(buf);
     auto head = p.readMessageBegin();
@@ -104,9 +121,13 @@ class HatDispatcher {
       throw thrift::TApplicationException(
           thrift::TApplicationException::Kind::kWrongMethodName,
           "reply for '" + head.name + "', expected '" + method + "'");
-    size_t consumed = reply.size() - buf.readable();
-    View rest = reply.subspan(consumed);
-    return Buffer(rest.begin(), rest.end());
+    return reply.subspan(reply.size() - buf.readable());
+  }
+
+  /// parse_reply() that keeps the envelope: the Reply owns `reply`.
+  static Reply reply_of(Buffer reply, const std::string& method) {
+    const size_t body = reply.size() - parse_reply(reply, method).size();
+    return Reply{std::move(reply), body};
   }
 
  private:
@@ -141,6 +162,34 @@ class HatDispatcher {
   std::map<std::string, MethodFn> methods_;
 };
 
+/// Client-side generic call interface (implemented by HatConnection and by
+/// the plain socket client).
+class HatCaller {
+ public:
+  virtual ~HatCaller() = default;
+
+  /// Writes the call header for `method` into `p`; the args struct follows
+  /// it. The seqid is left 0 for call() to stamp.
+  virtual void begin_call(thrift::TProtocol& p, std::string_view method) {
+    p.writeMessageBegin(method, thrift::TMessageType::kCall, 0);
+  }
+
+  /// Sends an envelope begun by begin_call() and returns the reply. `method`
+  /// is taken by value: coroutine implementations move it into their
+  /// frame, so callers may pass temporaries safely.
+  virtual sim::Task<Reply> call(std::string method, Buffer envelope) = 0;
+
+  /// Calls `method` with args that are already serialized (hand-written
+  /// services without generated stubs); copies `args` into the envelope.
+  sim::Task<Reply> call_raw(std::string method, View args) {
+    thrift::TMemoryBuffer buf;
+    thrift::TBinaryProtocol p(buf);
+    begin_call(p, method);
+    buf.write(args.data(), args.size());
+    return call(std::move(method), buf.take());
+  }
+};
+
 /// Service multiplexing (Thrift's TMultiplexedProtocol/TMultiplexedProcessor
 /// pair, the fourth protocol of the paper's Fig. 2 row): several services
 /// share one connection by prefixing method names with "<service>:".
@@ -152,8 +201,12 @@ class MultiplexedCaller : public HatCaller {
   MultiplexedCaller(HatCaller& inner, std::string service)
       : inner_(inner), prefix_(std::move(service) + kMultiplexSeparator) {}
 
-  sim::Task<Buffer> call(std::string method, View payload) override {
-    return inner_.call(prefix_ + method, payload);
+  void begin_call(thrift::TProtocol& p, std::string_view method) override {
+    inner_.begin_call(p, prefix_ + std::string(method));
+  }
+
+  sim::Task<Reply> call(std::string method, Buffer envelope) override {
+    return inner_.call(prefix_ + method, std::move(envelope));
   }
 
  private:

@@ -42,6 +42,7 @@ class Generator {
     w_.line("// " + opts_.guard_comment);
     w_.line("#pragma once");
     w_.line();
+    w_.line("#include <algorithm>");
     w_.line("#include <map>");
     w_.line("#include <set>");
     w_.line("#include <string>");
@@ -200,7 +201,8 @@ class Generator {
         std::string h = fresh("_lh"), i = fresh("_i"), v = fresh("_v");
         w_.line("auto " + h + " = _p.readListBegin();");
         w_.line(expr + ".clear();");
-        w_.line(expr + ".reserve(" + h + ".size);");
+        w_.line(expr + ".reserve(std::min<size_t>(" + h +
+                ".size, _p.buffer().readable()));");
         w_.open("for (uint32_t " + i + " = 0; " + i + " < " + h + ".size; ++" +
                 i + ") {");
         w_.line(cpp_type(t.args[0]) + " " + v + "{};");
@@ -406,9 +408,10 @@ class Generator {
               args_decl(f) + ") {");
       w_.line("hatrpc::thrift::TMemoryBuffer _buf;");
       w_.line("hatrpc::thrift::TBinaryProtocol _p(_buf);");
+      w_.line("caller_.begin_call(_p, \"" + f.name + "\");");
       emit_struct_fields_write(f.args, f.name + "_args");
-      w_.line("hatrpc::core::Buffer _reply = co_await caller_.call(\"" +
-              f.name + "\", _buf.view());");
+      w_.line("hatrpc::core::Reply _reply = co_await caller_.call(\"" +
+              f.name + "\", _buf.take());");
       if (f.oneway) {
         w_.line("(void)_reply;");
         w_.line("co_return;");
@@ -417,7 +420,7 @@ class Generator {
         continue;
       }
       w_.line("hatrpc::thrift::TMemoryBuffer _rb = "
-              "hatrpc::thrift::TMemoryBuffer::wrap(_reply);");
+              "hatrpc::thrift::TMemoryBuffer::wrap(_reply.view());");
       w_.line("hatrpc::thrift::TBinaryProtocol _rp(_rb);");
       // Result struct: field 0 = success, declared throws by their ids.
       bool has_ret = f.ret.kind != TypeRef::Kind::kVoid;
@@ -481,8 +484,9 @@ class Generator {
             "(hatrpc::core::HatDispatcher& _d, " + s.name + "If& _h) {");
     for (const FunctionDef& f : s.functions) {
       w_.open("_d.register_method(\"" + f.name +
-              "\", [&_h](hatrpc::core::View _in) -> "
-              "hatrpc::sim::Task<hatrpc::core::Buffer> {");
+              "\", [&_h](hatrpc::core::View _in, "
+              "hatrpc::thrift::TMemoryBuffer& _out) -> "
+              "hatrpc::sim::Task<void> {");
       w_.line("hatrpc::thrift::TMemoryBuffer _ab = "
               "hatrpc::thrift::TMemoryBuffer::wrap(_in);");
       w_.line("hatrpc::thrift::TBinaryProtocol _ap(_ab);");
@@ -505,8 +509,8 @@ class Generator {
       w_.close();
       w_.line("_p.readStructEnd();");
       w_.line("}");
-      w_.line("hatrpc::thrift::TMemoryBuffer _rb;");
-      w_.line("hatrpc::thrift::TBinaryProtocol _rp(_rb);");
+      // The result struct goes straight after the reply header in _out.
+      w_.line("hatrpc::thrift::TBinaryProtocol _rp(_out);");
       std::string call_args;
       for (size_t i = 0; i < f.args.size(); ++i) {
         if (i) call_args += ", ";
@@ -547,7 +551,6 @@ class Generator {
       w_.close("}");
       w_.line("_rp.writeFieldStop();");
       w_.line("_rp.writeStructEnd();");
-      w_.line("co_return _rb.take();");
       w_.close("});");
     }
     w_.close("}");

@@ -577,10 +577,9 @@ void Cluster::stop() {
 // ---------------------------------------------------------------------------
 // ReliableCaller / ClusterClient
 
-Task<core::Buffer> ReliableCaller::call(std::string method,
-                                        core::View payload) {
-  core::Buffer envelope =
-      core::HatDispatcher::make_call(method, payload, ++seq_);
+Task<core::Reply> ReliableCaller::call(std::string method,
+                                       core::Buffer envelope) {
+  core::HatDispatcher::stamp_seqid(envelope, ++seq_);
   co_await cpu_.compute(
       cfg_.serialize_fixed +
       sim::transfer_time(envelope.size(), cfg_.serialize_gbps));
@@ -590,7 +589,7 @@ Task<core::Buffer> ReliableCaller::call(std::string method,
   co_await cpu_.compute(
       cfg_.serialize_fixed +
       sim::transfer_time(reply.size(), cfg_.serialize_gbps));
-  co_return core::HatDispatcher::parse_reply(reply, method);
+  co_return core::HatDispatcher::reply_of(std::move(reply), method);
 }
 
 ClusterClient::ClusterClient(verbs::Node& node, Cluster& cluster,

@@ -409,8 +409,8 @@ class ReliableCaller : public core::HatCaller {
                  const core::EngineConfig& cfg)
       : ch_(ch), cpu_(client.cpu()), cfg_(cfg) {}
 
-  sim::Task<core::Buffer> call(std::string method,
-                               core::View payload) override;
+  sim::Task<core::Reply> call(std::string method,
+                              core::Buffer envelope) override;
 
  private:
   proto::ReliableChannel& ch_;

@@ -3,6 +3,7 @@
 // the async boundary (simulated transports) is at message granularity.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -19,10 +20,14 @@ class TMemoryBuffer {
  public:
   TMemoryBuffer() = default;
 
-  /// Read-only view over existing bytes (zero-copy deserialization entry).
+  /// Read-only view over existing bytes: nothing is copied, so `bytes` must
+  /// outlive the buffer. A write spills the contents to the heap first (as
+  /// an overflowing backed() buffer does) and never touches `bytes`.
   static TMemoryBuffer wrap(std::span<const std::byte> bytes) {
     TMemoryBuffer b;
-    b.buf_.assign(bytes.begin(), bytes.end());
+    // ext_cap_ stays 0, so no write ever lands in the viewed bytes.
+    b.ext_ = const_cast<std::byte*>(bytes.data());
+    b.ext_len_ = bytes.size();
     return b;
   }
 
@@ -44,24 +49,32 @@ class TMemoryBuffer {
         ext_len_ += n;
         return;
       }
+      buf_.clear();
+      reserve_more(ext_len_ + n);
       buf_.assign(ext_, ext_ + ext_len_);
       spilled_ = true;
     }
+    reserve_more(n);
     buf_.insert(buf_.end(), s, s + n);
   }
 
   void read(void* p, size_t n) {
-    if (rpos_ + n > size())
-      throw TTransportException(TTransportException::Kind::kEndOfFile,
-                                "TMemoryBuffer underflow");
+    check_readable(n);
     std::memcpy(p, data() + rpos_, n);
     rpos_ += n;
   }
 
   std::string read_string(size_t n) {
-    std::string s(n, '\0');
-    read(s.data(), n);
+    check_readable(n);
+    std::string s(reinterpret_cast<const char*>(data() + rpos_), n);
+    rpos_ += n;
     return s;
+  }
+
+  /// Advances the read position past `n` bytes without copying them.
+  void consume(size_t n) {
+    check_readable(n);
+    rpos_ += n;
   }
 
   size_t readable() const { return size() - rpos_; }
@@ -83,13 +96,32 @@ class TMemoryBuffer {
   }
 
  private:
+  /// Headroom left past a write that grows the heap buffer, so the few
+  /// trailer bytes after a large blob (field stop, struct end) do not
+  /// reallocate and recopy it.
+  static constexpr size_t kGrowSlack = 64;
+
   bool in_ext() const { return ext_ != nullptr && !spilled_; }
   const std::byte* data() const { return in_ext() ? ext_ : buf_.data(); }
   size_t size() const { return in_ext() ? ext_len_ : buf_.size(); }
 
+  void check_readable(size_t n) const {
+    if (n > readable())
+      throw TTransportException(TTransportException::Kind::kEndOfFile,
+                                "TMemoryBuffer underflow");
+  }
+
+  void reserve_more(size_t n) {
+    const size_t need = buf_.size() + n;
+    if (need > buf_.capacity())
+      buf_.reserve(std::max(2 * buf_.capacity(), need + kGrowSlack));
+  }
+
   std::vector<std::byte> buf_;
   size_t rpos_ = 0;
-  std::byte* ext_ = nullptr;  // external backing (zero-copy serialization)
+  // External bytes: a backed() block (writable up to ext_cap_) or a wrap()
+  // view (ext_cap_ == 0, read-only).
+  std::byte* ext_ = nullptr;
   size_t ext_cap_ = 0;
   size_t ext_len_ = 0;
   bool spilled_ = false;

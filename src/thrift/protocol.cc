@@ -21,7 +21,7 @@ T byteswap_if_le(T v) {
 
 }  // namespace
 
-void TProtocol::skip(TType type) {
+void TProtocol::skip_nested(TType type, int depth) {
   switch (type) {
     case TType::kBool: readBool(); return;
     case TType::kByte: readByte(); return;
@@ -29,13 +29,19 @@ void TProtocol::skip(TType type) {
     case TType::kI32: readI32(); return;
     case TType::kI64: readI64(); return;
     case TType::kDouble: readDouble(); return;
-    case TType::kString: readString(); return;
+    case TType::kString: skipString(); return;
+    default: break;
+  }
+  if (depth <= 0)
+    throw TProtocolException(TProtocolException::Kind::kDepthLimit,
+                             "skip: nesting exceeds the depth limit");
+  switch (type) {
     case TType::kStruct: {
       readStructBegin();
       while (true) {
         FieldHead f = readFieldBegin();
         if (f.type == TType::kStop) break;
-        skip(f.type);
+        skip_nested(f.type, depth - 1);
         readFieldEnd();
       }
       readStructEnd();
@@ -44,21 +50,21 @@ void TProtocol::skip(TType type) {
     case TType::kMap: {
       MapHead m = readMapBegin();
       for (uint32_t i = 0; i < m.size; ++i) {
-        skip(m.key);
-        skip(m.val);
+        skip_nested(m.key, depth - 1);
+        skip_nested(m.val, depth - 1);
       }
       readMapEnd();
       return;
     }
     case TType::kList: {
       ListHead l = readListBegin();
-      for (uint32_t i = 0; i < l.size; ++i) skip(l.elem);
+      for (uint32_t i = 0; i < l.size; ++i) skip_nested(l.elem, depth - 1);
       readListEnd();
       return;
     }
     case TType::kSet: {
       ListHead l = readSetBegin();
-      for (uint32_t i = 0; i < l.size; ++i) skip(l.elem);
+      for (uint32_t i = 0; i < l.size; ++i) skip_nested(l.elem, depth - 1);
       readSetEnd();
       return;
     }
@@ -161,13 +167,20 @@ double TBinaryProtocol::readDouble() {
 
 bool TBinaryProtocol::readBool() { return readByte() != 0; }
 
-std::string TBinaryProtocol::readString() {
+size_t TBinaryProtocol::read_size(const char* what) {
   int32_t n = readI32();
   if (n < 0)
     throw TProtocolException(TProtocolException::Kind::kInvalidData,
-                             "negative string size");
-  return buf_.read_string(static_cast<size_t>(n));
+                             std::string("negative ") + what + " size");
+  check_size(static_cast<size_t>(n), what);
+  return static_cast<size_t>(n);
 }
+
+std::string TBinaryProtocol::readString() {
+  return buf_.read_string(read_size("string"));
+}
+
+void TBinaryProtocol::skipString() { buf_.consume(read_size("string")); }
 
 TProtocol::MessageHead TBinaryProtocol::readMessageBegin() {
   uint32_t header = static_cast<uint32_t>(readI32());
@@ -191,19 +204,13 @@ TProtocol::FieldHead TBinaryProtocol::readFieldBegin() {
 TProtocol::MapHead TBinaryProtocol::readMapBegin() {
   TType k = static_cast<TType>(readByte());
   TType v = static_cast<TType>(readByte());
-  int32_t n = readI32();
-  if (n < 0)
-    throw TProtocolException(TProtocolException::Kind::kInvalidData,
-                             "negative map size");
+  size_t n = read_size("map");
   return {k, v, static_cast<uint32_t>(n)};
 }
 
 TProtocol::ListHead TBinaryProtocol::readListBegin() {
   TType e = static_cast<TType>(readByte());
-  int32_t n = readI32();
-  if (n < 0)
-    throw TProtocolException(TProtocolException::Kind::kInvalidData,
-                             "negative list size");
+  size_t n = read_size("list");
   return {e, static_cast<uint32_t>(n)};
 }
 
@@ -465,27 +472,35 @@ double TCompactProtocol::readDouble() {
   return std::bit_cast<double>(bits);
 }
 
-std::string TCompactProtocol::readString() {
-  size_t n = read_varint();
-  return buf_.read_string(n);
+size_t TCompactProtocol::read_size(const char* what) {
+  uint64_t n = read_varint();
+  check_size(n, what);
+  return n;
 }
 
+std::string TCompactProtocol::readString() {
+  return buf_.read_string(read_size("string"));
+}
+
+void TCompactProtocol::skipString() { buf_.consume(read_size("string")); }
+
 TProtocol::MapHead TCompactProtocol::readMapBegin() {
-  uint32_t size = static_cast<uint32_t>(read_varint());
+  size_t size = read_size("map");
   if (size == 0) return {TType::kStop, TType::kStop, 0};
   uint8_t kv;
   buf_.read(&kv, 1);
   return {to_ttype(static_cast<CType>(kv >> 4)),
-          to_ttype(static_cast<CType>(kv & 0x0f)), size};
+          to_ttype(static_cast<CType>(kv & 0x0f)), static_cast<uint32_t>(size)};
 }
 
 TProtocol::ListHead TCompactProtocol::readListBegin() {
   uint8_t b;
   buf_.read(&b, 1);
   CType et = static_cast<CType>(b & 0x0f);
-  uint32_t size = b >> 4;
-  if (size == 15) size = static_cast<uint32_t>(read_varint());
-  return {to_ttype(et), size};
+  uint64_t size = b >> 4;
+  if (size == 15) size = read_varint();
+  check_size(size, "list");
+  return {to_ttype(et), static_cast<uint32_t>(size)};
 }
 
 TProtocol::ListHead TCompactProtocol::readSetBegin() {

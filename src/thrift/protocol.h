@@ -82,13 +82,29 @@ class TProtocol {
   virtual std::string readString() = 0;
   std::string readBinary() { return readString(); }
 
-  /// Skips a value of the given type (unknown-field tolerance).
-  void skip(TType type);
+  /// Skips a value of the given type (unknown-field tolerance). Containers
+  /// nested deeper than kMaxSkipDepth throw instead of exhausting the stack.
+  void skip(TType type) { skip_nested(type, kMaxSkipDepth); }
+  static constexpr int kMaxSkipDepth = 64;
 
   TMemoryBuffer& buffer() { return buf_; }
 
  protected:
+  /// Skips a string without materializing it.
+  virtual void skipString() { readString(); }
+
+  /// Rejects a container or string that claims more entries or bytes than
+  /// the message has left (each entry takes at least one byte).
+  void check_size(size_t claimed, const char* what) const {
+    if (claimed > buf_.readable())
+      throw TProtocolException(TProtocolException::Kind::kSizeLimit,
+                               std::string(what) + " size exceeds the message");
+  }
+
   TMemoryBuffer& buf_;
+
+ private:
+  void skip_nested(TType type, int depth);
 };
 
 /// Strict Thrift Binary protocol (version word 0x8001____).
@@ -128,7 +144,13 @@ class TBinaryProtocol final : public TProtocol {
   double readDouble() override;
   std::string readString() override;
 
+ protected:
+  void skipString() override;
+
  private:
+  /// Reads an i32 size and checks it against the bytes left.
+  size_t read_size(const char* what);
+
   static constexpr uint32_t kVersion1 = 0x80010000;
   static constexpr uint32_t kVersionMask = 0xffff0000;
 };
@@ -171,6 +193,9 @@ class TCompactProtocol final : public TProtocol {
   double readDouble() override;
   std::string readString() override;
 
+ protected:
+  void skipString() override;
+
  private:
   static constexpr uint8_t kProtocolId = 0x82;
   static constexpr uint8_t kVersion = 1;
@@ -195,6 +220,8 @@ class TCompactProtocol final : public TProtocol {
 
   void write_varint(uint64_t v);
   uint64_t read_varint();
+  /// Reads a varint size and checks it against the bytes left.
+  size_t read_size(const char* what);
   static uint64_t zigzag(int64_t v) {
     return (static_cast<uint64_t>(v) << 1) ^ static_cast<uint64_t>(v >> 63);
   }

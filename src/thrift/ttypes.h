@@ -50,7 +50,13 @@ class TTransportException : public TException {
 
 class TProtocolException : public TException {
  public:
-  enum class Kind { kUnknown, kInvalidData, kBadVersion, kSizeLimit };
+  enum class Kind {
+    kUnknown,
+    kInvalidData,
+    kBadVersion,
+    kSizeLimit,
+    kDepthLimit,
+  };
   TProtocolException(Kind kind, const std::string& what)
       : TException(what), kind_(kind) {}
   Kind kind() const { return kind_; }

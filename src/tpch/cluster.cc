@@ -105,7 +105,7 @@ TpchCluster::TpchCluster(sim::Simulator& sim, int workers, DbgenConfig dbcfg,
     for (const Query& q : all_queries()) {
       rt->server->dispatcher().register_method(
           method_name(q.id),
-          [raw, &q](core::View) -> Task<core::Buffer> {
+          [raw, &q](core::View, thrift::TMemoryBuffer& out) -> Task<void> {
             verbs::Node& node = *raw->node;
             // Scan/join passes over the local partition.
             int64_t rows = int64_t(raw->slice.fact_rows());
@@ -114,7 +114,8 @@ TpchCluster::TpchCluster(sim::Simulator& sim, int workers, DbgenConfig dbcfg,
             std::vector<Row> partial = q.local(raw->slice);
             co_await node.cpu().compute(kPartialRowCpu *
                                         int64_t(partial.size()));
-            co_return serialize_rows(partial);
+            thrift::TBinaryProtocol p(out);
+            write_rows(p, partial);
           });
     }
     rt->conn = std::make_unique<core::HatConnection>(*coordinator_,
@@ -136,24 +137,24 @@ Task<QueryResult> TpchCluster::run_query(int qid) {
   std::string method = method_name(qid);
   sim::Time t0 = sim_.now();
 
-  std::vector<core::Buffer> partial_bufs(workers_.size());
+  std::vector<core::Reply> partials(workers_.size());
   sim::WaitGroup wg(sim_);
   wg.add(workers_.size());
   for (size_t w = 0; w < workers_.size(); ++w) {
     sim_.spawn([](TpchCluster* self, const std::string& method, size_t w,
-                  std::vector<core::Buffer>& bufs,
+                  std::vector<core::Reply>& replies,
                   sim::WaitGroup& wg) -> Task<void> {
-      bufs[w] = co_await self->workers_[w]->conn->call(method, {});
+      replies[w] = co_await self->workers_[w]->conn->call_raw(method, {});
       wg.done();
-    }(this, method, w, partial_bufs, wg));
+    }(this, method, w, partials, wg));
   }
   co_await wg.wait();
 
   std::vector<Row> gathered;
   uint64_t bytes = 0;
-  for (core::Buffer& b : partial_bufs) {
-    bytes += b.size();
-    std::vector<Row> rows = deserialize_rows(b);
+  for (const core::Reply& r : partials) {
+    bytes += r.view().size();
+    std::vector<Row> rows = deserialize_rows(r.view());
     gathered.insert(gathered.end(), std::make_move_iterator(rows.begin()),
                     std::make_move_iterator(rows.end()));
   }

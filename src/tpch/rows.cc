@@ -10,9 +10,7 @@ constexpr int8_t kTagF64 = 2;
 constexpr int8_t kTagStr = 3;
 }  // namespace
 
-std::vector<std::byte> serialize_rows(const std::vector<Row>& rows) {
-  thrift::TMemoryBuffer buf;
-  thrift::TBinaryProtocol p(buf);
+void write_rows(thrift::TProtocol& p, const std::vector<Row>& rows) {
   p.writeI32(static_cast<int32_t>(rows.size()));
   for (const Row& row : rows) {
     p.writeI32(static_cast<int32_t>(row.size()));
@@ -29,6 +27,12 @@ std::vector<std::byte> serialize_rows(const std::vector<Row>& rows) {
       }
     }
   }
+}
+
+std::vector<std::byte> serialize_rows(const std::vector<Row>& rows) {
+  thrift::TMemoryBuffer buf;
+  thrift::TBinaryProtocol p(buf);
+  write_rows(p, rows);
   return buf.take();
 }
 

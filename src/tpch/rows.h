@@ -21,6 +21,7 @@ inline const std::string& as_str(const Value& v) {
 }
 
 /// Serializes rows as: i32 row-count, then per row a tagged value list.
+void write_rows(thrift::TProtocol& p, const std::vector<Row>& rows);
 std::vector<std::byte> serialize_rows(const std::vector<Row>& rows);
 std::vector<Row> deserialize_rows(std::span<const std::byte> bytes);
 

@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "core/engine.h"
+#include "loopback_caller.h"
 
 namespace hatrpc::core {
 namespace {
@@ -34,19 +36,32 @@ TEST(Dispatcher, EnvelopeRoundTrip) {
   EXPECT_EQ(head.seqid, 7);
 }
 
+/// A raw handler that echoes its args bytes as the result.
+HatDispatcher::MethodFn echo_fn() {
+  return [](View args, thrift::TMemoryBuffer& out) -> Task<void> {
+    out.write(args.data(), args.size());
+    co_return;
+  };
+}
+
+/// A raw handler that answers `s` whatever the args.
+HatDispatcher::MethodFn answer_fn(std::string s) {
+  return [s](View, thrift::TMemoryBuffer& out) -> Task<void> {
+    out.write(s.data(), s.size());
+    co_return;
+  };
+}
+
 TEST(Dispatcher, DispatchesToRegisteredMethod) {
   Simulator sim;
   HatDispatcher d;
-  d.register_method("Echo", [](View args) -> Task<Buffer> {
-    co_return Buffer(args.begin(), args.end());
-  });
+  d.register_method("Echo", echo_fn());
   EXPECT_TRUE(d.has_method("Echo"));
   Buffer env = HatDispatcher::make_call("Echo", bytes_of("payload"), 1);
   std::string got;
   sim.spawn([](HatDispatcher& d, Buffer env, std::string& got) -> Task<void> {
     Buffer reply = co_await d.process(env);
-    Buffer result = HatDispatcher::parse_reply(reply, "Echo");
-    got = str_of(result);
+    got = str_of(HatDispatcher::parse_reply(reply, "Echo"));
   }(d, env, got));
   sim.run();
   EXPECT_EQ(got, "payload");
@@ -74,7 +89,7 @@ TEST(Dispatcher, UnknownMethodYieldsApplicationException) {
 TEST(Dispatcher, MismatchedReplyNameThrows) {
   Simulator sim;
   HatDispatcher d;
-  d.register_method("A", [](View) -> Task<Buffer> { co_return Buffer{}; });
+  d.register_method("A", answer_fn(""));
   Buffer env = HatDispatcher::make_call("A", bytes_of(""), 3);
   sim.spawn([](HatDispatcher& d, Buffer env) -> Task<void> {
     Buffer reply = co_await d.process(env);
@@ -82,6 +97,65 @@ TEST(Dispatcher, MismatchedReplyNameThrows) {
                  thrift::TApplicationException);
   }(d, env));
   sim.run();
+}
+
+TEST(Dispatcher, HandlerThrowingMidResultYieldsTheExceptionReply) {
+  Simulator sim;
+  HatDispatcher d;
+  d.register_method("Half",
+                    [](View, thrift::TMemoryBuffer& out) -> Task<void> {
+                      out.write("partial result", 14);
+                      throw std::runtime_error("died mid-result");
+                      co_return;
+                    });
+  // The reply a throwing handler has always produced: an EXCEPTION
+  // envelope around TApplicationException(INTERNAL_ERROR, what()).
+  thrift::TMemoryBuffer want;
+  thrift::TBinaryProtocol w(want);
+  w.writeMessageBegin("Half", thrift::TMessageType::kException, 9);
+  w.writeFieldBegin(thrift::TType::kString, 1);
+  w.writeString("died mid-result");
+  w.writeFieldBegin(thrift::TType::kI32, 2);
+  w.writeI32(6);
+  w.writeFieldStop();
+  Buffer got;
+  sim.spawn([](HatDispatcher& d, Buffer& got) -> Task<void> {
+    got = co_await d.process(HatDispatcher::make_call("Half", {}, 9));
+  }(d, got));
+  sim.run();
+  EXPECT_EQ(got, want.take());
+}
+
+TEST(Dispatcher, StampSeqidRewritesOnlyTheSeqid) {
+  Buffer env = HatDispatcher::make_call("Calc:Add", bytes_of("ARGS"), 0);
+  HatDispatcher::stamp_seqid(env, 0x01020304);
+  EXPECT_EQ(env, HatDispatcher::make_call("Calc:Add", bytes_of("ARGS"),
+                                          0x01020304));
+}
+
+TEST(Envelope, FusedCallIsByteIdenticalToMakeCall) {
+  Simulator sim;
+  HatDispatcher d;
+  d.register_method("Echo", echo_fn());
+  MultiplexedDispatcher(d, "Calc").register_method("Add", echo_fn());
+  LoopbackCaller loop(d);
+  MultiplexedCaller calc(loop, "Calc");
+  const Buffer args = bytes_of("serialized-args");
+  std::vector<Reply> replies;
+  sim.spawn([](LoopbackCaller& loop, MultiplexedCaller& calc,
+               const Buffer& args, std::vector<Reply>& replies) -> Task<void> {
+    replies.push_back(co_await loop.call_raw("Echo", args));
+    replies.push_back(co_await calc.call_raw("Add", args));
+  }(loop, calc, args, replies));
+  sim.run();
+  ASSERT_EQ(loop.sent.size(), 2u);
+  EXPECT_EQ(loop.sent[0], HatDispatcher::make_call("Echo", args, 1));
+  EXPECT_EQ(loop.sent[1], HatDispatcher::make_call("Calc:Add", args, 2));
+  for (const Reply& r : replies) {
+    EXPECT_EQ(str_of(r.view()), "serialized-args");
+    // The result is decoded in place, not copied out of the envelope.
+    EXPECT_EQ(r.view().data(), r.bytes.data() + r.body);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -117,9 +191,9 @@ hint::ServiceHints heterogeneous_hints() {
 void register_echo_methods(HatServer& server) {
   for (const char* m : {"FastGet", "BulkPut", "Legacy", "Plain"}) {
     server.dispatcher().register_method(
-        m, [&server](View args) -> Task<Buffer> {
+        m, [&server](View args, thrift::TMemoryBuffer& out) -> Task<void> {
           co_await server.node().cpu().compute(300ns);
-          co_return Buffer(args.begin(), args.end());
+          out.write(args.data(), args.size());
         });
   }
 }
@@ -132,8 +206,8 @@ TEST(Engine, CallOverRdmaRoundTrips) {
   std::string got;
   c.sim.spawn([](HatConnection& conn, std::string& got,
                  HatServer& server) -> Task<void> {
-    Buffer r = co_await conn.call("FastGet", bytes_of("hello-hat"));
-    got = str_of(r);
+    Reply r = co_await conn.call_raw("FastGet", bytes_of("hello-hat"));
+    got = str_of(r.view());
     server.stop();
   }(conn, got, server));
   c.sim.run();
@@ -178,17 +252,13 @@ TEST(Engine, ChannelsMaterializeLazilyAndAreSharedPerPlan) {
                                                "512"));
   HatServer server(*c.server_node, h, {});
   register_echo_methods(server);
-  server.dispatcher().register_method(
-      "FastGet2",
-      [](View args) -> Task<Buffer> {
-        co_return Buffer(args.begin(), args.end());
-      });
+  server.dispatcher().register_method("FastGet2", echo_fn());
   HatConnection conn(*c.client, server);
   EXPECT_EQ(conn.channel_count(), 0u);  // lazy
   c.sim.spawn([](HatConnection& conn, HatServer& server) -> Task<void> {
-    co_await conn.call("FastGet", bytes_of("a"));
-    co_await conn.call("FastGet2", bytes_of("b"));  // same plan -> reuse
-    co_await conn.call("BulkPut", bytes_of("c"));   // new plan -> new channel
+    co_await conn.call_raw("FastGet", bytes_of("a"));
+    co_await conn.call_raw("FastGet2", bytes_of("b"));  // same plan -> reuse
+    co_await conn.call_raw("BulkPut", bytes_of("c"));  // new plan -> new channel
     server.stop();
   }(conn, server));
   c.sim.run();
@@ -201,7 +271,7 @@ TEST(Engine, ChannelMatchesPlanProtocol) {
   register_echo_methods(server);
   HatConnection conn(*c.client, server);
   c.sim.spawn([](HatConnection& conn, HatServer& server) -> Task<void> {
-    co_await conn.call("FastGet", bytes_of("x"));
+    co_await conn.call_raw("FastGet", bytes_of("x"));
     server.stop();
   }(conn, server));
   c.sim.run();
@@ -219,8 +289,8 @@ TEST(Engine, TcpHintedFunctionUsesSocketPath) {
   std::string got;
   c.sim.spawn([](HatConnection& conn, std::string& got,
                  HatServer& server) -> Task<void> {
-    Buffer r = co_await conn.call("Legacy", bytes_of("over-tcp"));
-    got = str_of(r);
+    Reply r = co_await conn.call_raw("Legacy", bytes_of("over-tcp"));
+    got = str_of(r.view());
     server.stop();
   }(conn, got, server));
   c.sim.run();
@@ -234,7 +304,7 @@ TEST(Engine, TcpWithoutSocketNetIsAnError) {
   register_echo_methods(server);
   HatConnection conn(*c.client, server);
   c.sim.spawn([](HatConnection& conn) -> Task<void> {
-    co_await conn.call("Legacy", bytes_of("x"));
+    co_await conn.call_raw("Legacy", bytes_of("x"));
   }(conn));
   EXPECT_THROW(c.sim.run(), std::logic_error);
 }
@@ -252,9 +322,9 @@ TEST(Engine, MixedTrafficOnOneConnectionStaysIsolated) {
     for (int i = 0; i < 10; ++i) {
       std::string small = "get-" + std::to_string(i);
       std::string big(20000, static_cast<char>('A' + i));
-      Buffer r1 = co_await conn.call("FastGet", bytes_of(small));
-      Buffer r2 = co_await conn.call("BulkPut", bytes_of(big));
-      if (str_of(r1) == small && str_of(r2) == big) ++ok;
+      Reply r1 = co_await conn.call_raw("FastGet", bytes_of(small));
+      Reply r2 = co_await conn.call_raw("BulkPut", bytes_of(big));
+      if (str_of(r1.view()) == small && str_of(r2.view()) == big) ++ok;
     }
     server.stop();
   }(conn, ok, server));
@@ -282,9 +352,10 @@ TEST(Dispatcher, HandlerExceptionBecomesInternalErrorReply) {
   HatServer server(*c.server_node, heterogeneous_hints(), {});
   int calls = 0;
   server.dispatcher().register_method(
-      "Flaky", [&calls](View) -> Task<Buffer> {
+      "Flaky", [&calls](View, thrift::TMemoryBuffer& out) -> Task<void> {
         if (++calls == 1) throw std::runtime_error("handler blew up");
-        co_return bytes_of("recovered");
+        out.write("recovered", 9);
+        co_return;
       });
   HatConnection conn(*c.client, server);
   bool caught = false;
@@ -292,7 +363,7 @@ TEST(Dispatcher, HandlerExceptionBecomesInternalErrorReply) {
   c.sim.spawn([](HatConnection& conn, bool& caught, std::string& second,
                  HatServer& server) -> Task<void> {
     try {
-      co_await conn.call("Flaky", {});
+      co_await conn.call_raw("Flaky", {});
     } catch (const thrift::TApplicationException& e) {
       caught = true;
       EXPECT_EQ(e.kind(),
@@ -300,7 +371,7 @@ TEST(Dispatcher, HandlerExceptionBecomesInternalErrorReply) {
       EXPECT_STREQ(e.what(), "handler blew up");
     }
     // The SAME connection and server must still work afterwards.
-    second = str_of(co_await conn.call("Flaky", {}));
+    second = str_of((co_await conn.call_raw("Flaky", {})).view());
     server.stop();
   }(conn, caught, second, server));
   c.sim.run();
@@ -316,20 +387,16 @@ TEST(Multiplexed, TwoServicesShareOneConnection) {
   HatServer server(*c.server_node, heterogeneous_hints(), {});
   MultiplexedDispatcher calc(server.dispatcher(), "Calc");
   MultiplexedDispatcher echo(server.dispatcher(), "Echo");
-  calc.register_method("Add", [](View) -> Task<Buffer> {
-    co_return bytes_of("calc-add");
-  });
-  echo.register_method("Add", [](View) -> Task<Buffer> {
-    co_return bytes_of("echo-add");
-  });
+  calc.register_method("Add", answer_fn("calc-add"));
+  echo.register_method("Add", answer_fn("echo-add"));
   HatConnection conn(*c.client, server);
   MultiplexedCaller calc_caller(conn, "Calc");
   MultiplexedCaller echo_caller(conn, "Echo");
   std::string r1, r2;
   c.sim.spawn([](MultiplexedCaller& a, MultiplexedCaller& b, std::string& r1,
                  std::string& r2, HatServer& server) -> Task<void> {
-    r1 = str_of(co_await a.call("Add", {}));
-    r2 = str_of(co_await b.call("Add", {}));
+    r1 = str_of((co_await a.call_raw("Add", {})).view());
+    r2 = str_of((co_await b.call_raw("Add", {})).view());
     server.stop();
   }(calc_caller, echo_caller, r1, r2, server));
   c.sim.run();
@@ -341,9 +408,7 @@ TEST(Multiplexed, UnprefixedCallMissesService) {
   Cluster c;
   HatServer server(*c.server_node, heterogeneous_hints(), {});
   MultiplexedDispatcher calc(server.dispatcher(), "Calc");
-  calc.register_method("Add", [](View) -> Task<Buffer> {
-    co_return bytes_of("x");
-  });
+  calc.register_method("Add", answer_fn("x"));
   EXPECT_TRUE(server.dispatcher().has_method("Calc:Add"));
   EXPECT_FALSE(server.dispatcher().has_method("Add"));
   server.stop();

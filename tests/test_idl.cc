@@ -269,6 +269,13 @@ TEST(Codegen, ClientSignaturesUseTaskAndConstRefs) {
       std::string::npos);
 }
 
+TEST(Codegen, ListReserveIsClampedToTheBytesLeft) {
+  // A hostile list size must not reach the allocator unchecked.
+  std::string code = generate(kKvIdl);
+  EXPECT_NE(code.find(".reserve(std::min<size_t>("), std::string::npos);
+  EXPECT_NE(code.find("_p.buffer().readable()"), std::string::npos);
+}
+
 TEST(Codegen, ThrowsClausesGenerateExceptionPaths) {
   std::string code = generate(kKvIdl);
   EXPECT_NE(code.find("catch (const KVError& _ex)"), std::string::npos);

@@ -7,6 +7,7 @@
 
 #include "core/engine.h"
 #include "echo_kv_gen.h"
+#include "loopback_caller.h"
 
 namespace {
 
@@ -124,6 +125,39 @@ TEST_F(GeneratedFixture, OnewayReachesHandler) {
     co_await c.Nudge(42);
     EXPECT_EQ(handler.last_nudge(), 42);
   });
+}
+
+TEST_F(GeneratedFixture, StubEnvelopesAreByteIdenticalToMakeCall) {
+  // The args structs exactly as a separate serialization pass writes them.
+  hatrpc::thrift::TMemoryBuffer nudge, fetch;
+  {
+    hatrpc::thrift::TBinaryProtocol p(nudge);
+    p.writeFieldBegin(hatrpc::thrift::TType::kI32, 1);
+    p.writeI32(42);
+    p.writeFieldStop();
+  }
+  {
+    hatrpc::thrift::TBinaryProtocol p(fetch);
+    p.writeFieldBegin(hatrpc::thrift::TType::kString, 1);
+    p.writeString("missing-key");
+    p.writeFieldStop();
+  }
+  hatrpc::core::LoopbackCaller loop(server.dispatcher());
+  sim.spawn([](hatrpc::core::LoopbackCaller& loop) -> Task<void> {
+    genkv::GenKVClient c(loop);
+    co_await c.Nudge(42);  // oneway
+    try {
+      co_await c.Fetch("missing-key");
+    } catch (const genkv::NotFound&) {
+    }
+  }(loop));
+  sim.run();
+  using hatrpc::core::HatDispatcher;
+  ASSERT_EQ(loop.sent.size(), 2u);
+  EXPECT_EQ(loop.sent[0], HatDispatcher::make_call("Nudge", nudge.view(), 1));
+  EXPECT_EQ(loop.sent[1], HatDispatcher::make_call("Fetch", fetch.view(), 2));
+  EXPECT_EQ(handler.last_nudge(), 42);
+  server.stop();
 }
 
 TEST_F(GeneratedFixture, GeneratedHintsDrivePlanSelection) {

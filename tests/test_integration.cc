@@ -182,9 +182,10 @@ TEST(Integration, EndToEndScenarioIsDeterministic) {
                                              "2048"));
     core::HatServer server(*sn, h, {});
     server.dispatcher().register_method(
-        "Work", [sn](core::View req) -> Task<core::Buffer> {
+        "Work",
+        [sn](core::View req, thrift::TMemoryBuffer& out) -> Task<void> {
           co_await sn->cpu().compute(700ns);
-          co_return core::Buffer(req.begin(), req.end());
+          out.write(req.data(), req.size());
         });
     std::vector<std::unique_ptr<core::HatConnection>> conns;
     sim::WaitGroup wg(sim);
@@ -195,7 +196,7 @@ TEST(Integration, EndToEndScenarioIsDeterministic) {
       sim.spawn([](core::HatConnection& conn, sim::WaitGroup& wg)
                     -> Task<void> {
         core::Buffer payload(2048, std::byte{0x6});
-        for (int i = 0; i < 10; ++i) co_await conn.call("Work", payload);
+        for (int i = 0; i < 10; ++i) co_await conn.call_raw("Work", payload);
         wg.done();
       }(*conns.back(), wg));
     }

@@ -403,6 +403,159 @@ TEST(MemoryBuffer, WrapGivesReadAccess) {
   EXPECT_EQ(b.readable(), 0u);
 }
 
+std::vector<std::byte> bytes_of(std::string_view s) {
+  auto* p = reinterpret_cast<const std::byte*>(s.data());
+  return {p, p + s.size()};
+}
+
+TEST(MemoryBuffer, WrapIsAViewNotACopy) {
+  const std::vector<std::byte> x = bytes_of("viewed in place");
+  TMemoryBuffer b = TMemoryBuffer::wrap(x);
+  EXPECT_EQ(b.view().data(), x.data());
+  EXPECT_EQ(b.view().size(), x.size());
+}
+
+TEST(MemoryBuffer, WriteToAWrappedBufferSpillsAndLeavesTheSourceUntouched) {
+  const std::vector<std::byte> x = bytes_of("source");
+  TMemoryBuffer b = TMemoryBuffer::wrap(x);
+  b.write("+tail", 5);
+  EXPECT_NE(b.view().data(), x.data());
+  EXPECT_EQ(b.read_string(11), "source+tail");
+  EXPECT_EQ(x, bytes_of("source"));
+}
+
+TEST(MemoryBuffer, TrailerAfterALargeStringDoesNotReallocate) {
+  const std::string blob(128 << 10, 'p');
+  TMemoryBuffer buf;
+  TBinaryProtocol p(buf);
+  p.writeStructBegin("Stream_args");
+  p.writeFieldBegin(TType::kString, 1);
+  p.writeString(blob);
+  const std::byte* at = buf.view().data();
+  p.writeFieldEnd();
+  p.writeFieldStop();
+  p.writeStructEnd();
+  EXPECT_EQ(buf.view().data(), at);
+}
+
+TEST(MemoryBuffer, ReadStringChecksTheSizeBeforeAllocating) {
+  const std::vector<std::byte> x = bytes_of("short");
+  TMemoryBuffer b = TMemoryBuffer::wrap(x);
+  EXPECT_THROW(b.read_string(0x7fffffff), TTransportException);
+  EXPECT_EQ(b.readable(), x.size());
+}
+
+/// Writes a message with `write`, then returns the kind of the
+/// TProtocolException that `read` throws on it.
+TProtocolException::Kind read_error(Proto proto,
+                                    std::function<void(TProtocol&)> write,
+                                    std::function<void(TProtocol&)> read) {
+  TMemoryBuffer buf;
+  auto w = make_proto(proto, buf);
+  write(*w);
+  auto r = make_proto(proto, buf);
+  try {
+    read(*r);
+  } catch (const TProtocolException& e) {
+    return e.kind();
+  }
+  ADD_FAILURE() << "hostile size was accepted";
+  return TProtocolException::Kind::kUnknown;
+}
+
+TEST(HostileInput, ClaimedSizesBeyondTheMessageAreRejected) {
+  using K = TProtocolException::Kind;
+  constexpr uint32_t kHuge = 0x7fffffff;
+  for (Proto proto : {Proto::kBinary, Proto::kCompact}) {
+    SCOPED_TRACE(proto == Proto::kBinary ? "binary" : "compact");
+    // A string header claiming 2 GiB in front of three bytes.
+    auto huge_string = [proto](TProtocol& w) {
+      if (proto == Proto::kBinary) w.writeI32(int32_t(kHuge));
+      else w.buffer().write("\xff\xff\xff\xff\x07", 5);  // varint
+      w.buffer().write("abc", 3);
+    };
+    EXPECT_EQ(read_error(proto, huge_string,
+                         [](TProtocol& r) { r.readString(); }),
+              K::kSizeLimit);
+    EXPECT_EQ(read_error(proto, huge_string,
+                         [](TProtocol& r) { r.skip(TType::kString); }),
+              K::kSizeLimit);
+    EXPECT_EQ(read_error(proto,
+                         [](TProtocol& w) {
+                           w.writeListBegin(TType::kI64, kHuge);
+                           w.writeI64(1);
+                         },
+                         [](TProtocol& r) { r.readListBegin(); }),
+              K::kSizeLimit);
+    EXPECT_EQ(read_error(proto,
+                         [](TProtocol& w) {
+                           w.writeSetBegin(TType::kString, kHuge);
+                           w.writeString("x");
+                         },
+                         [](TProtocol& r) { r.readSetBegin(); }),
+              K::kSizeLimit);
+    EXPECT_EQ(read_error(proto,
+                         [](TProtocol& w) {
+                           w.writeMapBegin(TType::kI32, TType::kI32, kHuge);
+                           w.writeI32(1);
+                           w.writeI32(2);
+                         },
+                         [](TProtocol& r) { r.readMapBegin(); }),
+              K::kSizeLimit);
+  }
+}
+
+TEST(HostileInput, DeeplyNestedStructsHitTheSkipDepthLimit) {
+  // 100k nested struct field headers (type 0x0C, id 1): without a depth
+  // bound, skip() recurses once per header and overflows the stack.
+  std::vector<std::byte> wire;
+  for (int i = 0; i < 100000; ++i)
+    for (uint8_t b : {0x0C, 0x00, 0x01}) wire.push_back(std::byte{b});
+  TMemoryBuffer buf = TMemoryBuffer::wrap(wire);
+  TBinaryProtocol p(buf);
+  try {
+    p.skip(TType::kStruct);
+    FAIL() << "nesting past the limit was accepted";
+  } catch (const TProtocolException& e) {
+    EXPECT_EQ(e.kind(), TProtocolException::Kind::kDepthLimit);
+  }
+}
+
+TEST_P(ProtocolRoundTrip, NestingUpToTheSkipDepthLimitIsSkipped) {
+  // kMaxSkipDepth structs in all: kWrappers around one leaf.
+  constexpr int kWrappers = TProtocol::kMaxSkipDepth - 1;
+  TMemoryBuffer buf;
+  auto w = make_proto(GetParam(), buf);
+  for (int i = 0; i < kWrappers; ++i) {
+    w->writeStructBegin("N");
+    w->writeFieldBegin(TType::kStruct, 1);
+  }
+  w->writeStructBegin("Leaf");
+  w->writeFieldStop();
+  w->writeStructEnd();
+  for (int i = 0; i < kWrappers; ++i) {
+    w->writeFieldEnd();
+    w->writeFieldStop();
+    w->writeStructEnd();
+  }
+  w->writeI32(77);
+  auto r = make_proto(GetParam(), buf);
+  r->skip(TType::kStruct);
+  EXPECT_EQ(r->readI32(), 77);
+}
+
+TEST(HostileInput, SkippedStringsAdvanceWithoutReading) {
+  for (Proto proto : {Proto::kBinary, Proto::kCompact}) {
+    TMemoryBuffer buf;
+    auto w = make_proto(proto, buf);
+    w->writeString(std::string(1000, 's'));
+    w->writeI32(42);
+    auto r = make_proto(proto, buf);
+    r->skip(TType::kString);
+    EXPECT_EQ(r->readI32(), 42);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Fuzz-style property test: randomly generated nested documents must
 // round-trip identically through every protocol.
