@@ -26,7 +26,6 @@
 #include <cstring>
 #include <fstream>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -44,7 +43,7 @@ struct Options {
   uint64_t seed = 1;
   std::vector<uint32_t> clients = {1, 4, 16, 64, 256, 1024};
   std::vector<uint32_t> windows = {1, 32};
-  // 0 = the legacy unsharded server (pre-sharding baseline); the tail value
+  // 0 = the unbound baseline (one shard, no core binding); the tail value
   // over-subscribes the 28 simulated cores to provoke the collapse.
   std::vector<uint32_t> shards = {0, 1, 4, 8, 16, 28, 56};
   uint32_t ops_per_client = 40;
@@ -73,7 +72,7 @@ const char* mode_name(sim::PollMode m) {
   return m == sim::PollMode::kBusy ? "busy" : "event";
 }
 
-// Handler compute pinned to the shard's core (-1 = legacy floating): a fixed
+// Handler compute pinned to the shard's core (-1 = floating): a fixed
 // dispatch cost plus a payload-proportional term, the same work model the
 // figure benchmarks use.
 proto::Handler pinned_handler(verbs::Node& server, int core) {
@@ -96,26 +95,21 @@ Row run_config(const Options& opt, uint32_t shards, sim::PollMode mode,
     client_nodes.push_back(fabric.add_node());
 
   thrift::TServerRdma::Options so;
-  so.shards = shards;
+  so.shards = std::max(1u, shards);
   so.steering = thrift::Steering::kRoundRobin;
   so.bind_cores = shards > 0;
   // Per-SRQ depth covers the shard's worst-case concurrent inbound burst
   // (its share of the connections, window deep each); channels replenish
   // consumed tokens, so the depth never needs to grow mid-run.
-  const uint32_t per_shard_conns =
-      shards > 0 ? (clients + shards - 1) / shards : clients;
+  const uint32_t per_shard_conns = (clients + so.shards - 1) / so.shards;
   so.srq_depth = per_shard_conns * window + 64;
 
-  std::optional<thrift::TServerRdma> srv;
-  if (shards == 0) {
-    srv.emplace(*server, pinned_handler(*server, -1), so);
-  } else {
-    thrift::TServerRdma::ShardProcessorFactory factory =
-        [server](uint32_t, int core, proto::BufferPool*) {
-          return pinned_handler(*server, core);
-        };
-    srv.emplace(*server, factory, so);
-  }
+  thrift::TServerRdma srv(
+      *server,
+      [server](uint32_t, int core, proto::BufferPool*) {
+        return pinned_handler(*server, core);
+      },
+      so);
 
   proto::ChannelConfig cfg;
   cfg.with_client_poll(sim::PollMode::kEvent)  // keep client CPU out of the
@@ -124,7 +118,7 @@ Row run_config(const Options& opt, uint32_t shards, sim::PollMode mode,
       .with_max_msg(opt.max_msg);
   std::vector<thrift::TRdmaEndPoint*> eps;
   for (uint32_t c = 0; c < clients; ++c)
-    eps.push_back(srv->accept(*client_nodes[c / opt.clients_per_node],
+    eps.push_back(srv.accept(*client_nodes[c / opt.clients_per_node],
                               proto::ProtocolKind::kDirectWriteImm, cfg));
 
   // A window needs enough calls per client to actually fill it.
@@ -156,7 +150,7 @@ Row run_config(const Options& opt, uint32_t shards, sim::PollMode mode,
     co_await wg.wait();
     end = sim.now();
     srv.stop();
-  }(sim, wg, end, *srv));
+  }(sim, wg, end, srv));
 
   auto t0 = std::chrono::steady_clock::now();
   sim.run();

@@ -15,7 +15,12 @@ HatServer::HatServer(verbs::Node& node, hint::ServiceHints hints,
   }
 }
 
-HatServer::~HatServer() { stop(); }
+HatServer::~HatServer() {
+  stop();
+  // Connections may outlive the server (a cluster tears replicas down
+  // before its client connections); they must not untrack from it then.
+  for (HatConnection* c : connections_) c->tracked_ = false;
+}
 
 proto::Handler HatServer::processor() {
   return [this](proto::View req) -> Task<proto::Buffer> {
@@ -42,6 +47,10 @@ HatConnection::HatConnection(verbs::Node& client, HatServer& server)
     : client_(client), server_(server),
       tcp_ready_(client.fabric().simulator()) {
   server_.track(this);
+}
+
+HatConnection::~HatConnection() {
+  if (tracked_) server_.untrack(this);
 }
 
 const hint::Plan& HatConnection::plan_for(const std::string& method) {

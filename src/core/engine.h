@@ -58,6 +58,7 @@ class HatServer {
  private:
   friend class HatConnection;
   void track(HatConnection* conn) { connections_.push_back(conn); }
+  void untrack(HatConnection* conn) { std::erase(connections_, conn); }
 
   verbs::Node& node_;
   hint::ServiceHints hints_;
@@ -74,6 +75,7 @@ class HatServer {
 class HatConnection : public HatCaller {
  public:
   HatConnection(verbs::Node& client, HatServer& server);
+  ~HatConnection() override;
 
   sim::Task<Reply> call(std::string method, Buffer envelope) override;
 
@@ -108,6 +110,9 @@ class HatConnection : public HatCaller {
   sim::Event tcp_ready_;
   int32_t seq_ = 0;
   bool closed_ = false;
+  bool tracked_ = true;  // cleared when the server is destroyed first
+
+  friend class HatServer;
 };
 
 }  // namespace hatrpc::core

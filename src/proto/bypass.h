@@ -57,7 +57,7 @@ class BypassChannel : public ChannelBase {
       else if (!req.empty())
         cl_.pd().mr_cache().get(req.data(), req.size(), channel_counters());
     } else {
-      std::memcpy(p + kReqHdr, req.data(), req.size());
+      copy_bytes(p + kReqHdr, req.data(), req.size());
       wr.local = {p, wire};
     }
     if (event_server()) {
@@ -123,7 +123,7 @@ class BypassChannel : public ChannelBase {
       // copy — the client can only READ from registered export space).
       co_await charge_server_copy(resp.size());
       std::byte* e = srv_export_->data();
-      std::memcpy(e + kExportHdr, resp.data(), resp.size());
+      copy_bytes(e + kExportHdr, resp.data(), resp.size());
       // meta2 then meta1 (ready flag last, matching write ordering).
       put_u64(e + 16, served_);
       put_u32(e + 24, static_cast<uint32_t>(resp.size()));
@@ -349,7 +349,7 @@ class BypassChannel : public ChannelBase {
       else if (!req.empty())
         cl_.pd().mr_cache().get(req.data(), req.size(), channel_counters());
     } else {
-      std::memcpy(p + kReqHdr, req.data(), req.size());
+      copy_bytes(p + kReqHdr, req.data(), req.size());
       wr.local = {p, wire};
     }
     if (event_server()) {
@@ -541,14 +541,14 @@ class BypassChannel : public ChannelBase {
       Buffer framed(4 + resp.size());
       put_u32(framed.data(), slot);
       if (!resp.empty())
-        std::memcpy(framed.data() + 4, resp.data(), resp.size());
+        copy_bytes(framed.data() + 4, resp.data(), resp.size());
       auto guard = co_await srv_send_mu_.scoped();
       co_await resp_pipe_->send(framed);
       co_return;
     }
     co_await charge_server_copy(resp.size());
     std::byte* e = srv_export_->data() + size_t(slot) * exp_stride_;
-    std::memcpy(e + kExportHdr, resp.data(), resp.size());
+    copy_bytes(e + kExportHdr, resp.data(), resp.size());
     put_u64(e + 16, seq);
     put_u32(e + 24, static_cast<uint32_t>(resp.size()));
     put_u64(e, seq);

@@ -49,7 +49,7 @@ class DirectChannel : public ChannelBase {
                     inl);
     } else {
       std::byte* src = cli_req_src_->data() + off;
-      std::memcpy(src, req.data(), req.size());
+      copy_bytes(src, req.data(), req.size());
       co_await push(cep_.qp, src, srv_req_buf_->remote(off), len, slot,
                     cli_notify_src_);
     }
@@ -167,7 +167,7 @@ class DirectChannel : public ChannelBase {
     } else {
       // Large responses keep the staged path: the WQE reads the payload at
       // execution time, after this task's Buffer is gone.
-      std::memcpy(srv_resp_src_->data() + off, resp.data(), resp.size());
+      copy_bytes(srv_resp_src_->data() + off, resp.data(), resp.size());
       co_await push(sep_.qp, srv_resp_src_->data() + off,
                     cli_resp_buf_->remote(off), rlen, slot, srv_notify_src_);
     }

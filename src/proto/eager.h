@@ -44,7 +44,7 @@ class EagerChannel : public ChannelBase {
       Buffer framed(4 + req.size());
       put_u32(framed.data(), slot);
       if (!req.empty())
-        std::memcpy(framed.data() + 4, req.data(), req.size());
+        copy_bytes(framed.data() + 4, req.data(), req.size());
       auto guard = co_await send_mu_.scoped();
       sent = co_await c2s_.send(framed);
     }
@@ -248,7 +248,7 @@ class EagerChannel : public ChannelBase {
     Buffer framed(4 + resp.size());
     put_u32(framed.data(), slot);
     if (!resp.empty())
-      std::memcpy(framed.data() + 4, resp.data(), resp.size());
+      copy_bytes(framed.data() + 4, resp.data(), resp.size());
     auto guard = co_await srv_send_mu_.scoped();
     co_await s2c_.send(framed);
   }

@@ -29,7 +29,7 @@ class RendezvousChannel : public ChannelBase {
     // Zero-copy mode sources the request straight from the caller's buffer
     // (valid until the response resolves) instead of the payload pool.
     if (!cfg_.zero_copy)
-      std::memcpy(cli_payload_->data(), req.data(), req.size());
+      copy_bytes(cli_payload_->data(), req.data(), req.size());
     const uint32_t len = static_cast<uint32_t>(req.size());
 
     if (kind_ == ProtocolKind::kWriteRndv) {
@@ -138,7 +138,7 @@ class RendezvousChannel : public ChannelBase {
                           kind_ == ProtocolKind::kWriteRndv &&
                           rlen <= sep_.qp->max_inline_data();
       if (!zc_inl)
-        std::memcpy(srv_resp_src_->data(), resp.data(), resp.size());
+        copy_bytes(srv_resp_src_->data(), resp.data(), resp.size());
 
       if (kind_ == ProtocolKind::kWriteRndv) {
         co_await send_ctrl(sep_, srv_ctrl_src_, kRts, rlen, {});
@@ -374,7 +374,7 @@ class RendezvousChannel : public ChannelBase {
   sim::Task<Buffer> run_call_w(uint32_t slot, View req) {
     const size_t off = slot * size_t(cfg_.max_msg);
     const uint32_t len = static_cast<uint32_t>(req.size());
-    std::memcpy(cli_payload_->data() + off, req.data(), req.size());
+    copy_bytes(cli_payload_->data() + off, req.data(), req.size());
 
     if (kind_ == ProtocolKind::kWriteRndv) {
       co_await send_ctrl_w(cep_, cli_ctrl_src_, kRts, len, {}, slot);
@@ -440,7 +440,7 @@ class RendezvousChannel : public ChannelBase {
           co_await run_handler(View{srv_payload_->data() + off, req_len});
       if (resp.size() > cfg_.max_msg)
         throw std::length_error("rendezvous: response exceeds payload pool");
-      std::memcpy(srv_resp_src_->data() + off, resp.data(), resp.size());
+      copy_bytes(srv_resp_src_->data() + off, resp.data(), resp.size());
       const uint32_t rlen = static_cast<uint32_t>(resp.size());
 
       if (kind_ == ProtocolKind::kWriteRndv) {

@@ -22,6 +22,12 @@ inline uint64_t get_u64(const std::byte* p) {
   return v;
 }
 
+/// memcpy for payload bytes: `src` may be an empty vector's null data()
+/// when `n` is 0, which memcpy itself does not allow.
+inline void copy_bytes(std::byte* dst, const std::byte* src, size_t n) {
+  if (n > 0) std::memcpy(dst, src, n);
+}
+
 /// Framing header the reliability layer prepends to every request so
 /// retried attempts are idempotent: the server dedupes on `seq` and replays
 /// its cached response instead of re-executing the handler.

@@ -1,10 +1,6 @@
 #include "sim/racecheck.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <exception>
 
 #include "sim/simulator.h"
 
@@ -39,17 +35,7 @@ std::string RaceReport::str() const {
   return out;
 }
 
-RaceCheck::Mode RaceCheck::env_mode() {
-  const char* v = std::getenv("RACECHECK");
-  if (!v) return Mode::kOff;
-  if (std::strcmp(v, "abort") == 0) return Mode::kAbort;
-  if (std::strcmp(v, "record") == 0 || std::strcmp(v, "on") == 0 ||
-      std::strcmp(v, "1") == 0)
-    return Mode::kRecord;
-  return Mode::kOff;
-}
-
-RaceCheck::RaceCheck(Simulator& sim) : sim_(sim), mode_(env_mode()) {
+RaceCheck::RaceCheck(Simulator& sim) : Checker("RACECHECK"), sim_(sim) {
   // Chain 0 is the root segment (main, before the first dispatch).
   cur_vc_.assign(1, 1);
   chain_tail_.assign(1, 0);
@@ -58,7 +44,7 @@ RaceCheck::RaceCheck(Simulator& sim) : sim_(sim), mode_(env_mode()) {
 }
 
 void RaceCheck::set_mode(Mode m) {
-  mode_ = m;
+  Checker::set_mode(m);
   sim_.rc_ = on() ? this : nullptr;
 }
 
@@ -299,16 +285,8 @@ void RaceCheck::report_lifetime(const void* obj, uint64_t sub,
 void RaceCheck::report(RaceKind kind, std::string object,
                        const RaceAccess& prev, const RaceAccess& cur,
                        std::string detail) {
-  RaceReport r{kind, std::move(object), prev, cur, std::move(detail)};
-  reports_.push_back(r);
   if (mirror_) ++*mirror_;
-  if (mode_ == Mode::kAbort && tolerate_ == 0) {
-    if (std::uncaught_exceptions() > 0) {
-      std::fprintf(stderr, "%s\n", r.str().c_str());
-    } else {
-      throw RaceViolation(r);
-    }
-  }
+  raise(RaceReport{kind, std::move(object), prev, cur, std::move(detail)});
 }
 
 }  // namespace hatrpc::sim

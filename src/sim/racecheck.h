@@ -34,13 +34,10 @@
 // (a reposted recv-ring slot, a reaped epoch, a freed pool slot) is a
 // lifetime violation carrying both provenances.
 //
-// Modes (env var RACECHECK, or Simulator::racecheck().set_mode()):
-//   * off    — every hook returns immediately; runs are byte-identical to
-//              an unchecked build (the default).
-//   * record — reports are collected and mirrored into the kRaceReports
-//              counter; execution continues.
-//   * abort  — like record, but the first report throws RaceViolation
-//              (printed to stderr instead when already unwinding).
+// Modes (env var RACECHECK, or Simulator::racecheck().set_mode(); see
+// sim/checker.h): off (the default), record (reports are collected and
+// mirrored into the kRaceReports counter), and abort (the first report
+// throws RaceViolation).
 //
 // The checker never advances virtual time and never touches RNG state, so
 // enabling it cannot perturb a trace. Schedule PERTURBATION is separate
@@ -55,6 +52,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "sim/checker.h"
 #include "sim/time.h"
 
 namespace hatrpc::sim {
@@ -108,41 +106,13 @@ class RaceViolation : public std::logic_error {
   RaceReport report;
 };
 
-class RaceCheck {
+class RaceCheck
+    : public Checker<RaceReport, RaceViolation, &RaceReport::kind> {
  public:
-  enum class Mode : uint8_t { kOff, kRecord, kAbort };
-
-  /// Parses the RACECHECK environment variable: "abort" => kAbort,
-  /// "record"/"on"/"1" => kRecord, anything else (or unset) => kOff.
-  static Mode env_mode();
-
   explicit RaceCheck(Simulator& sim);
 
-  Mode mode() const { return mode_; }
+  /// Also (un)hooks the checker from the simulator's hot path.
   void set_mode(Mode m);
-  bool on() const { return mode_ != Mode::kOff; }
-
-  /// RAII scope for deliberate-violation tests: reports are still
-  /// recorded, but abort mode does not throw inside the scope.
-  class Tolerate {
-   public:
-    explicit Tolerate(RaceCheck& rc) : rc_(rc) { ++rc_.tolerate_; }
-    ~Tolerate() { --rc_.tolerate_; }
-    Tolerate(const Tolerate&) = delete;
-    Tolerate& operator=(const Tolerate&) = delete;
-
-   private:
-    RaceCheck& rc_;
-  };
-
-  const std::vector<RaceReport>& reports() const { return reports_; }
-  size_t total() const { return reports_.size(); }
-  uint64_t count(RaceKind k) const {
-    uint64_t n = 0;
-    for (const auto& r : reports_) n += r.kind == k ? 1 : 0;
-    return n;
-  }
-  void clear() { reports_.clear(); }
 
   /// Mirrors every report into an external counter slot (the owning
   /// fabric's node-0 kRaceReports counter).
@@ -251,10 +221,7 @@ class RaceCheck {
   std::string object_name(const Loc& l, const LocKey& k) const;
 
   Simulator& sim_;
-  Mode mode_;
-  int tolerate_ = 0;
   uint64_t* mirror_ = nullptr;
-  std::vector<RaceReport> reports_;
 
   // Segment / chain state.
   VC cur_vc_;

@@ -114,6 +114,13 @@ class Simulator {
     if (const char* s = std::getenv("RACECHECK_TIEBREAK"))
       set_tiebreak_seed(std::strtoull(s, nullptr, 10));
   }
+  /// Destroys the frames of spawned tasks that never finished (deadlocked,
+  /// or parked on something nobody signals), so they do not leak.
+  ~Simulator() {
+    while (roots_)
+      std::coroutine_handle<Detached::promise_type>::from_promise(*roots_)
+          .destroy();
+  }
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
@@ -309,12 +316,25 @@ class Simulator {
     }
   };
 
+  /// A spawned root task's frame. Its promise links itself into the
+  /// simulator's root list for the frame's lifetime.
   struct Detached {
     struct promise_type {
       static void* operator new(size_t n) { return frame_arena_alloc(n); }
       static void operator delete(void* p, size_t n) {
         frame_arena_free(p, n);
       }
+      promise_type(Simulator* s, Task<void>&) : sim(s), next(s->roots_) {
+        if (next) next->prev = this;
+        sim->roots_ = this;
+      }
+      ~promise_type() {
+        (prev ? prev->next : sim->roots_) = next;
+        if (next) next->prev = prev;
+      }
+      Simulator* sim;
+      promise_type* prev = nullptr;
+      promise_type* next;
       Detached get_return_object() { return {}; }
       std::suspend_never initial_suspend() noexcept { return {}; }
       std::suspend_never final_suspend() noexcept { return {}; }
@@ -397,6 +417,7 @@ class Simulator {
   size_t pending_ = 0;
   size_t peak_depth_ = 0;
   size_t live_ = 0;
+  Detached::promise_type* roots_ = nullptr;  // unfinished spawned tasks
   std::exception_ptr first_error_{};
 
   // RaceCheck: rc_owner_ always exists; rc_ is non-null exactly while the

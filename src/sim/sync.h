@@ -27,6 +27,11 @@ namespace hatrpc::sim {
 class WaitQueue {
  public:
   explicit WaitQueue(Simulator& sim) : sim_(sim) {}
+  /// Forgets the waiters still parked here: their frames may be destroyed
+  /// later (at simulator teardown) and must not unlink from a dead queue.
+  ~WaitQueue() {
+    for (Node* n = head_; n; n = n->next) n->q = nullptr;
+  }
   WaitQueue(const WaitQueue&) = delete;  // nodes hold pointers into *this
   WaitQueue& operator=(const WaitQueue&) = delete;
 

@@ -1,10 +1,8 @@
 // TProtocol: the serialization interface generated code writes through,
-// with the two encodings the paper's Thrift stack exercises (Fig. 2):
-// Binary (strict) and Compact (varint/zigzag).
+// and its one encoding, strict Thrift Binary (paper Fig. 2).
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
 
@@ -150,93 +148,11 @@ class TBinaryProtocol final : public TProtocol {
  private:
   /// Reads an i32 size and checks it against the bytes left.
   size_t read_size(const char* what);
+  /// Reads a type byte and rejects one that is not a TType.
+  TType read_type(const char* what);
 
   static constexpr uint32_t kVersion1 = 0x80010000;
   static constexpr uint32_t kVersionMask = 0xffff0000;
-};
-
-/// Thrift Compact protocol: zigzag varints, field-id delta encoding,
-/// booleans folded into field headers.
-class TCompactProtocol final : public TProtocol {
- public:
-  using TProtocol::TProtocol;
-
-  void writeMessageBegin(std::string_view name, TMessageType type,
-                         int32_t seqid) override;
-  void writeStructBegin(std::string_view) override;
-  void writeStructEnd() override;
-  void writeFieldBegin(TType type, int16_t id) override;
-  void writeFieldStop() override;
-  void writeMapBegin(TType key, TType val, uint32_t size) override;
-  void writeListBegin(TType elem, uint32_t size) override;
-  void writeSetBegin(TType elem, uint32_t size) override;
-  void writeBool(bool v) override;
-  void writeByte(int8_t v) override;
-  void writeI16(int16_t v) override;
-  void writeI32(int32_t v) override;
-  void writeI64(int64_t v) override;
-  void writeDouble(double v) override;
-  void writeString(std::string_view v) override;
-
-  MessageHead readMessageBegin() override;
-  void readStructBegin() override;
-  void readStructEnd() override;
-  FieldHead readFieldBegin() override;
-  MapHead readMapBegin() override;
-  ListHead readListBegin() override;
-  ListHead readSetBegin() override;
-  bool readBool() override;
-  int8_t readByte() override;
-  int16_t readI16() override;
-  int32_t readI32() override;
-  int64_t readI64() override;
-  double readDouble() override;
-  std::string readString() override;
-
- protected:
-  void skipString() override;
-
- private:
-  static constexpr uint8_t kProtocolId = 0x82;
-  static constexpr uint8_t kVersion = 1;
-
-  enum class CType : uint8_t {
-    kStop = 0,
-    kBoolTrue = 1,
-    kBoolFalse = 2,
-    kByte = 3,
-    kI16 = 4,
-    kI32 = 5,
-    kI64 = 6,
-    kDouble = 7,
-    kBinary = 8,
-    kList = 9,
-    kSet = 10,
-    kMap = 11,
-    kStruct = 12,
-  };
-  static CType to_compact(TType t);
-  static TType to_ttype(CType c);
-
-  void write_varint(uint64_t v);
-  uint64_t read_varint();
-  /// Reads a varint size and checks it against the bytes left.
-  size_t read_size(const char* what);
-  static uint64_t zigzag(int64_t v) {
-    return (static_cast<uint64_t>(v) << 1) ^ static_cast<uint64_t>(v >> 63);
-  }
-  static int64_t unzigzag(uint64_t v) {
-    return static_cast<int64_t>(v >> 1) ^ -static_cast<int64_t>(v & 1);
-  }
-
-  std::vector<int16_t> last_field_stack_;
-  int16_t last_field_ = 0;
-  // Pending bool field header (bools are encoded in the header itself).
-  bool bool_field_pending_ = false;
-  int16_t bool_field_id_ = 0;
-  // Set while reading when the header already carried the bool value.
-  bool bool_value_pending_ = false;
-  bool bool_value_ = false;
 };
 
 }  // namespace hatrpc::thrift

@@ -9,6 +9,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 
 #include "hint/adaptive.h"
@@ -364,34 +365,33 @@ constexpr const char* to_string(Steering s) {
 /// request to the processor registered at channel-creation time, so
 /// TServerRdma is the factory/owner of endpoints on the server node.
 ///
-/// With Options::shards > 0 the server splits into per-core shards, each
-/// owning an independent polling context that never contends with its
-/// siblings: a private SRQ (its own pre-posted recv pool), a private slab
-/// of pooled buffers, a private counter scope (shard_accepts, shard_polls,
+/// The server is split into Options::shards per-core shards, each owning
+/// an independent polling context that never contends with its siblings:
+/// a private SRQ (its own pre-posted recv pool), a private slab of pooled
+/// buffers, a private counter scope (shard_accepts, shard_polls,
 /// window_stalls), and — when bind_cores is set — a pinned core whose
 /// single busy-polling thread (Cpu::pin_spinner) serves every connection
 /// steered onto the shard. Doorbell coalescing batches are per QP, hence
 /// never shared across shards either. Connections are steered at accept
-/// time by the configured policy. shards == 0 is the legacy unsharded
-/// server, bit-identical to the pre-sharding behaviour.
+/// time by the configured policy. The default, one unbound shard, is the
+/// plain single-context server.
 class TServerRdma {
  public:
   struct Options {
-    /// When nonzero the server creates a shared receive queue (one per
-    /// shard when sharded), pre-posts this many recv tokens on each, and
-    /// attaches every accepted recv-consuming channel to its shard's (the
-    /// ibv_srq deployment pattern: one recv pool instead of per-connection
-    /// recv rings, so posted-recv memory scales with the expected burst,
-    /// not with the connection count).
+    /// When nonzero the server creates a shared receive queue per shard,
+    /// pre-posts this many recv tokens on each, and attaches every accepted
+    /// recv-consuming channel to its shard's (the ibv_srq deployment
+    /// pattern: one recv pool instead of per-connection recv rings, so
+    /// posted-recv memory scales with the expected burst, not with the
+    /// connection count).
     uint32_t srq_depth = 0;
-    /// Number of per-core shards; 0 = legacy unsharded server.
-    uint32_t shards = 0;
+    /// Number of per-core shards; at least 1.
+    uint32_t shards = 1;
     /// Connection→shard policy applied at accept time.
     Steering steering = Steering::kRoundRobin;
-    /// Pin shard i to core i % cores. Off by default so that a sharded
-    /// server without binding stays comparable to the legacy one; the
-    /// scalability bench turns it on to study per-core saturation and
-    /// over-subscription collapse.
+    /// Pin shard i to core i % cores. Off by default; the scalability
+    /// bench turns it on to study per-core saturation and over-subscription
+    /// collapse.
     bool bind_cores = false;
     /// Per-shard private buffer slab (pool_blocks blocks of pool_block
     /// bytes, pre-registered): response staging memory a shard's handlers
@@ -428,36 +428,20 @@ class TServerRdma {
 
   TServerRdma(verbs::Node& node, proto::Handler processor, Options opts)
       : node_(node), processor_(std::move(processor)), opts_(opts) {
-    if (opts_.shards == 0) {
-      if (opts_.srq_depth > 0) {
-        srq_ = node_.create_srq();
-        for (uint32_t i = 0; i < opts_.srq_depth; ++i)
-          srq_->post_recv(verbs::RecvWr{.wr_id = i});
-      }
-      return;
-    }
     init_shards(nullptr);
   }
 
   TServerRdma(verbs::Node& node, ShardProcessorFactory factory, Options opts)
       : node_(node), opts_(opts) {
-    if (opts_.shards == 0) opts_.shards = 1;
     init_shards(&factory);
   }
 
   /// Accepts a new connection from `client` using `kind`; the simulation
-  /// analogue of TRdmaTransport's QP handshake + buffer exchange. Sharded
-  /// servers steer the connection to a shard first and stamp its SRQ, core
+  /// analogue of TRdmaTransport's QP handshake + buffer exchange. The
+  /// connection is steered to a shard first, which stamps its SRQ, core
   /// and counter scope into the channel config.
   TRdmaEndPoint* accept(verbs::Node& client, proto::ProtocolKind kind,
                         proto::ChannelConfig cfg) {
-    if (shards_.empty()) {
-      if (srq_) cfg.with_server_srq(srq_);
-      endpoints_.push_back(std::make_unique<TRdmaEndPoint>(
-          proto::make_channel(kind, client, node_, processor_, cfg), client,
-          cfg));
-      return endpoints_.back().get();
-    }
     Shard& sh = stamp_shard(client, cfg);
     const proto::Handler& h = sh.processor ? sh.processor : processor_;
     sh.endpoints.push_back(std::make_unique<TRdmaEndPoint>(
@@ -480,24 +464,15 @@ class TServerRdma {
                                  PlanCache* cache = nullptr,
                                  const std::string& fn = {}) {
     obs::FunctionFootprint* fp = fn.empty() ? nullptr : footprint_for(fn);
-    std::vector<std::unique_ptr<TRdmaEndPoint>>* home;
-    const proto::Handler* h;
-    if (shards_.empty()) {
-      if (srq_) cfg.with_server_srq(srq_);
-      home = &endpoints_;
-      h = &processor_;
-    } else {
-      Shard& sh = stamp_shard(client, cfg);
-      home = &sh.endpoints;
-      h = sh.processor ? &sh.processor : &processor_;
-    }
-    auto ch = hint::make_adaptive_channel(client, node_, *h, cfg, prior,
+    Shard& sh = stamp_shard(client, cfg);
+    const proto::Handler& h = sh.processor ? sh.processor : processor_;
+    auto ch = hint::make_adaptive_channel(client, node_, h, cfg, prior,
                                           params, fp);
     if (cache) cache->bind_racecheck(&node_.fabric().simulator());
     if (cache && !fn.empty()) cache->publish(fn, ch->plan());
-    home->push_back(
+    sh.endpoints.push_back(
         std::make_unique<TRdmaEndPoint>(std::move(ch), client, cfg));
-    return home->back().get();
+    return sh.endpoints.back().get();
   }
 
   /// Server half of the §4.3 plan-cache invalidation: republishes an
@@ -515,8 +490,6 @@ class TServerRdma {
   }
 
   void stop() {
-    for (auto& ep : endpoints_) ep->shutdown();
-    if (srq_) srq_->close();
     for (Shard& sh : shards_) {
       for (auto& ep : sh.endpoints) ep->shutdown();
       if (sh.srq) sh.srq->close();
@@ -525,9 +498,8 @@ class TServerRdma {
   }
 
   verbs::Node& node() { return node_; }
-  verbs::SharedReceiveQueue* srq() { return srq_; }
   size_t connections() const {
-    size_t n = endpoints_.size();
+    size_t n = 0;
     for (const Shard& sh : shards_) n += sh.endpoints.size();
     return n;
   }
@@ -566,6 +538,8 @@ class TServerRdma {
   }
 
   void init_shards(const ShardProcessorFactory* factory) {
+    if (opts_.shards == 0)
+      throw std::invalid_argument("TServerRdma: shards must be at least 1");
     auto& counters = node_.fabric().obs().counters;
     shards_.reserve(opts_.shards);
     for (uint32_t i = 0; i < opts_.shards; ++i) {
@@ -635,10 +609,8 @@ class TServerRdma {
   verbs::Node& node_;
   proto::Handler processor_;
   Options opts_;
-  verbs::SharedReceiveQueue* srq_ = nullptr;  // legacy unsharded SRQ
-  std::vector<std::unique_ptr<TRdmaEndPoint>> endpoints_;  // legacy path
   std::vector<Shard> shards_;
-  uint64_t accepted_ = 0;  // sharded accepts (round-robin cursor)
+  uint64_t accepted_ = 0;  // round-robin cursor
 };
 
 }  // namespace hatrpc::thrift

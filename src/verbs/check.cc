@@ -7,10 +7,6 @@
 
 #include "verbs/check.h"
 
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-
 #include "verbs/fabric.h"
 #include "verbs/memory.h"
 #include "verbs/node.h"
@@ -59,29 +55,13 @@ std::string AuditReport::str() const {
   return out;
 }
 
-VerbsCheck::Mode VerbsCheck::env_mode() {
-  const char* v = std::getenv("VERBSCHECK");
-  if (!v) return Mode::kOff;
-  if (std::strcmp(v, "abort") == 0) return Mode::kAbort;
-  if (std::strcmp(v, "record") == 0 || std::strcmp(v, "on") == 0 ||
-      std::strcmp(v, "1") == 0)
-    return Mode::kRecord;
-  return Mode::kOff;
-}
-
 void VerbsCheck::report(Rule rule, uint32_t node, uint32_t qp, uint64_t wr_id,
-                        const char* provenance, std::string detail) {
-  Diagnostic d;
-  d.rule = rule;
-  d.at = fabric_.simulator().now();
-  d.node = node;
-  d.qp = qp;
-  d.wr_id = wr_id;
-  d.provenance = provenance;
-  d.detail = std::move(detail);
-  diags_.push_back(d);
+                        const char* provenance, std::string detail,
+                        bool may_throw) {
   fabric_.obs().counters.node(node).add(obs::Ctr::kContractViolations);
-  if (mode_ == Mode::kAbort && tolerate_ == 0) throw ContractViolation(d);
+  raise(Diagnostic{rule, fabric_.simulator().now(), node, qp, wr_id,
+                   provenance, std::move(detail)},
+        may_throw);
 }
 
 const VerbsCheck::DeadReg* VerbsCheck::find_dead(uint32_t node, uint64_t addr,
@@ -100,7 +80,7 @@ const VerbsCheck::DeadReg* VerbsCheck::find_dead_rkey(uint32_t node,
 }
 
 void VerbsCheck::on_modify(QueuePair& qp, QpState from, QpState to) {
-  if (mode_ == Mode::kOff) return;
+  if (!on()) return;
   const bool legal = (from == QpState::kReset && to == QpState::kInit) ||
                      (from == QpState::kInit && to == QpState::kRtr) ||
                      (from == QpState::kRtr && to == QpState::kRts) ||
@@ -186,7 +166,7 @@ void VerbsCheck::check_remote(QueuePair& qp, const SendWr& wr,
 
 void VerbsCheck::on_post_send(QueuePair& qp, const SendWr& wr,
                               const char* provenance) {
-  if (mode_ == Mode::kOff) return;
+  if (!on()) return;
   const uint32_t node = qp.node().id();
   if (qp.destroyed()) {
     report(Rule::kUseAfterDestroy, node, qp.qp_num(), wr.wr_id, provenance,
@@ -235,7 +215,7 @@ void VerbsCheck::on_post_send(QueuePair& qp, const SendWr& wr,
 }
 
 void VerbsCheck::on_post_recv(QueuePair& qp, const RecvWr& wr) {
-  if (mode_ == Mode::kOff) return;
+  if (!on()) return;
   const uint32_t node = qp.node().id();
   if (qp.destroyed()) {
     report(Rule::kUseAfterDestroy, node, qp.qp_num(), wr.wr_id, "post_recv",
@@ -279,7 +259,7 @@ void VerbsCheck::on_post_recv(QueuePair& qp, const RecvWr& wr) {
 
 void VerbsCheck::on_srq_post(SharedReceiveQueue& srq, uint32_t node_id,
                              const RecvWr& wr) {
-  if (mode_ == Mode::kOff) return;
+  if (!on()) return;
   if (srq.is_closed()) {
     report(Rule::kUseAfterDestroy, node_id, 0, wr.wr_id, "srq_post",
            "post_srq_recv on a closed SRQ");
@@ -313,7 +293,7 @@ void VerbsCheck::on_srq_post(SharedReceiveQueue& srq, uint32_t node_id,
 }
 
 void VerbsCheck::on_srq_close(SharedReceiveQueue& srq) {
-  if (mode_ == Mode::kOff) return;
+  if (!on()) return;
   // Pooled recvs are discarded by close (ibv_destroy_srq frees them); they
   // are no longer pending, so drop the shadow tracking.
   srqs_.erase(&srq);
@@ -321,7 +301,7 @@ void VerbsCheck::on_srq_close(SharedReceiveQueue& srq) {
 
 void VerbsCheck::on_cqe(const Wc& wc, size_t depth_after, uint32_t capacity,
                         uint32_t node_id) {
-  if (mode_ == Mode::kOff) return;
+  if (!on()) return;
   if (capacity != 0 && depth_after > capacity)
     report(Rule::kCqOverflow, node_id, wc.qp_num, wc.wr_id, "deliver",
            "CQ depth " + std::to_string(depth_after) + " exceeds capacity " +
@@ -367,7 +347,7 @@ void VerbsCheck::on_cqe(const Wc& wc, size_t depth_after, uint32_t capacity,
 }
 
 void VerbsCheck::on_unsignaled_done(QueuePair& qp, const SendWr& wr) {
-  if (mode_ == Mode::kOff) return;
+  if (!on()) return;
   auto it = qps_.find(qp.qp_num());
   if (it == qps_.end()) return;
   auto& sends = it->second.sends;
@@ -379,14 +359,14 @@ void VerbsCheck::on_unsignaled_done(QueuePair& qp, const SendWr& wr) {
 }
 
 void VerbsCheck::on_destroy_qp(QueuePair& qp) {
-  if (mode_ == Mode::kOff) return;
+  if (!on()) return;
   if (qp.destroyed())
     report(Rule::kUseAfterDestroy, qp.node().id(), qp.qp_num(), 0,
            "destroy_qp", "double destroy_qp");
 }
 
 void VerbsCheck::on_dereg_mr(uint32_t node_id, const MemoryRegion& mr) {
-  if (mode_ == Mode::kOff) return;
+  if (!on()) return;
   dead_regs_.push_back(DeadReg{node_id, mr.addr(), mr.size(), mr.rkey()});
   if (dead_regs_.size() > kMaxDeadRegs) dead_regs_.pop_front();
 }
@@ -405,19 +385,11 @@ uint64_t VerbsCheck::pending_recvs() const {
 }
 
 void VerbsCheck::report_leak(const AuditReport& rep, const char* provenance) {
-  if (mode_ == Mode::kOff) return;
-  Diagnostic d;
-  d.rule = Rule::kLeak;
-  d.at = fabric_.simulator().now();
-  d.provenance = provenance;
-  d.detail = rep.str();
-  diags_.push_back(d);
-  fabric_.obs().counters.node(0).add(obs::Ctr::kContractViolations);
+  if (!on()) return;
   // Leaks are found during teardown/audit, where throwing is either UB
   // (destructors) or hostile to the caller inspecting the report — print
   // instead when abort mode would have thrown.
-  if (mode_ == Mode::kAbort && tolerate_ == 0)
-    std::fprintf(stderr, "%s\n", d.str().c_str());
+  report(Rule::kLeak, 0, 0, 0, provenance, rep.str(), /*may_throw=*/false);
 }
 
 }  // namespace hatrpc::verbs

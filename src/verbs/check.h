@@ -9,16 +9,12 @@
 // and completion accounting, and each violation is produced as a structured
 // diagnostic (rule, virtual timestamp, node, QP, wr_id, provenance).
 //
-// Modes (env var VERBSCHECK, or set_mode()):
-//   * off    — every hook returns immediately; zero simulated cost, zero
-//              behavioural change (the default).
-//   * record — diagnostics are collected (diagnostics()/count()) and the
-//              node's contract_violations counter is bumped; execution
-//              continues with the simulator's forgiving semantics.
-//   * abort  — like record, but the first violation throws ContractViolation
-//              (the test-friendly analogue of hardware raising a fatal
-//              async event). Violations detected in destructors are printed
-//              to stderr instead of thrown.
+// Modes (env var VERBSCHECK, or set_mode(); see sim/checker.h): off (the
+// default), record (diagnostics are collected and the node's
+// contract_violations counter is bumped; execution continues with the
+// simulator's forgiving semantics), and abort (the first violation throws
+// ContractViolation — the test-friendly analogue of hardware raising a
+// fatal async event).
 //
 // The checker never advances virtual time and never touches counters other
 // than contract_violations, so enabling it cannot perturb a deterministic
@@ -32,6 +28,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "sim/checker.h"
 #include "sim/time.h"
 #include "verbs/completion.h"
 #include "verbs/qp.h"
@@ -121,41 +118,11 @@ struct AuditReport {
   std::string str() const;
 };
 
-class VerbsCheck {
+class VerbsCheck
+    : public sim::Checker<Diagnostic, ContractViolation, &Diagnostic::rule> {
  public:
-  enum class Mode : uint8_t { kOff, kRecord, kAbort };
-
-  /// Parses the VERBSCHECK environment variable: "abort" => kAbort,
-  /// "record"/"on"/"1" => kRecord, anything else (or unset) => kOff.
-  static Mode env_mode();
-
-  explicit VerbsCheck(Fabric& fabric) : fabric_(fabric), mode_(env_mode()) {}
-
-  Mode mode() const { return mode_; }
-  void set_mode(Mode m) { mode_ = m; }
-  bool on() const { return mode_ != Mode::kOff; }
-
-  /// RAII scope for deliberate-violation tests: diagnostics are still
-  /// recorded, but abort mode does not throw inside the scope.
-  class Tolerate {
-   public:
-    explicit Tolerate(VerbsCheck& vc) : vc_(vc) { ++vc_.tolerate_; }
-    ~Tolerate() { --vc_.tolerate_; }
-    Tolerate(const Tolerate&) = delete;
-    Tolerate& operator=(const Tolerate&) = delete;
-
-   private:
-    VerbsCheck& vc_;
-  };
-
-  const std::vector<Diagnostic>& diagnostics() const { return diags_; }
-  size_t total() const { return diags_.size(); }
-  uint64_t count(Rule r) const {
-    uint64_t n = 0;
-    for (const auto& d : diags_) n += d.rule == r ? 1 : 0;
-    return n;
-  }
-  void clear() { diags_.clear(); }
+  explicit VerbsCheck(Fabric& fabric)
+      : Checker("VERBSCHECK"), fabric_(fabric) {}
 
   // ---- Hooks (all return immediately when the mode is off) ---------------
   // Call sites live in fabric.cc (post/modify/deliver paths) and in the
@@ -200,8 +167,11 @@ class VerbsCheck {
     uint32_t rkey = 0;
   };
 
+  /// Builds the diagnostic, bumps `node`'s contract_violations counter and
+  /// raises it.
   void report(Rule rule, uint32_t node, uint32_t qp, uint64_t wr_id,
-              const char* provenance, std::string detail);
+              const char* provenance, std::string detail,
+              bool may_throw = true);
   void check_local_sge(QueuePair& qp, const SendWr& wr, const Sge& sge,
                        const char* provenance, bool needs_local_write);
   void check_remote(QueuePair& qp, const SendWr& wr, const char* provenance);
@@ -209,9 +179,6 @@ class VerbsCheck {
   const DeadReg* find_dead_rkey(uint32_t node, uint32_t rkey) const;
 
   Fabric& fabric_;
-  Mode mode_;
-  int tolerate_ = 0;
-  std::vector<Diagnostic> diags_;
   std::unordered_map<uint32_t, QpTrack> qps_;  // keyed by qp_num
   std::unordered_map<const SharedReceiveQueue*, std::deque<uint64_t>> srqs_;
   std::deque<DeadReg> dead_regs_;  // bounded history of deregistrations

@@ -225,7 +225,7 @@ TEST(Pipeline, ServerSrqFeedsWindowedChannels) {
   Bed bed;
   thrift::TServerRdma server(*bed.sv, echo_handler(),
                              thrift::TServerRdma::Options{.srq_depth = 32});
-  ASSERT_NE(server.srq(), nullptr);
+  ASSERT_NE(server.shard(0).srq, nullptr);
   EXPECT_EQ(bed.sv->counters().get(obs::Ctr::kSrqPosts), 32u);
   ChannelConfig cfg;
   cfg.with_poll(PollMode::kBusy).with_max_msg(4 << 10).with_window(8);

@@ -1,9 +1,10 @@
 // Per-core sharded TServerRdma: steering policy pinning, per-shard counter
-// accounting, core binding, and bit-identity of the single-shard
-// configuration against the legacy unsharded server.
+// accounting, core binding, and a golden pin of the default single-shard
+// server's timeline and counters.
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -228,51 +229,65 @@ TEST(Sharding, PerShardSrqAndPoolArePrivate) {
             4u);
 }
 
-// Runs a fixed workload against a server built by `make_srv`; returns the
-// virtual end time and the full counter dump.
-template <typename MakeSrv>
-std::pair<sim::Time, std::string> run_workload(MakeSrv make_srv) {
+TEST(Sharding, DefaultServerReproducesTheUnshardedGolden) {
+  // The end time and node/channel counters the unsharded server produced
+  // on this workload before it was folded into the sharded one. The
+  // default server (one unbound shard) must reproduce both; its shard
+  // registry only APPENDS its own line to the dump.
+  constexpr sim::Time kGoldenEnd{40416};
+  const std::string kGoldenDump =
+      "node/0: doorbells=30 wqes_posted=30 cqes_polled=57 dma_bytes=4320 "
+      "copy_bytes=4080 mr_bytes=393216\n"
+      "node/1: doorbells=10 wqes_posted=10 cqes_polled=19 dma_bytes=1440 "
+      "copy_bytes=1360 mr_bytes=131072\n"
+      "node/2: doorbells=10 wqes_posted=10 cqes_polled=19 dma_bytes=1440 "
+      "copy_bytes=1360 mr_bytes=131072\n"
+      "node/3: doorbells=10 wqes_posted=10 cqes_polled=19 dma_bytes=1440 "
+      "copy_bytes=1360 mr_bytes=131072\n"
+      "channel/0: doorbells=20 wqes_posted=20 dma_bytes=1440 "
+      "copy_bytes=2720\n"
+      "channel/1: doorbells=20 wqes_posted=20 dma_bytes=1440 "
+      "copy_bytes=2720\n"
+      "channel/2: doorbells=20 wqes_posted=20 dma_bytes=1440 "
+      "copy_bytes=2720\n";
   Bed bed(3);
-  auto srv = make_srv(bed);
+  thrift::TServerRdma srv(*bed.server, echo_handler(*bed.server));
   std::vector<thrift::TRdmaEndPoint*> eps;
   for (uint32_t c = 0; c < 3; ++c)
-    eps.push_back(srv->accept(*bed.clients[c],
-                              proto::ProtocolKind::kEagerSendRecv,
-                              proto::ChannelConfig{}.with_window(2)));
+    eps.push_back(srv.accept(*bed.clients[c],
+                             proto::ProtocolKind::kEagerSendRecv,
+                             proto::ChannelConfig{}.with_window(2)));
   sim::WaitGroup wg(bed.sim);
   wg.add(3);
-  for (uint32_t c = 0; c < 3; ++c)
-    bed.sim.spawn(call_n(bed.sim, eps[c]->channel(), 10, wg));
+  for (thrift::TRdmaEndPoint* ep : eps)
+    bed.sim.spawn(call_n(bed.sim, ep->channel(), 10, wg));
   sim::Time end{};
   bed.sim.spawn([](sim::Simulator& sim, sim::WaitGroup& wg, sim::Time& end,
                    thrift::TServerRdma& srv) -> Task<void> {
     co_await wg.wait();
     end = sim.now();
     srv.stop();
-  }(bed.sim, wg, end, *srv));
+  }(bed.sim, wg, end, srv));
   bed.sim.run();
-  return {end, bed.fabric.obs().counters.dump()};
+  EXPECT_EQ(end, kGoldenEnd);
+  EXPECT_EQ(bed.fabric.obs().counters.dump(),
+            kGoldenDump + "shard/0: shard_accepts=3 shard_polls=57\n");
 }
 
-TEST(Sharding, SingleShardIsBitIdenticalToLegacyServer) {
-  // The same workload against the legacy unsharded server and against a
-  // single-shard server without core binding must produce the identical
-  // virtual timeline and node/channel counters; the shard registry only
-  // APPENDS its own lines to the dump.
-  auto [legacy_end, legacy_dump] = run_workload([](Bed& bed) {
-    return std::make_unique<thrift::TServerRdma>(
-        *bed.server, echo_handler(*bed.server));
-  });
-  auto [sharded_end, sharded_dump] = run_workload([](Bed& bed) {
-    thrift::TServerRdma::Options so;
-    so.shards = 1;
-    so.bind_cores = false;
-    return std::make_unique<thrift::TServerRdma>(
-        *bed.server, echo_handler(*bed.server), so);
-  });
-  EXPECT_EQ(legacy_end, sharded_end);
-  ASSERT_GE(sharded_dump.size(), legacy_dump.size());
-  EXPECT_EQ(sharded_dump.substr(0, legacy_dump.size()), legacy_dump);
+TEST(Sharding, ZeroShardsIsRejected) {
+  Bed bed(1);
+  thrift::TServerRdma::Options so;
+  so.shards = 0;
+  EXPECT_THROW(thrift::TServerRdma(*bed.server, echo_handler(*bed.server), so),
+               std::invalid_argument);
+  EXPECT_THROW(
+      thrift::TServerRdma(
+          *bed.server,
+          [&bed](uint32_t, int, proto::BufferPool*) {
+            return echo_handler(*bed.server);
+          },
+          so),
+      std::invalid_argument);
 }
 
 }  // namespace

@@ -1,8 +1,6 @@
-// Serialization tests: Binary and Compact protocol round trips for every
-// scalar type, strings, containers, nested structs, field skipping, message
-// envelopes, and compact-specific encodings (zigzag varints, bool-in-header,
-// field-id deltas). Parameterized across both protocols where behaviour
-// must be identical.
+// Serialization tests: Binary protocol round trips for every scalar type,
+// strings, containers, nested structs, field skipping and message
+// envelopes, plus the decoder's defences against hostile input.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,21 +10,15 @@
 
 #include "sim/rng.h"
 
-#include "thrift/json_protocol.h"
 #include "thrift/protocol.h"
 
 namespace hatrpc::thrift {
 namespace {
 
-enum class Proto { kBinary, kCompact, kJson };
+enum class Proto { kBinary };
 
-std::unique_ptr<TProtocol> make_proto(Proto p, TMemoryBuffer& buf) {
-  switch (p) {
-    case Proto::kBinary: return std::make_unique<TBinaryProtocol>(buf);
-    case Proto::kCompact: return std::make_unique<TCompactProtocol>(buf);
-    case Proto::kJson: return std::make_unique<TJSONProtocol>(buf);
-  }
-  return nullptr;
+std::unique_ptr<TProtocol> make_proto(Proto, TMemoryBuffer& buf) {
+  return std::make_unique<TBinaryProtocol>(buf);
 }
 
 class ProtocolRoundTrip : public ::testing::TestWithParam<Proto> {};
@@ -128,7 +120,6 @@ TEST_P(ProtocolRoundTrip, StructWithFields) {
 }
 
 TEST_P(ProtocolRoundTrip, NonMonotonicFieldIds) {
-  // Compact's delta encoding must fall back to explicit ids going backward.
   TMemoryBuffer buf;
   auto p = make_proto(GetParam(), buf);
   p->writeStructBegin("S");
@@ -170,7 +161,7 @@ TEST_P(ProtocolRoundTrip, Containers) {
   p->writeString("b");
   p->writeI64(2);
   p->writeMapEnd();
-  p->writeSetBegin(TType::kByte, 20);  // large set: compact long form
+  p->writeSetBegin(TType::kByte, 20);
   for (int i = 0; i < 20; ++i) p->writeByte(static_cast<int8_t>(i));
   p->writeSetEnd();
 
@@ -237,8 +228,7 @@ TEST_P(ProtocolRoundTrip, NestedStructs) {
   EXPECT_EQ(p->readFieldBegin().type, TType::kStop);
   p->readStructEnd();
   p->readFieldEnd();
-  // Field-id tracking must be restored after the nested struct (id 2 after
-  // id 1, a delta of 1 in compact).
+  // The outer struct's next field follows the nested struct.
   auto f2 = p->readFieldBegin();
   EXPECT_EQ(f2.id, 2);
   EXPECT_EQ(p->readI32(), 22);
@@ -286,36 +276,8 @@ TEST_P(ProtocolRoundTrip, SkipUnknownFields) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllProtocols, ProtocolRoundTrip,
-                         ::testing::Values(Proto::kBinary, Proto::kCompact,
-                                           Proto::kJson),
-                         [](const auto& info) {
-                           switch (info.param) {
-                             case Proto::kBinary: return "Binary";
-                             case Proto::kCompact: return "Compact";
-                             case Proto::kJson: return "Json";
-                           }
-                           return "?";
-                         });
-
-TEST(CompactProtocol, SmallIntsEncodeSmallerThanBinary) {
-  TMemoryBuffer b1, b2;
-  TBinaryProtocol bin(b1);
-  TCompactProtocol cmp(b2);
-  for (int i = 0; i < 100; ++i) {
-    bin.writeI64(i);
-    cmp.writeI64(i);
-  }
-  EXPECT_EQ(b1.view().size(), 800u);
-  EXPECT_LT(b2.view().size(), 200u);  // one varint byte each
-}
-
-TEST(CompactProtocol, ZigzagMapsSignBitsCompactly) {
-  TMemoryBuffer buf;
-  TCompactProtocol p(buf);
-  p.writeI32(-1);  // zigzag(-1) = 1 -> single byte
-  EXPECT_EQ(buf.view().size(), 1u);
-  EXPECT_EQ(p.readI32(), -1);
-}
+                         ::testing::Values(Proto::kBinary),
+                         [](const auto&) { return "Binary"; });
 
 TEST(BinaryProtocol, RejectsBadVersion) {
   TMemoryBuffer buf;
@@ -333,59 +295,6 @@ TEST(BinaryProtocol, RejectsNegativeStringLength) {
   w.writeI32(-5);
   TBinaryProtocol r(buf);
   EXPECT_THROW(r.readString(), TProtocolException);
-}
-
-TEST(JsonProtocol, WireFormatIsReadableJson) {
-  TMemoryBuffer buf;
-  TJSONProtocol p(buf);
-  p.writeStructBegin("S");
-  p.writeFieldBegin(TType::kI32, 1);
-  p.writeI32(42);
-  p.writeFieldEnd();
-  p.writeFieldBegin(TType::kString, 2);
-  p.writeString("hi \"there\"");
-  p.writeFieldEnd();
-  p.writeFieldStop();
-  p.writeStructEnd();
-  auto v = buf.view();
-  std::string wire(reinterpret_cast<const char*>(v.data()), v.size());
-  EXPECT_EQ(wire,
-            "{\"1\":{\"i32\":42},\"2\":{\"str\":\"hi \\\"there\\\"\"}}");
-}
-
-TEST(JsonProtocol, NumericMapKeysAreQuoted) {
-  TMemoryBuffer buf;
-  TJSONProtocol p(buf);
-  p.writeMapBegin(TType::kI64, TType::kString, 2);
-  p.writeI64(7);
-  p.writeString("seven");
-  p.writeI64(-3);
-  p.writeString("neg");
-  p.writeMapEnd();
-  auto v = buf.view();
-  std::string wire(reinterpret_cast<const char*>(v.data()), v.size());
-  EXPECT_NE(wire.find("\"7\":\"seven\""), std::string::npos) << wire;
-  TJSONProtocol r(buf);
-  auto m = r.readMapBegin();
-  EXPECT_EQ(m.size, 2u);
-  EXPECT_EQ(r.readI64(), 7);
-  EXPECT_EQ(r.readString(), "seven");
-  EXPECT_EQ(r.readI64(), -3);
-  EXPECT_EQ(r.readString(), "neg");
-  r.readMapEnd();
-}
-
-TEST(JsonProtocol, MessageEnvelopeRoundTrip) {
-  TMemoryBuffer buf;
-  TJSONProtocol p(buf);
-  p.writeMessageBegin("Ping", TMessageType::kCall, 9);
-  p.writeMessageEnd();
-  TJSONProtocol r(buf);
-  auto h = r.readMessageBegin();
-  EXPECT_EQ(h.name, "Ping");
-  EXPECT_EQ(h.type, TMessageType::kCall);
-  EXPECT_EQ(h.seqid, 9);
-  r.readMessageEnd();
 }
 
 TEST(MemoryBuffer, UnderflowThrows) {
@@ -447,61 +356,118 @@ TEST(MemoryBuffer, ReadStringChecksTheSizeBeforeAllocating) {
 
 /// Writes a message with `write`, then returns the kind of the
 /// TProtocolException that `read` throws on it.
-TProtocolException::Kind read_error(Proto proto,
-                                    std::function<void(TProtocol&)> write,
+TProtocolException::Kind read_error(std::function<void(TProtocol&)> write,
                                     std::function<void(TProtocol&)> read) {
   TMemoryBuffer buf;
-  auto w = make_proto(proto, buf);
-  write(*w);
-  auto r = make_proto(proto, buf);
+  TBinaryProtocol w(buf);
+  write(w);
+  TBinaryProtocol r(buf);
   try {
-    read(*r);
+    read(r);
   } catch (const TProtocolException& e) {
     return e.kind();
   }
-  ADD_FAILURE() << "hostile size was accepted";
+  ADD_FAILURE() << "hostile input was accepted";
   return TProtocolException::Kind::kUnknown;
 }
 
 TEST(HostileInput, ClaimedSizesBeyondTheMessageAreRejected) {
   using K = TProtocolException::Kind;
   constexpr uint32_t kHuge = 0x7fffffff;
-  for (Proto proto : {Proto::kBinary, Proto::kCompact}) {
-    SCOPED_TRACE(proto == Proto::kBinary ? "binary" : "compact");
-    // A string header claiming 2 GiB in front of three bytes.
-    auto huge_string = [proto](TProtocol& w) {
-      if (proto == Proto::kBinary) w.writeI32(int32_t(kHuge));
-      else w.buffer().write("\xff\xff\xff\xff\x07", 5);  // varint
-      w.buffer().write("abc", 3);
-    };
-    EXPECT_EQ(read_error(proto, huge_string,
-                         [](TProtocol& r) { r.readString(); }),
-              K::kSizeLimit);
-    EXPECT_EQ(read_error(proto, huge_string,
-                         [](TProtocol& r) { r.skip(TType::kString); }),
-              K::kSizeLimit);
-    EXPECT_EQ(read_error(proto,
-                         [](TProtocol& w) {
-                           w.writeListBegin(TType::kI64, kHuge);
-                           w.writeI64(1);
-                         },
-                         [](TProtocol& r) { r.readListBegin(); }),
-              K::kSizeLimit);
-    EXPECT_EQ(read_error(proto,
-                         [](TProtocol& w) {
-                           w.writeSetBegin(TType::kString, kHuge);
-                           w.writeString("x");
-                         },
-                         [](TProtocol& r) { r.readSetBegin(); }),
-              K::kSizeLimit);
-    EXPECT_EQ(read_error(proto,
-                         [](TProtocol& w) {
-                           w.writeMapBegin(TType::kI32, TType::kI32, kHuge);
-                           w.writeI32(1);
-                           w.writeI32(2);
-                         },
-                         [](TProtocol& r) { r.readMapBegin(); }),
-              K::kSizeLimit);
+  // A string header claiming 2 GiB in front of three bytes.
+  auto huge_string = [](TProtocol& w) {
+    w.writeI32(int32_t(kHuge));
+    w.buffer().write("abc", 3);
+  };
+  EXPECT_EQ(read_error(huge_string, [](TProtocol& r) { r.readString(); }),
+            K::kSizeLimit);
+  EXPECT_EQ(read_error(huge_string,
+                       [](TProtocol& r) { r.skip(TType::kString); }),
+            K::kSizeLimit);
+  EXPECT_EQ(read_error(
+                [](TProtocol& w) {
+                  w.writeListBegin(TType::kI64, kHuge);
+                  w.writeI64(1);
+                },
+                [](TProtocol& r) { r.readListBegin(); }),
+            K::kSizeLimit);
+  EXPECT_EQ(read_error(
+                [](TProtocol& w) {
+                  w.writeSetBegin(TType::kString, kHuge);
+                  w.writeString("x");
+                },
+                [](TProtocol& r) { r.readSetBegin(); }),
+            K::kSizeLimit);
+  EXPECT_EQ(read_error(
+                [](TProtocol& w) {
+                  w.writeMapBegin(TType::kI32, TType::kI32, kHuge);
+                  w.writeI32(1);
+                  w.writeI32(2);
+                },
+                [](TProtocol& r) { r.readMapBegin(); }),
+            K::kSizeLimit);
+}
+
+/// Checks that `read` rejects, as kInvalidData, each message `write`
+/// builds around a byte that is not a TType (size fields are 0, so only
+/// the type check can reject it).
+void expect_bad_types_rejected(std::function<void(TProtocol&, int8_t)> write,
+                               std::function<void(TProtocol&)> read) {
+  for (int8_t bad : {1, 7, 9, 16, 0x7f, -1}) {
+    SCOPED_TRACE(int(bad));
+    EXPECT_EQ(read_error([&](TProtocol& w) { write(w, bad); }, read),
+              TProtocolException::Kind::kInvalidData);
+  }
+}
+
+TEST(HostileInput, FieldTypeOutsideTTypeIsRejected) {
+  expect_bad_types_rejected(
+      [](TProtocol& w, int8_t bad) {
+        w.writeByte(bad);
+        w.writeI16(1);
+      },
+      [](TProtocol& r) { r.readFieldBegin(); });
+}
+
+TEST(HostileInput, ListAndSetElementTypeOutsideTTypeIsRejected) {
+  auto write = [](TProtocol& w, int8_t bad) {
+    w.writeByte(bad);
+    w.writeI32(0);
+  };
+  expect_bad_types_rejected(write, [](TProtocol& r) { r.readListBegin(); });
+  expect_bad_types_rejected(write, [](TProtocol& r) { r.readSetBegin(); });
+}
+
+TEST(HostileInput, MapKeyOrValueTypeOutsideTTypeIsRejected) {
+  constexpr auto kI32 = static_cast<int8_t>(TType::kI32);
+  auto read = [](TProtocol& r) { r.readMapBegin(); };
+  expect_bad_types_rejected(
+      [](TProtocol& w, int8_t bad) {
+        w.writeByte(bad);
+        w.writeByte(kI32);
+        w.writeI32(0);
+      },
+      read);
+  expect_bad_types_rejected(
+      [](TProtocol& w, int8_t bad) {
+        w.writeByte(kI32);
+        w.writeByte(bad);
+        w.writeI32(0);
+      },
+      read);
+}
+
+TEST(HostileInput, MessageTypeOutsideOneToFourIsRejected) {
+  for (uint32_t type : {0u, 5u, 0xffu}) {
+    SCOPED_TRACE(type);
+    EXPECT_EQ(read_error(
+                  [type](TProtocol& w) {
+                    w.writeI32(static_cast<int32_t>(0x80010000u | type));
+                    w.writeString("m");
+                    w.writeI32(0);
+                  },
+                  [](TProtocol& r) { r.readMessageBegin(); }),
+              TProtocolException::Kind::kInvalidData);
   }
 }
 
@@ -545,20 +511,18 @@ TEST_P(ProtocolRoundTrip, NestingUpToTheSkipDepthLimitIsSkipped) {
 }
 
 TEST(HostileInput, SkippedStringsAdvanceWithoutReading) {
-  for (Proto proto : {Proto::kBinary, Proto::kCompact}) {
-    TMemoryBuffer buf;
-    auto w = make_proto(proto, buf);
-    w->writeString(std::string(1000, 's'));
-    w->writeI32(42);
-    auto r = make_proto(proto, buf);
-    r->skip(TType::kString);
-    EXPECT_EQ(r->readI32(), 42);
-  }
+  TMemoryBuffer buf;
+  TBinaryProtocol w(buf);
+  w.writeString(std::string(1000, 's'));
+  w.writeI32(42);
+  TBinaryProtocol r(buf);
+  r.skip(TType::kString);
+  EXPECT_EQ(r.readI32(), 42);
 }
 
 // ---------------------------------------------------------------------------
 // Fuzz-style property test: randomly generated nested documents must
-// round-trip identically through every protocol.
+// round-trip identically.
 // ---------------------------------------------------------------------------
 
 TEST_P(ProtocolRoundTrip, FuzzedNestedStructsRoundTrip) {

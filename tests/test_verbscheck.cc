@@ -1,7 +1,8 @@
 // VerbsCheck contract-verifier tests: one deliberate violation per rule
 // class, asserting the exact structured diagnostic each produces; abort-mode
-// throw semantics; the end-of-simulation leak audit; and the zero-overhead
-// guarantee (enabling the checker on a clean program changes nothing).
+// throw semantics (shared with RaceCheck through sim/checker.h); the
+// end-of-simulation leak audit; and the zero-overhead guarantee (enabling
+// the checker on a clean program changes nothing).
 //
 // Every test pins the checker mode explicitly (set_mode) so the suite
 // behaves identically whether or not the VERBSCHECK env var is set — CI
@@ -10,6 +11,8 @@
 
 #include <array>
 #include <cstddef>
+#include <functional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -47,7 +50,7 @@ struct Pair {
 /// The single diagnostic of rule `r`, asserting there is exactly one.
 const Diagnostic& only(const VerbsCheck& vc, Rule r) {
   EXPECT_EQ(vc.count(r), 1u) << "expected exactly one " << to_string(r);
-  for (const auto& d : vc.diagnostics())
+  for (const auto& d : vc.reports())
     if (d.rule == r) return d;
   static Diagnostic none;
   return none;
@@ -468,6 +471,39 @@ TEST(VerbsCheck, TolerateSuppressesAbortButStillRecords) {
     p.qa->modify(QpState::kInit);  // RTS -> INIT: illegal, but tolerated
   }
   EXPECT_EQ(p.check().count(Rule::kQpState), 1u);
+}
+
+/// Calls `f` from a destructor while an exception unwinds through it.
+void during_unwind(std::function<void()> f) {
+  struct OnUnwind {
+    std::function<void()> f;
+    ~OnUnwind() { f(); }
+  };
+  try {
+    OnUnwind guard{std::move(f)};
+    throw std::runtime_error("unwinding");
+  } catch (const std::runtime_error&) {
+  }
+}
+
+// Both checkers share one raise() path (sim/checker.h): in abort mode a
+// violation found while another exception unwinds is printed, because
+// throwing from a destructor there would terminate the process.
+TEST(CheckerCore, ViolationDuringUnwindPrintsInsteadOfTerminating) {
+  Pair p(Mode::kAbort);
+  sim::RaceCheck& rc = p.sim.racecheck();
+  rc.set_mode(sim::RaceCheck::Mode::kAbort);
+  testing::internal::CaptureStderr();
+  during_unwind([&p] { p.qa->modify(QpState::kInit); });
+  during_unwind([&p, &rc] {
+    rc.report_lifetime(&p, 0, "Pair", "test", "released twice");
+  });
+  const std::string err = testing::internal::GetCapturedStderr();
+  rc.set_mode(sim::RaceCheck::Mode::kOff);
+  EXPECT_EQ(p.check().count(Rule::kQpState), 1u);
+  EXPECT_EQ(rc.count(sim::RaceKind::kLifetime), 1u);
+  EXPECT_NE(err.find("verbscheck[qp-state]"), std::string::npos) << err;
+  EXPECT_NE(err.find("racecheck[lifetime]"), std::string::npos) << err;
 }
 
 // ---------------------------------------------------------------------------
