@@ -15,6 +15,8 @@
 //     only once no live reader can still reference them;
 //   * page-byte budgeting with page splits, borrow/merge rebalancing, and
 //     overflow pages for values larger than a quarter page;
+//   * packed page images: a key-ordered slot array over contiguous cells,
+//     so a copy-on-write shadow is a bulk copy (DESIGN.md §17);
 //   * cursors for ordered iteration.
 //
 // mdblite is pure (no simulator dependency): callers observe its cost via
@@ -35,7 +37,7 @@ using PageId = uint64_t;
 constexpr PageId kNoPage = ~PageId{0};
 
 struct EnvOptions {
-  size_t page_size = 4096;
+  size_t page_size = 4096;     // 256..65536 (Env throws otherwise)
   uint32_t max_readers = 126;  // LMDB's default reader-table size
 };
 
@@ -68,7 +70,8 @@ class Txn {
   bool is_write() const { return write_; }
   uint64_t id() const { return txn_id_; }
 
-  // Default (unnamed) database...
+  // Default (unnamed) database... put throws std::length_error for a key
+  // longer than page_size / 4 (LMDB's MDB_BAD_VALSIZE).
   std::optional<std::string> get(std::string_view key);
   void put(std::string_view key, std::string_view value);
   bool del(std::string_view key);
@@ -103,7 +106,7 @@ class Txn {
   const DbState* state_if_exists(std::string_view db) const;
 
   struct Page* readable(PageId id);
-  struct Page* shadow(PageId id);  // COW for the write path
+  struct Page* shadow(PageId id);  // COW for the write path: one bulk copy
   void finish();
 
   std::optional<std::string> get_in(DbState& st, std::string_view key);
@@ -117,6 +120,7 @@ class Txn {
   uint64_t txn_id_ = 0;
   std::map<std::string, DbState> dbs_;  // "" = the default database
   uint64_t pages_touched_ = 0;
+  uint64_t chain_pages_ = 0;   // overflow chain pages, counted on commit
   std::vector<PageId> dirty_;  // pages allocated by this txn
   std::vector<PageId> freed_;  // pages shadowed (released on commit)
 };
@@ -131,8 +135,9 @@ class Cursor {
   bool seek(std::string_view key);  // >= key
   bool next();
   bool valid() const { return valid_; }
-  const std::string& key() const;
-  const std::string& value() const;
+  // Views into the snapshot's pages: valid until the txn ends or writes.
+  std::string_view key() const;
+  std::string_view value() const;
 
  private:
   void descend_left(PageId id);
@@ -144,7 +149,6 @@ class Cursor {
   };
   std::vector<Frame> stack_;
   bool valid_ = false;
-  mutable std::string value_cache_;
 };
 
 class Env {

@@ -4,8 +4,12 @@
 // reclamation, overflow values, and cursor iteration.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <map>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "kv/mdblite.h"
 #include "sim/rng.h"
@@ -400,61 +404,282 @@ TEST(MdbliteNamedDbs, DeleteInNamedTree) {
   EXPECT_EQ(r.entry_count("t"), 50u);
 }
 
-// Property test: a long random mixed workload must match std::map exactly.
+TEST(Mdblite, AbortedOverflowPutLeavesPageWritesUnchanged) {
+  Env env;
+  {
+    Txn t = env.begin(true);
+    t.put("k", "v");
+    t.commit();
+  }
+  const uint64_t before = env.stats().page_writes;
+  {
+    Txn t = env.begin(true);
+    t.put("big", std::string(20000, 'B'));  // a 4-page overflow chain
+    t.abort();
+  }
+  EXPECT_EQ(env.stats().page_writes, before);
+  EXPECT_EQ(env.stats().aborts, 1u);
+  // A commit still counts the chain, but only once it commits.
+  Txn t = env.begin(true);
+  t.put("big", std::string(20000, 'B'));
+  CommitInfo info = t.commit();
+  EXPECT_EQ(info.pages_written, 2u);  // the shadowed leaf + the overflow page
+  EXPECT_EQ(env.stats().page_writes,
+            before + info.pages_written + 20000 / 4096);
+}
+
+TEST(Mdblite, OverlongKeyThrowsLengthError) {
+  Env env;  // 4 KB pages: keys up to 1024 B
+  Txn t = env.begin(true);
+  const std::string longest(1024, 'k');
+  const std::string too_long(1025, 'k');
+  EXPECT_NO_THROW(t.put(longest, "v"));
+  EXPECT_THROW(t.put(too_long, "v"), std::length_error);
+  EXPECT_NO_THROW(t.put("named", longest, "v"));
+  EXPECT_THROW(t.put("named", too_long, "v"), std::length_error);
+  t.commit();
+  Txn r = env.begin(false);
+  EXPECT_EQ(r.get(longest), "v");
+  EXPECT_EQ(r.get("named", longest), "v");
+  EXPECT_EQ(r.get(too_long), std::nullopt);
+  EXPECT_EQ(r.entry_count(), 1u);
+  EXPECT_EQ(r.entry_count("named"), 1u);
+  // page_size / 4 must fit the packed cell's 16-bit key length.
+  EXPECT_THROW(Env(EnvOptions{.page_size = 1 << 20}), std::invalid_argument);
+  EXPECT_THROW(Env(EnvOptions{.page_size = 64}), std::invalid_argument);
+}
+
+TEST(Mdblite, PutFromCursorViewsIntoThePageItWrites) {
+  // Cursor views point into page images; a put may write the page they
+  // point into (one this txn already shadowed) and move its bytes.
+  Env env;
+  Txn t = env.begin(true);
+  t.put("k1", "value-one");
+  t.put("k2", "value-two");
+  Cursor c(t);
+  ASSERT_TRUE(c.first());
+  t.put(c.key(), c.value());  // same-size overwrite with itself
+  ASSERT_TRUE(c.first());
+  t.put(c.value(), c.key());  // insert whose key is bytes of the same leaf
+  ASSERT_TRUE(c.first());
+  std::string longer(c.value());
+  longer.append("-longer");
+  t.put(c.key(), longer);  // the value grows and moves the next cell
+  t.commit();
+  Txn r = env.begin(false);
+  EXPECT_EQ(r.get("k1"), "value-one-longer");
+  EXPECT_EQ(r.get("k2"), "value-two");
+  EXPECT_EQ(r.get("value-one"), "k1");
+  EXPECT_EQ(r.entry_count(), 3u);
+}
+
+// Golden page shape: the ycsb-a key space (10k records of 24 B keys and
+// 1000 B values, loaded in key order in one txn) under a seeded mix of
+// single puts, 10-key multi-puts, deletes, same-size and different-size
+// overwrites, inline<->overflow transitions, aborts and pinned readers.
+// Every figure below was recorded with the structured (vector-of-strings)
+// page layout; a page layout change that keeps Page::used() logical must
+// reproduce them exactly, and so every virtual result that charges pages.
+std::string ycsb_key(uint64_t i) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "user%019llu", (unsigned long long)i);
+  std::string k(buf);
+  k.resize(24, '0');
+  return k;
+}
+
+std::string tagged_value(size_t n, uint64_t tag) {
+  std::string v(n, static_cast<char>('a' + tag % 26));
+  std::memcpy(v.data(), &tag, std::min(n, sizeof tag));
+  return v;
+}
+
+TEST(Mdblite, GoldenPageShapeUnderYcsbMix) {
+  constexpr uint64_t kRecords = 10000;
+  constexpr size_t kValue = 1000;
+  constexpr size_t kPage = 4096;
+  Env env;
+  sim::Rng rng(2024);
+  std::map<std::string, std::string> model;  // the committed state
+  uint64_t touched = 0, written = 0;
+  {
+    Txn t = env.begin(true);
+    for (uint64_t i = 0; i < kRecords; ++i) {
+      model[ycsb_key(i)] = tagged_value(kValue, i);
+      t.put(ycsb_key(i), model[ycsb_key(i)]);
+    }
+    touched += t.pages_touched();
+    written += t.commit().pages_written;
+  }
+  uint64_t next_key = kRecords;
+  uint64_t tag = kRecords;
+  std::vector<std::string> big_keys;
+  std::optional<Txn> pinned;
+  int pinned_left = 0;
+  for (int round = 0; round < 400; ++round) {
+    if (!pinned && round % 40 == 5) {
+      pinned = env.begin(false);
+      pinned_left = 6;
+    }
+    const bool aborting = rng.chance(0.08);
+    std::map<std::string, std::optional<std::string>> pending;
+    auto lookup = [&](const std::string& k) -> std::optional<std::string> {
+      if (auto p = pending.find(k); p != pending.end()) return p->second;
+      if (auto m = model.find(k); m != model.end()) return m->second;
+      return std::nullopt;
+    };
+    Txn t = env.begin(true);
+    auto put = [&](const std::string& k, size_t n) {
+      std::string v = tagged_value(n, ++tag);
+      t.put(k, v);
+      pending[k] = std::move(v);
+    };
+    auto any_key = [&] { return ycsb_key(rng.bounded(next_key)); };
+    const double dice = rng.uniform01();
+    if (dice < 0.35) {
+      put(any_key(), kValue);  // same-size overwrite (Put)
+    } else if (dice < 0.55) {
+      for (int i = 0; i < 10; ++i) put(any_key(), kValue);  // MultiPut
+    } else if (dice < 0.65) {
+      put(any_key(), 50 + rng.bounded(900));  // different-size overwrite
+    } else if (dice < 0.72) {
+      std::string k = any_key();  // inline -> overflow
+      put(k, kPage / 4 + 1 + rng.bounded(12000));
+      if (!aborting) big_keys.push_back(k);
+    } else if (dice < 0.77 && !big_keys.empty()) {
+      // overflow -> inline
+      put(big_keys[rng.bounded(big_keys.size())], kValue);
+    } else if (dice < 0.87) {
+      for (int i = 0; i < 3; ++i) {
+        std::string k = any_key();
+        EXPECT_EQ(t.del(k), lookup(k).has_value()) << k;
+        pending[k] = std::nullopt;
+      }
+    } else {
+      for (int i = 0; i < 4; ++i) put(ycsb_key(next_key++), kValue);  // insert
+    }
+    for (int i = 0; i < 2; ++i) {
+      std::string k = any_key();
+      EXPECT_EQ(t.get(k), lookup(k)) << k;
+    }
+    touched += t.pages_touched();
+    if (aborting) {
+      t.abort();
+    } else {
+      written += t.commit().pages_written;
+      for (auto& [k, v] : pending) {
+        if (v) model[k] = std::move(*v);
+        else model.erase(k);
+      }
+    }
+    if (pinned && --pinned_left == 0) {
+      pinned->commit();
+      pinned.reset();
+    }
+  }
+  Txn r = env.begin(false);
+  ASSERT_EQ(r.entry_count(), model.size());
+  Cursor c(r);
+  auto it = model.begin();
+  for (bool ok = c.first(); ok; ok = c.next(), ++it) {
+    ASSERT_NE(it, model.end());
+    ASSERT_EQ(c.key(), it->first);
+    ASSERT_EQ(c.value(), it->second);
+  }
+  EXPECT_EQ(it, model.end());
+  r.commit();
+
+  // Recorded with the structured page layout.
+  const EnvStats& s = env.stats();
+  EXPECT_EQ(s.page_reads, 8429u);
+  EXPECT_EQ(s.page_writes, 8402u);
+  EXPECT_EQ(s.commits, 370u);
+  EXPECT_EQ(s.aborts, 31u);
+  EXPECT_EQ(s.reclaimed, 3433u);
+  EXPECT_EQ(env.page_count(), 5291u);
+  EXPECT_EQ(env.live_pages(), 5239u);
+  EXPECT_EQ(touched, 6661u);
+  EXPECT_EQ(written, 8379u);
+}
+
+// Property test: a long random mixed workload over three databases must
+// match std::map exactly. Values are drawn 1-180 B, above page_size / 4
+// (overflow pages) or, for a key already present, at its current size (the
+// in-place overwrite).
 class MdbliteRandomized : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(MdbliteRandomized, MatchesReferenceModel) {
+  constexpr size_t kPage = 1024;  // small pages -> deep trees
+  const std::string dbs[] = {"", "left", "right"};
   sim::Rng rng(GetParam());
-  Env env(EnvOptions{.page_size = 1024});  // small pages -> deep trees
-  std::map<std::string, std::string> model;
+  Env env(EnvOptions{.page_size = kPage});
+  std::map<std::string, std::map<std::string, std::string>> model;
+  auto snapshot = [&] {
+    Txn r = env.begin(false);
+    decltype(model) rebuilt;
+    for (const std::string& db : dbs) {
+      Cursor c(r, db);
+      for (bool ok = c.first(); ok; ok = c.next())
+        rebuilt[db][std::string(c.key())] = c.value();
+    }
+    return rebuilt;
+  };
   for (int round = 0; round < 40; ++round) {
     Txn t = env.begin(true);
     for (int op = 0; op < 100; ++op) {
+      const std::string& db = dbs[rng.bounded(3)];
+      auto& m = model[db];
       std::string key = key_of(static_cast<int>(rng.bounded(400)));
       double dice = rng.uniform01();
       if (dice < 0.55) {
-        std::string value(rng.bounded(180) + 1,
-                          static_cast<char>('a' + rng.bounded(26)));
-        t.put(key, value);
-        model[key] = value;
-      } else if (dice < 0.8) {
-        bool in_tree = t.del(key);
-        bool in_model = model.erase(key) > 0;
-        EXPECT_EQ(in_tree, in_model) << key;
-      } else {
-        auto got = t.get(key);
-        auto want = model.find(key);
-        if (want == model.end()) {
-          EXPECT_EQ(got, std::nullopt) << key;
+        auto cur = m.find(key);
+        size_t n;
+        double size_dice = rng.uniform01();
+        if (cur != m.end() && size_dice < 0.3) {
+          n = cur->second.size();  // same size: overwritten in place
+        } else if (size_dice < 0.4) {
+          n = kPage / 4 + 1 + rng.bounded(3 * kPage);  // overflow page
         } else {
-          EXPECT_EQ(got, want->second) << key;
+          n = rng.bounded(180) + 1;
+        }
+        std::string value(n, static_cast<char>('a' + rng.bounded(26)));
+        t.put(db, key, value);
+        m[key] = value;
+      } else if (dice < 0.8) {
+        bool in_tree = t.del(db, key);
+        bool in_model = m.erase(key) > 0;
+        EXPECT_EQ(in_tree, in_model) << db << "/" << key;
+      } else {
+        auto got = t.get(db, key);
+        auto want = m.find(key);
+        if (want == m.end()) {
+          EXPECT_EQ(got, std::nullopt) << db << "/" << key;
+        } else {
+          EXPECT_EQ(got, want->second) << db << "/" << key;
         }
       }
     }
     if (rng.chance(0.1)) {
+      // Abort rolled us back to the last committed state: re-read it.
       t.abort();
-      // Rebuild the model from a fresh snapshot: abort rolled us back to
-      // the last committed state, so re-apply nothing — instead re-read.
-      Txn r = env.begin(false);
-      std::map<std::string, std::string> rebuilt;
-      Cursor c(r);
-      for (bool ok = c.first(); ok; ok = c.next())
-        rebuilt[c.key()] = c.value();
-      model = std::move(rebuilt);
+      model = snapshot();
     } else {
       t.commit();
     }
-    // Full-content check each round via cursor.
+    // Full-content check each round via cursors.
     Txn r = env.begin(false);
-    EXPECT_EQ(r.entry_count(), model.size());
-    Cursor c(r);
-    auto it = model.begin();
-    for (bool ok = c.first(); ok; ok = c.next(), ++it) {
-      ASSERT_NE(it, model.end());
-      EXPECT_EQ(c.key(), it->first);
-      EXPECT_EQ(c.value(), it->second);
+    for (const std::string& db : dbs) {
+      const auto& m = model[db];
+      EXPECT_EQ(r.entry_count(db), m.size()) << db;
+      Cursor c(r, db);
+      auto it = m.begin();
+      for (bool ok = c.first(); ok; ok = c.next(), ++it) {
+        ASSERT_NE(it, m.end());
+        EXPECT_EQ(c.key(), it->first);
+        EXPECT_EQ(c.value(), it->second);
+      }
+      EXPECT_EQ(it, m.end());
     }
-    EXPECT_EQ(it, model.end());
   }
 }
 
