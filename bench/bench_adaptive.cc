@@ -32,21 +32,19 @@
 // budget measures protocol/polling churn only; stall-driven window sizing
 // is exercised by tests/test_adaptive.cc.
 //
-// Not a google-benchmark binary: the JSON carries only virtual-time-derived
-// numbers, so same-seed runs are byte-identical and CI cmp's two of them.
+// Not a google-benchmark binary: the report carries only virtual-time-derived
+// numbers (its `host` block is empty), so same-seed runs are byte-identical
+// and CI cmp's two of them.
 //
 //   bench_adaptive --seed 1 --out BENCH_adaptive.json
-//     [--channels 8] [--small-bytes 512] [--large-bytes 65536]
-//     [--warmup 12]
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "hint/adaptive.h"
+#include "report.h"
 #include "sim/sync.h"
 #include "verbs/fabric.h"
 
@@ -54,17 +52,16 @@ namespace {
 
 using namespace hatrpc;
 using namespace std::chrono_literals;
+using hatbench::Fixed;
+using hatbench::Json;
 using sim::Task;
 
-struct Options {
-  uint64_t seed = 1;
-  uint32_t channels = 8;       // under-subscribed phases
-  uint32_t over_channels = 64; // fan-in of the over-subscribed phase
-  uint32_t small_bytes = 512;
-  uint32_t large_bytes = 64 << 10;
-  uint32_t warmup = 12;  // per-channel steady-state cutoff, every config
-  std::string out = "BENCH_adaptive.json";
-};
+constexpr uint32_t kChannels = 8;       // under-subscribed phases
+constexpr uint32_t kOverChannels = 64;  // fan-in of the over-subscribed phase
+constexpr uint32_t kSmallBytes = 512;
+constexpr uint32_t kLargeBytes = 64 << 10;
+// Per-channel steady-state cutoff, the same for every config.
+constexpr uint32_t kWarmup = 12;
 
 struct PhaseSpec {
   const char* name;
@@ -87,7 +84,6 @@ struct PhaseResult {
 };
 
 struct RunResult {
-  std::string config;
   std::vector<PhaseResult> phases;
   sim::Time end{};
   std::string dump;          // fabric counter dump (frozen-vs-static oracle)
@@ -143,21 +139,20 @@ hint::Plan rndv_plan(uint32_t payload) {
   return p;
 }
 
-RunResult run_config(const Options& opt, Mode mode,
-                     const std::vector<PhaseSpec>& phases) {
+RunResult run_config(Mode mode, const std::vector<PhaseSpec>& phases) {
   sim::Simulator sim;
   verbs::Fabric fabric(sim);
   verbs::Node* server = fabric.add_node();
   std::vector<verbs::Node*> client_nodes;
-  for (uint32_t c = 0; c < opt.channels; ++c)
+  for (uint32_t c = 0; c < kChannels; ++c)
     client_nodes.push_back(fabric.add_node());  // round-robin across nodes
 
-  const hint::Plan prior = eager_prior(opt.small_bytes);
+  const hint::Plan prior = eager_prior(kSmallBytes);
   const hint::Plan fixed =
-      mode == Mode::kStaticRndv ? rndv_plan(opt.large_bytes) : prior;
+      mode == Mode::kStaticRndv ? rndv_plan(kLargeBytes) : prior;
 
   proto::ChannelConfig cfg;
-  cfg.with_window(8).with_max_msg(std::max(128u << 10, 2 * opt.large_bytes));
+  cfg.with_window(8).with_max_msg(std::max(128u << 10, 2 * kLargeBytes));
   cfg.with_client_poll(fixed.client_poll).with_server_poll(fixed.server_poll);
 
   hint::AdaptiveParams params;
@@ -204,8 +199,7 @@ RunResult run_config(const Options& opt, Mode mode,
   res.phases.resize(phases.size());
   auto t0 = std::chrono::steady_clock::now();
 
-  sim.spawn([](sim::Simulator& sim, const Options& opt,
-               const std::vector<PhaseSpec>& phases,
+  sim.spawn([](sim::Simulator& sim, const std::vector<PhaseSpec>& phases,
                std::vector<proto::RpcChannel*>& chans,
                std::vector<std::unique_ptr<hint::AdaptiveChannel>>& adaptives,
                decltype(add_channel)& add_channel,
@@ -235,9 +229,8 @@ RunResult run_config(const Options& opt, Mode mode,
           done.add(1);
           sim.spawn([](sim::Simulator& sim, proto::RpcChannel& ch,
                        const PhaseSpec& spec, uint32_t lane_iters,
-                       uint32_t warmup, ChanProgress& prog,
-                       sim::WaitGroup& done, sim::WaitGroup& warm,
-                       PhaseResult& out) -> Task<void> {
+                       ChanProgress& prog, sim::WaitGroup& done,
+                       sim::WaitGroup& warm, PhaseResult& out) -> Task<void> {
             proto::Buffer payload(spec.bytes, std::byte{0x5a});
             for (uint32_t i = 0; i < lane_iters; ++i) {
               sim::Time c0 = sim.now();
@@ -245,17 +238,16 @@ RunResult run_config(const Options& opt, Mode mode,
               r.value();
               out.lat_sum += sim.now() - c0;
               ++prog.done;
-              if (!prog.warm_signalled && prog.done >= warmup) {
+              if (!prog.warm_signalled && prog.done >= kWarmup) {
                 prog.warm_signalled = true;
                 warm.done();
               }
             }
             done.done();
-          }(sim, *chans[c], spec, lane_iters, opt.warmup, prog[c], done,
-            warm, out));
+          }(sim, *chans[c], spec, lane_iters, prog[c], done, warm, out));
         }
         // Channels whose phase quota is below the cutoff still settle.
-        if (spec.calls_per_chan < opt.warmup) {
+        if (spec.calls_per_chan < kWarmup) {
           prog[c].warm_signalled = true;
           warm.done();
         }
@@ -270,8 +262,8 @@ RunResult run_config(const Options& opt, Mode mode,
       out.calls = uint64_t(spec.calls_per_chan) * chans.size();
       out.elapsed = sim.now() - start;
       out.steady_calls =
-          out.calls - uint64_t(std::min(spec.calls_per_chan, opt.warmup)) *
-                          chans.size();
+          out.calls -
+          uint64_t(std::min(spec.calls_per_chan, kWarmup)) * chans.size();
       out.steady_elapsed = sim.now() - warm_at;
       out.switches = total_switches() - sw0;
       for (size_t c = 0; c < adaptives.size(); ++c) {
@@ -286,8 +278,8 @@ RunResult run_config(const Options& opt, Mode mode,
     }
     for (auto* ch : chans) ch->shutdown();
     co_return;
-  }(sim, opt, phases, chans, adaptives, add_channel, total_switches,
-    total_epochs, res));
+  }(sim, phases, chans, adaptives, add_channel, total_switches, total_epochs,
+    res));
 
   sim.run();
 
@@ -305,56 +297,17 @@ double mops(uint64_t calls, sim::Duration elapsed) {
   return secs > 0 ? double(calls) / secs / 1e6 : 0;
 }
 
-std::string fmt(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.4f", v);
-  return buf;
-}
-
-bool parse_args(int argc, char** argv, Options& opt) {
-  auto next = [&](int& i) -> const char* {
-    if (i + 1 >= argc) return nullptr;
-    return argv[++i];
-  };
-  for (int i = 1; i < argc; ++i) {
-    std::string a = argv[i];
-    auto eat = [&](const char* flag, auto set) {
-      if (a != flag) return false;
-      const char* v = next(i);
-      if (!v) throw std::runtime_error(a + " needs a value");
-      set(v);
-      return true;
-    };
-    bool ok =
-        eat("--seed", [&](const char* v) { opt.seed = std::stoull(v); }) ||
-        eat("--channels",
-            [&](const char* v) { opt.channels = std::stoul(v); }) ||
-        eat("--over-channels",
-            [&](const char* v) { opt.over_channels = std::stoul(v); }) ||
-        eat("--small-bytes",
-            [&](const char* v) { opt.small_bytes = std::stoul(v); }) ||
-        eat("--large-bytes",
-            [&](const char* v) { opt.large_bytes = std::stoul(v); }) ||
-        eat("--warmup", [&](const char* v) { opt.warmup = std::stoul(v); }) ||
-        eat("--out", [&](const char* v) { opt.out = v; });
-    if (!ok) {
-      std::fprintf(stderr, "unknown flag: %s\n", a.c_str());
-      return false;
-    }
-  }
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  Options opt;
-  if (!parse_args(argc, argv, opt)) return 2;
+  uint64_t seed = 1;
+  std::string out = "BENCH_adaptive.json";
+  hatbench::parse_flags(argc, argv, {{"--seed", &seed}, {"--out", &out}});
 
   const std::vector<PhaseSpec> phases = {
-      {"small-under", opt.small_bytes, opt.channels, 1, 96},
-      {"large-under", opt.large_bytes, opt.channels, 1, 96},
-      {"small-over", opt.small_bytes, opt.over_channels, 3, 96},
+      {"small-under", kSmallBytes, kChannels, 1, 96},
+      {"large-under", kLargeBytes, kChannels, 1, 96},
+      {"small-over", kSmallBytes, kOverChannels, 3, 96},
   };
 
   struct Series {
@@ -370,7 +323,7 @@ int main(int argc, char** argv) {
   };
   double wall_total = 0;
   for (auto& s : series) {
-    s.r = run_config(opt, s.mode, phases);
+    s.r = run_config(s.mode, phases);
     wall_total += s.r.wall_s;
     std::printf("%-18s end=%lldns switches=%llu (%.2fs wall)\n", s.name,
                 (long long)s.r.end.count(),
@@ -398,92 +351,86 @@ int main(int argc, char** argv) {
                  (long long)frozen.end.count(), (long long)eager.end.count());
   }
 
-  std::string json = "{\"bench\":\"adaptive\",\"config\":{";
-  json += "\"seed\":" + std::to_string(opt.seed);
-  json += ",\"channels\":" + std::to_string(opt.channels);
-  json += ",\"small_bytes\":" + std::to_string(opt.small_bytes);
-  json += ",\"large_bytes\":" + std::to_string(opt.large_bytes);
-  json += ",\"warmup_calls\":" + std::to_string(opt.warmup);
-  json += ",\"window\":8,\"cores\":28},\"phases\":[";
-  for (size_t ph = 0; ph < phases.size(); ++ph) {
-    if (ph) json += ",";
-    json += std::string("{\"name\":\"") + phases[ph].name + "\"";
-    json += ",\"bytes\":" + std::to_string(phases[ph].bytes);
-    json += ",\"channels\":" + std::to_string(phases[ph].channels);
-    json += ",\"lanes\":" + std::to_string(phases[ph].lanes);
-    json += ",\"calls_per_channel\":" + std::to_string(phases[ph].calls_per_chan);
-    json += "}";
-  }
-  json += "],\"series\":[";
-  for (size_t s = 0; s < series.size(); ++s) {
-    const RunResult& r = series[s].r;
-    if (s) json += ",";
-    json += std::string("{\"config\":\"") + series[s].name + "\"";
-    json += ",\"end_ns\":" + std::to_string(r.end.count());
-    json += ",\"total_switches\":" + std::to_string(r.total_switches);
-    json += ",\"phases\":[";
+  hatbench::Report rep{"adaptive", seed};
+  Json phase_specs = Json::array();
+  for (const PhaseSpec& spec : phases)
+    phase_specs.push(Json::object()
+                         .put("name", spec.name)
+                         .put("bytes", spec.bytes)
+                         .put("channels", spec.channels)
+                         .put("lanes", spec.lanes)
+                         .put("calls_per_channel", spec.calls_per_chan));
+  rep.config.put("channels", kChannels)
+      .put("small_bytes", kSmallBytes)
+      .put("large_bytes", kLargeBytes)
+      .put("warmup_calls", kWarmup)
+      .put("window", 8)
+      .put("cores", 28)
+      .put("phases", phase_specs);
+
+  Json series_json = Json::array();
+  for (const Series& s : series) {
+    Json per_phase = Json::array();
     for (size_t ph = 0; ph < phases.size(); ++ph) {
-      const PhaseResult& p = r.phases[ph];
-      if (ph) json += ",";
-      json += std::string("{\"name\":\"") + phases[ph].name + "\"";
-      json += ",\"mops\":" + fmt(mops(p.calls, p.elapsed));
-      json += ",\"steady_mops\":" + fmt(mops(p.steady_calls, p.steady_elapsed));
-      json += ",\"mean_lat_us\":" +
-              fmt(sim::to_seconds(p.lat_sum /
-                                  int64_t(p.calls ? p.calls : 1)) *
-                  1e6);
-      json += ",\"switches\":" + std::to_string(p.switches);
-      json += ",\"max_chan_switches\":" + std::to_string(p.max_chan_switches);
-      json += ",\"epoch_swaps\":" + std::to_string(p.epoch_swaps);
-      json += std::string(",\"plan_after\":\"") + p.plan_after + "\"";
-      json += "}";
+      const PhaseResult& p = s.r.phases[ph];
+      const double steady = mops(p.steady_calls, p.steady_elapsed);
+      const double mean_lat_us =
+          sim::to_seconds(p.lat_sum / int64_t(p.calls ? p.calls : 1)) * 1e6;
+      per_phase.push(Json::object()
+                         .put("name", phases[ph].name)
+                         .put("mops", Fixed{mops(p.calls, p.elapsed), 4})
+                         .put("steady_mops", Fixed{steady, 4})
+                         .put("mean_lat_us", Fixed{mean_lat_us, 4})
+                         .put("switches", p.switches)
+                         .put("max_chan_switches", p.max_chan_switches)
+                         .put("epoch_swaps", p.epoch_swaps)
+                         .put("plan_after", p.plan_after));
     }
-    json += "]}";
+    series_json.push(Json::object()
+                         .put("config", s.name)
+                         .put("end_ns", s.r.end.count())
+                         .put("total_switches", s.r.total_switches)
+                         .put("phases", per_phase));
   }
-  json += "],\"analysis\":{\"per_phase\":[";
 
   // Adaptive vs the best and worst static, steady state, per phase.
   const RunResult& adaptive = series[0].r;
   bool adaptive_ok = true;   // >= 0.95x best static in every phase
   bool beats_wrong = false;  // >= 2x the worst static in some phase
+  uint64_t max_chan_sw = 0;
+  Json per_phase = Json::array();
   for (size_t ph = 0; ph < phases.size(); ++ph) {
-    double a = mops(adaptive.phases[ph].steady_calls,
-                    adaptive.phases[ph].steady_elapsed);
-    double e = mops(series[2].r.phases[ph].steady_calls,
-                    series[2].r.phases[ph].steady_elapsed);
-    double v = mops(series[3].r.phases[ph].steady_calls,
-                    series[3].r.phases[ph].steady_elapsed);
-    double best = std::max(e, v), worst = std::min(e, v);
-    const char* best_name =
-        e >= v ? "static-eager-busy" : "static-rndv-event";
+    auto steady = [ph](const RunResult& r) {
+      return mops(r.phases[ph].steady_calls, r.phases[ph].steady_elapsed);
+    };
+    const double a = steady(adaptive), e = steady(eager),
+                 v = steady(series[3].r);
+    const double best = std::max(e, v), worst = std::min(e, v);
     if (a < 0.95 * best) adaptive_ok = false;
     if (worst > 0 && a >= 2.0 * worst) beats_wrong = true;
-    if (ph) json += ",";
-    json += std::string("{\"name\":\"") + phases[ph].name + "\"";
-    json += ",\"adaptive_steady_mops\":" + fmt(a);
-    json += std::string(",\"best_static\":\"") + best_name + "\"";
-    json += ",\"best_static_mops\":" + fmt(best);
-    json += ",\"worst_static_mops\":" + fmt(worst);
-    json += ",\"adaptive_vs_best\":" + fmt(best > 0 ? a / best : 0);
-    json += ",\"adaptive_vs_worst\":" + fmt(worst > 0 ? a / worst : 0);
-    json += "}";
+    max_chan_sw = std::max(max_chan_sw, adaptive.phases[ph].max_chan_switches);
+    per_phase.push(
+        Json::object()
+            .put("name", phases[ph].name)
+            .put("adaptive_steady_mops", Fixed{a, 4})
+            .put("best_static",
+                 e >= v ? "static-eager-busy" : "static-rndv-event")
+            .put("best_static_mops", Fixed{best, 4})
+            .put("worst_static_mops", Fixed{worst, 4})
+            .put("adaptive_vs_best", Fixed{best > 0 ? a / best : 0, 4})
+            .put("adaptive_vs_worst", Fixed{worst > 0 ? a / worst : 0, 4}));
   }
-  json += "],\"adaptive_ge_best_static\":";
-  json += adaptive_ok ? "true" : "false";
-  json += ",\"adaptive_2x_wrong_static\":";
-  json += beats_wrong ? "true" : "false";
-  json += ",\"frozen_matches_static\":";
-  json += frozen_ok ? "true" : "false";
-  json += ",\"adaptive_total_switches\":" +
-          std::to_string(adaptive.total_switches);
-  uint64_t max_chan_sw = 0;
-  for (const PhaseResult& p : adaptive.phases)
-    max_chan_sw = std::max(max_chan_sw, p.max_chan_switches);
-  json += ",\"max_switches_per_channel_per_phase\":" +
-          std::to_string(max_chan_sw);
-  json += "}}\n";
+  rep.virt.put("series", series_json)
+      .put("analysis",
+           Json::object()
+               .put("per_phase", per_phase)
+               .put("adaptive_ge_best_static", adaptive_ok)
+               .put("adaptive_2x_wrong_static", beats_wrong)
+               .put("frozen_matches_static", frozen_ok)
+               .put("adaptive_total_switches", adaptive.total_switches)
+               .put("max_switches_per_channel_per_phase", max_chan_sw));
 
-  std::ofstream(opt.out) << json;
-  std::printf("wrote %s (%.1fs wall total)\n", opt.out.c_str(), wall_total);
+  if (!rep.write(out)) return 1;
+  std::printf("wrote %s (%.1fs wall total)\n", out.c_str(), wall_total);
   return frozen_ok ? 0 : 1;
 }

@@ -6,16 +6,13 @@
 // job asserts: zero lost acknowledged writes and a clean fabric audit.
 //
 // Not a google-benchmark binary: the run IS the experiment (one seeded
-// timeline), so a plain main with flags keeps same-seed runs byte-identical.
+// timeline), so a plain main keeps same-seed runs byte-identical (the
+// report's `host` block is empty).
 //
-//   bench_cluster --shards 8 --rf 2 --server-nodes 8 --client-nodes 100
-//                 --records 4000 --seed 1 --workload both
-//                 --crash-at-us 1500 --recover-at-us 3000
-//                 --run-until-us 6000 --out BENCH_cluster.json
+//   bench_cluster --seed 1 --client-nodes 100 --records 4000
+//                 --out BENCH_cluster.json
 
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <map>
 #include <optional>
 #include <set>
@@ -24,26 +21,30 @@
 
 #include "kv/cluster.h"
 #include "obs/histogram.h"
+#include "report.h"
 #include "ycsb/ycsb.h"
 
 namespace {
 
 using namespace hatrpc;
 using namespace std::chrono_literals;
+using hatbench::Fixed;
+using hatbench::Json;
 using sim::Task;
 
+constexpr uint32_t kShards = 8;
+constexpr uint32_t kReplication = 2;
+constexpr uint32_t kServerNodes = 8;
+constexpr char kWorkloads[] = {'a', 'b'};
+// Fault schedule, relative to the start of the run phase (virtual us).
+constexpr int64_t kCrashAtUs = 1500;
+constexpr int64_t kRecoverAtUs = 3000;
+constexpr int64_t kRunUntilUs = 6000;
+
 struct Options {
-  uint32_t shards = 8;
-  uint32_t rf = 2;
-  uint32_t server_nodes = 8;
+  uint64_t seed = 1;
   uint32_t client_nodes = 100;
   uint64_t records = 4000;
-  uint64_t seed = 1;
-  std::string workload = "both";  // a | b | both
-  // Fault schedule, relative to the start of the run phase (virtual us).
-  int64_t crash_at_us = 1500;
-  int64_t recover_at_us = 3000;
-  int64_t run_until_us = 6000;
   std::string out = "BENCH_cluster.json";
 };
 
@@ -67,6 +68,10 @@ struct RunShared {
   // Acked-write ledger: key -> (highest acked version, its value).
   std::map<std::string, std::pair<uint64_t, std::string>> ledger;
   uint64_t op_errors = 0;
+  // Set by the control task.
+  sim::Duration load_span{}, run_span{};
+  sim::Duration recovery_span{};  // crash -> recover() finished
+  uint64_t lost_acked_writes = 0, replica_lag = 0;
 
   explicit RunShared(sim::Simulator& sim) : start(sim) {}
 
@@ -156,40 +161,39 @@ Task<void> client_task(sim::Simulator& sim, kv::ClusterClient& client,
   done.done();
 }
 
-struct WorkloadResult {
-  char workload;
-  Options opt;
-  sim::Duration load_span{}, run_span{};
-  PhaseStats before, during, after;
-  uint64_t total_ops = 0;
-  std::optional<sim::Duration> failover_time;
-  sim::Duration recovery_span{};  // crash -> recover() finished
-  kv::ClusterClient::Stats client_totals;
-  uint64_t chain_forwards = 0, replays = 0, resynced = 0;
-  uint64_t one_sided_reads = 0, one_sided_fallbacks = 0;
-  uint64_t retry_attempts = 0, reconnects = 0, deadline_exceeded = 0;
-  uint64_t op_errors = 0, lost_acked_writes = 0, replica_lag = 0;
-  uint64_t ledger_size = 0;
-  bool audit_clean = false;
-  uint64_t audit_violations = 0, leaked_tasks = 0;
-  std::vector<std::string> fault_trace;
-};
+double kops(uint64_t ops, sim::Duration span) {
+  double secs = sim::to_seconds(span);
+  return secs > 0 ? double(ops) / secs / 1e3 : 0.0;
+}
 
-WorkloadResult run_workload(char workload, const Options& opt) {
+Fixed us(sim::Duration d) { return Fixed{sim::to_micros(d), 3}; }
+
+Json phase_json(const PhaseStats& ph, sim::Duration span) {
+  return Json::object()
+      .put("ops", ph.ops)
+      .put("kops", Fixed{kops(ph.ops, span), 3})
+      .put("p50_us", Fixed{double(ph.lat.percentile_ns(0.50)) / 1e3, 3})
+      .put("p99_us", Fixed{double(ph.lat.percentile_ns(0.99)) / 1e3, 3})
+      .put("mean_us", Fixed{ph.lat.mean_ns() / 1e3, 3});
+}
+
+/// Runs one YCSB workload through the crash schedule and returns its
+/// report entry; `ok` is false if a safety invariant failed.
+Json run_workload(char workload, const Options& opt, bool& ok) {
   sim::Simulator sim;
   verbs::Fabric fabric(sim);
   if (!fabric.check().on())
     fabric.check().set_mode(verbs::VerbsCheck::Mode::kRecord);
   std::vector<verbs::Node*> servers;
-  for (uint32_t i = 0; i < opt.server_nodes; ++i)
+  for (uint32_t i = 0; i < kServerNodes; ++i)
     servers.push_back(fabric.add_node());
   std::vector<verbs::Node*> client_nodes;
   for (uint32_t i = 0; i < opt.client_nodes; ++i)
     client_nodes.push_back(fabric.add_node());
 
   kv::ClusterConfig ccfg;
-  ccfg.shards = opt.shards;
-  ccfg.replication = opt.rf;
+  ccfg.shards = kShards;
+  ccfg.replication = kReplication;
   kv::Cluster cluster(fabric, servers, ccfg);
   const kv::ShardMap routing = cluster.map();  // shard_of is epoch-stable
 
@@ -208,9 +212,6 @@ WorkloadResult run_workload(char workload, const Options& opt) {
                           opt.client_nodes, sh, loaded, done));
   }
 
-  WorkloadResult res;
-  res.workload = workload;
-  res.opt = opt;
   // Created by the control task, destroyed only after sim.run() drains:
   // tearing a client down while its aborted channels' dispatch tasks are
   // still unwinding inside the simulator is a use-after-free.
@@ -223,15 +224,13 @@ WorkloadResult run_workload(char workload, const Options& opt) {
                sim::WaitGroup& done, const Options& opt, uint32_t victim,
                std::vector<std::unique_ptr<kv::ClusterClient>>& clients,
                std::vector<verbs::Node*>& client_nodes,
-               std::unique_ptr<kv::ClusterClient>& verifier,
-               WorkloadResult& res) -> Task<void> {
+               std::unique_ptr<kv::ClusterClient>& verifier) -> Task<void> {
     co_await loaded.wait();
     sh.run_start = sim.now();
-    res.load_span = sh.run_start - sim::Time{};
-    sh.crash_at = sh.run_start + std::chrono::microseconds(opt.crash_at_us);
-    sh.restart_at =
-        sh.run_start + std::chrono::microseconds(opt.recover_at_us);
-    sh.run_end = sh.run_start + std::chrono::microseconds(opt.run_until_us);
+    sh.load_span = sh.run_start - sim::Time{};
+    sh.crash_at = sh.run_start + std::chrono::microseconds(kCrashAtUs);
+    sh.restart_at = sh.run_start + std::chrono::microseconds(kRecoverAtUs);
+    sh.run_end = sh.run_start + std::chrono::microseconds(kRunUntilUs);
     for (uint32_t s = 0; s < cluster.map().shards.size(); ++s) {
       const auto& chain = cluster.map().shards[s].chain;
       if (!chain.empty() && chain.front().node == victim)
@@ -247,16 +246,15 @@ WorkloadResult run_workload(char workload, const Options& opt) {
     co_await sim.sleep_until(sh.restart_at + 10us);
     co_await cluster.recover(victim);
     sh.recover_done = sim.now();
-    res.recovery_span = *sh.recover_done - sh.crash_at;
+    sh.recovery_span = *sh.recover_done - sh.crash_at;
     // Resync can outlast the nominal window; stretch the run so the
     // post-recovery phase is always measured for run_until - recover_at.
     sh.run_end = std::max(
-        sh.run_end, *sh.recover_done + std::chrono::microseconds(
-                                           opt.run_until_us -
-                                           opt.recover_at_us));
+        sh.run_end, *sh.recover_done +
+                        std::chrono::microseconds(kRunUntilUs - kRecoverAtUs));
 
     co_await done.wait();
-    res.run_span = sim.now() - sh.run_start;
+    sh.run_span = sim.now() - sh.run_start;
     // Quiesce, then verify: every acknowledged write must be readable at
     // its acked (or a newer) version, end-to-end and on every live
     // replica of its chain.
@@ -267,39 +265,32 @@ WorkloadResult run_workload(char workload, const Options& opt) {
       kv::ClusterClient::GetResult got = co_await verifier->Get(key);
       if (!got.found || got.version < acked.first ||
           (got.version == acked.first && got.value != acked.second)) {
-        ++res.lost_acked_writes;
+        ++sh.lost_acked_writes;
       }
       const uint32_t s = cluster.map().shard_of(key);
       for (const auto& r : cluster.map().shards[s].chain) {
         kv::ShardReplica* rep = cluster.replica(s, r.node);
         if (!rep) continue;
         auto rec = rep->handler().peek(key);
-        if (!rec || rec->version < acked.first) ++res.replica_lag;
+        if (!rec || rec->version < acked.first) ++sh.replica_lag;
       }
     }
-    res.ledger_size = sh.ledger.size();
     verifier->close();
     for (auto& c : clients) c->close();
     cluster.stop();
   }(sim, fabric, cluster, sh, loaded, done, opt, victim, clients,
-    client_nodes, verifier, res));
+    client_nodes, verifier));
 
   sim.run();
 
-  res.before = std::move(sh.before);
-  res.during = std::move(sh.during);
-  res.after = std::move(sh.after);
-  res.total_ops = res.before.ops + res.during.ops + res.after.ops;
+  const uint64_t total_ops = sh.before.ops + sh.during.ops + sh.after.ops;
+  std::optional<sim::Duration> failover_time;
   if (sh.first_recovered_write)
-    res.failover_time = *sh.first_recovered_write - sh.crash_at;
-  res.op_errors = sh.op_errors;
+    failover_time = *sh.first_recovered_write - sh.crash_at;
+  uint64_t failovers = 0, map_refreshes = 0;
   for (auto& c : clients) {
-    const kv::ClusterClient::Stats& s = c->stats();
-    res.client_totals.ops += s.ops;
-    res.client_totals.failovers += s.failovers;
-    res.client_totals.one_sided_reads += s.one_sided_reads;
-    res.client_totals.one_sided_fallbacks += s.one_sided_fallbacks;
-    res.client_totals.map_refreshes += s.map_refreshes;
+    failovers += c->stats().failovers;
+    map_refreshes += c->stats().map_refreshes;
   }
   auto sum = [&](obs::Ctr ctr) {
     uint64_t t = 0;
@@ -307,209 +298,102 @@ WorkloadResult run_workload(char workload, const Options& opt) {
     for (verbs::Node* n : client_nodes) t += n->counters().get(ctr);
     return t;
   };
-  res.chain_forwards = sum(obs::Ctr::kChainForwards);
-  res.replays = sum(obs::Ctr::kReplays);
-  res.resynced = cluster.resynced_records();
-  res.one_sided_reads = sum(obs::Ctr::kOneSidedReads);
-  res.one_sided_fallbacks = sum(obs::Ctr::kOneSidedFallbacks);
-  res.retry_attempts = sum(obs::Ctr::kRetryAttempts);
-  res.reconnects = sum(obs::Ctr::kReconnects);
-  res.deadline_exceeded = sum(obs::Ctr::kDeadlineExceeded);
-  verbs::AuditReport audit = fabric.audit();
-  res.audit_clean = audit.clean();
-  res.audit_violations = audit.violations;
-  res.leaked_tasks = sim.live_tasks();
-  if (fabric.fault_plan()) res.fault_trace = fabric.fault_plan()->trace();
-  return res;
-}
+  const verbs::AuditReport audit = fabric.audit();
+  ok = sh.lost_acked_writes == 0 && sh.replica_lag == 0 &&
+       sh.op_errors == 0 && audit.clean();
 
-// --- JSON emission (hand-rolled: deterministic field order + formatting) --
+  const sim::Duration before_span = std::chrono::microseconds(kCrashAtUs);
+  const sim::Duration after_span =
+      std::max(sh.run_span - before_span - sh.recovery_span,
+               sim::Duration::zero());
+  Json failover = Json::object().put("detected", failover_time.has_value());
+  if (failover_time)
+    failover.put("first_write_after_crash_us", us(*failover_time));
+  else
+    failover.put("first_write_after_crash_us", nullptr);
+  Json fault_trace = Json::array();
+  if (fabric.fault_plan())
+    for (const std::string& line : fabric.fault_plan()->trace())
+      fault_trace.push(line);
 
-std::string fmt(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.3f", v);
-  return buf;
-}
+  char first_write[32] = "n/a";
+  if (failover_time)
+    std::snprintf(first_write, sizeof first_write, "%.3f",
+                  sim::to_micros(*failover_time));
+  std::printf(
+      "workload %c: ops=%llu kops=%.3f failovers=%llu "
+      "failover_first_write_us=%s lost_acked_writes=%llu replica_lag=%llu "
+      "audit=%s\n",
+      workload, static_cast<unsigned long long>(total_ops),
+      kops(total_ops, sh.run_span), static_cast<unsigned long long>(failovers),
+      first_write, static_cast<unsigned long long>(sh.lost_acked_writes),
+      static_cast<unsigned long long>(sh.replica_lag),
+      audit.clean() ? "clean" : "DIRTY");
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
-}
-
-double kops(uint64_t ops, sim::Duration span) {
-  double secs = sim::to_seconds(span);
-  return secs > 0 ? double(ops) / secs / 1e3 : 0.0;
-}
-
-std::string phase_json(const char* name, const PhaseStats& ph,
-                       sim::Duration span) {
-  std::string j = std::string("\"") + name + "\":{";
-  j += "\"ops\":" + std::to_string(ph.ops);
-  j += ",\"kops\":" + fmt(kops(ph.ops, span));
-  j += ",\"p50_us\":" + fmt(double(ph.lat.percentile_ns(0.50)) / 1e3);
-  j += ",\"p99_us\":" + fmt(double(ph.lat.percentile_ns(0.99)) / 1e3);
-  j += ",\"mean_us\":" + fmt(ph.lat.mean_ns() / 1e3);
-  j += "}";
-  return j;
-}
-
-std::string workload_json(const WorkloadResult& r) {
-  const Options& o = r.opt;
-  std::string j = "{";
-  j += std::string("\"workload\":\"") + r.workload + "\"";
-  j += ",\"config\":{";
-  j += "\"shards\":" + std::to_string(o.shards);
-  j += ",\"replication\":" + std::to_string(o.rf);
-  j += ",\"server_nodes\":" + std::to_string(o.server_nodes);
-  j += ",\"client_nodes\":" + std::to_string(o.client_nodes);
-  j += ",\"records\":" + std::to_string(o.records);
-  j += ",\"seed\":" + std::to_string(o.seed);
-  j += ",\"crash_at_us\":" + std::to_string(o.crash_at_us);
-  j += ",\"recover_at_us\":" + std::to_string(o.recover_at_us);
-  j += ",\"run_until_us\":" + std::to_string(o.run_until_us);
-  j += "}";
-  j += ",\"totals\":{";
-  j += "\"ops\":" + std::to_string(r.total_ops);
-  j += ",\"kops\":" + fmt(kops(r.total_ops, r.run_span));
-  j += ",\"load_span_us\":" + fmt(sim::to_micros(r.load_span));
-  j += ",\"run_span_us\":" + fmt(sim::to_micros(r.run_span));
-  j += ",\"failovers\":" + std::to_string(r.client_totals.failovers);
-  j += ",\"map_refreshes\":" + std::to_string(r.client_totals.map_refreshes);
-  j += ",\"one_sided_reads\":" + std::to_string(r.one_sided_reads);
-  j += ",\"one_sided_fallbacks\":" + std::to_string(r.one_sided_fallbacks);
-  j += ",\"chain_forwards\":" + std::to_string(r.chain_forwards);
-  j += ",\"replays\":" + std::to_string(r.replays);
-  j += ",\"resynced_records\":" + std::to_string(r.resynced);
-  j += ",\"retry_attempts\":" + std::to_string(r.retry_attempts);
-  j += ",\"reconnects\":" + std::to_string(r.reconnects);
-  j += ",\"deadline_exceeded\":" + std::to_string(r.deadline_exceeded);
-  j += "}";
-  const sim::Duration before_span =
-      std::chrono::microseconds(o.crash_at_us);
-  const sim::Duration during_span = r.recovery_span;
-  sim::Duration after_span = r.run_span - before_span - during_span;
-  if (after_span < sim::Duration::zero())
-    after_span = sim::Duration::zero();
-  j += ",\"phases\":{";
-  j += phase_json("before", r.before, before_span);
-  j += "," + phase_json("during", r.during, during_span);
-  j += "," + phase_json("after", r.after, after_span);
-  j += "}";
-  j += ",\"failover\":{";
-  j += "\"detected\":" +
-       std::string(r.failover_time ? "true" : "false");
-  j += ",\"first_write_after_crash_us\":" +
-       (r.failover_time ? fmt(sim::to_micros(*r.failover_time)) : "null");
-  j += ",\"recovery_span_us\":" + fmt(sim::to_micros(r.recovery_span));
-  j += "}";
-  j += ",\"invariants\":{";
-  j += "\"acked_writes\":" + std::to_string(r.ledger_size);
-  j += ",\"lost_acked_writes\":" + std::to_string(r.lost_acked_writes);
-  j += ",\"replica_lag\":" + std::to_string(r.replica_lag);
-  j += ",\"op_errors\":" + std::to_string(r.op_errors);
-  j += ",\"audit_clean\":" + std::string(r.audit_clean ? "true" : "false");
-  j += ",\"audit_violations\":" + std::to_string(r.audit_violations);
-  j += ",\"leaked_tasks\":" + std::to_string(r.leaked_tasks);
-  j += ",\"fault_trace\":[";
-  for (size_t i = 0; i < r.fault_trace.size(); ++i) {
-    if (i) j += ",";
-    j += "\"" + json_escape(r.fault_trace[i]) + "\"";
-  }
-  j += "]}";
-  j += "}";
-  return j;
-}
-
-bool parse_args(int argc, char** argv, Options& opt) {
-  auto next = [&](int& i) -> const char* {
-    if (i + 1 >= argc) return nullptr;
-    return argv[++i];
-  };
-  for (int i = 1; i < argc; ++i) {
-    std::string a = argv[i];
-    auto eat = [&](const char* flag, auto set) {
-      if (a != flag) return false;
-      const char* v = next(i);
-      if (!v) throw std::runtime_error(a + " needs a value");
-      set(v);
-      return true;
-    };
-    bool ok =
-        eat("--shards", [&](const char* v) { opt.shards = std::stoul(v); }) ||
-        eat("--rf", [&](const char* v) { opt.rf = std::stoul(v); }) ||
-        eat("--server-nodes",
-            [&](const char* v) { opt.server_nodes = std::stoul(v); }) ||
-        eat("--client-nodes",
-            [&](const char* v) { opt.client_nodes = std::stoul(v); }) ||
-        eat("--records", [&](const char* v) { opt.records = std::stoull(v); }) ||
-        eat("--seed", [&](const char* v) { opt.seed = std::stoull(v); }) ||
-        eat("--workload", [&](const char* v) { opt.workload = v; }) ||
-        eat("--crash-at-us",
-            [&](const char* v) { opt.crash_at_us = std::stoll(v); }) ||
-        eat("--recover-at-us",
-            [&](const char* v) { opt.recover_at_us = std::stoll(v); }) ||
-        eat("--run-until-us",
-            [&](const char* v) { opt.run_until_us = std::stoll(v); }) ||
-        eat("--out", [&](const char* v) { opt.out = v; });
-    if (!ok) {
-      std::fprintf(stderr, "unknown flag: %s\n", a.c_str());
-      return false;
-    }
-  }
-  if (opt.workload != "a" && opt.workload != "b" && opt.workload != "both") {
-    std::fprintf(stderr, "--workload must be a, b, or both\n");
-    return false;
-  }
-  if (opt.crash_at_us >= opt.recover_at_us ||
-      opt.recover_at_us >= opt.run_until_us) {
-    std::fprintf(stderr,
-                 "need crash-at-us < recover-at-us < run-until-us\n");
-    return false;
-  }
-  return true;
+  return Json::object()
+      .put("workload", std::string(1, workload))
+      .put("totals",
+           Json::object()
+               .put("ops", total_ops)
+               .put("kops", Fixed{kops(total_ops, sh.run_span), 3})
+               .put("load_span_us", us(sh.load_span))
+               .put("run_span_us", us(sh.run_span))
+               .put("failovers", failovers)
+               .put("map_refreshes", map_refreshes)
+               .put("one_sided_reads", sum(obs::Ctr::kOneSidedReads))
+               .put("one_sided_fallbacks", sum(obs::Ctr::kOneSidedFallbacks))
+               .put("chain_forwards", sum(obs::Ctr::kChainForwards))
+               .put("replays", sum(obs::Ctr::kReplays))
+               .put("resynced_records", cluster.resynced_records())
+               .put("retry_attempts", sum(obs::Ctr::kRetryAttempts))
+               .put("reconnects", sum(obs::Ctr::kReconnects))
+               .put("deadline_exceeded", sum(obs::Ctr::kDeadlineExceeded)))
+      .put("phases", Json::object()
+                         .put("before", phase_json(sh.before, before_span))
+                         .put("during", phase_json(sh.during, sh.recovery_span))
+                         .put("after", phase_json(sh.after, after_span)))
+      .put("failover", failover.put("recovery_span_us", us(sh.recovery_span)))
+      .put("invariants", Json::object()
+                             .put("acked_writes", sh.ledger.size())
+                             .put("lost_acked_writes", sh.lost_acked_writes)
+                             .put("replica_lag", sh.replica_lag)
+                             .put("op_errors", sh.op_errors)
+                             .put("audit_clean", audit.clean())
+                             .put("audit_violations", audit.violations)
+                             .put("leaked_tasks", sim.live_tasks())
+                             .put("fault_trace", fault_trace));
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   Options opt;
-  if (!parse_args(argc, argv, opt)) return 2;
-  std::vector<char> workloads;
-  if (opt.workload == "both")
-    workloads = {'a', 'b'};
-  else
-    workloads = {opt.workload[0]};
+  hatbench::parse_flags(argc, argv,
+                        {{"--seed", &opt.seed},
+                         {"--client-nodes", &opt.client_nodes},
+                         {"--records", &opt.records},
+                         {"--out", &opt.out}});
 
-  std::string json = "{\"bench\":\"cluster\",\"workloads\":[";
-  bool any_lost = false, any_dirty_audit = false;
-  for (size_t i = 0; i < workloads.size(); ++i) {
-    WorkloadResult r = run_workload(workloads[i], opt);
-    if (i) json += ",";
-    json += workload_json(r);
-    any_lost |= r.lost_acked_writes != 0 || r.replica_lag != 0 ||
-                r.op_errors != 0;
-    any_dirty_audit |= !r.audit_clean;
-    std::printf(
-        "workload %c: ops=%llu kops=%s failovers=%llu "
-        "failover_first_write_us=%s lost_acked_writes=%llu "
-        "replica_lag=%llu audit=%s\n",
-        r.workload, static_cast<unsigned long long>(r.total_ops),
-        fmt(kops(r.total_ops, r.run_span)).c_str(),
-        static_cast<unsigned long long>(r.client_totals.failovers),
-        r.failover_time ? fmt(sim::to_micros(*r.failover_time)).c_str()
-                        : "n/a",
-        static_cast<unsigned long long>(r.lost_acked_writes),
-        static_cast<unsigned long long>(r.replica_lag),
-        r.audit_clean ? "clean" : "DIRTY");
+  hatbench::Report rep{"cluster", opt.seed};
+  rep.config.put("shards", kShards)
+      .put("replication", kReplication)
+      .put("server_nodes", kServerNodes)
+      .put("client_nodes", opt.client_nodes)
+      .put("records", opt.records)
+      .put("crash_at_us", kCrashAtUs)
+      .put("recover_at_us", kRecoverAtUs)
+      .put("run_until_us", kRunUntilUs);
+  Json workloads = Json::array();
+  bool ok = true;
+  for (char workload : kWorkloads) {
+    bool workload_ok = false;
+    workloads.push(run_workload(workload, opt, workload_ok));
+    ok &= workload_ok;
   }
-  json += "]}\n";
-  std::ofstream(opt.out) << json;
+  rep.virt.put("workloads", workloads);
+  if (!rep.write(opt.out)) return 1;
   std::printf("wrote %s\n", opt.out.c_str());
-  if (any_lost || any_dirty_audit) {
+  if (!ok) {
     std::fprintf(stderr, "INVARIANT VIOLATION (see %s)\n", opt.out.c_str());
     return 1;
   }

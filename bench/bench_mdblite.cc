@@ -7,19 +7,18 @@
 //   put       a write txn, one same-size Put, commit -> ns per commit
 //   multiput  a write txn, ten Puts, commit          -> ns per commit
 //
-// Not a google-benchmark binary: wall-clock rates are machine-dependent, so
-// --out JSON is informational, while --trace-out gets a byte-identical
-// digest of what the phases did to the tree (EnvStats, page_count,
-// live_pages, the summed pages_touched / pages_written and a hash of the
-// values read) that CI runs twice with the same seed and cmp's. --before
-// embeds an earlier run's --out file under "before", which is how the
-// committed BENCH_mdblite.json carries the numbers of the previous layout.
+// Not a google-benchmark binary: the report's `virtual` block digests what
+// the phases did to the tree (EnvStats, page_count, live_pages, the summed
+// pages_touched / pages_written and a hash of the values read) and is
+// byte-identical for a seed, while ns/op goes to `host`. --before embeds an
+// earlier run's --out file as `host.before`, which is how the committed
+// BENCH_mdblite.json carries the numbers of the previous page layout.
 //
-//   bench_mdblite --seed 1 --out BENCH_mdblite.json
-//                 --trace-out mdblite.trace [--before before.json]
+//   bench_mdblite --seed 1 --out BENCH_mdblite.json [--before before.json]
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <optional>
@@ -30,28 +29,25 @@
 #include <vector>
 
 #include "kv/mdblite.h"
+#include "report.h"
 #include "sim/rng.h"
 
 namespace {
 
 using namespace hatrpc;
+using hatbench::Fixed;
+using hatbench::hex64;
+using hatbench::Json;
 
 // The ycsb-a shape (perfbench's ycsb-a workload, HatKV's MultiPut batch).
 constexpr uint32_t kRecords = 10000;
 constexpr size_t kKeyBytes = 24;
 constexpr size_t kValueBytes = 1000;
 constexpr uint32_t kBatch = 10;
-// Ops per timed phase; the pinned trace digest depends on them.
+// Ops per timed phase; the committed virtual block depends on them.
 constexpr uint32_t kGets = 200000;
 constexpr uint32_t kPuts = 50000;
 constexpr uint32_t kMultiPuts = 10000;
-
-struct Options {
-  uint64_t seed = 1;
-  std::string out = "BENCH_mdblite.json";
-  std::string trace_out;  // empty = skip the digest file
-  std::string before;     // an earlier --out file to embed
-};
 
 /// One phase's wall time plus its deterministic effect on the tree.
 struct PhaseResult {
@@ -187,72 +183,16 @@ class Bench {
 
 // --- output ---------------------------------------------------------------
 
-std::string fmt(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.3f", v);
-  return buf;
-}
-
 double ns_per_op(const PhaseResult& p) {
   return p.ops ? p.wall_s * 1e9 / double(p.ops) : 0.0;
 }
 
-std::string phase_json(const PhaseResult& p) {
-  std::string j = std::string("\"") + p.name + "\":{";
-  j += "\"wall_s\":" + fmt(p.wall_s);
-  j += ",\"ops\":" + std::to_string(p.ops);
-  j += ",\"ns_per_op\":" + fmt(ns_per_op(p));
-  j += ",\"pages_touched\":" + std::to_string(p.pages_touched);
-  j += ",\"pages_written\":" + std::to_string(p.pages_written);
-  j += ",\"page_count\":" + std::to_string(p.page_count);
-  j += ",\"live_pages\":" + std::to_string(p.live_pages);
-  j += "}";
-  return j;
-}
-
-/// Deterministic digest line: everything about the phase EXCEPT wall time.
-std::string phase_trace(const PhaseResult& p) {
-  char buf[320];
-  std::snprintf(
-      buf, sizeof(buf),
-      "%s ops=%llu touched=%llu written=%llu page_reads=%llu "
-      "page_writes=%llu commits=%llu aborts=%llu reclaimed=%llu "
-      "page_count=%zu live_pages=%zu read_fnv=0x%016llx\n",
-      p.name, (unsigned long long)p.ops, (unsigned long long)p.pages_touched,
-      (unsigned long long)p.pages_written,
-      (unsigned long long)p.stats.page_reads,
-      (unsigned long long)p.stats.page_writes,
-      (unsigned long long)p.stats.commits, (unsigned long long)p.stats.aborts,
-      (unsigned long long)p.stats.reclaimed, p.page_count, p.live_pages,
-      (unsigned long long)p.read_fnv);
-  return buf;
-}
-
-bool parse_args(int argc, char** argv, Options& opt) {
-  for (int i = 1; i < argc; ++i) {
-    std::string a = argv[i];
-    auto eat = [&](const char* flag, auto set) {
-      if (a != flag) return false;
-      if (i + 1 >= argc) throw std::runtime_error(a + " needs a value");
-      set(argv[++i]);
-      return true;
-    };
-    bool ok =
-        eat("--seed", [&](const char* v) { opt.seed = std::stoull(v); }) ||
-        eat("--out", [&](const char* v) { opt.out = v; }) ||
-        eat("--trace-out", [&](const char* v) { opt.trace_out = v; }) ||
-        eat("--before", [&](const char* v) { opt.before = v; });
-    if (!ok) {
-      std::fprintf(stderr, "unknown flag: %s\n", a.c_str());
-      return false;
-    }
-  }
-  return true;
-}
-
 std::string read_file(const std::string& path) {
   std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot read " + path);
+  if (!in) {
+    std::fprintf(stderr, "cannot read %s\n", path.c_str());
+    std::exit(2);
+  }
   std::stringstream ss;
   ss << in.rdbuf();
   std::string s = ss.str();
@@ -263,44 +203,52 @@ std::string read_file(const std::string& path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Options opt;
-  if (!parse_args(argc, argv, opt)) return 2;
+  uint64_t seed = 1;
+  std::string out = "BENCH_mdblite.json";
+  std::string before;  // an earlier --out file to embed
+  hatbench::parse_flags(
+      argc, argv, {{"--seed", &seed}, {"--out", &out}, {"--before", &before}});
+  // Read it now, so a bad path fails before the timed phases run.
+  const std::string before_json = before.empty() ? "" : read_file(before);
 
-  Bench bench(opt.seed);
-  PhaseResult phases[] = {bench.load(), bench.get(),
-                          bench.put("put", kPuts, 1),
-                          bench.put("multiput", kMultiPuts, kBatch)};
+  Bench bench(seed);
+  const PhaseResult phases[] = {bench.load(), bench.get(),
+                                bench.put("put", kPuts, 1),
+                                bench.put("multiput", kMultiPuts, kBatch)};
 
-  std::string json = "{\"bench\":\"mdblite\",\"config\":{";
-  json += "\"seed\":" + std::to_string(opt.seed);
-  json += ",\"records\":" + std::to_string(kRecords);
-  json += ",\"key_bytes\":" + std::to_string(kKeyBytes);
-  json += ",\"value_bytes\":" + std::to_string(kValueBytes);
-  json += ",\"page_size\":4096";
-  json += ",\"gets\":" + std::to_string(kGets);
-  json += ",\"puts\":" + std::to_string(kPuts);
-  json += ",\"multiputs\":" + std::to_string(kMultiPuts);
-  json += ",\"batch\":" + std::to_string(kBatch);
-  json += "}";
-  std::string trace = "mdblite_trace_v1 seed=" + std::to_string(opt.seed) +
-                      "\n";
+  hatbench::Report rep{"mdblite", seed};
+  rep.config.put("records", kRecords)
+      .put("key_bytes", kKeyBytes)
+      .put("value_bytes", kValueBytes)
+      .put("page_size", 4096)
+      .put("gets", kGets)
+      .put("puts", kPuts)
+      .put("multiputs", kMultiPuts)
+      .put("batch", kBatch);
   for (const PhaseResult& p : phases) {
-    json += ',';
-    json += phase_json(p);
-    trace += phase_trace(p);
+    rep.virt.put(p.name, Json::object()
+                             .put("ops", p.ops)
+                             .put("pages_touched", p.pages_touched)
+                             .put("pages_written", p.pages_written)
+                             .put("page_reads", p.stats.page_reads)
+                             .put("page_writes", p.stats.page_writes)
+                             .put("commits", p.stats.commits)
+                             .put("aborts", p.stats.aborts)
+                             .put("reclaimed", p.stats.reclaimed)
+                             .put("page_count", p.page_count)
+                             .put("live_pages", p.live_pages)
+                             .put("read_fnv", hex64(p.read_fnv)));
+    rep.host.put(p.name, Json::object()
+                             .put("wall_s", Fixed{p.wall_s, 3})
+                             .put("ns_per_op", Fixed{ns_per_op(p), 3}));
     std::printf("%-8s %8llu ops in %7.3fs = %10.1f ns/op  (touched %llu, "
                 "written %llu)\n",
                 p.name, (unsigned long long)p.ops, p.wall_s, ns_per_op(p),
                 (unsigned long long)p.pages_touched,
                 (unsigned long long)p.pages_written);
   }
-  if (!opt.before.empty()) json += ",\"before\":" + read_file(opt.before);
-  json += "}\n";
-  std::ofstream(opt.out) << json;
-  std::printf("wrote %s\n", opt.out.c_str());
-  if (!opt.trace_out.empty()) {
-    std::ofstream(opt.trace_out) << trace;
-    std::printf("wrote %s\n", opt.trace_out.c_str());
-  }
+  if (!before.empty()) rep.host.put_raw("before", before_json);
+  if (!rep.write(out)) return 1;
+  std::printf("wrote %s\n", out.c_str());
   return 0;
 }

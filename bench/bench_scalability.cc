@@ -15,20 +15,19 @@
 //             between completions) overtakes busy polling.
 //
 // Not a google-benchmark binary: same-seed runs must be byte-identical, so
-// the JSON contains only virtual-time-derived numbers (wall-clock goes to
-// stdout only) and CI cmp's two runs of the reduced sweep.
+// the report holds only virtual-time-derived numbers (its `host` block is
+// empty; wall-clock goes to stdout) and CI cmp's two runs of the reduced
+// sweep.
 //
 //   bench_scalability --seed 1 --out BENCH_scalability.json
 //     [--clients 1,4,...] [--windows 1,32] [--shards 0,1,...]
-//     [--ops-per-client 40] [--bytes 128]
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "report.h"
 #include "sim/sync.h"
 #include "thrift/rdma.h"
 #include "verbs/fabric.h"
@@ -37,7 +36,14 @@ namespace {
 
 using namespace hatrpc;
 using namespace std::chrono_literals;
+using hatbench::Fixed;
+using hatbench::Json;
 using sim::Task;
+
+constexpr uint32_t kOpsPerClient = 40;
+constexpr uint32_t kBytes = 128;
+constexpr uint32_t kMaxMsg = 1024;
+constexpr uint32_t kClientsPerNode = 8;
 
 struct Options {
   uint64_t seed = 1;
@@ -46,10 +52,6 @@ struct Options {
   // 0 = the unbound baseline (one shard, no core binding); the tail value
   // over-subscribes the 28 simulated cores to provoke the collapse.
   std::vector<uint32_t> shards = {0, 1, 4, 8, 16, 28, 56};
-  uint32_t ops_per_client = 40;
-  uint32_t bytes = 128;
-  uint32_t max_msg = 1024;
-  uint32_t clients_per_node = 8;
   std::string out = "BENCH_scalability.json";
 };
 
@@ -83,14 +85,13 @@ proto::Handler pinned_handler(verbs::Node& server, int core) {
   };
 }
 
-Row run_config(const Options& opt, uint32_t shards, sim::PollMode mode,
+Row run_config(uint64_t seed, uint32_t shards, sim::PollMode mode,
                uint32_t window, uint32_t clients) {
   sim::Simulator sim;
   verbs::Fabric fabric(sim);
   verbs::Node* server = fabric.add_node();
   std::vector<verbs::Node*> client_nodes;
-  const uint32_t nodes =
-      (clients + opt.clients_per_node - 1) / opt.clients_per_node;
+  const uint32_t nodes = (clients + kClientsPerNode - 1) / kClientsPerNode;
   for (uint32_t n = 0; n < std::max(1u, nodes); ++n)
     client_nodes.push_back(fabric.add_node());
 
@@ -115,17 +116,17 @@ Row run_config(const Options& opt, uint32_t shards, sim::PollMode mode,
   cfg.with_client_poll(sim::PollMode::kEvent)  // keep client CPU out of the
       .with_server_poll(mode)                  // study; sweep the server side
       .with_window(window)
-      .with_max_msg(opt.max_msg);
+      .with_max_msg(kMaxMsg);
   std::vector<thrift::TRdmaEndPoint*> eps;
   for (uint32_t c = 0; c < clients; ++c)
-    eps.push_back(srv.accept(*client_nodes[c / opt.clients_per_node],
+    eps.push_back(srv.accept(*client_nodes[c / kClientsPerNode],
                               proto::ProtocolKind::kDirectWriteImm, cfg));
 
   // A window needs enough calls per client to actually fill it.
-  const uint32_t iters = std::max(opt.ops_per_client, 2 * window);
+  const uint32_t iters = std::max(kOpsPerClient, 2 * window);
   sim::WaitGroup wg(sim);
   sim::Duration lat_sum{};
-  const std::byte fill{uint8_t(0x2a ^ (opt.seed & 0xff))};
+  const std::byte fill{uint8_t(0x2a ^ (seed & 0xff))};
   for (uint32_t c = 0; c < clients; ++c) {
     for (uint32_t l = 0; l < window; ++l) {
       uint32_t lane_iters = iters / window + (l < iters % window ? 1 : 0);
@@ -141,7 +142,7 @@ Row run_config(const Options& opt, uint32_t shards, sim::PollMode mode,
           lat_sum += sim.now() - c0;
         }
         wg.done();
-      }(sim, eps[c]->channel(), opt.bytes, fill, lane_iters, wg, lat_sum));
+      }(sim, eps[c]->channel(), kBytes, fill, lane_iters, wg, lat_sum));
     }
   }
   sim::Time end{};
@@ -178,12 +179,6 @@ Row run_config(const Options& opt, uint32_t shards, sim::PollMode mode,
 
 // --- analysis -------------------------------------------------------------
 
-std::string fmt(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.4f", v);
-  return buf;
-}
-
 using SeriesKey = std::tuple<uint32_t, sim::PollMode, uint32_t>;  // shards,
                                                                   // mode, win
 
@@ -200,79 +195,31 @@ uint32_t find_knee(const std::vector<const Row*>& pts) {
   return 0;
 }
 
-bool parse_list(const char* v, std::vector<uint32_t>& out) {
-  out.clear();
-  const char* p = v;
-  while (*p) {
-    char* endp = nullptr;
-    unsigned long x = std::strtoul(p, &endp, 10);
-    if (endp == p) return false;
-    out.push_back(uint32_t(x));
-    p = *endp == ',' ? endp + 1 : endp;
-    if (*endp && *endp != ',') return false;
-  }
-  return !out.empty();
-}
-
-std::string list_json(const std::vector<uint32_t>& v) {
-  std::string j = "[";
-  for (size_t i = 0; i < v.size(); ++i) {
-    if (i) j += ",";
-    j += std::to_string(v[i]);
-  }
-  return j + "]";
-}
-
-bool parse_args(int argc, char** argv, Options& opt) {
-  auto next = [&](int& i) -> const char* {
-    if (i + 1 >= argc) return nullptr;
-    return argv[++i];
-  };
-  for (int i = 1; i < argc; ++i) {
-    std::string a = argv[i];
-    auto eat = [&](const char* flag, auto set) {
-      if (a != flag) return false;
-      const char* v = next(i);
-      if (!v) throw std::runtime_error(a + " needs a value");
-      set(v);
-      return true;
-    };
-    bool ok =
-        eat("--seed", [&](const char* v) { opt.seed = std::stoull(v); }) ||
-        eat("--clients",
-            [&](const char* v) {
-              if (!parse_list(v, opt.clients))
-                throw std::runtime_error("bad --clients list");
-            }) ||
-        eat("--windows",
-            [&](const char* v) {
-              if (!parse_list(v, opt.windows))
-                throw std::runtime_error("bad --windows list");
-            }) ||
-        eat("--shards",
-            [&](const char* v) {
-              if (!parse_list(v, opt.shards))
-                throw std::runtime_error("bad --shards list");
-            }) ||
-        eat("--ops-per-client",
-            [&](const char* v) { opt.ops_per_client = std::stoul(v); }) ||
-        eat("--bytes", [&](const char* v) { opt.bytes = std::stoul(v); }) ||
-        eat("--max-msg",
-            [&](const char* v) { opt.max_msg = std::stoul(v); }) ||
-        eat("--out", [&](const char* v) { opt.out = v; });
-    if (!ok) {
-      std::fprintf(stderr, "unknown flag: %s\n", a.c_str());
-      return false;
-    }
-  }
-  return true;
+/// The (shards, mode, window) members every series and analysis row opens
+/// with.
+Json key_json(const SeriesKey& key) {
+  return Json::object()
+      .put("shards", std::get<0>(key))
+      .put("mode", mode_name(std::get<1>(key)))
+      .put("window", std::get<2>(key));
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   Options opt;
-  if (!parse_args(argc, argv, opt)) return 2;
+  hatbench::parse_flags(argc, argv,
+                        {{"--seed", &opt.seed},
+                         {"--clients", &opt.clients},
+                         {"--windows", &opt.windows},
+                         {"--shards", &opt.shards},
+                         {"--out", &opt.out}});
+  for (uint32_t w : opt.windows) {
+    if (w == 0) {
+      std::fprintf(stderr, "--windows: a window must be at least 1\n");
+      return 2;
+    }
+  }
 
   std::vector<Row> rows;
   double wall_total = 0;
@@ -280,7 +227,7 @@ int main(int argc, char** argv) {
     for (sim::PollMode mode : {sim::PollMode::kBusy, sim::PollMode::kEvent}) {
       for (uint32_t window : opt.windows) {
         for (uint32_t clients : opt.clients) {
-          Row r = run_config(opt, shards, mode, window, clients);
+          Row r = run_config(opt.seed, shards, mode, window, clients);
           wall_total += r.wall_s;
           std::printf(
               "shards=%-3u %-5s w=%-3u c=%-5u  %8.4f Mops  "
@@ -299,66 +246,43 @@ int main(int argc, char** argv) {
   for (const Row& r : rows)
     series[{r.shards, r.mode, r.window}].push_back(&r);
 
-  std::string json = "{\"bench\":\"scalability\",\"config\":{";
-  json += "\"seed\":" + std::to_string(opt.seed);
-  json += ",\"clients\":" + list_json(opt.clients);
-  json += ",\"windows\":" + list_json(opt.windows);
-  json += ",\"shards\":" + list_json(opt.shards);
-  json += ",\"ops_per_client\":" + std::to_string(opt.ops_per_client);
-  json += ",\"bytes\":" + std::to_string(opt.bytes);
-  json += ",\"max_msg\":" + std::to_string(opt.max_msg);
-  json += ",\"cores\":28";
-  json += "},\"series\":[";
-  bool first = true;
-  for (const auto& [key, pts] : series) {
-    if (!first) json += ",";
-    first = false;
-    json += "{\"shards\":" + std::to_string(std::get<0>(key));
-    json += std::string(",\"mode\":\"") + mode_name(std::get<1>(key)) + "\"";
-    json += ",\"window\":" + std::to_string(std::get<2>(key));
-    json += ",\"points\":[";
-    for (size_t i = 0; i < pts.size(); ++i) {
-      const Row& r = *pts[i];
-      if (i) json += ",";
-      json += "{\"clients\":" + std::to_string(r.clients);
-      json += ",\"mops\":" + fmt(r.mops);
-      json += ",\"mean_lat_us\":" + fmt(r.mean_lat_us);
-      json += ",\"end_ns\":" + std::to_string(r.end.count());
-      json += ",\"calls\":" + std::to_string(r.calls);
-      json += ",\"shard_accepts\":" + std::to_string(r.shard_accepts);
-      json += ",\"shard_polls\":" + std::to_string(r.shard_polls);
-      json += ",\"window_stalls\":" + std::to_string(r.window_stalls);
-      json += "}";
-    }
-    json += "]}";
-  }
-  json += "],\"analysis\":{";
+  hatbench::Report rep{"scalability", opt.seed};
+  rep.config.put("clients", opt.clients)
+      .put("windows", opt.windows)
+      .put("shards", opt.shards)
+      .put("ops_per_client", kOpsPerClient)
+      .put("bytes", kBytes)
+      .put("max_msg", kMaxMsg)
+      .put("cores", 28);
 
   // Knee per series: where linear client scaling stops.
-  json += "\"knees\":[";
-  first = true;
+  Json series_json = Json::array(), knees = Json::array();
   for (const auto& [key, pts] : series) {
-    if (!first) json += ",";
-    first = false;
+    Json points = Json::array();
+    for (const Row* r : pts)
+      points.push(Json::object()
+                      .put("clients", r->clients)
+                      .put("mops", Fixed{r->mops, 4})
+                      .put("mean_lat_us", Fixed{r->mean_lat_us, 4})
+                      .put("end_ns", r->end.count())
+                      .put("calls", r->calls)
+                      .put("shard_accepts", r->shard_accepts)
+                      .put("shard_polls", r->shard_polls)
+                      .put("window_stalls", r->window_stalls));
+    series_json.push(key_json(key).put("points", points));
     const Row* peak = pts.front();
     for (const Row* p : pts)
       if (p->mops > peak->mops) peak = p;
-    uint32_t knee = find_knee(pts);
-    json += "{\"shards\":" + std::to_string(std::get<0>(key));
-    json += std::string(",\"mode\":\"") + mode_name(std::get<1>(key)) + "\"";
-    json += ",\"window\":" + std::to_string(std::get<2>(key));
-    json += ",\"knee_clients\":" + std::to_string(knee);
-    json += ",\"peak_mops\":" + fmt(peak->mops);
-    json += ",\"peak_clients\":" + std::to_string(peak->clients);
-    json += "}";
+    knees.push(key_json(key)
+                   .put("knee_clients", find_knee(pts))
+                   .put("peak_mops", Fixed{peak->mops, 4})
+                   .put("peak_clients", peak->clients));
   }
-  json += "]";
 
   // Over-subscription collapse: at the largest client count, compare the
   // best shard count against the largest (over-subscribed) one.
   const uint32_t cmax = opt.clients.back();
-  json += ",\"collapse\":[";
-  first = true;
+  Json collapse = Json::array();
   for (sim::PollMode mode : {sim::PollMode::kBusy, sim::PollMode::kEvent}) {
     for (uint32_t window : opt.windows) {
       uint32_t peak_shards = 0, over_shards = 0;
@@ -378,27 +302,24 @@ int main(int argc, char** argv) {
           }
         }
       }
-      if (!first) json += ",";
-      first = false;
-      bool collapsed = over_shards > peak_shards && over_mops < 0.7 * peak_mops;
-      json += std::string("{\"mode\":\"") + mode_name(mode) + "\"";
-      json += ",\"window\":" + std::to_string(window);
-      json += ",\"clients\":" + std::to_string(cmax);
-      json += ",\"peak_shards\":" + std::to_string(peak_shards);
-      json += ",\"peak_mops\":" + fmt(peak_mops);
-      json += ",\"oversub_shards\":" + std::to_string(over_shards);
-      json += ",\"oversub_mops\":" + fmt(over_mops);
-      json += std::string(",\"collapsed\":") + (collapsed ? "true" : "false");
-      json += "}";
+      collapse.push(
+          Json::object()
+              .put("mode", mode_name(mode))
+              .put("window", window)
+              .put("clients", cmax)
+              .put("peak_shards", peak_shards)
+              .put("peak_mops", Fixed{peak_mops, 4})
+              .put("oversub_shards", over_shards)
+              .put("oversub_mops", Fixed{over_mops, 4})
+              .put("collapsed", over_shards > peak_shards &&
+                                    over_mops < 0.7 * peak_mops));
     }
   }
-  json += "]";
 
   // Event-vs-busy crossover on the over-subscribed shard count: the client
   // count where freeing the core between completions starts to win.
   const uint32_t smax = opt.shards.back();
-  json += ",\"event_vs_busy_oversub\":[";
-  first = true;
+  Json crossovers = Json::array();
   for (uint32_t window : opt.windows) {
     auto bi = series.find({smax, sim::PollMode::kBusy, window});
     auto ei = series.find({smax, sim::PollMode::kEvent, window});
@@ -411,16 +332,18 @@ int main(int argc, char** argv) {
         }
       }
     }
-    if (!first) json += ",";
-    first = false;
-    json += "{\"shards\":" + std::to_string(smax);
-    json += ",\"window\":" + std::to_string(window);
-    json += ",\"crossover_clients\":" + std::to_string(crossover);
-    json += "}";
+    crossovers.push(Json::object()
+                        .put("shards", smax)
+                        .put("window", window)
+                        .put("crossover_clients", crossover));
   }
-  json += "]}}\n";
+  rep.virt.put("series", series_json)
+      .put("analysis", Json::object()
+                           .put("knees", knees)
+                           .put("collapse", collapse)
+                           .put("event_vs_busy_oversub", crossovers));
 
-  std::ofstream(opt.out) << json;
+  if (!rep.write(opt.out)) return 1;
   std::printf("wrote %s (%.1fs simulated wall total)\n", opt.out.c_str(),
               wall_total);
   return 0;

@@ -1,5 +1,5 @@
 // Sim-core microbenchmark: how fast the discrete-event scheduler itself
-// runs, independent of any protocol model. Three seeded phases:
+// runs, independent of any protocol model. Four seeded phases:
 //
 //   timers   a storm of sleeping tasks whose durations span every wheel
 //            level plus the far-future overflow heap  -> events/sec
@@ -12,23 +12,21 @@
 //   rpc      a small Eager-SendRecv echo workload, the end-to-end shape the
 //            ROADMAP scalability sweeps care about     -> ops/sec
 //
-// Not a google-benchmark binary: wall-clock rates are machine-dependent, so
-// --out JSON is informational, while --trace-out gets a byte-identical
-// digest of the virtual-time outcome (end times, event counts, a counter
-// hash) that CI runs twice with the same seed and cmp's. The cancels phase
-// doubles as a correctness gate: if a cancelled timer ever fired, the run's
-// virtual end time would land on the abandoned deadlines.
+// Not a google-benchmark binary: the report's `virtual` block digests each
+// phase's virtual-time outcome (end time, event counts, a counter hash) and
+// is byte-identical for a seed, while the wall-clock rates go to `host`.
+// The cancels phase doubles as a correctness gate: if a cancelled timer
+// ever fired, the run's virtual end time would land on the abandoned
+// deadlines, and the binary exits 1.
 //
-//   bench_sim_core --seed 1 --out BENCH_sim_core.json \
-//                  --trace-out BENCH_sim_core.trace
+//   bench_sim_core --seed 1 --out BENCH_sim_core.json
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <string>
 
 #include "proto/channel.h"
+#include "report.h"
 #include "sim/rng.h"
 #include "sim/sync.h"
 #include "verbs/fabric.h"
@@ -37,22 +35,21 @@ namespace {
 
 using namespace hatrpc;
 using namespace std::chrono_literals;
+using hatbench::Fixed;
+using hatbench::hex64;
+using hatbench::Json;
 using sim::Task;
 
-struct Options {
-  uint64_t seed = 1;
-  uint32_t timer_tasks = 64;
-  uint32_t timers_per_task = 4000;
-  uint32_t shallow_tasks = 8;  // stays well under Simulator::kSmallCap
-  uint32_t shallow_timers_per_task = 50000;
-  uint32_t cancel_waiters = 2000;
-  uint32_t cancel_rounds = 10;
-  uint32_t rpc_clients = 4;
-  uint32_t rpc_ops = 20000;  // total across clients
-  uint32_t rpc_bytes = 64;
-  std::string out = "BENCH_sim_core.json";
-  std::string trace_out;  // empty = skip the digest file
-};
+// Phase sizes; the committed virtual block depends on them.
+constexpr uint32_t kTimerTasks = 64;
+constexpr uint32_t kTimersPerTask = 4000;
+constexpr uint32_t kShallowTasks = 8;  // stays well under Simulator::kSmallCap
+constexpr uint32_t kShallowTimersPerTask = 50000;
+constexpr uint32_t kCancelWaiters = 2000;
+constexpr uint32_t kCancelRounds = 10;
+constexpr uint32_t kRpcClients = 4;
+constexpr uint32_t kRpcOps = 20000;  // total across clients
+constexpr uint32_t kRpcBytes = 64;
 
 /// Wall-clock + virtual-time outcome of one phase. The Run fields are
 /// deterministic for a given seed; wall_s is not.
@@ -103,10 +100,10 @@ Task<void> ticker(sim::Simulator& sim, uint64_t seed, uint32_t sleeps) {
   }
 }
 
-PhaseResult run_timer_phase(const Options& opt) {
+PhaseResult run_timer_phase(uint64_t seed) {
   sim::Simulator sim;
-  for (uint32_t t = 0; t < opt.timer_tasks; ++t)
-    sim.spawn(ticker(sim, opt.seed * 1000003ull + t, opt.timers_per_task));
+  for (uint32_t t = 0; t < kTimerTasks; ++t)
+    sim.spawn(ticker(sim, seed * 1000003ull + t, kTimersPerTask));
   auto t0 = std::chrono::steady_clock::now();
   sim::Simulator::RunResult r = sim.run();
   PhaseResult res{"timers", r, wall_since(t0), r.events_processed, 0};
@@ -121,11 +118,10 @@ Task<void> shallow_ticker(sim::Simulator& sim, uint64_t seed, uint32_t sleeps) {
     co_await sim.sleep(std::chrono::nanoseconds(rng.next() % 2048));
 }
 
-PhaseResult run_shallow_phase(const Options& opt) {
+PhaseResult run_shallow_phase(uint64_t seed) {
   sim::Simulator sim;
-  for (uint32_t t = 0; t < opt.shallow_tasks; ++t)
-    sim.spawn(shallow_ticker(sim, opt.seed * 900001ull + t,
-                             opt.shallow_timers_per_task));
+  for (uint32_t t = 0; t < kShallowTasks; ++t)
+    sim.spawn(shallow_ticker(sim, seed * 900001ull + t, kShallowTimersPerTask));
   auto t0 = std::chrono::steady_clock::now();
   sim::Simulator::RunResult r = sim.run();
   return PhaseResult{"shallow", r, wall_since(t0), r.events_processed, 0};
@@ -162,21 +158,20 @@ Task<void> cancel_driver(sim::Simulator& sim, CancelShared& sh,
   }
 }
 
-PhaseResult run_cancel_phase(const Options& opt) {
+PhaseResult run_cancel_phase() {
   sim::Simulator sim;
   CancelShared sh(sim);
-  for (uint32_t w = 0; w < opt.cancel_waiters; ++w)
-    sim.spawn(cancel_waiter(sim, sh, opt.cancel_rounds));
-  sim.spawn(cancel_driver(sim, sh, opt.cancel_rounds));
+  for (uint32_t w = 0; w < kCancelWaiters; ++w)
+    sim.spawn(cancel_waiter(sim, sh, kCancelRounds));
+  sim.spawn(cancel_driver(sim, sh, kCancelRounds));
   auto t0 = std::chrono::steady_clock::now();
   sim::Simulator::RunResult r = sim.run();
   PhaseResult res{"cancels", r, wall_since(t0), r.timers_cancelled, 0};
   // Correctness gate: every wait was notified, every deadline timer was
   // cancelled, and no cancelled timer fired (virtual time never reached the
   // 1ms deadlines — the run ends at rounds * 200ns).
-  const uint64_t expect =
-      uint64_t(opt.cancel_waiters) * opt.cancel_rounds;
-  const sim::Time last_notify{int64_t(opt.cancel_rounds) * 200};
+  const uint64_t expect = uint64_t(kCancelWaiters) * kCancelRounds;
+  const sim::Time last_notify{int64_t(kCancelRounds) * 200};
   if (sh.timed_out != 0 || sh.notified != expect ||
       r.timers_cancelled < expect || sim.now() != last_notify) {
     std::fprintf(stderr,
@@ -200,7 +195,7 @@ Task<void> rpc_client(proto::RpcChannel& ch, uint32_t bytes, uint32_t iters) {
   ch.shutdown();
 }
 
-PhaseResult run_rpc_phase(const Options& opt) {
+PhaseResult run_rpc_phase() {
   sim::Simulator sim;
   verbs::Fabric fabric(sim);
   verbs::Node* server = fabric.add_node();
@@ -212,19 +207,19 @@ PhaseResult run_rpc_phase(const Options& opt) {
     co_await server->cpu().compute(1000ns);
     co_return proto::Buffer(req.begin(), req.end());
   };
-  for (uint32_t c = 0; c < opt.rpc_clients; ++c) {
+  for (uint32_t c = 0; c < kRpcClients; ++c) {
     clients.push_back(fabric.add_node());
     channels.push_back(
         proto::make_channel(proto::ProtocolKind::kEagerSendRecv, *clients[c],
                             *server, echo, cfg));
   }
-  const uint32_t per_client = opt.rpc_ops / std::max(1u, opt.rpc_clients);
-  for (uint32_t c = 0; c < opt.rpc_clients; ++c)
-    sim.spawn(rpc_client(*channels[c], opt.rpc_bytes, per_client));
+  const uint32_t per_client = kRpcOps / kRpcClients;
+  for (uint32_t c = 0; c < kRpcClients; ++c)
+    sim.spawn(rpc_client(*channels[c], kRpcBytes, per_client));
   auto t0 = std::chrono::steady_clock::now();
   sim::Simulator::RunResult r = sim.run();
-  PhaseResult res{"rpc", r, wall_since(t0),
-                  uint64_t(per_client) * opt.rpc_clients, 0};
+  PhaseResult res{"rpc", r, wall_since(t0), uint64_t(per_client) * kRpcClients,
+                  0};
   // The counter dump covers every charge the workload made (doorbells,
   // WQEs, copies...) — one hash pins the whole data path's behavior.
   res.counters_fnv = fnv1a(fabric.obs().counters.dump());
@@ -233,137 +228,51 @@ PhaseResult run_rpc_phase(const Options& opt) {
 
 // --- output ---------------------------------------------------------------
 
-std::string fmt(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.3f", v);
-  return buf;
-}
-
 double rate(uint64_t units, double secs) {
   return secs > 0 ? double(units) / secs : 0.0;
-}
-
-std::string phase_json(const PhaseResult& p) {
-  std::string j = std::string("\"") + p.name + "\":{";
-  j += "\"wall_s\":" + fmt(p.wall_s);
-  j += ",\"units\":" + std::to_string(p.units);
-  j += ",\"per_sec\":" + fmt(rate(p.units, p.wall_s));
-  j += ",\"virtual_end_ns\":" + std::to_string(p.run.end_time.count());
-  j += ",\"events_processed\":" + std::to_string(p.run.events_processed);
-  j += ",\"timers_cancelled\":" + std::to_string(p.run.timers_cancelled);
-  j += ",\"peak_queue_depth\":" + std::to_string(p.run.peak_queue_depth);
-  j += ",\"live_tasks\":" + std::to_string(p.run.live_tasks);
-  if (p.counters_fnv) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "\"0x%016llx\"",
-                  (unsigned long long)p.counters_fnv);
-    j += std::string(",\"counters_fnv\":") + buf;
-  }
-  j += "}";
-  return j;
-}
-
-/// Deterministic digest line: everything about the phase EXCEPT wall time.
-std::string phase_trace(const PhaseResult& p) {
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "%s end_ns=%lld processed=%llu cancelled=%llu peak=%llu "
-                "live=%llu units=%llu counters_fnv=0x%016llx\n",
-                p.name, (long long)p.run.end_time.count(),
-                (unsigned long long)p.run.events_processed,
-                (unsigned long long)p.run.timers_cancelled,
-                (unsigned long long)p.run.peak_queue_depth,
-                (unsigned long long)p.run.live_tasks,
-                (unsigned long long)p.units,
-                (unsigned long long)p.counters_fnv);
-  return buf;
-}
-
-bool parse_args(int argc, char** argv, Options& opt) {
-  auto next = [&](int& i) -> const char* {
-    if (i + 1 >= argc) return nullptr;
-    return argv[++i];
-  };
-  for (int i = 1; i < argc; ++i) {
-    std::string a = argv[i];
-    auto eat = [&](const char* flag, auto set) {
-      if (a != flag) return false;
-      const char* v = next(i);
-      if (!v) throw std::runtime_error(a + " needs a value");
-      set(v);
-      return true;
-    };
-    bool ok =
-        eat("--seed", [&](const char* v) { opt.seed = std::stoull(v); }) ||
-        eat("--timer-tasks",
-            [&](const char* v) { opt.timer_tasks = std::stoul(v); }) ||
-        eat("--timers-per-task",
-            [&](const char* v) { opt.timers_per_task = std::stoul(v); }) ||
-        eat("--shallow-tasks",
-            [&](const char* v) { opt.shallow_tasks = std::stoul(v); }) ||
-        eat("--shallow-timers-per-task",
-            [&](const char* v) { opt.shallow_timers_per_task = std::stoul(v); }) ||
-        eat("--cancel-waiters",
-            [&](const char* v) { opt.cancel_waiters = std::stoul(v); }) ||
-        eat("--cancel-rounds",
-            [&](const char* v) { opt.cancel_rounds = std::stoul(v); }) ||
-        eat("--rpc-clients",
-            [&](const char* v) { opt.rpc_clients = std::stoul(v); }) ||
-        eat("--rpc-ops", [&](const char* v) { opt.rpc_ops = std::stoul(v); }) ||
-        eat("--rpc-bytes",
-            [&](const char* v) { opt.rpc_bytes = std::stoul(v); }) ||
-        eat("--out", [&](const char* v) { opt.out = v; }) ||
-        eat("--trace-out", [&](const char* v) { opt.trace_out = v; });
-    if (!ok) {
-      std::fprintf(stderr, "unknown flag: %s\n", a.c_str());
-      return false;
-    }
-  }
-  return true;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  Options opt;
-  if (!parse_args(argc, argv, opt)) return 2;
+  uint64_t seed = 1;
+  std::string out = "BENCH_sim_core.json";
+  hatbench::parse_flags(argc, argv, {{"--seed", &seed}, {"--out", &out}});
 
-  PhaseResult phases[] = {run_timer_phase(opt), run_shallow_phase(opt),
-                          run_cancel_phase(opt), run_rpc_phase(opt)};
-  constexpr size_t kPhases = sizeof(phases) / sizeof(phases[0]);
+  const PhaseResult phases[] = {run_timer_phase(seed), run_shallow_phase(seed),
+                                run_cancel_phase(), run_rpc_phase()};
 
-  std::string json = "{\"bench\":\"sim_core\",\"config\":{";
-  json += "\"seed\":" + std::to_string(opt.seed);
-  json += ",\"timer_tasks\":" + std::to_string(opt.timer_tasks);
-  json += ",\"timers_per_task\":" + std::to_string(opt.timers_per_task);
-  json += ",\"shallow_tasks\":" + std::to_string(opt.shallow_tasks);
-  json += ",\"shallow_timers_per_task\":" +
-          std::to_string(opt.shallow_timers_per_task);
-  json += ",\"cancel_waiters\":" + std::to_string(opt.cancel_waiters);
-  json += ",\"cancel_rounds\":" + std::to_string(opt.cancel_rounds);
-  json += ",\"rpc_clients\":" + std::to_string(opt.rpc_clients);
-  json += ",\"rpc_ops\":" + std::to_string(opt.rpc_ops);
-  json += ",\"rpc_bytes\":" + std::to_string(opt.rpc_bytes);
-  json += ",\"frame_arena_pooled\":";
-  json += sim::FrameArena::pooling_enabled() ? "true" : "false";
-  json += "},";
-  std::string trace = "sim_core_trace_v1 seed=" + std::to_string(opt.seed) +
-                      "\n";
-  for (size_t i = 0; i < kPhases; ++i) {
-    if (i) json += ",";
-    json += phase_json(phases[i]);
-    trace += phase_trace(phases[i]);
-    std::printf("%-7s %12llu units in %7.3fs = %12.0f/s  (virtual end %lld ns)\n",
-                phases[i].name, (unsigned long long)phases[i].units,
-                phases[i].wall_s, rate(phases[i].units, phases[i].wall_s),
-                (long long)phases[i].run.end_time.count());
+  hatbench::Report rep{"sim_core", seed};
+  rep.config.put("timer_tasks", kTimerTasks)
+      .put("timers_per_task", kTimersPerTask)
+      .put("shallow_tasks", kShallowTasks)
+      .put("shallow_timers_per_task", kShallowTimersPerTask)
+      .put("cancel_waiters", kCancelWaiters)
+      .put("cancel_rounds", kCancelRounds)
+      .put("rpc_clients", kRpcClients)
+      .put("rpc_ops", kRpcOps)
+      .put("rpc_bytes", kRpcBytes)
+      .put("frame_arena_pooled", sim::FrameArena::pooling_enabled());
+  for (const PhaseResult& p : phases) {
+    const double per_sec = rate(p.units, p.wall_s);
+    const sim::Simulator::RunResult& r = p.run;
+    rep.virt.put(p.name, Json::object()
+                             .put("units", p.units)
+                             .put("virtual_end_ns", r.end_time.count())
+                             .put("events_processed", r.events_processed)
+                             .put("timers_cancelled", r.timers_cancelled)
+                             .put("peak_queue_depth", r.peak_queue_depth)
+                             .put("live_tasks", r.live_tasks)
+                             .put("counters_fnv", hex64(p.counters_fnv)));
+    rep.host.put(p.name, Json::object()
+                             .put("wall_s", Fixed{p.wall_s, 3})
+                             .put("per_sec", Fixed{per_sec, 3}));
+    std::printf("%-7s %12llu units in %7.3fs = %12.0f/s  (virtual end %lld "
+                "ns)\n",
+                p.name, (unsigned long long)p.units, p.wall_s, per_sec,
+                (long long)r.end_time.count());
   }
-  json += "}\n";
-  std::ofstream(opt.out) << json;
-  std::printf("wrote %s\n", opt.out.c_str());
-  if (!opt.trace_out.empty()) {
-    std::ofstream(opt.trace_out) << trace;
-    std::printf("wrote %s\n", opt.trace_out.c_str());
-  }
+  if (!rep.write(out)) return 1;
+  std::printf("wrote %s\n", out.c_str());
   return 0;
 }

@@ -1,14 +1,15 @@
 #!/usr/bin/env bash
-# Runs the Fig. 4 protocol-latency and Fig. 5 protocol-throughput benchmarks,
-# the cluster failover benchmark, the sim-core scheduler microbenchmark, and
-# the sharded-server scalability sweep, emitting JSON baselines
-# (BENCH_fig04.json / BENCH_fig05.json / BENCH_cluster.json /
-# BENCH_sim_core.json / BENCH_scalability.json by default). All simulated
-# timing is bit-reproducible across machines and runs; bench_sim_core
-# additionally reports machine-dependent wall-clock rates next to a
-# deterministic trace digest (BENCH_sim_core.trace) that CI cmp's across
-# same-seed runs, and bench_scalability's JSON is wholly virtual-time-derived
-# (wall-clock goes to stdout only) so same-seed outputs are byte-identical.
+# Runs the Fig. 4 protocol-latency and Fig. 5 protocol-throughput
+# google-benchmark binaries (BENCH_fig04.json / BENCH_fig05.json) and four
+# plain benches: cluster failover, the sim-core scheduler microbenchmark,
+# the sharded-server scalability sweep and the adaptive-hints study
+# (BENCH_cluster.json / BENCH_sim_core.json / BENCH_scalability.json /
+# BENCH_adaptive.json by default). A plain bench writes one report shaped
+# {bench, seed, config, virtual, host} (bench/report.h): its config and
+# virtual blocks are identical for a given seed on any machine, and only
+# bench_sim_core's host block (wall-clock rates) differs between runs.
+# scripts/bench_gate.py compare checks a fresh report against a committed
+# one.
 #
 # Environment overrides:
 #   BUILD_DIR     build tree containing bench/ binaries (default: build)
@@ -19,13 +20,10 @@
 #   OUT           fig05 output JSON path                (default: BENCH_fig05.json)
 #   OUTCLUSTER    cluster output JSON path              (default: BENCH_cluster.json)
 #   OUTSIMCORE    sim-core output JSON path             (default: BENCH_sim_core.json)
-#   TRACESIMCORE  sim-core trace digest path            (default: BENCH_sim_core.trace)
 #   OUTSCAL       scalability output JSON path          (default: BENCH_scalability.json)
 #   OUTADAPT      adaptive-hints output JSON path       (default: BENCH_adaptive.json)
 #   CLUSTER_ARGS  extra bench_cluster flags, e.g. "--client-nodes 24 --records 1000"
-#   SIMCORE_ARGS  extra bench_sim_core flags, e.g. "--cancel-rounds 100"
 #   SCAL_ARGS     extra bench_scalability flags, e.g. "--clients 1,8,64 --shards 0,4"
-#   ADAPT_ARGS    extra bench_adaptive flags, e.g. "--over-channels 32"
 #   SEED          cluster + sim-core + scalability + adaptive seed (default: 1)
 set -euo pipefail
 
@@ -39,13 +37,10 @@ OUT04="${OUT04:-BENCH_fig04.json}"
 OUT="${OUT:-BENCH_fig05.json}"
 OUTCLUSTER="${OUTCLUSTER:-BENCH_cluster.json}"
 OUTSIMCORE="${OUTSIMCORE:-BENCH_sim_core.json}"
-TRACESIMCORE="${TRACESIMCORE:-BENCH_sim_core.trace}"
 OUTSCAL="${OUTSCAL:-BENCH_scalability.json}"
 OUTADAPT="${OUTADAPT:-BENCH_adaptive.json}"
 CLUSTER_ARGS="${CLUSTER_ARGS:-}"
-SIMCORE_ARGS="${SIMCORE_ARGS:-}"
 SCAL_ARGS="${SCAL_ARGS:-}"
-ADAPT_ARGS="${ADAPT_ARGS:-}"
 SEED="${SEED:-1}"
 
 BIN04="$BUILD_DIR/bench/bench_fig04_protocol_latency"
@@ -79,9 +74,7 @@ done
 
 # bench_sim_core exits non-zero if a cancelled timer ever fires (the cancel
 # phase pins the run's virtual end time to the notify schedule).
-# shellcheck disable=SC2086
-"$BINSIMCORE" --seed "$SEED" --out "$OUTSIMCORE" --trace-out "$TRACESIMCORE" \
-  $SIMCORE_ARGS
+"$BINSIMCORE" --seed "$SEED" --out "$OUTSIMCORE"
 
 # The 1→1024-client sharded-server sweep; its analysis block calls out the
 # per-config saturation knee and the over-subscription collapse point.
@@ -90,7 +83,6 @@ done
 
 # bench_adaptive exits non-zero if the frozen-controller ablation diverges
 # from its static twin (the adaptive observation path must cost nothing).
-# shellcheck disable=SC2086
-"$BINADAPT" --seed "$SEED" --out "$OUTADAPT" $ADAPT_ARGS
+"$BINADAPT" --seed "$SEED" --out "$OUTADAPT"
 
 echo "wrote $OUT04, $OUT, $OUTCLUSTER, $OUTSIMCORE, $OUTSCAL and $OUTADAPT (window=$WINDOW, zero_copy=$ZERO_COPY, filter=$FILTER, seed=$SEED)"

@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -323,6 +324,31 @@ class RpcChannel {
     uint64_t* g_;
   };
 
+  /// Bookkeeping shared by call() and call_leased(), kept in plain
+  /// functions so neither coroutine pays an extra frame. begin_call counts
+  /// the call and returns the span start (empty when tracing is off).
+  std::optional<sim::Time> begin_call() {
+    ++stats_.calls;
+    // Relaxed access: the gauge is read by kLeastLoaded steering with no
+    // ordering on purpose (a stale load balance decision is still correct).
+    if (inflight_gauge_ && sim_clock_)
+      sim_clock_->rc_update(inflight_gauge_, 0, "shard.inflight_gauge",
+                            RC_HERE);
+    if (!obs_ || !obs_->tracer.enabled()) return std::nullopt;
+    return sim_clock_->now();
+  }
+  /// Counts a failed call and closes the call/ or call-failed/ span.
+  void end_call(std::optional<sim::Time> t0, bool failed) {
+    if (failed && obs_) {
+      obs_->counters.channel(obs_id_).add(obs::Ctr::kFailedCalls);
+      obs_->counters.node(obs_pid_).add(obs::Ctr::kFailedCalls);
+    }
+    if (t0)
+      obs_->tracer.complete(
+          (failed ? "call-failed/" : "call/") + std::string(to_string(kind())),
+          "rpc", *t0, sim_clock_->now() - *t0, obs_pid_, obs_id_);
+  }
+
   ChannelStats stats_;
   obs::Obs* obs_ = nullptr;
   sim::Simulator* sim_clock_ = nullptr;
@@ -333,56 +359,28 @@ class RpcChannel {
 
 inline sim::Task<CallResult> RpcChannel::call(View req,
                                               uint32_t resp_size_hint) {
-  ++stats_.calls;
   InflightGuard gauge(inflight_gauge_);
-  // Relaxed access: the gauge is read by kLeastLoaded steering with no
-  // ordering on purpose (a stale load balance decision is still correct).
-  if (inflight_gauge_ && sim_clock_)
-    sim_clock_->rc_update(inflight_gauge_, 0, "shard.inflight_gauge", RC_HERE);
-  const bool trace = obs_ && obs_->tracer.enabled();
-  const sim::Time t0 = trace ? sim_clock_->now() : sim::Time{};
+  const std::optional<sim::Time> t0 = begin_call();
   try {
     Buffer resp = co_await do_call(req, resp_size_hint);
-    if (trace)
-      obs_->tracer.complete("call/" + std::string(to_string(kind())), "rpc",
-                            t0, sim_clock_->now() - t0, obs_pid_, obs_id_);
+    end_call(t0, false);
     co_return CallResult(std::move(resp));
   } catch (const RpcError& e) {
-    if (obs_) {
-      obs_->counters.channel(obs_id_).add(obs::Ctr::kFailedCalls);
-      obs_->counters.node(obs_pid_).add(obs::Ctr::kFailedCalls);
-    }
-    if (trace)
-      obs_->tracer.complete(
-          "call-failed/" + std::string(to_string(kind())), "rpc", t0,
-          sim_clock_->now() - t0, obs_pid_, obs_id_);
+    end_call(t0, true);
     co_return CallResult(e);
   }
 }
 
 inline sim::Task<LeasedResult> RpcChannel::call_leased(
     View req, uint32_t resp_size_hint) {
-  ++stats_.calls;
   InflightGuard gauge(inflight_gauge_);
-  if (inflight_gauge_ && sim_clock_)
-    sim_clock_->rc_update(inflight_gauge_, 0, "shard.inflight_gauge", RC_HERE);
-  const bool trace = obs_ && obs_->tracer.enabled();
-  const sim::Time t0 = trace ? sim_clock_->now() : sim::Time{};
+  const std::optional<sim::Time> t0 = begin_call();
   try {
     LeasedReply resp = co_await do_call_leased(req, resp_size_hint);
-    if (trace)
-      obs_->tracer.complete("call/" + std::string(to_string(kind())), "rpc",
-                            t0, sim_clock_->now() - t0, obs_pid_, obs_id_);
+    end_call(t0, false);
     co_return LeasedResult(std::move(resp));
   } catch (const RpcError& e) {
-    if (obs_) {
-      obs_->counters.channel(obs_id_).add(obs::Ctr::kFailedCalls);
-      obs_->counters.node(obs_pid_).add(obs::Ctr::kFailedCalls);
-    }
-    if (trace)
-      obs_->tracer.complete(
-          "call-failed/" + std::string(to_string(kind())), "rpc", t0,
-          sim_clock_->now() - t0, obs_pid_, obs_id_);
+    end_call(t0, true);
     co_return LeasedResult(e);
   }
 }

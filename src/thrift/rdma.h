@@ -134,12 +134,6 @@ class TRdma final : public MessageTransport {
   /// How many times the bound plan went stale and was re-resolved.
   uint64_t plan_refreshes() const { return plan_refreshes_; }
 
-  /// Leased receive path: flush() uses call_leased(), so single-segment
-  /// responses are consumed straight from the channel's recv ring (read()
-  /// copies out of the ring view; no intermediate materialization). The
-  /// lease — and its ring slot — is held until the next flush()/close().
-  void enable_leased_reads(bool on = true) { leased_reads_ = on; }
-
   void write(View data) {
     if (proto::BufferPool* pool = ep_.pool(); pool && out_.empty()) {
       // Zero-copy staging: the outbound message accumulates in a pooled,
@@ -174,25 +168,15 @@ class TRdma final : public MessageTransport {
       out_.clear();
       req = heap;
     }
-    if (leased_reads_) {
-      proto::LeasedResult r = co_await ep_.channel().call_leased(req,
-                                                                 resp_hint_);
-      end_send();
-      in_.clear();
-      in_lease_ = std::move(r).value();
-    } else {
-      proto::CallResult r = co_await ep_.channel().call(req, resp_hint_);
-      end_send();
-      in_lease_.release();
-      in_ = std::move(r).value();
-    }
+    proto::CallResult r = co_await ep_.channel().call(req, resp_hint_);
+    end_send();
+    in_ = std::move(r).value();
     rpos_ = 0;
   }
 
   sim::Task<size_t> read(std::byte* p, size_t max) {
-    View src = in_view();
-    size_t n = std::min(max, src.size() - rpos_);
-    std::memcpy(p, src.data() + rpos_, n);
+    size_t n = std::min(max, in_.size() - rpos_);
+    std::memcpy(p, in_.data() + rpos_, n);
     rpos_ += n;
     co_return n;
   }
@@ -203,20 +187,13 @@ class TRdma final : public MessageTransport {
     co_await flush();
   }
   sim::Task<std::optional<Buffer>> recv() override {
-    View src = in_view();
-    Buffer b(src.begin() + static_cast<ptrdiff_t>(rpos_), src.end());
-    rpos_ = src.size();
+    Buffer b(in_.begin() + static_cast<ptrdiff_t>(rpos_), in_.end());
+    rpos_ = in_.size();
     co_return b;
   }
-  void close() override {
-    in_lease_.release();
-    ep_.shutdown();
-  }
+  void close() override { ep_.shutdown(); }
 
  private:
-  View in_view() const {
-    return leased_reads_ ? in_lease_.bytes() : View(in_);
-  }
   void end_send() {
     if (lease_) {
       lease_.release();
@@ -238,8 +215,6 @@ class TRdma final : public MessageTransport {
   proto::BufferPool::Lease lease_;  // zero-copy staging block
   size_t out_len_ = 0;              // bytes staged into the lease
   Buffer in_;
-  proto::LeasedReply in_lease_;     // leased-reads inbound view
-  bool leased_reads_ = false;
   size_t rpos_ = 0;
   uint32_t resp_hint_ = 0;
   PlanCache* plan_cache_ = nullptr;
