@@ -52,12 +52,13 @@ class FixedCaller : public core::HatCaller {
   }
 
   Task<core::Reply> call(std::string method,
-                         core::Buffer envelope) override {
+                         core::Envelope envelope) override {
     co_await cpu_->compute(2us + sim::transfer_time(envelope.size(), 1.0));
     // Response sizing pre-knowledge mirrors what each system's client
     // would configure: ~1KB single ops, ~11KB batched ops.
     uint32_t hint = method.starts_with("Multi") ? 11 << 10 : 1200;
-    core::Buffer reply = (co_await channel_->call(envelope, hint)).value();
+    core::Buffer reply =
+        (co_await channel_->call(envelope.view(), hint)).value();
     co_await cpu_->compute(2us + sim::transfer_time(reply.size(), 1.0));
     co_return core::HatDispatcher::reply_of(std::move(reply), method);
   }

@@ -125,23 +125,47 @@ Task<void> HatConnection::charge_serialize(verbs::Node& node, size_t bytes) {
       cfg.serialize_fixed + sim::transfer_time(bytes, cfg.serialize_gbps));
 }
 
-Task<Reply> HatConnection::call(std::string method, Buffer envelope) {
+Envelope HatConnection::begin_call(std::string_view method) {
+  // No channel is created here: a method's first call creates its channel
+  // in call(), at the same virtual instant as before.
+  proto::SendBlock block;
+  if (!closed_) {
+    const hint::Plan& plan = plan_for(std::string(method));
+    if (plan.transport != hint::Transport::kTcp) {
+      auto it = channels_.find(key_of(plan));
+      if (it != channels_.end()) block = it->second->lease_send_block();
+    }
+  }
+  return Envelope(method, std::move(block));
+}
+
+Task<Reply> HatConnection::call(std::string method, Envelope envelope) {
   if (closed_) throw std::runtime_error("connection closed");
   const hint::Plan& plan = plan_for(method);
-  HatDispatcher::stamp_seqid(envelope, ++seq_);
+  HatDispatcher::stamp_seqid(envelope.bytes(), ++seq_);
   co_await charge_serialize(client_, envelope.size());
 
-  Buffer reply;
+  proto::LeasedReply reply;
   if (plan.transport == hint::Transport::kTcp) {
     thrift::SocketRpcClient* rpc = co_await tcp_client();
-    reply = co_await rpc->call(envelope);
+    reply = proto::LeasedReply(co_await rpc->call(envelope.view()));
   } else {
     proto::RpcChannel& ch = channel_for(plan);
-    proto::CallResult r = co_await ch.call(envelope, plan.expected_payload);
-    reply = std::move(r).value();
+    // A Direct channel lends its response slot without holding it, so a
+    // lent reply changes no timing; other protocols keep the owned copy.
+    if (proto::is_direct(ch.kind())) {
+      proto::LeasedResult r =
+          co_await ch.call_leased(envelope.view(), plan.expected_payload);
+      reply = std::move(r).value();
+    } else {
+      proto::CallResult r =
+          co_await ch.call(envelope.view(), plan.expected_payload);
+      reply = proto::LeasedReply(std::move(r).value());
+    }
   }
+  envelope = Envelope();  // the send block goes back once answered
 
-  co_await charge_serialize(client_, reply.size());
+  co_await charge_serialize(client_, reply.bytes().size());
   co_return HatDispatcher::reply_of(std::move(reply), method);
 }
 

@@ -77,7 +77,11 @@ class HatConnection : public HatCaller {
   HatConnection(verbs::Node& client, HatServer& server);
   ~HatConnection() override;
 
-  sim::Task<Reply> call(std::string method, Buffer envelope) override;
+  /// Begins the envelope in a send block lent by the method's channel when
+  /// that channel exists and has one free; a heap envelope otherwise.
+  Envelope begin_call(std::string_view method) override;
+
+  sim::Task<Reply> call(std::string method, Envelope envelope) override;
 
   /// Resolved + cached plan for a method (exposed for tests/benches).
   const hint::Plan& plan_for(const std::string& method);

@@ -1,11 +1,12 @@
 // Byte-level RPC runtime interfaces that generated code targets.
 //
-// A generated client stub writes the call header (HatCaller::begin_call)
-// and then its argument struct into one buffer, and hands that envelope to
-// HatCaller::call; it decodes the result struct in place from the returned
-// Reply. A generated processor decodes the args, invokes the user's handler
-// implementation, and appends the result struct to the reply envelope that
-// HatDispatcher::process has already begun. The envelope is a standard
+// A generated client stub takes an Envelope from HatCaller::begin_call
+// (the call header, written into one of the channel's registered send
+// blocks when the caller can lend one), appends its argument struct, and
+// hands the envelope to HatCaller::call; it decodes the result struct in
+// place from the returned Reply. A generated processor decodes the args,
+// invokes the user's handler implementation, and appends the result struct
+// to the reply envelope that HatDispatcher::process has already begun. The envelope is a standard
 // Thrift message (name, type, seqid) so the same bytes flow over TSocket and
 // TRdma unchanged.
 #pragma once
@@ -15,6 +16,7 @@
 #include <string>
 #include <string_view>
 
+#include "proto/lease.h"
 #include "sim/task.h"
 #include "thrift/buffer.h"
 #include "thrift/protocol.h"
@@ -25,14 +27,43 @@ namespace hatrpc::core {
 using thrift::Buffer;
 using thrift::View;
 
-/// A reply envelope as it arrived, with the offset of the result struct
-/// that follows the message header.
+/// A call envelope: the message header (seqid 0, stamped by call()), then
+/// the args struct the stub appends through buffer(). Built over a lent send
+/// block the bytes land in registered memory and the channel posts them
+/// without a staging copy; a heap envelope, or one that outgrows its block,
+/// takes the staged path with the same bytes. Must not outlive the caller
+/// that began it.
+class Envelope {
+ public:
+  Envelope() = default;
+  explicit Envelope(std::string_view method, proto::SendBlock block = {})
+      : block_(std::move(block)) {
+    if (block_) buf_ = thrift::TMemoryBuffer::backed(block_.bytes());
+    thrift::TBinaryProtocol(buf_).writeMessageBegin(
+        method, thrift::TMessageType::kCall, 0);
+  }
+
+  thrift::TMemoryBuffer& buffer() { return buf_; }
+  View view() const { return buf_.view(); }
+  std::span<std::byte> bytes() { return buf_.mutable_view(); }
+  size_t size() const { return buf_.view().size(); }
+  /// True while the bytes sit in a lent send block (no staging copy).
+  bool in_send_block() const { return block_ && buf_.backed_in_place(); }
+
+ private:
+  proto::SendBlock block_;  // buf_ may point into it
+  thrift::TMemoryBuffer buf_;
+};
+
+/// A reply envelope as it arrived (owned, or lent from the channel's
+/// response slot), with the offset of the result struct that follows the
+/// message header.
 struct Reply {
-  Buffer bytes;
+  proto::LeasedReply envelope;
   size_t body = 0;
 
   /// The serialized result struct.
-  View view() const { return View(bytes).subspan(body); }
+  View view() const { return envelope.bytes().subspan(body); }
 };
 
 /// Server-side method table: method name -> handler over serialized args.
@@ -98,13 +129,13 @@ class HatDispatcher {
   }
 
   /// Overwrites the seqid of a Binary-protocol message envelope in place.
-  static void stamp_seqid(Buffer& envelope, int32_t seqid) {
+  static void stamp_seqid(std::span<std::byte> envelope, int32_t seqid) {
     thrift::TMemoryBuffer in = thrift::TMemoryBuffer::wrap(envelope);
     thrift::TBinaryProtocol ip(in);
     ip.readMessageBegin();  // validates the header
     const size_t end = envelope.size() - in.readable();
     thrift::TMemoryBuffer at = thrift::TMemoryBuffer::backed(
-        std::span(envelope).subspan(end - sizeof(int32_t), sizeof(int32_t)));
+        envelope.subspan(end - sizeof(int32_t), sizeof(int32_t)));
     thrift::TBinaryProtocol(at).writeI32(seqid);
   }
 
@@ -124,10 +155,14 @@ class HatDispatcher {
     return reply.subspan(reply.size() - buf.readable());
   }
 
-  /// parse_reply() that keeps the envelope: the Reply owns `reply`.
-  static Reply reply_of(Buffer reply, const std::string& method) {
-    const size_t body = reply.size() - parse_reply(reply, method).size();
+  /// parse_reply() that keeps the envelope: the Reply holds `reply`.
+  static Reply reply_of(proto::LeasedReply reply, const std::string& method) {
+    const View bytes = reply.bytes();
+    const size_t body = bytes.size() - parse_reply(bytes, method).size();
     return Reply{std::move(reply), body};
+  }
+  static Reply reply_of(Buffer reply, const std::string& method) {
+    return reply_of(proto::LeasedReply(std::move(reply)), method);
   }
 
  private:
@@ -168,25 +203,23 @@ class HatCaller {
  public:
   virtual ~HatCaller() = default;
 
-  /// Writes the call header for `method` into `p`; the args struct follows
-  /// it. The seqid is left 0 for call() to stamp.
-  virtual void begin_call(thrift::TProtocol& p, std::string_view method) {
-    p.writeMessageBegin(method, thrift::TMessageType::kCall, 0);
+  /// Starts the call envelope for `method`; the args struct follows the
+  /// header. Callers that can lend registered memory override this.
+  virtual Envelope begin_call(std::string_view method) {
+    return Envelope(method);
   }
 
   /// Sends an envelope begun by begin_call() and returns the reply. `method`
   /// is taken by value: coroutine implementations move it into their
   /// frame, so callers may pass temporaries safely.
-  virtual sim::Task<Reply> call(std::string method, Buffer envelope) = 0;
+  virtual sim::Task<Reply> call(std::string method, Envelope envelope) = 0;
 
   /// Calls `method` with args that are already serialized (hand-written
   /// services without generated stubs); copies `args` into the envelope.
   sim::Task<Reply> call_raw(std::string method, View args) {
-    thrift::TMemoryBuffer buf;
-    thrift::TBinaryProtocol p(buf);
-    begin_call(p, method);
-    buf.write(args.data(), args.size());
-    return call(std::move(method), buf.take());
+    Envelope env = begin_call(method);
+    env.buffer().write(args.data(), args.size());
+    return call(std::move(method), std::move(env));
   }
 };
 
@@ -201,11 +234,11 @@ class MultiplexedCaller : public HatCaller {
   MultiplexedCaller(HatCaller& inner, std::string service)
       : inner_(inner), prefix_(std::move(service) + kMultiplexSeparator) {}
 
-  void begin_call(thrift::TProtocol& p, std::string_view method) override {
-    inner_.begin_call(p, prefix_ + std::string(method));
+  Envelope begin_call(std::string_view method) override {
+    return inner_.begin_call(prefix_ + std::string(method));
   }
 
-  sim::Task<Reply> call(std::string method, Buffer envelope) override {
+  sim::Task<Reply> call(std::string method, Envelope envelope) override {
     return inner_.call(prefix_ + method, std::move(envelope));
   }
 

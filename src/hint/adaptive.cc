@@ -210,12 +210,12 @@ sim::Task<proto::LeasedReply> AdaptiveChannel::do_call_leased(
   proto::LeasedReply reply = std::move(*r);
   ctrl_.observe({req.size(), reply.bytes().size(), stalled, live});
   if (!ctrl_.frozen()) maybe_apply();
-  if (!reply.in_place()) {
+  if (!reply.holds_slot()) {
     leave_epoch(ep);
     co_return reply;
   }
-  // An in-place lease points into the epoch's recv ring: the epoch counts
-  // it as in flight (blocking its teardown) until the lease is released.
+  // A lease holding a slot points into the epoch's recv ring: the epoch
+  // counts it as in flight (blocking its teardown) until it is released.
   auto inner = std::make_shared<proto::LeasedReply>(std::move(reply));
   co_return proto::LeasedReply(inner->bytes(), [this, ep, inner]() {
     inner->release();

@@ -46,6 +46,7 @@ class Generator {
     w_.line("#include <map>");
     w_.line("#include <set>");
     w_.line("#include <string>");
+    w_.line("#include <utility>");
     w_.line("#include <vector>");
     w_.line();
     w_.line("#include \"core/runtime.h\"");
@@ -406,12 +407,12 @@ class Generator {
       std::string ret = f.oneway ? "void" : cpp_type(f.ret);
       w_.open("hatrpc::sim::Task<" + ret + "> " + f.name + "(" +
               args_decl(f) + ") {");
-      w_.line("hatrpc::thrift::TMemoryBuffer _buf;");
-      w_.line("hatrpc::thrift::TBinaryProtocol _p(_buf);");
-      w_.line("caller_.begin_call(_p, \"" + f.name + "\");");
+      w_.line("hatrpc::core::Envelope _env = caller_.begin_call(\"" +
+              f.name + "\");");
+      w_.line("hatrpc::thrift::TBinaryProtocol _p(_env.buffer());");
       emit_struct_fields_write(f.args, f.name + "_args");
       w_.line("hatrpc::core::Reply _reply = co_await caller_.call(\"" +
-              f.name + "\", _buf.take());");
+              f.name + "\", std::move(_env));");
       if (f.oneway) {
         w_.line("(void)_reply;");
         w_.line("co_return;");

@@ -578,13 +578,12 @@ void Cluster::stop() {
 // ReliableCaller / ClusterClient
 
 Task<core::Reply> ReliableCaller::call(std::string method,
-                                       core::Buffer envelope) {
-  core::HatDispatcher::stamp_seqid(envelope, ++seq_);
+                                       core::Envelope envelope) {
+  core::HatDispatcher::stamp_seqid(envelope.bytes(), ++seq_);
   co_await cpu_.compute(
       cfg_.serialize_fixed +
       sim::transfer_time(envelope.size(), cfg_.serialize_gbps));
-  proto::CallResult r = co_await ch_.call(
-      proto::View{envelope.data(), envelope.size()}, 2048);
+  proto::CallResult r = co_await ch_.call(envelope.view(), 2048);
   core::Buffer reply = std::move(r).value();  // throws RpcError on failure
   co_await cpu_.compute(
       cfg_.serialize_fixed +

@@ -410,7 +410,7 @@ class ReliableCaller : public core::HatCaller {
       : ch_(ch), cpu_(client.cpu()), cfg_(cfg) {}
 
   sim::Task<core::Reply> call(std::string method,
-                              core::Buffer envelope) override;
+                              core::Envelope envelope) override;
 
  private:
   proto::ReliableChannel& ch_;

@@ -26,15 +26,13 @@
 #include <vector>
 
 #include "proto/error.h"
+#include "proto/lease.h"
 #include "proto/result.h"
 #include "sim/rc_annotate.h"
 #include "sim/task.h"
 #include "verbs/verbs.h"
 
 namespace hatrpc::proto {
-
-using Buffer = std::vector<std::byte>;
-using View = std::span<const std::byte>;
 
 /// What a call resolves to: the response bytes, or the typed transport
 /// error the reliability layer keys retries off.
@@ -61,6 +59,13 @@ enum class ProtocolKind : uint8_t {
 };
 
 std::string_view to_string(ProtocolKind k);
+
+/// The pre-known-buffer protocols of Figs. 3b/3c/3f (proto/direct.h).
+constexpr bool is_direct(ProtocolKind k) {
+  return k == ProtocolKind::kDirectWriteSend ||
+         k == ProtocolKind::kChainedWriteSend ||
+         k == ProtocolKind::kDirectWriteImm;
+}
 
 struct ChannelConfig {
   sim::PollMode client_poll = sim::PollMode::kBusy;
@@ -181,55 +186,6 @@ struct ChannelStats {
   size_t server_registered = 0;  // bytes of MR pinned at the server
 };
 
-/// A response delivered without the client-side materialization copy where
-/// the protocol can manage it: either a view into the channel's pooled recv
-/// ring (released — i.e. the ring slot reposted — when the lease dies) or
-/// an owned Buffer fallback. A lease must not outlive its channel.
-class LeasedReply {
- public:
-  LeasedReply() = default;
-  explicit LeasedReply(Buffer owned) : owned_(std::move(owned)) {}
-  LeasedReply(View v, std::function<void()> release)
-      : view_(v), release_(std::move(release)) {}
-  LeasedReply(LeasedReply&& o) noexcept
-      : owned_(std::move(o.owned_)), view_(o.view_),
-        release_(std::move(o.release_)) {
-    o.release_ = nullptr;
-    o.view_ = {};
-  }
-  LeasedReply& operator=(LeasedReply&& o) noexcept {
-    if (this != &o) {
-      release();
-      owned_ = std::move(o.owned_);
-      view_ = o.view_;
-      release_ = std::move(o.release_);
-      o.release_ = nullptr;
-      o.view_ = {};
-    }
-    return *this;
-  }
-  LeasedReply(const LeasedReply&) = delete;
-  LeasedReply& operator=(const LeasedReply&) = delete;
-  ~LeasedReply() { release(); }
-
-  View bytes() const { return release_ ? view_ : View(owned_); }
-  /// True when the bytes live in the channel's recv ring (no copy paid).
-  bool in_place() const { return static_cast<bool>(release_); }
-  /// Reposts the underlying ring slot early (the dtor does it otherwise).
-  void release() {
-    if (release_) {
-      release_();
-      release_ = nullptr;
-    }
-    view_ = {};
-  }
-
- private:
-  Buffer owned_;
-  View view_{};
-  std::function<void()> release_;
-};
-
 using LeasedResult = Result<LeasedReply, RpcError>;
 
 class RpcChannel {
@@ -247,6 +203,12 @@ class RpcChannel {
   /// channel's recv ring (zero-copy receive). Protocols without an in-place
   /// path fall back to call() semantics with an owned buffer.
   sim::Task<LeasedResult> call_leased(View req, uint32_t resp_size_hint = 0);
+
+  /// Lends one of the channel's registered send blocks for the next
+  /// request, or an empty lease when the channel has none free (or stages
+  /// every request anyway). A request that call() finds inside a lent block
+  /// is posted from there without a staging copy.
+  virtual SendBlock lease_send_block() { return {}; }
 
   /// Stops the server-side serve loop(s) so the simulation can drain.
   virtual void shutdown() = 0;

@@ -15,6 +15,12 @@
 // its pending call, while the server spawns one handler task per request so
 // slots are served concurrently. window=1 degenerates to the classic
 // one-outstanding-call channel with identical per-call charges.
+//
+// Client-side host copies: the request blocks are lent to callers
+// (lease_send_block), so a caller that serializes into one is posted with no
+// staging copy, and call_leased lends the response slot instead of copying
+// out of it. A heap request still stages, into its slot's response area.
+// Neither copy is charged, so the lent paths change no virtual time.
 #pragma once
 
 #include "proto/base.h"
@@ -23,46 +29,41 @@
 namespace hatrpc::proto {
 
 class DirectChannel : public ChannelBase {
+ public:
+  ~DirectChannel() override {
+    for (auto& loan : loans_)
+      if (loan && loan.use_count() > 1) loan->recall();
+  }
+
+  SendBlock lease_send_block() override {
+    if (free_blocks_.empty()) return {};
+    const uint32_t b = free_blocks_.back();
+    free_blocks_.pop_back();
+    return SendBlock(cli_req_src_->span(offset(b), cfg_.max_msg),
+                     free_blocks_, b);
+  }
+
  protected:
   sim::Task<Buffer> do_call(View req, uint32_t /*resp_size_hint*/) override {
-    if (req.size() > cfg_.max_msg)
-      throw std::length_error("direct protocol: request exceeds the "
-                              "pre-known buffer");
-    uint32_t slot = co_await acquire_slot();
-    if (dead_) {
-      release_slot(slot);
-      throw_wc("direct recv", dead_status_);
-    }
-    auto pend = sim::pooled_shared<PendingCall>(sim_);
-    pending_[slot] = pend;
-    const size_t off = slot * size_t(cfg_.max_msg);
-    const uint32_t len = static_cast<uint32_t>(req.size());
-    if (cfg_.zero_copy) {
-      // Zero-copy: the WRITE gathers straight from the caller's buffer
-      // (valid until the response resolves), inline when it fits the
-      // doorbell, registered on demand through the MrCache otherwise.
-      const bool inl = len <= cep_.qp->max_inline_data();
-      if (!inl && len > 0)
-        cl_.pd().mr_cache().get(req.data(), len, channel_counters());
-      co_await push(cep_.qp, const_cast<std::byte*>(req.data()),
-                    srv_req_buf_->remote(off), len, slot, cli_notify_src_,
-                    inl);
-    } else {
-      std::byte* src = cli_req_src_->data() + off;
-      copy_bytes(src, req.data(), req.size());
-      co_await push(cep_.qp, src, srv_req_buf_->remote(off), len, slot,
-                    cli_notify_src_);
-    }
-    co_await pend->done.wait();
-    pending_[slot].reset();
-    if (pend->status != verbs::WcStatus::kSuccess) {
-      release_slot(slot);
-      throw_wc("direct recv", pend->status);
-    }
-    const std::byte* p = cli_resp_buf_->data() + off;
-    Buffer resp(p, p + pend->len);
-    release_slot(slot);
+    const Landed r = co_await exchange(req);
+    const std::byte* p = cli_resp_buf_->data() + offset(r.slot);
+    Buffer resp(p, p + r.len);
+    release_slot(r.slot);
     co_return resp;
+  }
+
+  /// Lends the response slot instead of copying out of it: the slot goes
+  /// back to the free list at the same instant as in do_call, and the loan
+  /// is recalled only if the slot is re-acquired (or the channel dies)
+  /// while the reply is still alive.
+  sim::Task<LeasedReply> do_call_leased(View req,
+                                        uint32_t /*resp_size_hint*/) override {
+    const Landed r = co_await exchange(req);
+    std::shared_ptr<ReplyLoan>& loan = loans_[r.slot];
+    if (!loan) loan = sim::pooled_shared<ReplyLoan>();
+    loan->view = View(cli_resp_buf_->data() + offset(r.slot), r.len);
+    release_slot(r.slot);
+    co_return LeasedReply(std::shared_ptr<const ReplyLoan>(loan));
   }
 
   sim::Task<void> serve() override {
@@ -87,9 +88,9 @@ class DirectChannel : public ChannelBase {
   DirectChannel(ProtocolKind kind, verbs::Node& client, verbs::Node& server,
                 Handler handler, ChannelConfig cfg)
       : ChannelBase(kind, client, server, std::move(handler), cfg) {
-    if (cfg_.max_msg > kLenMask)
-      throw std::length_error("direct protocol: max_msg exceeds the 24-bit "
-                              "notify length field");
+    if (cfg_.max_msg >= kOversized)
+      throw std::length_error("direct protocol: max_msg must stay below the "
+                              "24-bit notify length field's oversize mark");
     const size_t stride = cfg_.max_msg;
     const uint32_t w = cfg_.window;
     cli_req_src_ = alloc_client_mr(stride * w);
@@ -97,6 +98,8 @@ class DirectChannel : public ChannelBase {
     srv_req_buf_ = alloc_server_mr(stride * w);
     srv_resp_src_ = alloc_server_mr(stride * w);
     pending_.resize(w);
+    loans_.resize(w);
+    for (uint32_t b = w; b-- > 0;) free_blocks_.push_back(b);
     ring_slots_ = std::max(cfg_.eager_slots, w);
     if (kind_ == ProtocolKind::kDirectWriteImm) {
       // WRITE_WITH_IMM consumes a (bufferless) posted recv on each side.
@@ -123,6 +126,78 @@ class DirectChannel : public ChannelBase {
                                                   Handler, ChannelConfig);
 
   static constexpr uint32_t kNotifyBytes = 16;
+  /// Announced length of a response that did not fit max_msg.
+  static constexpr uint32_t kOversized = kLenMask;
+
+  struct Landed {
+    uint32_t slot;
+    uint32_t len;
+  };
+
+  size_t offset(uint32_t slot) const { return slot * size_t(cfg_.max_msg); }
+
+  /// Posts `req` and waits for its response. Returns still holding the
+  /// window slot, whose response area holds the `len` reply bytes: the
+  /// caller takes them, then releases the slot.
+  sim::Task<Landed> exchange(View req) {
+    if (req.size() > cfg_.max_msg)
+      throw std::length_error("direct protocol: request exceeds the "
+                              "pre-known buffer");
+    const uint32_t slot = co_await acquire_slot();
+    if (dead_) {
+      release_slot(slot);
+      throw_wc("direct recv", dead_status_);
+    }
+    recall_loan(slot);
+    auto pend = sim::pooled_shared<PendingCall>(sim_);
+    pending_[slot] = pend;
+    const size_t off = offset(slot);
+    const uint32_t len = static_cast<uint32_t>(req.size());
+    // A request serialized into a lent send block is registered already:
+    // it posts from there (a range check, not an MrCache lookup).
+    const bool in_block = cli_req_src_->contains(
+        reinterpret_cast<uint64_t>(req.data()), len);
+    std::byte* src = const_cast<std::byte*>(req.data());
+    bool inl = false;
+    if (cfg_.zero_copy) {
+      // Zero-copy: the WRITE gathers straight from the caller's buffer
+      // (valid until the response resolves), inline when it fits the
+      // doorbell, registered on demand through the MrCache otherwise.
+      inl = len <= cep_.qp->max_inline_data();
+      if (!inl && len > 0 && !in_block)
+        cl_.pd().mr_cache().get(req.data(), len, channel_counters());
+    } else if (!in_block) {
+      // A heap request stages into its slot's response area: nothing there
+      // is live between the acquire (which recalled any lent reply) and the
+      // response, and the WRITE gathers it before the server can answer.
+      src = cli_resp_buf_->data() + off;
+      copy_bytes(src, req.data(), req.size());
+    }
+    co_await push(cep_.qp, src, srv_req_buf_->remote(off), len, len, slot,
+                  cli_notify_src_, inl);
+    co_await pend->done.wait();
+    pending_[slot].reset();
+    if (pend->status != verbs::WcStatus::kSuccess) {
+      release_slot(slot);
+      throw_wc("direct recv", pend->status);
+    }
+    if (pend->len == kOversized) {
+      release_slot(slot);
+      throw std::length_error("direct protocol: response exceeds the "
+                              "pre-known buffer");
+    }
+    co_return Landed{slot, pend->len};
+  }
+
+  /// Before a slot's response area is reused, copies out the reply still
+  /// lent from it.
+  void recall_loan(uint32_t slot) {
+    std::shared_ptr<ReplyLoan>& loan = loans_[slot];
+    if (loan && loan.use_count() > 1) {
+      loan->recall();
+      loan.reset();
+    }
+  }
 
   /// Routes response completions to their pending calls by slot. A
   /// terminal completion (CQ closed / QP flushed) fails every in-flight
@@ -153,39 +228,47 @@ class DirectChannel : public ChannelBase {
   }
 
   sim::Task<void> serve_one(uint32_t slot, uint32_t len) {
-    const size_t off = slot * size_t(cfg_.max_msg);
+    const size_t off = offset(slot);
     Buffer resp = co_await run_handler(View{srv_req_buf_->data() + off, len});
-    if (resp.size() > cfg_.max_msg)
-      throw std::length_error("direct protocol: response exceeds the "
-                              "pre-known buffer");
+    if (resp.size() > cfg_.max_msg) {
+      // Fail just this call: an empty delivery whose length field carries
+      // the out-of-range sentinel tells the client its response was lost.
+      co_await push(sep_.qp, srv_resp_src_->data() + off,
+                    cli_resp_buf_->remote(off), 0, kOversized, slot,
+                    srv_notify_src_);
+      co_return;
+    }
     const uint32_t rlen = static_cast<uint32_t>(resp.size());
     if (cfg_.zero_copy && rlen <= sep_.qp->max_inline_data()) {
       // Small response rides the doorbell (snapshotted at post time, so the
       // handler's Buffer may die immediately after) — no staging copy.
       co_await push(sep_.qp, resp.data(), cli_resp_buf_->remote(off), rlen,
-                    slot, srv_notify_src_, true);
+                    rlen, slot, srv_notify_src_, true);
     } else {
       // Large responses keep the staged path: the WQE reads the payload at
       // execution time, after this task's Buffer is gone.
       copy_bytes(srv_resp_src_->data() + off, resp.data(), resp.size());
       co_await push(sep_.qp, srv_resp_src_->data() + off,
-                    cli_resp_buf_->remote(off), rlen, slot, srv_notify_src_);
+                    cli_resp_buf_->remote(off), rlen, rlen, slot,
+                    srv_notify_src_);
     }
   }
 
   /// Delivers `len` bytes from `src` into the peer's pre-known buffer slot
-  /// using the variant's doorbell/notify scheme. `inl` posts the payload
-  /// WRITE inline (zero-copy path, len pre-checked against max_inline_data).
+  /// using the variant's doorbell/notify scheme, announcing `note` as the
+  /// length (`len`, or kOversized). `inl` posts the payload WRITE inline
+  /// (zero-copy path, len pre-checked against max_inline_data).
   sim::Task<void> push(verbs::QueuePair* qp, std::byte* src,
-                       verbs::RemoteAddr dst, uint32_t len, uint32_t slot,
-                       verbs::MemoryRegion* notify_region, bool inl = false) {
+                       verbs::RemoteAddr dst, uint32_t len, uint32_t note,
+                       uint32_t slot, verbs::MemoryRegion* notify_region,
+                       bool inl = false) {
     switch (kind_) {
       case ProtocolKind::kDirectWriteImm: {
         ++stats_.write_imms;
         co_await qp->post_send(verbs::SendWr{.opcode = verbs::Opcode::kWriteImm,
                                              .local = {src, len},
                                              .remote = dst,
-                                             .imm = slot_imm(slot, len),
+                                             .imm = slot_imm(slot, note),
                                              .signaled = false,
                                              .inline_data = inl});
         break;
@@ -195,7 +278,7 @@ class DirectChannel : public ChannelBase {
         ++stats_.writes;
         ++stats_.sends;
         std::byte* n = notify_region->data() + size_t(slot) * kNotifyBytes;
-        put_u32(n, len);
+        put_u32(n, note);
         put_u32(n + 4, slot);
         verbs::SendWr write{.opcode = verbs::Opcode::kWrite,
                             .local = {src, len},
@@ -263,6 +346,8 @@ class DirectChannel : public ChannelBase {
   verbs::MemoryRegion* cli_notify_ring_ = nullptr;
   verbs::MemoryRegion* srv_notify_ring_ = nullptr;
   std::vector<std::shared_ptr<PendingCall>> pending_;
+  std::vector<std::shared_ptr<ReplyLoan>> loans_;  // per window slot
+  std::vector<uint32_t> free_blocks_;  // cli_req_src_ blocks not lent out
   uint32_t ring_slots_ = 0;
 };
 

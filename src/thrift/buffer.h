@@ -79,6 +79,11 @@ class TMemoryBuffer {
 
   size_t readable() const { return size() - rpos_; }
   std::span<const std::byte> view() const { return {data(), size()}; }
+  /// The written bytes, writable in place (patching a header field after
+  /// the fact). Not for wrap() views: their bytes belong to someone else.
+  std::span<std::byte> mutable_view() {
+    return {in_ext() ? ext_ : buf_.data(), size()};
+  }
   std::vector<std::byte> take() {
     if (in_ext()) return {ext_, ext_ + ext_len_};
     return std::move(buf_);

@@ -13,10 +13,10 @@ class LoopbackCaller : public HatCaller {
  public:
   explicit LoopbackCaller(HatDispatcher& d) : d_(d) {}
 
-  sim::Task<Reply> call(std::string method, Buffer envelope) override {
-    HatDispatcher::stamp_seqid(envelope, ++seq_);
-    sent.push_back(envelope);
-    Buffer reply = co_await d_.process(envelope);
+  sim::Task<Reply> call(std::string method, Envelope envelope) override {
+    HatDispatcher::stamp_seqid(envelope.bytes(), ++seq_);
+    sent.emplace_back(envelope.view().begin(), envelope.view().end());
+    Buffer reply = co_await d_.process(sent.back());
     co_return HatDispatcher::reply_of(std::move(reply), method);
   }
 

@@ -358,6 +358,35 @@ TEST(LeasedReceive, InPlaceDeliverySkipsTheClientCopyAndRepostsTheSlot) {
   sim.run();
 }
 
+TEST(LeasedReceive, LentDirectReplyPassesThroughAndSurvivesSlotReuse) {
+  // A Direct reply is lent from its response slot without holding it; the
+  // adaptive wrapper passes the loan through, so a reply kept across the
+  // next call (which reuses the slot) still reads its own bytes.
+  Simulator sim;
+  verbs::Fabric fabric(sim);
+  verbs::Node* cl = fabric.add_node();
+  verbs::Node* sv = fabric.add_node();
+  Plan prior = eager_prior();
+  prior.protocol = ProtocolKind::kDirectWriteImm;
+  auto ch = make_adaptive_channel(*cl, *sv, echo_handler(*sv), {}, prior,
+                                  fast_params());
+  ch->freeze();
+  std::string first, second;
+  sim.spawn([](proto::RpcChannel& ch, std::string& first,
+               std::string& second) -> Task<void> {
+    auto r1 = co_await ch.call_leased(proto::to_buffer("first"), 64);
+    proto::LeasedReply kept = std::move(*r1);
+    auto r2 = co_await ch.call_leased(proto::to_buffer("second"), 64);
+    first = std::string(proto::as_string(kept.bytes()));
+    second = std::string(proto::as_string(r2->bytes()));
+    ch.shutdown();
+  }(*ch, first, second));
+  sim.run();
+  EXPECT_EQ(first, "first");
+  EXPECT_EQ(second, "second");
+  EXPECT_EQ(sim.live_tasks(), 0u);
+}
+
 TEST(LeasedReceive, WindowedLeasesRouteAndFallBackWhenRingIsTight) {
   Simulator sim;
   verbs::Fabric fabric(sim);

@@ -154,7 +154,7 @@ TEST(Envelope, FusedCallIsByteIdenticalToMakeCall) {
   for (const Reply& r : replies) {
     EXPECT_EQ(str_of(r.view()), "serialized-args");
     // The result is decoded in place, not copied out of the envelope.
-    EXPECT_EQ(r.view().data(), r.bytes.data() + r.body);
+    EXPECT_EQ(r.view().data(), r.envelope.bytes().data() + r.body);
   }
 }
 

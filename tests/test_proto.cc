@@ -359,5 +359,41 @@ TEST(ProtocolSequencing, TwoChannelsOnOneServerAreIndependent) {
   EXPECT_EQ(sim.live_tasks(), 0u);
 }
 
+TEST(ProtocolLimits, OversizedDirectReplyFailsOnlyThatCall) {
+  // A response past max_msg fails its own call with the length_error an
+  // oversized request raises; the simulation and the channel carry on.
+  for (ProtocolKind kind :
+       {ProtocolKind::kDirectWriteImm, ProtocolKind::kDirectWriteSend,
+        ProtocolKind::kChainedWriteSend}) {
+    SCOPED_TRACE(std::string(to_string(kind)));
+    Simulator sim;
+    verbs::Fabric fabric(sim);
+    verbs::Node* client = fabric.add_node();
+    verbs::Node* server = fabric.add_node();
+    Handler handler = [](View req) -> Task<Buffer> {
+      if (as_string(req) == "big") co_return Buffer(8192, std::byte{'x'});
+      co_return Buffer(req.begin(), req.end());
+    };
+    auto ch = make_channel(kind, *client, *server, handler,
+                           ChannelConfig{}.with_max_msg(4096));
+    std::string error, after;
+    sim.spawn([](RpcChannel& ch, std::string& error,
+                 std::string& after) -> Task<void> {
+      try {
+        co_await ch.call(to_buffer("big"));
+      } catch (const std::length_error& e) {
+        error = e.what();
+      }
+      after = as_string((co_await ch.call(to_buffer("small"))).value());
+      ch.shutdown();
+    }(*ch, error, after));
+    EXPECT_NO_THROW(sim.run());
+    EXPECT_EQ(error, "direct protocol: response exceeds the pre-known buffer");
+    EXPECT_EQ(after, "small");
+    EXPECT_EQ(ch->stats().calls, 2u);
+    EXPECT_EQ(sim.live_tasks(), 0u);
+  }
+}
+
 }  // namespace
 }  // namespace hatrpc::proto
