@@ -183,14 +183,26 @@ inline void BenchProbe::finish(Testbed& bed, uint64_t timed_calls,
 }
 
 /// Echo-with-checksum handler (the ATB server work model: Thrift processor
-/// dispatch + a checksum whose cost grows with payload, §5.3).
+/// dispatch + a checksum whose cost grows with payload, §5.3). The reply is
+/// written into the channel's response area when it fits (Direct), and
+/// built in a Buffer otherwise.
 inline proto::Handler checksum_handler(verbs::Node& server,
                                        bool echo_payload = true) {
-  return [&server, echo_payload](proto::View req) -> Task<proto::Buffer> {
+  return [&server, echo_payload](
+             proto::View req,
+             std::span<std::byte> area) -> Task<proto::Response> {
     co_await server.cpu().compute(1000ns +
                                   sim::transfer_time(req.size(), 20.0));
-    if (echo_payload) co_return proto::Buffer(req.begin(), req.end());
-    co_return proto::Buffer(8);
+    const size_t n = echo_payload ? req.size() : 8;
+    if (n > area.size()) {
+      if (echo_payload) co_return proto::Buffer(req.begin(), req.end());
+      co_return proto::Buffer(8);
+    }
+    if (echo_payload)
+      std::copy(req.begin(), req.end(), area.begin());
+    else
+      std::fill_n(area.data(), n, std::byte{0});
+    co_return proto::Response::written(n);
   };
 }
 

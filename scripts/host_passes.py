@@ -20,7 +20,7 @@ is not a pass over an RPC's payload and is left out.
 Prints the copies per call of each call site, and the payload passes per
 call: the sum of the sites' figures, rounded to a whole pass. Copies made
 on a few calls only add a fraction: a method's first call, which has no
-channel yet and stages its request (9 passes instead of 8), and the
+channel yet and stages its request (8 passes instead of 7), and the
 bench's per-round bookkeeping. With --max, exits 1 when the passes per
 call exceed it.
 """

@@ -23,16 +23,21 @@ HatServer::~HatServer() {
 }
 
 proto::Handler HatServer::processor() {
-  return [this](proto::View req) -> Task<proto::Buffer> {
+  return [this](proto::View req,
+                std::span<std::byte> area) -> Task<proto::Response> {
     // Server-side deserialization + result serialization CPU.
     co_await node_.cpu().compute(
         cfg_.serialize_fixed +
         sim::transfer_time(req.size(), cfg_.serialize_gbps));
-    Buffer reply = co_await dispatcher_.process(req);
-    co_await node_.cpu().compute(
-        cfg_.serialize_fixed +
-        sim::transfer_time(reply.size(), cfg_.serialize_gbps));
-    co_return reply;
+    // The reply is serialized straight into the channel's response area; one
+    // that outgrows it spills to the heap.
+    thrift::TMemoryBuffer out = thrift::TMemoryBuffer::backed(area);
+    co_await dispatcher_.process(req, out);
+    const size_t n = out.view().size();
+    co_await node_.cpu().compute(cfg_.serialize_fixed +
+                                 sim::transfer_time(n, cfg_.serialize_gbps));
+    if (out.backed_in_place()) co_return proto::Response::written(n);
+    co_return out.take();
   };
 }
 

@@ -51,6 +51,7 @@ class HatServer {
 
   /// The byte-level processor (envelope in/out) with server-side
   /// (de)serialization CPU charged; shared by RDMA channels and the TServer.
+  /// It serializes the reply into the response area its channel hands it.
   proto::Handler processor();
 
   void stop();

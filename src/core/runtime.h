@@ -6,9 +6,10 @@
 // hands the envelope to HatCaller::call; it decodes the result struct in
 // place from the returned Reply. A generated processor decodes the args,
 // invokes the user's handler implementation, and appends the result struct
-// to the reply envelope that HatDispatcher::process has already begun. The envelope is a standard
-// Thrift message (name, type, seqid) so the same bytes flow over TSocket and
-// TRdma unchanged.
+// to the reply envelope that HatDispatcher::process has already begun (on a
+// Direct channel, in the registered memory the reply is posted from). The
+// envelope is a standard Thrift message (name, type, seqid) so the same
+// bytes flow over TSocket and TRdma unchanged.
 #pragma once
 
 #include <functional>
@@ -84,13 +85,13 @@ class HatDispatcher {
     return methods_.count(name) > 0;
   }
 
-  /// Full envelope in -> full envelope out.
-  sim::Task<Buffer> process(View request) {
+  /// Full envelope in -> reply envelope written to `out`, which must be
+  /// empty and may be backed by the channel's registered response memory.
+  sim::Task<void> process(View request, thrift::TMemoryBuffer& out) {
     thrift::TMemoryBuffer in = thrift::TMemoryBuffer::wrap(request);
     thrift::TBinaryProtocol ip(in);
     auto head = ip.readMessageBegin();
 
-    thrift::TMemoryBuffer out;
     thrift::TBinaryProtocol op(out);
     auto it = methods_.find(head.name);
     if (it == methods_.end()) {
@@ -98,13 +99,13 @@ class HatDispatcher {
                            head.seqid);
       write_application_exception(op, 1 /*UNKNOWN_METHOD*/,
                                   "unknown method: " + head.name);
-      co_return out.take();
+      co_return;
     }
     size_t consumed = request.size() - in.readable();
     // Undeclared exceptions escaping a handler become INTERNAL_ERROR
     // replies (Apache Thrift behaviour) rather than tearing down the
     // server's serve loop; whatever part of a result the handler had
-    // written is discarded.
+    // written is discarded, and the exception is written in its place.
     try {
       op.writeMessageBegin(head.name, thrift::TMessageType::kReply,
                            head.seqid);
@@ -115,6 +116,12 @@ class HatDispatcher {
                            head.seqid);
       write_application_exception(op, 6 /*INTERNAL_ERROR*/, e.what());
     }
+  }
+
+  /// Full envelope in -> full envelope out, in a heap buffer.
+  sim::Task<Buffer> process(View request) {
+    thrift::TMemoryBuffer out;
+    co_await process(request, out);
     co_return out.take();
   }
 

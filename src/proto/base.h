@@ -8,7 +8,10 @@
 //   * eager-style slot staging IS charged on both sides (bounded slots force
 //     a user<->slot copy; this is eager's intrinsic cost);
 //   * rendezvous / direct / READ-based payload paths are zero-copy (the
-//     "user buffer" is the channel's pre-registered payload region);
+//     "user buffer" is the channel's pre-registered payload region). Direct
+//     makes that true on the host as well: run_handler hands the handler its
+//     slot's response area, and only a Buffer reply is staged into it, a
+//     host copy the model does not charge;
 //   * server-bypass protocols (Pilaf/FaRM/RFP) charge the server-side copy
 //     of the response into the exported region the client READs from;
 //   * HERD's SEND response is eager-style and charged like eager.
@@ -130,11 +133,12 @@ class ChannelBase : public RpcChannel {
   virtual sim::Task<void> serve() = 0;
   virtual void extra_shutdown() {}
 
-  /// Runs the user handler, wrapped in a virtual-time span when tracing.
-  sim::Task<Buffer> run_handler(View req) {
-    if (!obs_->tracer.enabled()) co_return co_await handler_(req);
+  /// Runs the user handler on `req`, handing it `area` to write its reply
+  /// into (see Handler), wrapped in a virtual-time span when tracing.
+  sim::Task<Response> run_handler(View req, std::span<std::byte> area = {}) {
+    if (!obs_->tracer.enabled()) co_return co_await handler_(req, area);
     const sim::Time t0 = sim_.now();
-    Buffer resp = co_await handler_(req);
+    Response resp = co_await handler_(req, area);
     obs_->tracer.complete("handler", "rpc", t0, sim_.now() - t0, sv_.id(),
                           obs_channel_id());
     co_return resp;

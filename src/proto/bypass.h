@@ -106,8 +106,9 @@ class BypassChannel : public ChannelBase {
       }
       served_ = get_u64(srv_req_slot_->data());
 
-      Buffer resp = co_await run_handler(
-          View{srv_req_slot_->data() + kReqHdr, req_len});
+      Buffer resp = (co_await run_handler(
+                         View{srv_req_slot_->data() + kReqHdr, req_len}))
+                        .take();
       if (resp.size() > cfg_.max_msg)
         throw std::length_error("bypass protocol: response exceeds slot");
 
@@ -527,7 +528,7 @@ class BypassChannel : public ChannelBase {
   sim::Task<void> handle_slot(uint32_t slot, uint32_t req_len) {
     const std::byte* r = slot_req(slot);
     const uint64_t seq = get_u64(r);
-    Buffer resp = co_await run_handler(View{r + kReqHdr, req_len});
+    Buffer resp = (co_await run_handler(View{r + kReqHdr, req_len})).take();
     if (resp.size() > cfg_.max_msg)
       throw std::length_error("bypass protocol: response exceeds slot");
     if (kind_ == ProtocolKind::kHerd) {

@@ -15,14 +15,17 @@
 // constructible directly.
 #pragma once
 
+#include <coroutine>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "proto/error.h"
@@ -38,9 +41,105 @@ namespace hatrpc::proto {
 /// error the reliability layer keys retries off.
 using CallResult = Result<Buffer, RpcError>;
 
+/// A handler's reply: `n` bytes it wrote at the start of the response area
+/// its channel handed it, or a buffer of its own (a reply that does not fit
+/// the area, or a handler that builds its reply elsewhere).
+class Response {
+ public:
+  /// An owned reply. Implicit, so a handler can `co_return` its Buffer.
+  Response(Buffer owned) : owned_(std::move(owned)) {}
+  /// `n` reply bytes written in place at the start of the area.
+  static Response written(size_t n) {
+    Response r{Buffer{}};
+    r.written_ = n;
+    return r;
+  }
+
+  bool in_area() const { return written_ != kOwned; }
+  size_t size() const { return in_area() ? written_ : owned_.size(); }
+  /// The reply bytes, given the area the handler was handed.
+  View bytes(std::span<const std::byte> area) const {
+    if (!in_area()) return owned_;
+    if (written_ > area.size())
+      throw std::logic_error("handler reply overruns its response area");
+    return area.first(written_);
+  }
+  /// The reply as a Buffer: the owned one moved out, or a copy of the area.
+  Buffer take(std::span<const std::byte> area = {}) && {
+    if (!in_area()) return std::move(owned_);
+    const View b = bytes(area);
+    return Buffer(b.begin(), b.end());
+  }
+
+ private:
+  static constexpr size_t kOwned = SIZE_MAX;
+  Buffer owned_;
+  size_t written_ = kOwned;
+};
+
 /// Server-side request processor. Runs on the server node; implementations
-/// charge their own compute via the node's Cpu.
-using Handler = std::function<sim::Task<Buffer>(View)>;
+/// charge their own compute via the node's Cpu. Either shape converts:
+///   * Task<Buffer>(View req): the reply in a buffer of the handler's own;
+///   * Task<Response>(View req, std::span<std::byte> area): the handler may
+///     serialize its reply straight into `area`, the registered memory its
+///     channel posts the reply from, and answer Response::written(n), or
+///     answer an owned Buffer when the reply does not fit. Only the Direct
+///     protocols hand out an area; elsewhere it is empty. The area is the
+///     served request's alone while its handler runs, and a handler must
+///     not touch it after returning.
+class Handler {
+ public:
+  using BufferFn = std::function<sim::Task<Buffer>(View)>;
+  using AreaFn =
+      std::function<sim::Task<Response>(View, std::span<std::byte>)>;
+
+  // Implicit, so a lambda of either shape converts where a Handler is taken.
+  Handler() = default;
+  template <class F>
+    requires std::is_invocable_r_v<sim::Task<Buffer>, F&, View>
+  Handler(F f) : buffer_fn_(std::move(f)) {}
+  template <class F>
+    requires std::is_invocable_r_v<sim::Task<Response>, F&, View,
+                                   std::span<std::byte>>
+  Handler(F f) : area_fn_(std::move(f)) {}
+
+  explicit operator bool() const {
+    return static_cast<bool>(area_fn_) || static_cast<bool>(buffer_fn_);
+  }
+
+  /// One handler run, awaited in the caller's own frame: a Buffer handler's
+  /// task is awaited directly and its reply moved into the Response.
+  class [[nodiscard]] Run {
+   public:
+    explicit Run(sim::Task<Buffer> t) : owned_(std::move(t)) {}
+    explicit Run(sim::Task<Response> t) : placed_(std::move(t)) {}
+    bool await_ready() const noexcept { return false; }
+    std::coroutine_handle<> await_suspend(std::coroutine_handle<> cont) {
+      return placed_.valid()
+                 ? std::move(placed_).operator co_await().await_suspend(cont)
+                 : std::move(owned_).operator co_await().await_suspend(cont);
+    }
+    Response await_resume() {
+      if (placed_.valid())
+        return std::move(placed_).operator co_await().await_resume();
+      return Response(std::move(owned_).operator co_await().await_resume());
+    }
+
+   private:
+    sim::Task<Buffer> owned_;
+    sim::Task<Response> placed_;
+  };
+
+  /// Serves `req`; `area` may be empty. `co_await` it for the Response.
+  Run operator()(View req, std::span<std::byte> area) const {
+    if (area_fn_) return Run(area_fn_(req, area));
+    return Run(buffer_fn_(req));
+  }
+
+ private:
+  BufferFn buffer_fn_;
+  AreaFn area_fn_;
+};
 
 /// The protocols of Fig. 3 plus the baseline/comparator emulations.
 enum class ProtocolKind : uint8_t {

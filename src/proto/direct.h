@@ -16,11 +16,14 @@
 // slots are served concurrently. window=1 degenerates to the classic
 // one-outstanding-call channel with identical per-call charges.
 //
-// Client-side host copies: the request blocks are lent to callers
-// (lease_send_block), so a caller that serializes into one is posted with no
-// staging copy, and call_leased lends the response slot instead of copying
-// out of it. A heap request still stages, into its slot's response area.
-// Neither copy is charged, so the lent paths change no virtual time.
+// Host copies: the request blocks are lent to callers (lease_send_block),
+// so a caller that serializes into one is posted with no staging copy, and
+// call_leased lends the response slot instead of copying out of it. A heap
+// request still stages, into its slot's response area. On the server, the
+// handler is handed its slot's registered response area and may write the
+// reply there, which is then posted in place; a Buffer reply stages into
+// the area once. None of these copies is charged, so no path changes
+// virtual time.
 #pragma once
 
 #include "proto/base.h"
@@ -227,30 +230,36 @@ class DirectChannel : public ChannelBase {
     }
   }
 
+  /// Serves one request. The handler is handed the slot's response area, so
+  /// a reply written there is posted with no staging copy. Only this request
+  /// owns the area: the slot's previous reply was fetched from it before the
+  /// client saw that reply, and so before the client could reuse the slot.
   sim::Task<void> serve_one(uint32_t slot, uint32_t len) {
     const size_t off = offset(slot);
-    Buffer resp = co_await run_handler(View{srv_req_buf_->data() + off, len});
+    const std::span<std::byte> area = srv_resp_src_->span(off, cfg_.max_msg);
+    Response resp =
+        co_await run_handler(View{srv_req_buf_->data() + off, len}, area);
     if (resp.size() > cfg_.max_msg) {
       // Fail just this call: an empty delivery whose length field carries
       // the out-of-range sentinel tells the client its response was lost.
-      co_await push(sep_.qp, srv_resp_src_->data() + off,
-                    cli_resp_buf_->remote(off), 0, kOversized, slot,
-                    srv_notify_src_);
+      co_await push(sep_.qp, area.data(), cli_resp_buf_->remote(off), 0,
+                    kOversized, slot, srv_notify_src_);
       co_return;
     }
-    const uint32_t rlen = static_cast<uint32_t>(resp.size());
+    const View bytes = resp.bytes(area);
+    const uint32_t rlen = static_cast<uint32_t>(bytes.size());
     if (cfg_.zero_copy && rlen <= sep_.qp->max_inline_data()) {
-      // Small response rides the doorbell (snapshotted at post time, so the
-      // handler's Buffer may die immediately after) — no staging copy.
-      co_await push(sep_.qp, resp.data(), cli_resp_buf_->remote(off), rlen,
-                    rlen, slot, srv_notify_src_, true);
-    } else {
-      // Large responses keep the staged path: the WQE reads the payload at
-      // execution time, after this task's Buffer is gone.
-      copy_bytes(srv_resp_src_->data() + off, resp.data(), resp.size());
-      co_await push(sep_.qp, srv_resp_src_->data() + off,
+      // Small response rides the doorbell (snapshotted at post time, so an
+      // owned Buffer may die immediately after) — no staging copy.
+      co_await push(sep_.qp, const_cast<std::byte*>(bytes.data()),
                     cli_resp_buf_->remote(off), rlen, rlen, slot,
-                    srv_notify_src_);
+                    srv_notify_src_, true);
+    } else {
+      // The WQE reads the payload at execution time, after an owned Buffer
+      // is gone, so an owned reply stages into the area first.
+      if (!resp.in_area()) copy_bytes(area.data(), bytes.data(), rlen);
+      co_await push(sep_.qp, area.data(), cli_resp_buf_->remote(off), rlen,
+                    rlen, slot, srv_notify_src_);
     }
   }
 

@@ -127,7 +127,7 @@ class EagerChannel : public ChannelBase {
       auto req = co_await c2s_.recv();
       if (!req) break;
       if (cfg_.window == 1) {
-        Buffer resp = co_await run_handler(*req);
+        Buffer resp = (co_await run_handler(*req)).take();
         if (!co_await s2c_.send(resp)) break;
       } else {
         sim_.spawn(serve_one(std::move(*req)));
@@ -188,7 +188,7 @@ class EagerChannel : public ChannelBase {
       auto m = co_await c2s_.recv_zc();
       if (!m) break;
       if (cfg_.window == 1) {
-        Buffer resp = co_await run_handler(m->bytes());
+        Buffer resp = (co_await run_handler(m->bytes())).take();
         if (m->in_place()) c2s_.release(m->slot);
         if (!co_await s2c_.send_zc_owned(std::move(resp))) break;
       } else {
@@ -200,7 +200,8 @@ class EagerChannel : public ChannelBase {
   sim::Task<void> serve_one_zc(EagerPipe::ZcMsg m) {
     View b = m.bytes();
     uint32_t slot = get_u32(b.data());
-    Buffer resp = co_await run_handler(View{b.data() + 4, b.size() - 4});
+    Buffer resp =
+        (co_await run_handler(View{b.data() + 4, b.size() - 4})).take();
     if (m.in_place()) c2s_.release(m.slot);
     auto guard = co_await srv_send_mu_.scoped();
     co_await s2c_.send_zc_owned(std::move(resp), &slot);
@@ -244,7 +245,7 @@ class EagerChannel : public ChannelBase {
   sim::Task<void> serve_one(Buffer req) {
     uint32_t slot = get_u32(req.data());
     Buffer resp =
-        co_await run_handler(View{req.data() + 4, req.size() - 4});
+        (co_await run_handler(View{req.data() + 4, req.size() - 4})).take();
     Buffer framed(4 + resp.size());
     put_u32(framed.data(), slot);
     if (!resp.empty())

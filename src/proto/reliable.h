@@ -213,21 +213,30 @@ class ReliableChannel : public RpcChannel {
     obs::CounterSet* chan = channel_counters();
     obs::CounterSet* node = &sv_.counters();
     sim::Simulator* rsim = &sim_;
-    return [dedupe, user, chan, node, rsim](View req) -> sim::Task<Buffer> {
-      RpcHeader h = get_rpc_header(req.data());
+    return [dedupe, user, chan, node, rsim](
+               View req, std::span<std::byte> area) -> sim::Task<Response> {
+      const RpcFrame f = parse_rpc_frame(req);
+      const uint64_t seq = f.header.seq;
       // Relaxed per-seq access: concurrent executions of a retried seq are
       // racy by design — whichever finishes first populates the cache and
       // the loser's insert is a harmless overwrite of an equal response.
-      rsim->rc_update(dedupe.get(), h.seq, "ReliableChannel.dedupe", RC_HERE);
-      if (auto it = dedupe->cache.find(h.seq); it != dedupe->cache.end()) {
+      rsim->rc_update(dedupe.get(), seq, "ReliableChannel.dedupe", RC_HERE);
+      if (auto it = dedupe->cache.find(seq); it != dedupe->cache.end()) {
         ++dedupe->replays;
         chan->add(obs::Ctr::kReplays);
         node->add(obs::Ctr::kReplays);
-        co_return it->second;
+        // A replay is copied once: into the area when it fits.
+        const Buffer& cached = it->second;
+        if (cached.size() > area.size()) co_return Buffer(cached);
+        copy_bytes(area.data(), cached.data(), cached.size());
+        co_return Response::written(cached.size());
       }
-      Buffer resp = co_await user(req.subspan(kRpcHeaderBytes, h.len));
-      dedupe->cache.emplace(h.seq, resp);
-      dedupe->order.push_back(h.seq);
+      // A fresh reply is written where the user handler puts it (in the
+      // area, for a handler that writes in place); the cache keeps a copy.
+      Response resp = co_await user(f.payload, area);
+      const View bytes = resp.bytes(area);
+      dedupe->cache.emplace(seq, Buffer(bytes.begin(), bytes.end()));
+      dedupe->order.push_back(seq);
       while (dedupe->order.size() > DedupeState::kMaxCached) {
         dedupe->cache.erase(dedupe->order.front());
         dedupe->order.pop_front();

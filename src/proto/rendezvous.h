@@ -126,7 +126,7 @@ class RendezvousChannel : public ChannelBase {
       }
 
       Buffer resp =
-          co_await run_handler(View{srv_payload_->data(), req_len});
+          (co_await run_handler(View{srv_payload_->data(), req_len})).take();
       if (resp.size() > cfg_.max_msg)
         throw std::length_error("rendezvous: response exceeds payload pool");
       const uint32_t rlen = static_cast<uint32_t>(resp.size());
@@ -436,8 +436,9 @@ class RendezvousChannel : public ChannelBase {
         req_len = m0->ctrl.len;
       }
 
-      Buffer resp =
-          co_await run_handler(View{srv_payload_->data() + off, req_len});
+      Buffer resp = (co_await run_handler(
+                         View{srv_payload_->data() + off, req_len}))
+                        .take();
       if (resp.size() > cfg_.max_msg)
         throw std::length_error("rendezvous: response exceeds payload pool");
       copy_bytes(srv_resp_src_->data() + off, resp.data(), resp.size());

@@ -4,6 +4,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <span>
+#include <stdexcept>
+#include <string>
 
 namespace hatrpc::proto {
 
@@ -47,6 +50,33 @@ inline void put_rpc_header(std::byte* p, const RpcHeader& h) {
 
 inline RpcHeader get_rpc_header(const std::byte* p) {
   return RpcHeader{get_u64(p), get_u32(p + 8), get_u32(p + 12)};
+}
+
+/// A frame whose bytes contradict its header: too short to hold the header,
+/// or announcing more payload than follows it.
+class MalformedFrame : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
+/// A received reliability frame: its header and the payload it announces.
+struct RpcFrame {
+  RpcHeader header;
+  std::span<const std::byte> payload;
+};
+
+/// Parses the RpcHeader at the start of `frame`, checked against the bytes
+/// actually received (the header comes off the wire). Throws MalformedFrame.
+inline RpcFrame parse_rpc_frame(std::span<const std::byte> frame) {
+  if (frame.size() < kRpcHeaderBytes)
+    throw MalformedFrame("rpc frame of " + std::to_string(frame.size()) +
+                         " bytes is shorter than its header");
+  const RpcHeader h = get_rpc_header(frame.data());
+  if (h.len > frame.size() - kRpcHeaderBytes)
+    throw MalformedFrame("rpc frame announces " + std::to_string(h.len) +
+                         " payload bytes but carries " +
+                         std::to_string(frame.size() - kRpcHeaderBytes));
+  return RpcFrame{h, frame.subspan(kRpcHeaderBytes, h.len)};
 }
 
 }  // namespace hatrpc::proto

@@ -8,13 +8,16 @@
 #include <memory>
 #include <vector>
 
+#include "proto/channel.h"
 #include "sim/sync.h"
 #include "thrift/transport.h"
 
 namespace hatrpc::thrift {
 
 /// Handles one serialized request message, returning the serialized reply.
-using Processor = std::function<sim::Task<Buffer>(View)>;
+/// The RDMA channels' handler type: a socket has no registered response
+/// area to lend, so the reply always comes back as a buffer.
+using Processor = proto::Handler;
 
 enum class ServerKind { kSimple, kThreaded, kThreadPool };
 
@@ -82,7 +85,7 @@ class TServer {
       if (opts_.kind == ServerKind::kThreadPool) co_await pool_.acquire();
       node_.counters().add(obs::Ctr::kRequests);
       const sim::Time t0 = net_.simulator().now();
-      Buffer resp = co_await processor_(*req);
+      Buffer resp = (co_await processor_(*req, {})).take();
       if (obs.tracer.enabled())
         obs.tracer.complete("tserver/request", "thrift", t0,
                             net_.simulator().now() - t0, node_.id(), conn_id);

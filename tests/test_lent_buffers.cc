@@ -1,16 +1,21 @@
-// The zero-copy client path of engine Direct calls: a stub serializes into a
-// send block the Direct channel lends, and the reply is lent from the
-// channel's response slot. Pins the lent reply's lifetime (recalled before
-// its slot is reused or its channel dies), that every fallback to the heap
-// envelope gives the same bytes, virtual times and counters as the staged
-// path, and that repeated seeded runs in one process stay identical.
+// The zero-copy paths of Direct calls. Client side: a stub serializes into
+// a send block the Direct channel lends, and the reply is lent from the
+// channel's response slot. Server side: the handler writes its reply into
+// the slot's registered response area, which the reply is posted from.
+// Pins the lent reply's lifetime (recalled before its slot is reused or its
+// channel dies), that every fallback to the heap envelope and every
+// in-place reply gives the same bytes, virtual times and counters as the
+// staged path, and that repeated seeded runs in one process stay identical.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "core/engine.h"
+#include "proto/reliable.h"
 #include "sim/rng.h"
 
 namespace hatrpc::core {
@@ -399,6 +404,490 @@ TEST(LentBuffersDeterminism, SeededStreamRunsRepeatIdentically) {
     EXPECT_EQ(a.counters, b.counters);
     EXPECT_FALSE(a.counters.empty());
   }
+}
+
+// ---- In-place server replies: a handler writes its reply into its Direct
+// slot's response area. Each case must equal its staged twin, the same
+// handler behind a Buffer-returning shim (it gets no area, so the channel
+// stages its reply into the area), in reply bytes, completion times and
+// counters.
+
+using proto::ProtocolKind;
+
+constexpr ProtocolKind kDirectKinds[] = {ProtocolKind::kDirectWriteSend,
+                                         ProtocolKind::kChainedWriteSend,
+                                         ProtocolKind::kDirectWriteImm};
+
+/// The staged twin of an area handler.
+proto::Handler staged_twin(proto::Handler h) {
+  return [h](View req) -> Task<Buffer> {
+    co_return (co_await h(req, {})).take();
+  };
+}
+
+/// Forwards to `h`, noting whether each reply was written in place.
+proto::Handler noting_in_area(proto::Handler h, std::vector<bool>& in_area) {
+  return [h, &in_area](View req,
+                       std::span<std::byte> area) -> Task<proto::Response> {
+    proto::Response r = co_await h(req, area);
+    in_area.push_back(r.in_area());
+    co_return r;
+  };
+}
+
+/// Echoes the request in `pieces` parts with a compute step after each, into
+/// the area when it fits, so a reply is written across suspension points
+/// while other slots' handlers write and their replies are in flight.
+proto::Handler piecewise_echo(verbs::Node& server, int pieces) {
+  return [&server, pieces](
+             View req, std::span<std::byte> area) -> Task<proto::Response> {
+    const bool fits = req.size() <= area.size();
+    Buffer own(fits ? 0 : req.size());
+    std::byte* dst = fits ? area.data() : own.data();
+    size_t done = 0;
+    for (int i = 1; i <= pieces; ++i) {
+      const size_t end = req.size() * size_t(i) / size_t(pieces);
+      std::copy(req.begin() + ptrdiff_t(done), req.begin() + ptrdiff_t(end),
+                dst + done);
+      co_await server.cpu().compute(150ns + sim::Duration((end - done) / 8));
+      done = end;
+    }
+    if (!fits) co_return own;
+    co_return proto::Response::written(req.size());
+  };
+}
+
+struct RawRun {
+  std::vector<std::string> replies;  // completion order; or "throw: <what>"
+  std::vector<int64_t> done_ns;
+  std::string counters;
+  uint64_t inline_wqes = 0;
+};
+
+/// Drives one raw channel: each lane is a client task issuing its requests
+/// in turn; with several lanes the channel's window is their number.
+RawRun run_raw(ProtocolKind kind, bool zero_copy,
+               const std::vector<std::vector<std::string>>& lanes,
+               const std::function<proto::Handler(verbs::Node&)>& handler,
+               uint32_t max_msg = 64 << 10) {
+  Simulator sim;
+  verbs::Fabric fabric(sim);
+  verbs::Node* client = fabric.add_node();
+  verbs::Node* server = fabric.add_node();
+  proto::ChannelConfig cfg;
+  cfg.with_max_msg(max_msg)
+      .with_window(uint32_t(lanes.size()))
+      .with_zero_copy(zero_copy);
+  auto ch = proto::make_channel(kind, *client, *server, handler(*server), cfg);
+  RawRun run;
+  // Every request stays allocated for the whole run, so the zero-copy
+  // MrCache, which keys on request addresses, sees the same ranges in any
+  // run, whatever the handler allocates meanwhile.
+  std::vector<std::vector<Buffer>> reqs;
+  for (const auto& lane : lanes) {
+    reqs.emplace_back();
+    for (const std::string& r : lane) reqs.back().push_back(proto::to_buffer(r));
+  }
+  sim::WaitGroup wg(sim);
+  wg.add(int(lanes.size()));
+  for (const auto& lane : reqs) {
+    sim.spawn([](Simulator& sim, proto::RpcChannel& ch,
+                 const std::vector<Buffer>& reqs, RawRun& run,
+                 sim::WaitGroup& wg) -> Task<void> {
+      for (const Buffer& r : reqs) {
+        try {
+          proto::CallResult res = co_await ch.call(r);
+          run.replies.push_back(str_of(res.value()));
+        } catch (const std::exception& e) {
+          run.replies.push_back(std::string("throw: ") + e.what());
+        }
+        run.done_ns.push_back(sim.now().count());
+      }
+      wg.done();
+    }(sim, *ch, lane, run, wg));
+  }
+  sim.spawn([](sim::WaitGroup& wg, proto::RpcChannel& ch) -> Task<void> {
+    co_await wg.wait();
+    ch.shutdown();
+  }(wg, *ch));
+  sim.run();
+  EXPECT_EQ(sim.live_tasks(), 0u);
+  run.counters = fabric.obs().counters.dump();
+  run.inline_wqes = fabric.obs().counters.node_total(obs::Ctr::kInlineWqes);
+  return run;
+}
+
+void expect_same(const RawRun& natural, const RawRun& staged) {
+  EXPECT_EQ(natural.replies, staged.replies);
+  EXPECT_EQ(natural.done_ns, staged.done_ns);
+  EXPECT_EQ(natural.counters, staged.counters);
+}
+
+/// A distinct payload per call, seeded.
+std::string payload(sim::Rng& rng, size_t n) {
+  std::string s(n, '\0');
+  for (char& c : s) c = static_cast<char>('!' + rng.bounded(90));
+  return s;
+}
+
+TEST(InPlaceReply, EveryDirectVariantMatchesTheStagedPath) {
+  for (ProtocolKind kind : kDirectKinds) {
+    for (bool zero_copy : {false, true}) {
+      // 40 B replies take the inline branch on zero-copy channels.
+      for (size_t bytes : {size_t(40), size_t(6000)}) {
+        SCOPED_TRACE(std::string(proto::to_string(kind)) +
+                     (zero_copy ? " zero-copy " : " staged ") +
+                     std::to_string(bytes) + " B");
+        sim::Rng rng(bytes);
+        const std::vector<std::vector<std::string>> lanes = {
+            {payload(rng, bytes), payload(rng, bytes), payload(rng, bytes)}};
+        std::vector<bool> in_area;
+        const RawRun natural =
+            run_raw(kind, zero_copy, lanes, [&](verbs::Node& sv) {
+              return noting_in_area(piecewise_echo(sv, 1), in_area);
+            });
+        const RawRun staged =
+            run_raw(kind, zero_copy, lanes, [](verbs::Node& sv) {
+              return staged_twin(piecewise_echo(sv, 1));
+            });
+        EXPECT_EQ(natural.replies, lanes[0]);
+        EXPECT_EQ(in_area, (std::vector<bool>{true, true, true}));
+        expect_same(natural, staged);
+        // Zero-copy: every notify SEND rides the doorbell, and so do both
+        // payloads of a 40 B call.
+        const uint64_t notifies =
+            kind == ProtocolKind::kDirectWriteImm ? 0 : 6;
+        EXPECT_EQ(natural.inline_wqes,
+                  zero_copy ? notifies + (bytes == 40 ? 6 : 0) : 0);
+      }
+    }
+  }
+}
+
+TEST(InPlaceReply, WindowedRepliesWrittenInPiecesStayInTheirSlots) {
+  for (ProtocolKind kind : kDirectKinds) {
+    for (bool zero_copy : {false, true}) {
+      SCOPED_TRACE(std::string(proto::to_string(kind)) +
+                   (zero_copy ? " zero-copy" : " staged"));
+      sim::Rng rng(17);
+      std::vector<std::vector<std::string>> lanes(4);
+      std::vector<std::string> want;
+      for (auto& lane : lanes)
+        for (int i = 0; i < 6; ++i) {
+          lane.push_back(payload(rng, 3000 + rng.bounded(6000)));
+          want.push_back(lane.back());
+        }
+      std::vector<bool> in_area;
+      const RawRun natural =
+          run_raw(kind, zero_copy, lanes, [&](verbs::Node& sv) {
+            return noting_in_area(piecewise_echo(sv, 4), in_area);
+          });
+      const RawRun staged =
+          run_raw(kind, zero_copy, lanes, [](verbs::Node& sv) {
+            return staged_twin(piecewise_echo(sv, 4));
+          });
+      // Every call got its own payload back, whatever order they finished.
+      std::vector<std::string> got = natural.replies;
+      std::sort(got.begin(), got.end());
+      std::sort(want.begin(), want.end());
+      EXPECT_EQ(got, want);
+      EXPECT_EQ(in_area, std::vector<bool>(24, true));
+      expect_same(natural, staged);
+    }
+  }
+}
+
+TEST(InPlaceReply, BufferHandlerRepliesAreUnchanged) {
+  // A Buffer-returning handler stages into the area once, as before the
+  // area existed. The completion times and counters are pinned from the
+  // code before in-place replies, for a staged and a zero-copy channel.
+  struct Case {
+    bool zero_copy;
+    std::vector<int64_t> done_ns;
+    const char* counters;
+  };
+  const Case cases[] = {
+      {false,
+       {2278, 2278, 10142, 11754, 12485, 14097},
+       "node/0: doorbells=4 wqes_posted=6 cqes_polled=6 dma_bytes=82992 "
+       "mr_bytes=262144 doorbell_coalesced_wqes=2 cq_batch_polls=5\n"
+       "node/1: doorbells=5 wqes_posted=6 cqes_polled=6 dma_bytes=82992 "
+       "mr_bytes=262144 doorbell_coalesced_wqes=1 cq_batch_polls=5\n"
+       "channel/0: doorbells=9 wqes_posted=12 dma_bytes=82992 "
+       "doorbell_coalesced_wqes=3\n"},
+      {true,
+       {2124, 2124, 9988, 11600, 12331, 13943},
+       "node/0: doorbells=4 wqes_posted=6 cqes_polled=6 dma_bytes=82896 "
+       "mr_bytes=303544 doorbell_coalesced_wqes=2 cq_batch_polls=5 "
+       "inline_wqes=2 mr_cache_misses=4\n"
+       "node/1: doorbells=5 wqes_posted=6 cqes_polled=6 dma_bytes=82896 "
+       "mr_bytes=262144 doorbell_coalesced_wqes=1 cq_batch_polls=5 "
+       "inline_wqes=2\n"
+       "channel/0: doorbells=9 wqes_posted=12 dma_bytes=82800 "
+       "doorbell_coalesced_wqes=3 inline_wqes=4 mr_cache_misses=4\n"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.zero_copy ? "zero-copy" : "staged");
+    sim::Rng rng(5);
+    std::vector<std::vector<std::string>> lanes(2);
+    for (auto& lane : lanes)
+      for (size_t n : {size_t(48), size_t(20000), size_t(700)})
+        lane.push_back(payload(rng, n));
+    const RawRun run = run_raw(
+        ProtocolKind::kDirectWriteImm, c.zero_copy, lanes,
+        [](verbs::Node& sv) -> proto::Handler {
+          return [&sv](View req) -> Task<Buffer> {
+            co_await sv.cpu().compute(300ns + sim::Duration(req.size() / 8));
+            co_return Buffer(req.rbegin(), req.rend());
+          };
+        });
+    std::vector<std::string> want;
+    for (const auto& lane : lanes)
+      for (const std::string& p : lane) want.emplace_back(p.rbegin(), p.rend());
+    std::vector<std::string> got = run.replies;
+    std::sort(got.begin(), got.end());
+    std::sort(want.begin(), want.end());
+    EXPECT_EQ(got, want);
+    EXPECT_EQ(run.done_ns, c.done_ns);
+    EXPECT_EQ(run.counters, c.counters);
+  }
+}
+
+/// A dispatcher method that writes part of its result, then fails.
+void register_failing(HatServer& server) {
+  server.dispatcher().register_method(
+      "Stream", [&server](View args, thrift::TMemoryBuffer& out) -> Task<void> {
+        thrift::TBinaryProtocol p(out);
+        p.writeStructBegin("Stream_result");
+        p.writeFieldBegin(thrift::TType::kString, 0);
+        p.writeString(str_of(args));  // most of the result is written
+        co_await server.node().cpu().compute(2us);
+        throw std::runtime_error("failed after " +
+                                 std::to_string(args.size()) + " bytes");
+      });
+}
+
+/// A raw call envelope for `method` with `args`.
+Buffer envelope_of(const std::string& method, const std::string& args,
+                   int32_t seqid) {
+  Envelope env(method);
+  env.buffer().write(args.data(), args.size());
+  HatDispatcher::stamp_seqid(env.bytes(), seqid);
+  return Buffer(env.view().begin(), env.view().end());
+}
+
+TEST(InPlaceReply, ThrowingMethodRepliesWithTheExceptionInPlace) {
+  const std::string args(9000, 'x');
+  auto run = [&](bool staged, std::vector<bool>* in_area) {
+    Simulator sim;
+    verbs::Fabric fabric(sim);
+    verbs::Node* client = fabric.add_node();
+    verbs::Node* server_node = fabric.add_node();
+    HatServer server(*server_node, lending_hints(), {});
+    register_failing(server);
+    proto::Handler h = staged ? staged_twin(server.processor())
+                              : noting_in_area(server.processor(), *in_area);
+    auto ch = proto::make_channel(ProtocolKind::kDirectWriteImm, *client,
+                                  *server_node, h,
+                                  proto::ChannelConfig{}.with_max_msg(64 << 10));
+    RawRun out;
+    sim.spawn([](Simulator& sim, proto::RpcChannel& ch, Buffer req,
+                 RawRun& out) -> Task<void> {
+      for (int i = 0; i < 2; ++i) {
+        Buffer reply = (co_await ch.call(req)).value();
+        out.done_ns.push_back(sim.now().count());
+        try {
+          HatDispatcher::reply_of(std::move(reply), "Stream");
+          out.replies.push_back("no exception");
+        } catch (const thrift::TApplicationException& e) {
+          out.replies.push_back(
+              std::to_string(static_cast<int>(e.kind())) + ": " + e.what());
+        }
+      }
+      ch.shutdown();
+    }(sim, *ch, envelope_of("Stream", args, 1), out));
+    sim.run();
+    EXPECT_EQ(sim.live_tasks(), 0u);
+    out.counters = fabric.obs().counters.dump();
+    return out;
+  };
+  std::vector<bool> in_area;
+  const RawRun natural = run(false, &in_area);
+  const RawRun staged = run(true, nullptr);
+  const std::string want =
+      "6: failed after " + std::to_string(args.size()) + " bytes";
+  EXPECT_EQ(natural.replies, (std::vector<std::string>{want, want}));
+  EXPECT_EQ(in_area, (std::vector<bool>{true, true}));
+  expect_same(natural, staged);
+
+  // Through HatConnection the caller sees the same exception.
+  World w;
+  HatServer server(*w.server_node, lending_hints(), {});
+  register_failing(server);
+  HatConnection conn(*w.client, server);
+  std::vector<std::string> seen;
+  w.sim.spawn([](HatConnection& conn, HatServer& server, std::string args,
+                 std::vector<std::string>& seen) -> Task<void> {
+    for (int i = 0; i < 2; ++i) {
+      try {
+        co_await conn.call_raw("Stream", proto::to_buffer(args));
+        seen.push_back("no exception");
+      } catch (const thrift::TApplicationException& e) {
+        seen.push_back(std::to_string(static_cast<int>(e.kind())) + ": " +
+                       e.what());
+      }
+    }
+    server.stop();
+  }(conn, server, args, seen));
+  w.sim.run();
+  EXPECT_EQ(seen, (std::vector<std::string>{want, want}));
+  EXPECT_EQ(w.sim.live_tasks(), 0u);
+}
+
+/// FastGet echoes its args, except "big", which answers 70 KiB: more than
+/// FastGet's 64 KiB Direct slots.
+void register_growing(HatServer& server) {
+  server.dispatcher().register_method(
+      "FastGet", [](View args, thrift::TMemoryBuffer& out) -> Task<void> {
+        if (str_of(args) == "big") {
+          const std::string big(70 << 10, 'g');
+          out.write(big.data(), big.size());
+        } else {
+          out.write(args.data(), args.size());
+        }
+        co_return;
+      });
+}
+
+TEST(InPlaceReply, ReplyLargerThanTheAreaFailsOnlyItsCall) {
+  const std::vector<std::string> args = {"one", "big", "two"};
+  const std::vector<std::string> want = {
+      "one", "throw: direct protocol: response exceeds the pre-known buffer",
+      "two"};
+  World w;
+  HatServer server(*w.server_node, lending_hints(), {});
+  register_growing(server);
+  HatConnection conn(*w.client, server);
+  std::vector<std::string> got;
+  w.sim.spawn([](HatConnection& conn, HatServer& server,
+                 std::vector<std::string> args,
+                 std::vector<std::string>& got) -> Task<void> {
+    for (const std::string& a : args) {
+      try {
+        Reply r = co_await conn.call_raw("FastGet", proto::to_buffer(a));
+        got.push_back(str_of(r.view()));
+      } catch (const std::length_error& e) {
+        got.push_back(std::string("throw: ") + e.what());
+      }
+    }
+    server.stop();
+  }(conn, server, args, got));
+  w.sim.run();
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(w.sim.live_tasks(), 0u);
+
+  // The spilled reply costs what a staged one does.
+  auto run = [&](bool staged, std::vector<bool>* in_area) {
+    Simulator sim;
+    verbs::Fabric fabric(sim);
+    verbs::Node* client = fabric.add_node();
+    verbs::Node* server_node = fabric.add_node();
+    HatServer server(*server_node, lending_hints(), {});
+    register_growing(server);
+    proto::Handler h = staged ? staged_twin(server.processor())
+                              : noting_in_area(server.processor(), *in_area);
+    auto ch = proto::make_channel(ProtocolKind::kDirectWriteImm, *client,
+                                  *server_node, h,
+                                  proto::ChannelConfig{}.with_max_msg(64 << 10));
+    RawRun out;
+    sim.spawn([](Simulator& sim, proto::RpcChannel& ch,
+                 std::vector<std::string> args, RawRun& out) -> Task<void> {
+      int32_t seq = 0;
+      for (const std::string& a : args) {
+        try {
+          Buffer reply =
+              (co_await ch.call(envelope_of("FastGet", a, ++seq))).value();
+          out.replies.push_back(
+              str_of(HatDispatcher::reply_of(std::move(reply), "FastGet")
+                         .view()));
+        } catch (const std::length_error& e) {
+          out.replies.push_back(std::string("throw: ") + e.what());
+        }
+        out.done_ns.push_back(sim.now().count());
+      }
+      ch.shutdown();
+    }(sim, *ch, args, out));
+    sim.run();
+    EXPECT_EQ(sim.live_tasks(), 0u);
+    out.counters = fabric.obs().counters.dump();
+    return out;
+  };
+  std::vector<bool> in_area;
+  const RawRun natural = run(false, &in_area);
+  const RawRun staged = run(true, nullptr);
+  EXPECT_EQ(natural.replies, want);
+  EXPECT_EQ(in_area, (std::vector<bool>{true, false, true}));
+  expect_same(natural, staged);
+}
+
+TEST(InPlaceReply, ReliableDirectReplayIsWrittenIntoTheArea) {
+  // The client QP dies after the request reached the server; the retry
+  // carries the same sequence number and is answered from the replay
+  // cache, into the new channel's area.
+  auto run = [](bool staged, int& executed, uint64_t& replays) {
+    Simulator sim;
+    verbs::Fabric fabric(sim);
+    verbs::Node* cl = fabric.add_node();
+    verbs::Node* sv = fabric.add_node();
+    proto::Handler slow = [&sim, &executed](
+                              View req, std::span<std::byte> area)
+        -> Task<proto::Response> {
+      ++executed;
+      std::copy(req.begin(), req.end(), area.begin());
+      co_await sim.sleep(30us);  // the reply is outstanding when the QP dies
+      co_return proto::Response::written(req.size());
+    };
+    proto::Handler echo = [&sim, &executed](View req) -> Task<Buffer> {
+      ++executed;
+      co_await sim.sleep(30us);
+      co_return Buffer(req.begin(), req.end());
+    };
+    proto::RetryPolicy pol;
+    pol.backoff_base = 50us;  // the retry lands after the handler finished
+    pol.fallback_to_eager = false;
+    auto ch = proto::make_reliable_channel(
+        ProtocolKind::kDirectWriteImm, *cl, *sv, staged ? echo : slow,
+        proto::ChannelConfig{}.with_max_msg(64 << 10), pol);
+    auto plan = std::make_unique<verbs::FaultPlan>(5);
+    plan->fail_qp_at(1, sim::Time(25us));  // qp 1 = the client QP
+    fabric.set_fault_plan(std::move(plan));
+    RawRun out;
+    sim.spawn([](Simulator& sim, proto::ReliableChannel& ch,
+                 RawRun& out) -> Task<void> {
+      for (const char* msg : {"needs-retry", "then-fresh"}) {
+        Buffer r = (co_await ch.call(proto::to_buffer(msg))).value();
+        out.replies.push_back(str_of(r));
+        out.done_ns.push_back(sim.now().count());
+      }
+      ch.abort();
+    }(sim, *ch, out));
+    sim.run();
+    EXPECT_EQ(sim.live_tasks(), 0u);
+    replays = ch->server_replays();
+    out.counters = fabric.obs().counters.dump();
+    return out;
+  };
+  int executed_natural = 0, executed_staged = 0;
+  uint64_t replays_natural = 0, replays_staged = 0;
+  const RawRun natural = run(false, executed_natural, replays_natural);
+  const RawRun staged = run(true, executed_staged, replays_staged);
+  EXPECT_EQ(natural.replies,
+            (std::vector<std::string>{"needs-retry", "then-fresh"}));
+  EXPECT_EQ(executed_natural, 2);
+  EXPECT_EQ(replays_natural, 1u);
+  EXPECT_EQ(executed_staged, 2);
+  EXPECT_EQ(replays_staged, 1u);
+  expect_same(natural, staged);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 
 #include "proto/channel.h"
 #include "proto/hybrid.h"
+#include "proto/wire.h"
 
 namespace hatrpc::proto {
 namespace {
@@ -392,6 +393,51 @@ TEST(ProtocolLimits, OversizedDirectReplyFailsOnlyThatCall) {
     EXPECT_EQ(after, "small");
     EXPECT_EQ(ch->stats().calls, 2u);
     EXPECT_EQ(sim.live_tasks(), 0u);
+  }
+}
+
+// ---- Reliability framing: the RpcHeader comes off the wire, so its parse
+// is checked against the bytes actually received.
+
+Buffer rpc_frame(uint64_t seq, uint32_t announced, size_t payload_bytes) {
+  Buffer b(kRpcHeaderBytes + payload_bytes, std::byte{'p'});
+  put_rpc_header(b.data(), RpcHeader{seq, 1, announced});
+  return b;
+}
+
+TEST(RpcFrame, ParsesTheAnnouncedPayload) {
+  const Buffer exact = rpc_frame(7, 5, 5);
+  const RpcFrame f = parse_rpc_frame(exact);
+  EXPECT_EQ(f.header.seq, 7u);
+  EXPECT_EQ(f.header.attempt, 1u);
+  EXPECT_EQ(f.payload.data(), exact.data() + kRpcHeaderBytes);
+  EXPECT_EQ(f.payload.size(), 5u);
+  // Trailing bytes past the announced payload are not part of it.
+  EXPECT_EQ(parse_rpc_frame(rpc_frame(8, 3, 9)).payload.size(), 3u);
+  EXPECT_TRUE(parse_rpc_frame(rpc_frame(9, 0, 0)).payload.empty());
+}
+
+TEST(RpcFrame, RejectsTruncatedFrames) {
+  const Buffer whole = rpc_frame(1, 0, 0);
+  for (size_t n : {size_t(0), size_t(8), size_t(15)}) {
+    SCOPED_TRACE(std::to_string(n) + " bytes");
+    // A heap copy of exactly n bytes, so a read past it is caught by the
+    // sanitizers rather than landing in the rest of `whole`.
+    const Buffer cut(whole.begin(), whole.begin() + ptrdiff_t(n));
+    EXPECT_THROW(parse_rpc_frame(cut), MalformedFrame);
+  }
+}
+
+TEST(RpcFrame, RejectsALenPastTheEnd) {
+  EXPECT_THROW(parse_rpc_frame(rpc_frame(1, 6, 5)), MalformedFrame);
+  EXPECT_THROW(parse_rpc_frame(rpc_frame(1, 1, 0)), MalformedFrame);
+  // A huge length must not wrap the bounds check.
+  EXPECT_THROW(parse_rpc_frame(rpc_frame(1, UINT32_MAX, 4)), MalformedFrame);
+  try {
+    parse_rpc_frame(rpc_frame(1, 6, 5));
+  } catch (const MalformedFrame& e) {
+    EXPECT_STREQ(e.what(),
+                 "rpc frame announces 6 payload bytes but carries 5");
   }
 }
 
