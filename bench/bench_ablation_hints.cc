@@ -7,6 +7,10 @@
 //     (§4.4): an undersized table turns into queueing delay;
 //   * Commit     — sync vs group commits for write bursts (§4.4 "commit
 //     strategies off the critical path").
+// Rows give simulated nanoseconds: a mean call latency (`latency_ns`) or a
+// burst's span (`span_ns`).
+//
+//   bench_ablation_hints [--out F] [--filter S]
 #include "common.h"
 
 #include "kv/hatkv.h"
@@ -17,7 +21,7 @@ using namespace hatbench;
 
 // --- (a) eager/rendezvous threshold ---------------------------------------
 
-void threshold_bench(benchmark::State& state, uint32_t threshold) {
+sim::Duration threshold_latency(uint32_t threshold) {
   constexpr size_t kBytes = 16 << 10;
   Testbed bed;
   proto::ChannelConfig cfg;
@@ -36,18 +40,7 @@ void threshold_bench(benchmark::State& state, uint32_t threshold) {
     ch.shutdown();
   }(bed, *ch, total));
   bed.sim.run();
-  sim::Duration lat = total / 32;
-  for (auto _ : state) state.SetIterationTime(sim::to_seconds(lat));
-  state.counters["latency_us"] = sim::to_micros(lat);
-}
-
-// --- (b) NUMA binding -------------------------------------------------------
-
-void numa_bench(benchmark::State& state, bool bind) {
-  sim::Duration lat = measure_latency(proto::ProtocolKind::kDirectWriteImm,
-                                      512, sim::PollMode::kBusy, 64, bind);
-  for (auto _ : state) state.SetIterationTime(sim::to_seconds(lat));
-  state.counters["latency_us"] = sim::to_micros(lat);
+  return total / 32;
 }
 
 // --- (c)/(d) HatKV backend hints --------------------------------------------
@@ -101,63 +94,41 @@ sim::Duration run_kv_burst(uint32_t max_readers, bool sync_commits,
   return end;
 }
 
-void readers_bench(benchmark::State& state, uint32_t max_readers) {
-  sim::Duration span = run_kv_burst(max_readers, false, 0.95);
-  for (auto _ : state) state.SetIterationTime(sim::to_seconds(span));
-  state.counters["span_us"] = sim::to_micros(span);
-}
-
-void commit_bench(benchmark::State& state, bool sync) {
-  sim::Duration span = run_kv_burst(136, sync, 0.2);
-  for (auto _ : state) state.SetIterationTime(sim::to_seconds(span));
-  state.counters["span_us"] = sim::to_micros(span);
-}
-
-void register_all() {
-  for (uint32_t threshold : {1u << 10, 4u << 10, 16u << 10, 64u << 10}) {
-    std::string name =
-        "Ablation/Threshold16KBmsg/" + std::to_string(threshold >> 10) + "KB";
-    benchmark::RegisterBenchmark(name.c_str(),
-                                 [threshold](benchmark::State& s) {
-                                   threshold_bench(s, threshold);
-                                 })
-        ->UseManualTime()
-        ->Iterations(1)
-        ->Unit(benchmark::kMicrosecond);
-  }
-  for (bool bind : {true, false}) {
-    std::string name = std::string("Ablation/NumaBinding/") +
-                       (bind ? "bound" : "unbound");
-    benchmark::RegisterBenchmark(name.c_str(), [bind](benchmark::State& s) {
-      numa_bench(s, bind);
-    })->UseManualTime()->Iterations(1)->Unit(benchmark::kMicrosecond);
-  }
-  for (uint32_t readers : {4u, 16u, 136u}) {
-    std::string name =
-        "Ablation/ReaderTable64clients/" + std::to_string(readers);
-    benchmark::RegisterBenchmark(name.c_str(),
-                                 [readers](benchmark::State& s) {
-                                   readers_bench(s, readers);
-                                 })
-        ->UseManualTime()
-        ->Iterations(1)
-        ->Unit(benchmark::kMillisecond);
-  }
-  for (bool sync : {false, true}) {
-    std::string name = std::string("Ablation/CommitStrategy/") +
-                       (sync ? "sync" : "group");
-    benchmark::RegisterBenchmark(name.c_str(), [sync](benchmark::State& s) {
-      commit_bench(s, sync);
-    })->UseManualTime()->Iterations(1)->Unit(benchmark::kMillisecond);
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  register_all();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  Figure fig("ablation_hints", argc, argv);
+  for (uint32_t threshold : {1u << 10, 4u << 10, 16u << 10, 64u << 10}) {
+    fig.add("Ablation/Threshold16KBmsg/" + std::to_string(threshold >> 10) +
+                "KB",
+            [=](Json& row) {
+              row.put("latency_ns", threshold_latency(threshold).count());
+            });
+  }
+  // (b) NUMA binding at under-subscription.
+  for (bool bind : {true, false}) {
+    fig.add(std::string("Ablation/NumaBinding/") +
+                (bind ? "bound" : "unbound"),
+            [=](Json& row) {
+              BenchProbe probe;
+              const sim::Duration lat =
+                  measure_latency(probe, proto::ProtocolKind::kDirectWriteImm,
+                                  512, sim::PollMode::kBusy, 64, bind);
+              row.put("latency_ns", lat.count());
+              probe.report(row);
+            });
+  }
+  for (uint32_t readers : {4u, 16u, 136u}) {
+    fig.add("Ablation/ReaderTable64clients/" + std::to_string(readers),
+            [=](Json& row) {
+              row.put("span_ns", run_kv_burst(readers, false, 0.95).count());
+            });
+  }
+  for (bool sync : {false, true}) {
+    fig.add(std::string("Ablation/CommitStrategy/") + (sync ? "sync" : "group"),
+            [=](Json& row) {
+              row.put("span_ns", run_kv_burst(136, sync, 0.2).count());
+            });
+  }
+  return fig.run();
 }

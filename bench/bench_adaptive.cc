@@ -32,9 +32,8 @@
 // budget measures protocol/polling churn only; stall-driven window sizing
 // is exercised by tests/test_adaptive.cc.
 //
-// Not a google-benchmark binary: the report carries only virtual-time-derived
-// numbers (its `host` block is empty), so same-seed runs are byte-identical
-// and CI cmp's two of them.
+// The report carries only virtual-time-derived numbers (its `host` block
+// is empty), so same-seed runs are byte-identical and CI cmp's two of them.
 //
 //   bench_adaptive --seed 1 --out BENCH_adaptive.json
 #include <chrono>

@@ -2,12 +2,14 @@
 // microbenchmarks, this binary exercises the COMPLETE stack the paper's
 // ATB uses — hatrpc-gen output (atb.hatrpc) -> Thrift serialization ->
 // envelope -> hint-planned RDMA channels — and reports full-stack latency
-// and mixed-workload throughput. One row per scenario; manual time is
-// simulated.
-#include <benchmark/benchmark.h>
-
+// and mixed-workload throughput. One row per scenario, in simulated
+// nanoseconds: Ping rows give the mean call latency, Mix rows the Ping
+// calls' mean latency and the Stream calls' count over the run's span.
+//
+//   bench_atb_generated [--out F] [--filter S]
 #include "atb_gen.h"
 #include "core/engine.h"
+#include "report.h"
 #include "sim/rng.h"
 
 namespace {
@@ -46,7 +48,7 @@ struct AtbCluster {
   AtbCluster() { atb::register_Atb(server.dispatcher(), handler); }
 };
 
-void latency_bench(benchmark::State& state, size_t bytes) {
+sim::Duration ping_latency(size_t bytes) {
   AtbCluster c;
   core::HatConnection conn(*c.fabric.add_node(), c.server);
   sim::Duration lat{};
@@ -61,11 +63,10 @@ void latency_bench(benchmark::State& state, size_t bytes) {
     c.server.stop();
   }(c, conn, bytes, lat));
   c.sim.run();
-  for (auto _ : state) state.SetIterationTime(sim::to_seconds(lat));
-  state.counters["latency_us"] = sim::to_micros(lat);
+  return lat;
 }
 
-void mix_bench(benchmark::State& state, int clients) {
+void mix_row(hatbench::Json& row, int clients) {
   AtbCluster c;
   std::vector<std::unique_ptr<core::HatConnection>> conns;
   std::vector<verbs::Node*> cnodes;
@@ -108,45 +109,27 @@ void mix_bench(benchmark::State& state, int clients) {
     c.server.stop();
   }(c, wg, end));
   c.sim.run();
-  for (auto _ : state) state.SetIterationTime(sim::to_seconds(end));
-  state.counters["ping_lat_us"] = totals.pings
-      ? sim::to_micros(totals.ping_total / int64_t(totals.pings))
-      : 0;
-  state.counters["stream_kops"] =
-      sim::to_seconds(end) > 0
-          ? double(totals.streams) / sim::to_seconds(end) / 1e3
-          : 0;
-}
-
-void register_all() {
-  for (size_t bytes : {size_t(64), size_t(512), size_t(4096)}) {
-    std::string name = "ATB_e2e/Ping/" + std::to_string(bytes) + "B";
-    benchmark::RegisterBenchmark(name.c_str(),
-                                 [bytes](benchmark::State& s) {
-                                   latency_bench(s, bytes);
-                                 })
-        ->UseManualTime()
-        ->Iterations(1)
-        ->Unit(benchmark::kMicrosecond);
-  }
-  for (int clients : {4, 16, 64}) {
-    std::string name = "ATB_e2e/Mix/c" + std::to_string(clients);
-    benchmark::RegisterBenchmark(name.c_str(),
-                                 [clients](benchmark::State& s) {
-                                   mix_bench(s, clients);
-                                 })
-        ->UseManualTime()
-        ->Iterations(1)
-        ->Unit(benchmark::kMillisecond);
-  }
+  row.put("pings", totals.pings)
+      .put("ping_mean_ns",
+           totals.pings ? (totals.ping_total / int64_t(totals.pings)).count()
+                        : 0)
+      .put("streams", totals.streams)
+      .put("elapsed_ns", end.count());
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  register_all();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  hatbench::Figure fig("atb_generated", argc, argv);
+  for (size_t bytes : {size_t(64), size_t(512), size_t(4096)}) {
+    fig.add("ATB_e2e/Ping/" + std::to_string(bytes) + "B",
+            [=](hatbench::Json& row) {
+              row.put("latency_ns", ping_latency(bytes).count());
+            });
+  }
+  for (int clients : {4, 16, 64}) {
+    fig.add("ATB_e2e/Mix/c" + std::to_string(clients),
+            [=](hatbench::Json& row) { mix_row(row, clients); });
+  }
+  return fig.run();
 }

@@ -5,9 +5,8 @@
 // crash window), the failover time, and the safety invariants the CI chaos
 // job asserts: zero lost acknowledged writes and a clean fabric audit.
 //
-// Not a google-benchmark binary: the run IS the experiment (one seeded
-// timeline), so a plain main keeps same-seed runs byte-identical (the
-// report's `host` block is empty).
+// The run IS the experiment (one seeded timeline), so same-seed runs are
+// byte-identical (the report's `host` block is empty).
 //
 //   bench_cluster --seed 1 --client-nodes 100 --records 4000
 //                 --out BENCH_cluster.json

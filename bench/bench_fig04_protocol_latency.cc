@@ -1,67 +1,31 @@
 // Figure 4 — RPC-like communication latency of the nine RDMA protocols
 // (plus the hybrid baseline), for busy and event CQ polling, across the
-// payload ladder. One benchmark row per (protocol, size, polling); the
-// reported manual time is the simulated per-call latency.
+// payload ladder. One row per (protocol, size, polling): `latency_ns` is
+// the simulated mean over 64 timed calls.
+//
+//   bench_fig04_protocol_latency [--out F] [--filter S] [--trace F]
+//                                [--zero-copy N]
 #include "common.h"
-
-namespace {
 
 using namespace hatbench;
 
-constexpr proto::ProtocolKind kProtocols[] = {
-    proto::ProtocolKind::kEagerSendRecv,
-    proto::ProtocolKind::kDirectWriteSend,
-    proto::ProtocolKind::kChainedWriteSend,
-    proto::ProtocolKind::kWriteRndv,
-    proto::ProtocolKind::kReadRndv,
-    proto::ProtocolKind::kDirectWriteImm,
-    proto::ProtocolKind::kPilaf,
-    proto::ProtocolKind::kFarm,
-    proto::ProtocolKind::kRfp,
-    proto::ProtocolKind::kHybridEagerRndv,
-};
-
-void latency_bench(benchmark::State& state, proto::ProtocolKind kind,
-                   size_t bytes, sim::PollMode poll) {
-  sim::Duration lat{};
-  BenchProbe probe;
-  for (auto _ : state) {
-    lat = measure_latency(kind, bytes, poll, /*iters=*/64,
-                          /*numa_local=*/true, &probe);
-    state.SetIterationTime(sim::to_seconds(lat));
-  }
-  state.counters["latency_us"] = sim::to_micros(lat);
-  probe.report(state);
-}
-
-void register_all() {
-  for (auto kind : kProtocols) {
+int main(int argc, char** argv) {
+  Figure fig("fig04", argc, argv,
+             {trace_flag(), {"--zero-copy", &bench_zero_copy()}});
+  fig.report.config.put("zero_copy", bench_zero_copy());
+  for (auto kind : kFigureProtocols) {
     for (size_t bytes : latency_sizes()) {
       for (auto poll : {sim::PollMode::kBusy, sim::PollMode::kEvent}) {
-        std::string name = "Fig04/" + std::string(proto::to_string(kind)) +
-                           "/" + std::to_string(bytes) + "B/" +
-                           poll_name(poll);
-        benchmark::RegisterBenchmark(
-            name.c_str(),
-            [kind, bytes, poll](benchmark::State& s) {
-              latency_bench(s, kind, bytes, poll);
-            })
-            ->UseManualTime()
-            ->Iterations(1)
-            ->Unit(benchmark::kMicrosecond);
+        fig.add("Fig04/" + std::string(proto::to_string(kind)) + "/" +
+                    std::to_string(bytes) + "B/" + poll_name(poll),
+                [=](Json& row) {
+                  BenchProbe probe;
+                  row.put("latency_ns",
+                          measure_latency(probe, kind, bytes, poll).count());
+                  probe.report(row);
+                });
       }
     }
   }
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  register_all();
-  hatbench::parse_bench_flags(argc, argv);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  hatbench::write_trace();
-  benchmark::Shutdown();
-  return 0;
+  return run_traced(fig);
 }

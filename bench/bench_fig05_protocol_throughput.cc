@@ -1,78 +1,42 @@
 // Figure 5 — multi-client aggregate throughput of the RDMA protocols for
-// 512 B and 128 KB payloads under under-/full-/over-subscription, busy vs
-// event polling. The manual time is the whole scenario's simulated span;
-// the `mops` counter is the figure's y-axis.
+// 64 B, 512 B and 128 KB payloads under under-/full-/over-subscription,
+// busy vs event polling. One row per point: the figure's y-axis is
+// `calls` over the run's simulated span `elapsed_ns`.
+//
+//   bench_fig05_protocol_throughput [--out F] [--filter S] [--trace F]
+//                                   [--zero-copy N] [--window N]
 #include "common.h"
-
-namespace {
 
 using namespace hatbench;
 
-constexpr proto::ProtocolKind kProtocols[] = {
-    proto::ProtocolKind::kEagerSendRecv,
-    proto::ProtocolKind::kDirectWriteSend,
-    proto::ProtocolKind::kChainedWriteSend,
-    proto::ProtocolKind::kWriteRndv,
-    proto::ProtocolKind::kReadRndv,
-    proto::ProtocolKind::kDirectWriteImm,
-    proto::ProtocolKind::kPilaf,
-    proto::ProtocolKind::kFarm,
-    proto::ProtocolKind::kRfp,
-    proto::ProtocolKind::kHybridEagerRndv,
-};
-
-void throughput_bench(benchmark::State& state, proto::ProtocolKind kind,
-                      size_t bytes, int clients, sim::PollMode poll) {
-  // Fewer per-client iterations at scale keeps total call counts sane.
-  int iters = clients >= 128 ? 10 : (clients >= 28 ? 20 : 40);
-  // A window needs enough calls per client to actually fill it.
-  iters = std::max<int>(iters, int(2 * bench_window()));
-  ThroughputResult r;
-  BenchProbe probe;
-  for (auto _ : state) {
-    r = measure_throughput(kind, bytes, clients, poll, iters,
-                           /*numa_bind=*/true, &probe);
-    // Achieved throughput = calls over the run's elapsed virtual time (NOT
-    // latency x calls, which overstates the span once calls overlap).
-    state.SetIterationTime(sim::to_seconds(r.elapsed));
-  }
-  state.counters["mops"] = r.mops;
-  state.counters["clients"] = clients;
-  state.counters["window"] = bench_window();
-  state.counters["mean_latency_us"] = sim::to_seconds(r.mean_latency) * 1e6;
-  probe.report(state);
-}
-
-void register_all() {
+int main(int argc, char** argv) {
+  Figure fig("fig05", argc, argv,
+             {trace_flag(), {"--zero-copy", &bench_zero_copy()},
+              {"--window", &bench_window()}});
+  if (bench_window() == 0) fig.usage_error("--window: must be at least 1");
+  fig.report.config.put("window", bench_window())
+      .put("zero_copy", bench_zero_copy());
   for (size_t bytes : {size_t(64), size_t(512), size_t(128 << 10)}) {
-    for (auto kind : kProtocols) {
+    for (auto kind : kFigureProtocols) {
       for (int clients : client_counts()) {
         for (auto poll : {sim::PollMode::kBusy, sim::PollMode::kEvent}) {
-          std::string name = "Fig05/" + std::to_string(bytes) + "B/" +
-                             std::string(proto::to_string(kind)) + "/c" +
-                             std::to_string(clients) + "/" + poll_name(poll);
-          benchmark::RegisterBenchmark(
-              name.c_str(),
-              [kind, bytes, clients, poll](benchmark::State& s) {
-                throughput_bench(s, kind, bytes, clients, poll);
-              })
-              ->UseManualTime()
-              ->Iterations(1)
-              ->Unit(benchmark::kMillisecond);
+          fig.add("Fig05/" + std::to_string(bytes) + "B/" +
+                      std::string(proto::to_string(kind)) + "/c" +
+                      std::to_string(clients) + "/" + poll_name(poll),
+                  [=](Json& row) {
+                    // A window needs enough calls per client to fill it.
+                    const int iters = std::max(throughput_iters(clients),
+                                               int(2 * bench_window()));
+                    BenchProbe probe;
+                    row.put("clients", clients);
+                    measure_throughput(probe, kind, bytes, clients, poll,
+                                       iters, /*numa_bind=*/true)
+                        .report(row);
+                    probe.report(row);
+                  });
         }
       }
     }
   }
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  register_all();
-  hatbench::parse_bench_flags(argc, argv);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  hatbench::write_trace();
-  benchmark::Shutdown();
-  return 0;
+  return run_traced(fig);
 }

@@ -3,73 +3,40 @@
 // against Hybrid-EagerRNDV, Direct-Write-Send, RFP, and Direct-WriteIMM,
 // across the payload ladder. Expected shape (§5.2): HatRPC tracks
 // Direct-WriteIMM within a few percent and beats the others at all sizes.
+//
+//   bench_fig11_atb_latency [--out F] [--filter S] [--trace F]
 #include "common.h"
-
-namespace {
 
 using namespace hatbench;
 
-const std::pair<const char*, proto::ProtocolKind> kBaselines[] = {
-    {"Hybrid-EagerRNDV", proto::ProtocolKind::kHybridEagerRndv},
-    {"Direct-Write-Send", proto::ProtocolKind::kDirectWriteSend},
-    {"RFP", proto::ProtocolKind::kRfp},
-    {"Direct-WriteIMM", proto::ProtocolKind::kDirectWriteImm},
-};
+namespace {
 
-void baseline_bench(benchmark::State& state, proto::ProtocolKind kind,
-                    size_t bytes) {
-  sim::Duration lat{};
-  for (auto _ : state) {
-    lat = measure_latency(kind, bytes, sim::PollMode::kBusy);
-    state.SetIterationTime(sim::to_seconds(lat));
-  }
-  state.counters["latency_us"] = sim::to_micros(lat);
-}
-
-void hatrpc_bench(benchmark::State& state, size_t bytes) {
-  // Service-level hints: perf_goal=latency, concurrency=1, payload_size.
-  hint::Plan plan = hatrpc_plan(hint::PerfGoal::kLatency, 1,
-                                uint32_t(bytes));
-  sim::Duration lat{};
-  for (auto _ : state) {
-    lat = measure_latency(plan.protocol, bytes, plan.client_poll);
-    state.SetIterationTime(sim::to_seconds(lat));
-  }
-  state.counters["latency_us"] = sim::to_micros(lat);
-  state.SetLabel(std::string(proto::to_string(plan.protocol)));
-}
-
-void register_all() {
-  for (size_t bytes : latency_sizes()) {
-    std::string hat = "Fig11/HatRPC/" + std::to_string(bytes) + "B";
-    benchmark::RegisterBenchmark(hat.c_str(),
-                                 [bytes](benchmark::State& s) {
-                                   hatrpc_bench(s, bytes);
-                                 })
-        ->UseManualTime()
-        ->Iterations(1)
-        ->Unit(benchmark::kMicrosecond);
-    for (auto [label, kind] : kBaselines) {
-      std::string name =
-          "Fig11/" + std::string(label) + "/" + std::to_string(bytes) + "B";
-      benchmark::RegisterBenchmark(
-          name.c_str(),
-          [kind, bytes](benchmark::State& s) {
-            baseline_bench(s, kind, bytes);
-          })
-          ->UseManualTime()
-          ->Iterations(1)
-          ->Unit(benchmark::kMicrosecond);
-    }
-  }
+void latency_row(Json& row, proto::ProtocolKind kind, size_t bytes,
+                 sim::PollMode poll) {
+  BenchProbe probe;
+  row.put("latency_ns", measure_latency(probe, kind, bytes, poll).count());
+  probe.report(row);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  register_all();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  Figure fig("fig11", argc, argv, {trace_flag()});
+  for (size_t bytes : latency_sizes()) {
+    fig.add("Fig11/HatRPC/" + std::to_string(bytes) + "B", [=](Json& row) {
+      // Service-level hints: perf_goal=latency, concurrency=1, payload_size.
+      const hint::Plan plan =
+          hatrpc_plan(hint::PerfGoal::kLatency, 1, uint32_t(bytes));
+      row.put("plan", std::string(proto::to_string(plan.protocol)));
+      latency_row(row, plan.protocol, bytes, plan.client_poll);
+    });
+    for (auto [label, kind] : kAtbBaselines) {
+      fig.add("Fig11/" + std::string(label) + "/" + std::to_string(bytes) +
+                  "B",
+              [=](Json& row) {
+                latency_row(row, kind, bytes, sim::PollMode::kBusy);
+              });
+    }
+  }
+  return run_traced(fig);
 }

@@ -2,84 +2,48 @@
 // (perf_goal=throughput, payload_size, NUMA binding under-subscription):
 // HatRPC re-derives its plan per client count (switching to RFP + event
 // polling above the concurrency threshold 16 for large payloads, §5.2)
-// against the four fixed baselines.
+// against the four fixed baselines. Throughput is `calls` over
+// `elapsed_ns`.
+//
+//   bench_fig12_atb_throughput [--out F] [--filter S] [--trace F]
 #include "common.h"
-
-namespace {
 
 using namespace hatbench;
 
-const std::pair<const char*, proto::ProtocolKind> kBaselines[] = {
-    {"Hybrid-EagerRNDV", proto::ProtocolKind::kHybridEagerRndv},
-    {"Direct-Write-Send", proto::ProtocolKind::kDirectWriteSend},
-    {"RFP", proto::ProtocolKind::kRfp},
-    {"Direct-WriteIMM", proto::ProtocolKind::kDirectWriteImm},
-};
+namespace {
 
-int iters_for(int clients) {
-  return clients >= 128 ? 10 : (clients >= 28 ? 20 : 40);
-}
-
-void baseline_bench(benchmark::State& state, proto::ProtocolKind kind,
-                    size_t bytes, int clients) {
-  ThroughputResult r;
-  for (auto _ : state) {
-    r = measure_throughput(kind, bytes, clients, sim::PollMode::kBusy,
-                           iters_for(clients), /*numa_bind=*/true);
-    state.SetIterationTime(sim::to_seconds(
-        r.mean_latency * int64_t(clients) * iters_for(clients)));
-  }
-  state.counters["mops"] = r.mops;
-}
-
-void hatrpc_bench(benchmark::State& state, size_t bytes, int clients) {
-  hint::Plan plan = hatrpc_plan(hint::PerfGoal::kThroughput,
-                                uint32_t(clients), uint32_t(bytes));
-  ThroughputResult r;
-  for (auto _ : state) {
-    r = measure_throughput(plan.protocol, bytes, clients, plan.client_poll,
-                           iters_for(clients), plan.numa_bind);
-    state.SetIterationTime(sim::to_seconds(
-        r.mean_latency * int64_t(clients) * iters_for(clients)));
-  }
-  state.counters["mops"] = r.mops;
-  state.SetLabel(std::string(proto::to_string(plan.protocol)) + "+" +
-                 poll_name(plan.client_poll));
-}
-
-void register_all() {
-  for (size_t bytes : {size_t(512), size_t(128 << 10)}) {
-    for (int clients : client_counts()) {
-      std::string suffix =
-          std::to_string(bytes) + "B/c" + std::to_string(clients);
-      benchmark::RegisterBenchmark(
-          ("Fig12/HatRPC/" + suffix).c_str(),
-          [bytes, clients](benchmark::State& s) {
-            hatrpc_bench(s, bytes, clients);
-          })
-          ->UseManualTime()
-          ->Iterations(1)
-          ->Unit(benchmark::kMillisecond);
-      for (auto [label, kind] : kBaselines) {
-        benchmark::RegisterBenchmark(
-            ("Fig12/" + std::string(label) + "/" + suffix).c_str(),
-            [kind, bytes, clients](benchmark::State& s) {
-              baseline_bench(s, kind, bytes, clients);
-            })
-            ->UseManualTime()
-            ->Iterations(1)
-            ->Unit(benchmark::kMillisecond);
-      }
-    }
-  }
+void throughput_row(Json& row, proto::ProtocolKind kind, size_t bytes,
+                    int clients, sim::PollMode poll, bool numa_bind) {
+  BenchProbe probe;
+  measure_throughput(probe, kind, bytes, clients, poll,
+                     throughput_iters(clients), numa_bind)
+      .report(row);
+  probe.report(row);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  register_all();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  Figure fig("fig12", argc, argv, {trace_flag()});
+  for (size_t bytes : {size_t(512), size_t(128 << 10)}) {
+    for (int clients : client_counts()) {
+      const std::string suffix =
+          std::to_string(bytes) + "B/c" + std::to_string(clients);
+      fig.add("Fig12/HatRPC/" + suffix, [=](Json& row) {
+        const hint::Plan plan = hatrpc_plan(
+            hint::PerfGoal::kThroughput, uint32_t(clients), uint32_t(bytes));
+        row.put("plan", std::string(proto::to_string(plan.protocol)) + "+" +
+                            poll_name(plan.client_poll));
+        throughput_row(row, plan.protocol, bytes, clients, plan.client_poll,
+                       plan.numa_bind);
+      });
+      for (auto [label, kind] : kAtbBaselines) {
+        fig.add("Fig12/" + std::string(label) + "/" + suffix, [=](Json& row) {
+          throughput_row(row, kind, bytes, clients, sim::PollMode::kBusy,
+                         /*numa_bind=*/true);
+        });
+      }
+    }
+  }
+  return run_traced(fig);
 }

@@ -7,12 +7,12 @@
 //   put       a write txn, one same-size Put, commit -> ns per commit
 //   multiput  a write txn, ten Puts, commit          -> ns per commit
 //
-// Not a google-benchmark binary: the report's `virtual` block digests what
-// the phases did to the tree (EnvStats, page_count, live_pages, the summed
-// pages_touched / pages_written and a hash of the values read) and is
-// byte-identical for a seed, while ns/op goes to `host`. --before embeds an
-// earlier run's --out file as `host.before`, which is how the committed
-// BENCH_mdblite.json carries the numbers of the previous page layout.
+// The report's `virtual` block digests what the phases did to the tree
+// (EnvStats, page_count, live_pages, the summed pages_touched /
+// pages_written and a hash of the values read) and is byte-identical for a
+// seed, while ns/op goes to `host`. --before embeds an earlier run's --out
+// file as `host.before`, which is how the committed BENCH_mdblite.json
+// carries the numbers of the previous page layout.
 //
 //   bench_mdblite --seed 1 --out BENCH_mdblite.json [--before before.json]
 #include <chrono>

@@ -14,10 +14,9 @@
 //   crossover past the collapse point event polling (which frees the core
 //             between completions) overtakes busy polling.
 //
-// Not a google-benchmark binary: same-seed runs must be byte-identical, so
-// the report holds only virtual-time-derived numbers (its `host` block is
-// empty; wall-clock goes to stdout) and CI cmp's two runs of the reduced
-// sweep.
+// Same-seed runs must be byte-identical, so the report holds only
+// virtual-time-derived numbers (its `host` block is empty; wall-clock goes
+// to stdout) and CI cmp's two runs of the reduced sweep.
 //
 //   bench_scalability --seed 1 --out BENCH_scalability.json
 //     [--clients 1,4,...] [--windows 1,32] [--shards 0,1,...]

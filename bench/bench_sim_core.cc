@@ -12,9 +12,9 @@
 //   rpc      a small Eager-SendRecv echo workload, the end-to-end shape the
 //            ROADMAP scalability sweeps care about     -> ops/sec
 //
-// Not a google-benchmark binary: the report's `virtual` block digests each
-// phase's virtual-time outcome (end time, event counts, a counter hash) and
-// is byte-identical for a seed, while the wall-clock rates go to `host`.
+// The report's `virtual` block digests each phase's virtual-time outcome
+// (end time, event counts, a counter hash) and is byte-identical for a
+// seed, while the wall-clock rates go to `host`.
 // The cancels phase doubles as a correctness gate: if a cancelled timer
 // ever fired, the run's virtual end time would land on the abandoned
 // deadlines, and the binary exits 1.

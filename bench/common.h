@@ -1,9 +1,9 @@
 // Shared harness for the figure benchmarks.
 //
-// All timing is SIMULATED time: each scenario builds a fresh deterministic
-// simulation, runs it to completion, and reports virtual durations through
-// google-benchmark's manual-time mode (so the printed "Time" column is
-// virtual microseconds, reproducible to the nanosecond across runs).
+// All timing is SIMULATED time: each row builds a fresh deterministic
+// simulation, runs it to completion, and writes virtual nanoseconds, call
+// counts and counter totals as integers into its bench/report.h row, so a
+// report is byte-identical on every run and machine.
 //
 // Topology mirrors the paper's testbed (§5.1): one server node and up to
 // nine client nodes of 28 cores each, connected by the simulated EDR
@@ -11,19 +11,20 @@
 // binding is applied only when a scenario says so.
 #pragma once
 
-#include <benchmark/benchmark.h>
-
+#include <algorithm>
 #include <cstring>
 #include <fstream>
-#include <functional>
 #include <iostream>
 #include <memory>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "hint/selection.h"
 #include "obs/obs.h"
 #include "proto/channel.h"
+#include "report.h"
 #include "sim/rng.h"
 
 namespace hatbench {
@@ -34,10 +35,10 @@ using namespace std::chrono_literals;
 
 constexpr int kClientNodes = 9;  // paper: 10-node cluster, 1 server
 
-// ---- Observability: --trace <file> + per-scenario percentile/counter ----
-// Each scenario runs in its own Testbed (its own Fabric-level Obs); when
-// tracing is on, scenarios absorb their events into one process-wide sink
-// under a fresh pid block so node timelines don't collide across scenarios.
+// ---- Observability: --trace <file> ----------------------------------------
+// Each row runs in its own Testbed (its own Fabric-level Obs); when tracing
+// is on, rows absorb their events into one process-wide sink under a fresh
+// pid block so node timelines don't collide across rows.
 
 inline std::string& trace_path() {
   static std::string path;
@@ -56,84 +57,88 @@ inline uint32_t next_trace_pid(uint32_t nodes_in_scenario) {
   return base;
 }
 
-/// Channel window used by the throughput scenarios (`--window N`). 1 keeps
+/// `--trace FILE`: the rows' events as one Chrome about:tracing file.
+inline Flag trace_flag() { return {"--trace", &trace_path()}; }
+
+/// Channel window of the throughput rows (fig05's `--window N`). 1 keeps
 /// the classic one-outstanding-call-per-connection closed loop.
 inline uint32_t& bench_window() {
   static uint32_t w = 1;
   return w;
 }
 
-/// Zero-copy send path (`--zero-copy`): payloads go out inline or as gather
-/// SGE lists instead of through the legacy staging copies.
-inline bool& bench_zero_copy() {
-  static bool zc = false;
+/// Zero-copy send path (fig04/fig05's `--zero-copy N`, on when N != 0):
+/// payloads go out inline or as gather SGE lists instead of through the
+/// staging copies.
+inline uint32_t& bench_zero_copy() {
+  static uint32_t zc = 0;
   return zc;
 }
 
-/// Strips `--trace <file>` / `--trace=<file>`, `--window <n>` /
-/// `--window=<n>` and `--zero-copy[=0|1]` from argv (call BEFORE
-/// benchmark::Initialize, which rejects flags it doesn't know).
-inline void parse_bench_flags(int& argc, char** argv) {
-  int out = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
-      trace_path() = argv[++i];
-    } else if (std::strncmp(argv[i], "--trace=", 8) == 0) {
-      trace_path() = argv[i] + 8;
-    } else if (std::strcmp(argv[i], "--window") == 0 && i + 1 < argc) {
-      bench_window() = uint32_t(std::max(1, std::atoi(argv[++i])));
-    } else if (std::strncmp(argv[i], "--window=", 9) == 0) {
-      bench_window() = uint32_t(std::max(1, std::atoi(argv[i] + 9)));
-    } else if (std::strcmp(argv[i], "--zero-copy") == 0) {
-      bench_zero_copy() = true;
-    } else if (std::strncmp(argv[i], "--zero-copy=", 12) == 0) {
-      bench_zero_copy() = std::atoi(argv[i] + 12) != 0;
-    } else {
-      argv[out++] = argv[i];
-    }
-  }
-  argc = out;
+/// Runs `fig`'s rows with `--trace` honoured: the sink is enabled before
+/// the first row, and the merged trace written after the last.
+inline int run_traced(Figure& fig) {
   if (!trace_path().empty()) trace_sink().enable();
-}
-
-/// Writes the merged Chrome about:tracing JSON if --trace was given.
-inline void write_trace() {
-  if (trace_path().empty()) return;
-  std::ofstream os(trace_path());
-  trace_sink().write_json(os);
-  std::cerr << "trace: " << trace_sink().event_count() << " events -> "
-            << trace_path() << "\n";
+  const int status = fig.run();
+  if (!trace_path().empty()) {
+    std::ofstream os(trace_path());
+    trace_sink().write_json(os);
+    std::cerr << "trace: " << trace_sink().event_count() << " events -> "
+              << trace_path() << "\n";
+  }
+  return status;
 }
 
 struct Testbed;
 
-/// Per-scenario observability capture: call-latency histogram plus the
-/// scenario's fabric-wide counter totals, scaled per call for reporting.
+/// What one scenario measured: the call-latency histogram, the fabric-wide
+/// counter totals over `calls` calls, and how many echoes came back wrong.
 struct BenchProbe {
   obs::Histogram hist;
   obs::CounterSet totals;
   uint64_t calls = 0;
+  uint64_t echo_mismatches = 0;
 
   void finish(Testbed& bed, uint64_t timed_calls, const std::string& label);
-  /// Emits the percentile/counter table into the benchmark's counters.
-  void report(benchmark::State& state) const {
-    state.counters["p50_us"] = double(hist.percentile_ns(0.50)) / 1e3;
-    state.counters["p95_us"] = double(hist.percentile_ns(0.95)) / 1e3;
-    state.counters["p99_us"] = double(hist.percentile_ns(0.99)) / 1e3;
-    double per = calls ? double(calls) : 1.0;
-    state.counters["doorbells_per_call"] =
-        double(totals.get(obs::Ctr::kDoorbells)) / per;
-    state.counters["wqes_per_call"] =
-        double(totals.get(obs::Ctr::kWqesPosted)) / per;
-    state.counters["copy_bytes_per_call"] =
-        double(totals.get(obs::Ctr::kCopyBytes)) / per;
-    state.counters["dma_bytes_per_call"] =
-        double(totals.get(obs::Ctr::kDmaBytes)) / per;
-    state.counters["inline_wqes_per_call"] =
-        double(totals.get(obs::Ctr::kInlineWqes)) / per;
-    state.counters["gather_sges_per_call"] =
-        double(totals.get(obs::Ctr::kGatherSges)) / per;
+  /// Adds the row fields. Totals are whole-run sums: divide by `calls` for
+  /// the per-call figures.
+  void report(Json& row) const {
+    row.put("calls", calls)
+        .put("p50_ns", hist.percentile_ns(0.50))
+        .put("p95_ns", hist.percentile_ns(0.95))
+        .put("p99_ns", hist.percentile_ns(0.99))
+        .put("doorbells", totals.get(obs::Ctr::kDoorbells))
+        .put("wqes", totals.get(obs::Ctr::kWqesPosted))
+        .put("copy_bytes", totals.get(obs::Ctr::kCopyBytes))
+        .put("dma_bytes", totals.get(obs::Ctr::kDmaBytes))
+        .put("inline_wqes", totals.get(obs::Ctr::kInlineWqes))
+        .put("gather_sges", totals.get(obs::Ctr::kGatherSges))
+        .put("echo_mismatches", echo_mismatches);
   }
+};
+
+/// The protocols of Figs. 4 and 5: the nine RDMA protocols and the hybrid
+/// baseline.
+inline constexpr proto::ProtocolKind kFigureProtocols[] = {
+    proto::ProtocolKind::kEagerSendRecv,
+    proto::ProtocolKind::kDirectWriteSend,
+    proto::ProtocolKind::kChainedWriteSend,
+    proto::ProtocolKind::kWriteRndv,
+    proto::ProtocolKind::kReadRndv,
+    proto::ProtocolKind::kDirectWriteImm,
+    proto::ProtocolKind::kPilaf,
+    proto::ProtocolKind::kFarm,
+    proto::ProtocolKind::kRfp,
+    proto::ProtocolKind::kHybridEagerRndv,
+};
+
+/// The fixed-protocol baselines of the ATB figures (11-14), by series name.
+inline constexpr std::pair<const char*, proto::ProtocolKind> kAtbBaselines[] =
+    {
+        {"Hybrid-EagerRNDV", proto::ProtocolKind::kHybridEagerRndv},
+        {"Direct-Write-Send", proto::ProtocolKind::kDirectWriteSend},
+        {"RFP", proto::ProtocolKind::kRfp},
+        {"Direct-WriteIMM", proto::ProtocolKind::kDirectWriteImm},
 };
 
 /// The payload ladder of Figs. 4 and 11.
@@ -182,89 +187,112 @@ inline void BenchProbe::finish(Testbed& bed, uint64_t timed_calls,
   }
 }
 
+/// Fills `payload` with the bytes of `client`'s call number `call`: a
+/// Weyl sequence of 64-bit words whose start and step SplitMix64 derives
+/// from both, so an echo that carries a fragment of any other call, or of
+/// another place in this one, compares unequal.
+inline void fill_payload(std::span<std::byte> payload, uint64_t client,
+                         uint64_t call) {
+  sim::SplitMix64 sm(kFigureSeed ^ (client << 32) ^ (call << 1));
+  uint64_t word = sm.next();
+  const uint64_t step = sm.next() | 1;
+  const size_t whole = payload.size() / 8 * 8;
+  for (size_t at = 0; at < whole; at += 8, word += step)
+    std::memcpy(payload.data() + at, &word, 8);
+  if (whole < payload.size())
+    std::memcpy(payload.data() + whole, &word, payload.size() - whole);
+}
+
+/// True if `reply` holds exactly the bytes of `sent`.
+inline bool echoed(proto::View reply, proto::View sent) {
+  return reply.size() == sent.size() &&
+         std::memcmp(reply.data(), sent.data(), sent.size()) == 0;
+}
+
 /// Echo-with-checksum handler (the ATB server work model: Thrift processor
 /// dispatch + a checksum whose cost grows with payload, §5.3). The reply is
 /// written into the channel's response area when it fits (Direct), and
 /// built in a Buffer otherwise.
-inline proto::Handler checksum_handler(verbs::Node& server,
-                                       bool echo_payload = true) {
-  return [&server, echo_payload](
-             proto::View req,
-             std::span<std::byte> area) -> Task<proto::Response> {
+inline proto::Handler checksum_handler(verbs::Node& server) {
+  return [&server](proto::View req,
+                   std::span<std::byte> area) -> Task<proto::Response> {
     co_await server.cpu().compute(1000ns +
                                   sim::transfer_time(req.size(), 20.0));
-    const size_t n = echo_payload ? req.size() : 8;
-    if (n > area.size()) {
-      if (echo_payload) co_return proto::Buffer(req.begin(), req.end());
-      co_return proto::Buffer(8);
-    }
-    if (echo_payload)
-      std::copy(req.begin(), req.end(), area.begin());
-    else
-      std::fill_n(area.data(), n, std::byte{0});
-    co_return proto::Response::written(n);
+    if (req.size() > area.size())
+      co_return proto::Buffer(req.begin(), req.end());
+    std::copy(req.begin(), req.end(), area.begin());
+    co_return proto::Response::written(req.size());
   };
 }
 
-/// One benchmark call. Under --zero-copy the response is taken as a lease
-/// into the recv ring (in-place delivery, no client materialization copy)
-/// and released right after it is touched — the pattern a real consumer of
-/// the fig05 profile would use. Staged channels keep the owned-buffer path
-/// so their numbers are untouched.
-inline Task<void> bench_call(proto::RpcChannel& ch, proto::View req,
+/// One benchmark call; true if the reply is the request, byte for byte.
+/// Under --zero-copy the response is taken as a lease into the recv ring
+/// (in-place delivery, no client materialization copy) and released right
+/// after it is compared — the pattern a real consumer of the fig05 profile
+/// would use. Staged channels keep the owned-buffer path so their numbers
+/// are untouched.
+inline Task<bool> bench_call(proto::RpcChannel& ch, proto::View req,
                              uint32_t resp_hint) {
   if (bench_zero_copy()) {
     auto r = co_await ch.call_leased(req, resp_hint);
     proto::LeasedReply reply = std::move(r).value();
-    benchmark::DoNotOptimize(reply.bytes().size());
+    const bool same = echoed(reply.bytes(), req);
     reply.release();
-    co_return;
+    co_return same;
   }
   auto r = co_await ch.call(req, resp_hint);
-  r.value();
+  co_return echoed(r.value(), req);
 }
 
-/// Single-client mean RPC latency over `iters` calls.
-inline sim::Duration measure_latency(proto::ProtocolKind kind, size_t bytes,
+/// Single-client mean RPC latency over `iters` timed calls, after one
+/// warm-up call; `probe` covers all `iters + 1`.
+inline sim::Duration measure_latency(BenchProbe& probe,
+                                     proto::ProtocolKind kind, size_t bytes,
                                      sim::PollMode poll, int iters = 64,
-                                     bool numa_local = true,
-                                     BenchProbe* probe = nullptr) {
+                                     bool numa_local = true) {
   Testbed bed;
   proto::ChannelConfig cfg;
   cfg.with_poll(poll)
       .with_max_msg(std::max<uint32_t>(64 << 10, uint32_t(bytes) * 2))
       .with_numa(numa_local, numa_local)
-      .with_zero_copy(bench_zero_copy());
+      .with_zero_copy(bench_zero_copy() != 0);
   auto ch = proto::make_channel(kind, *bed.client_node(0), *bed.server,
                                 checksum_handler(*bed.server), cfg);
   sim::Time total{};
   bed.sim.spawn([](Testbed& bed, proto::RpcChannel& ch, size_t bytes,
                    int iters, sim::Time& total,
-                   BenchProbe* probe) -> Task<void> {
-    proto::Buffer payload(bytes, std::byte{0x2a});
+                   BenchProbe& probe) -> Task<void> {
+    proto::Buffer payload(bytes);
     // Warm-up call (connection/buffer effects).
-    co_await bench_call(ch, payload, uint32_t(bytes));
+    fill_payload(payload, 0, 0);
+    if (!co_await bench_call(ch, payload, uint32_t(bytes)))
+      ++probe.echo_mismatches;
     sim::Time t0 = bed.sim.now();
     for (int i = 0; i < iters; ++i) {
+      fill_payload(payload, 0, uint64_t(i) + 1);
       sim::Time c0 = bed.sim.now();
-      co_await bench_call(ch, payload, uint32_t(bytes));
-      if (probe) probe->hist.record(bed.sim.now() - c0);
+      if (!co_await bench_call(ch, payload, uint32_t(bytes)))
+        ++probe.echo_mismatches;
+      probe.hist.record(bed.sim.now() - c0);
     }
     total = bed.sim.now() - t0;
     ch.shutdown();
   }(bed, *ch, bytes, iters, total, probe));
   bed.sim.run();
-  if (probe)
-    probe->finish(bed, uint64_t(iters) + 1,
-                  "lat/" + std::string(proto::to_string(kind)) + "/" +
-                      std::to_string(bytes) + "B");
+  probe.finish(bed, uint64_t(iters) + 1,
+               "lat/" + std::string(proto::to_string(kind)) + "/" +
+                   std::to_string(bytes) + "B");
   return total / iters;
 }
 
 struct ThroughputResult {
-  double mops = 0;            // aggregate million ops/s (calls / elapsed)
+  sim::Duration elapsed{};       // virtual makespan of the whole run
   sim::Duration mean_latency{};  // mean of the real per-call durations
-  sim::Duration elapsed{};    // virtual makespan of the whole run
+
+  void report(Json& row) const {
+    row.put("elapsed_ns", elapsed.count())
+        .put("mean_latency_ns", mean_latency.count());
+  }
 };
 
 /// Multi-client closed-loop throughput: `clients` concurrent clients, each
@@ -274,11 +302,11 @@ struct ThroughputResult {
 /// Achieved ops/s is total calls over the elapsed VIRTUAL time of the whole
 /// run; mean latency is averaged over the real per-call durations (under
 /// pipelining the two are no longer each other's reciprocal).
-inline ThroughputResult measure_throughput(proto::ProtocolKind kind,
+inline ThroughputResult measure_throughput(BenchProbe& probe,
+                                           proto::ProtocolKind kind,
                                            size_t bytes, int clients,
-                                           sim::PollMode poll, int iters = 30,
-                                           bool numa_bind = false,
-                                           BenchProbe* probe = nullptr) {
+                                           sim::PollMode poll, int iters,
+                                           bool numa_bind) {
   Testbed bed;
   const uint32_t window = bench_window();
   proto::ChannelConfig cfg;
@@ -288,7 +316,7 @@ inline ThroughputResult measure_throughput(proto::ProtocolKind kind,
       .with_max_msg(std::max<uint32_t>(64 << 10, uint32_t(bytes) * 2))
       .with_numa(numa_local, numa_local)
       .with_window(window)
-      .with_zero_copy(bench_zero_copy());
+      .with_zero_copy(bench_zero_copy() != 0);
 
   std::vector<std::unique_ptr<proto::RpcChannel>> channels;
   for (int c = 0; c < clients; ++c)
@@ -306,18 +334,23 @@ inline ThroughputResult measure_throughput(proto::ProtocolKind kind,
       if (lane_iters == 0) continue;
       wg.add(1);
       bed.sim.spawn([](Testbed& bed, proto::RpcChannel& ch, size_t bytes,
+                       int client, uint32_t lane, uint32_t window,
                        int lane_iters, sim::WaitGroup& wg,
                        sim::Duration& lat_sum,
-                       BenchProbe* probe) -> Task<void> {
-        proto::Buffer payload(bytes, std::byte{0x5a});
+                       BenchProbe& probe) -> Task<void> {
+        proto::Buffer payload(bytes);
         for (int i = 0; i < lane_iters; ++i) {
+          fill_payload(payload, uint64_t(client),
+                       uint64_t(i) * window + lane);
           sim::Time c0 = bed.sim.now();
-          co_await bench_call(ch, payload, uint32_t(bytes));
+          if (!co_await bench_call(ch, payload, uint32_t(bytes)))
+            ++probe.echo_mismatches;
           lat_sum += bed.sim.now() - c0;
-          if (probe) probe->hist.record(bed.sim.now() - c0);
+          probe.hist.record(bed.sim.now() - c0);
         }
         wg.done();
-      }(bed, *channels[size_t(c)], bytes, lane_iters, wg, lat_sum, probe));
+      }(bed, *channels[size_t(c)], bytes, c, l, window, lane_iters, wg,
+        lat_sum, probe));
     }
   }
   sim::Time end{};
@@ -330,18 +363,16 @@ inline ThroughputResult measure_throughput(proto::ProtocolKind kind,
   }(bed, wg, end, channels));
   bed.sim.run();
   uint64_t total_calls = uint64_t(clients) * uint64_t(iters);
-  if (probe)
-    probe->finish(bed, total_calls,
-                  "thr/" + std::string(proto::to_string(kind)) + "/" +
-                      std::to_string(bytes) + "B/c" +
-                      std::to_string(clients));
+  probe.finish(bed, total_calls,
+               "thr/" + std::string(proto::to_string(kind)) + "/" +
+                   std::to_string(bytes) + "B/c" + std::to_string(clients));
+  return {end, lat_sum / int64_t(total_calls ? total_calls : 1)};
+}
 
-  ThroughputResult r;
-  double secs = sim::to_seconds(end);
-  r.mops = secs > 0 ? double(total_calls) / secs / 1e6 : 0;
-  r.mean_latency = lat_sum / int64_t(total_calls ? total_calls : 1);
-  r.elapsed = end;
-  return r;
+/// Calls per client of the throughput rows: fewer at scale keeps the total
+/// call count sane.
+inline int throughput_iters(int clients) {
+  return clients >= 128 ? 10 : (clients >= 28 ? 20 : 40);
 }
 
 /// The plan HatRPC derives for the given hint triple (used by the ATB

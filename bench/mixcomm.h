@@ -3,22 +3,20 @@
 // throughput-hinted RPC (checksum server work scaling with payload, §5.3).
 // HatRPC resolves a separate plan per function (optimization isolation:
 // two channels per client); the baselines push both RPC types through one
-// fixed protocol. Reported: mean latency of the latency calls and
-// aggregate throughput of the throughput calls.
+// fixed protocol. Each row reports the latency calls' mean
+// (`latency_fn_mean_ns`, and their percentiles as p50/p95/p99_ns) and the
+// throughput calls' count over the run's span (`throughput_fn_calls` over
+// `elapsed_ns`).
 #pragma once
 
 #include "common.h"
 
 namespace hatbench {
 
-struct MixResult {
-  sim::Duration latency_fn_mean{};
-  double throughput_fn_kops = 0;
-};
-
-inline MixResult measure_mixcomm(size_t bytes, int clients,
-                                 std::optional<proto::ProtocolKind> fixed,
-                                 int iters = 30) {
+/// Runs one Mix-Comm point and adds its fields to `row`.
+inline void measure_mixcomm(Json& row, size_t bytes, int clients,
+                            std::optional<proto::ProtocolKind> fixed) {
+  const int iters = clients >= 128 ? 10 : 30;
   Testbed bed;
   hint::Plan lat_plan = hatrpc_plan(hint::PerfGoal::kLatency,
                                     uint32_t(clients), uint32_t(bytes));
@@ -65,6 +63,7 @@ inline MixResult measure_mixcomm(size_t bytes, int clients,
     sim::Duration lat_total{};
     uint64_t lat_calls = 0;
     uint64_t thr_calls = 0;
+    BenchProbe probe;
   } totals;
 
   sim::WaitGroup wg(bed.sim);
@@ -74,16 +73,21 @@ inline MixResult measure_mixcomm(size_t bytes, int clients,
                      int iters, int seed, Totals& totals,
                      sim::WaitGroup& wg) -> Task<void> {
       sim::Rng rng(uint64_t(seed) * 7919 + 17);
-      proto::Buffer payload(bytes, std::byte{0x11});
+      proto::Buffer payload(bytes);
       proto::RpcChannel& thr_ch = cc.thr ? *cc.thr : *cc.lat;
       for (int i = 0; i < iters; ++i) {
-        if (rng.chance(0.5)) {
-          sim::Time t0 = bed.sim.now();
-          (co_await cc.lat->call(payload, uint32_t(bytes))).value();
+        fill_payload(payload, uint64_t(seed), uint64_t(i));
+        const bool lat_fn = rng.chance(0.5);
+        sim::Time t0 = bed.sim.now();
+        auto r = co_await (lat_fn ? *cc.lat : thr_ch)
+                     .call(payload, uint32_t(bytes));
+        if (!echoed(r.value(), payload))
+          ++totals.probe.echo_mismatches;
+        if (lat_fn) {
           totals.lat_total += bed.sim.now() - t0;
+          totals.probe.hist.record(bed.sim.now() - t0);
           ++totals.lat_calls;
         } else {
-          (co_await thr_ch.call(payload, uint32_t(bytes))).value();
           ++totals.thr_calls;
         }
       }
@@ -101,48 +105,40 @@ inline MixResult measure_mixcomm(size_t bytes, int clients,
     }
   }(bed, wg, end, chans));
   bed.sim.run();
+  totals.probe.finish(bed, uint64_t(clients) * uint64_t(iters),
+                      "mix/" + std::to_string(bytes) + "B/c" +
+                          std::to_string(clients));
 
-  MixResult r;
-  if (totals.lat_calls)
-    r.latency_fn_mean = totals.lat_total / int64_t(totals.lat_calls);
-  double secs = sim::to_seconds(end);
-  r.throughput_fn_kops =
-      secs > 0 ? double(totals.thr_calls) / secs / 1e3 : 0;
-  return r;
+  row.put("latency_fn_calls", totals.lat_calls)
+      .put("latency_fn_mean_ns",
+           totals.lat_calls
+               ? (totals.lat_total / int64_t(totals.lat_calls)).count()
+               : 0)
+      .put("throughput_fn_calls", totals.thr_calls)
+      .put("elapsed_ns", end.count());
+  totals.probe.report(row);
 }
 
-inline void register_mixcomm(const char* fig, size_t bytes) {
-  static const std::pair<const char*,
-                         std::optional<proto::ProtocolKind>> kSeries[] = {
-      {"HatRPC", std::nullopt},
-      {"Hybrid-EagerRNDV", proto::ProtocolKind::kHybridEagerRndv},
-      {"Direct-Write-Send", proto::ProtocolKind::kDirectWriteSend},
-      {"RFP", proto::ProtocolKind::kRfp},
-      {"Direct-WriteIMM", proto::ProtocolKind::kDirectWriteImm},
-  };
-  for (auto& [label, fixed] : kSeries) {
+/// Mix-Comm figure `number` at `bytes` per call: the HatRPC series and the
+/// fixed baselines, at every client count.
+inline int run_mixcomm(int number, size_t bytes, int argc, char** argv) {
+  const std::string fig = std::to_string(number);
+  Figure figure("fig" + fig, argc, argv, {trace_flag()});
+  for (int clients : client_counts()) {
+    figure.add("Fig" + fig + "/HatRPC/c" + std::to_string(clients),
+               [=](Json& row) {
+                 measure_mixcomm(row, bytes, clients, std::nullopt);
+               });
+  }
+  for (auto [label, kind] : kAtbBaselines) {
     for (int clients : client_counts()) {
-      std::string name = std::string(fig) + "/" + label + "/c" +
-                         std::to_string(clients);
-      auto fixed_copy = fixed;
-      benchmark::RegisterBenchmark(
-          name.c_str(),
-          [bytes, clients, fixed_copy](benchmark::State& state) {
-            int iters = clients >= 128 ? 10 : 30;
-            MixResult r;
-            for (auto _ : state) {
-              r = measure_mixcomm(bytes, clients, fixed_copy, iters);
-              state.SetIterationTime(
-                  sim::to_seconds(r.latency_fn_mean) + 1e-9);
-            }
-            state.counters["lat_us"] = sim::to_micros(r.latency_fn_mean);
-            state.counters["thr_kops"] = r.throughput_fn_kops;
-          })
-          ->UseManualTime()
-          ->Iterations(1)
-          ->Unit(benchmark::kMicrosecond);
+      figure.add("Fig" + fig + "/" + label + "/c" + std::to_string(clients),
+                 [=](Json& row) {
+                   measure_mixcomm(row, bytes, clients, kind);
+                 });
     }
   }
+  return run_traced(figure);
 }
 
 }  // namespace hatbench

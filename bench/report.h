@@ -1,5 +1,5 @@
-// One report shape and one flag parser for the plain (non-google-benchmark)
-// benches. Every report is a single JSON line
+// One report shape, one flag parser and one row runner for every bench.
+// Every report is a single JSON line
 //
 //   {"bench":…,"seed":…,"config":{…},"virtual":{…},"host":{…}}
 //
@@ -11,13 +11,14 @@
 
 #include <algorithm>
 #include <charconv>
+#include <chrono>
 #include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <initializer_list>
+#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -182,11 +183,11 @@ struct Flag {
 
 /// Applies argv[1..] to `flags`; returns what was wrong, or nullopt.
 inline std::optional<std::string> try_parse_flags(
-    int argc, const char* const* argv, std::initializer_list<Flag> flags) {
+    int argc, const char* const* argv, const std::vector<Flag>& flags) {
   for (int i = 1; i < argc; ++i) {
     const std::string name = argv[i];
-    const Flag* f = std::find_if(flags.begin(), flags.end(),
-                                 [&](const Flag& x) { return x.name == name; });
+    const auto f = std::find_if(flags.begin(), flags.end(),
+                                [&](const Flag& x) { return x.name == name; });
     if (f == flags.end()) return "unknown flag: " + name;
     if (i + 1 >= argc) return name + " needs a value";
     const std::string value = argv[++i];
@@ -197,18 +198,107 @@ inline std::optional<std::string> try_parse_flags(
   return std::nullopt;
 }
 
-/// try_parse_flags, or the error and a usage line on stderr and exit 2.
-inline void parse_flags(int argc, char** argv,
-                        std::initializer_list<Flag> flags) {
-  const std::optional<std::string> err = try_parse_flags(argc, argv, flags);
-  if (!err) return;
+/// `err` and the usage line of `argv0` taking `flags` on stderr; exit 2.
+[[noreturn]] inline void usage_exit(const std::string& argv0,
+                                    const std::vector<Flag>& flags,
+                                    const std::string& err) {
   static constexpr const char* kMetavar[] = {"N", "N", "STR", "N,N,..."};
-  std::string usage = "usage: " + std::string(argc ? argv[0] : "bench");
+  std::string usage = "usage: " + argv0;
   for (const Flag& f : flags)
     usage += " [" + std::string(f.name) + " " + kMetavar[f.target.index()] +
              "]";
-  std::fprintf(stderr, "%s\n%s\n", err->c_str(), usage.c_str());
+  std::fprintf(stderr, "%s\n%s\n", err.c_str(), usage.c_str());
   std::exit(2);
 }
+
+/// try_parse_flags, or the error and a usage line on stderr and exit 2.
+inline void parse_flags(int argc, char** argv, const std::vector<Flag>& flags) {
+  if (const auto err = try_parse_flags(argc, argv, flags))
+    usage_exit(argc ? argv[0] : "bench", flags, *err);
+}
+
+/// One row of a figure bench: `run` adds the row's fields to its object
+/// under `virtual.rows`, after its name.
+struct Row {
+  std::string name;
+  std::function<void(Json& row)> run;
+};
+
+/// The rows whose name contains `filter`, in list order.
+inline std::vector<Row> filter_rows(std::vector<Row> rows,
+                                    std::string_view filter) {
+  std::erase_if(rows, [&](const Row& r) {
+    return r.name.find(filter) == std::string::npos;
+  });
+  return rows;
+}
+
+/// The figure benches take no --seed: the seed their scenarios derive
+/// payloads from is fixed, and their reports say so.
+constexpr uint64_t kFigureSeed = 1;
+
+/// A figure bench: a list of named rows, each one deterministic simulation.
+/// run() runs the rows `--filter` selects in order, prints one line per
+/// row, and writes one report to `--out`: an object per row under
+/// `virtual.rows`, and the row's wall time under `host.rows`.
+class Figure {
+ public:
+  /// Parses `--out FILE` and `--filter SUBSTR` plus the bench's own
+  /// `flags`; a bad command line exits 2 with the usage line.
+  Figure(std::string bench, int argc, char** argv,
+         const std::vector<Flag>& flags = {})
+      : report{std::move(bench), kFigureSeed},
+        argv0_(argc ? argv[0] : "bench"),
+        flags_{{"--out", &out_}, {"--filter", &filter_}} {
+    flags_.insert(flags_.end(), flags.begin(), flags.end());
+    parse_flags(argc, argv, flags_);
+  }
+  Figure(const Figure&) = delete;  // flags_ points into this object
+  Figure& operator=(const Figure&) = delete;
+
+  Report report;
+  std::vector<Row> rows;
+
+  void add(std::string name, std::function<void(Json& row)> run) {
+    rows.push_back({std::move(name), std::move(run)});
+  }
+
+  /// A flag value the parser accepted but the bench cannot use.
+  [[noreturn]] void usage_error(const std::string& err) const {
+    usage_exit(argv0_, flags_, err);
+  }
+
+  /// Runs the selected rows; returns main's exit status. No row selected
+  /// is a usage error.
+  int run() {
+    const std::vector<Row> picked = filter_rows(std::move(rows), filter_);
+    if (picked.empty())
+      usage_error("--filter '" + filter_ + "' matches no row");
+    Json virt_rows = Json::array();
+    Json host_rows = Json::array();
+    for (const Row& r : picked) {
+      Json row = Json::object().put("name", r.name);
+      const auto t0 = std::chrono::steady_clock::now();
+      r.run(row);
+      const auto wall = std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - t0);
+      std::printf("%s  (%.1f ms)\n", row.str().c_str(), wall.count() / 1e3);
+      std::fflush(stdout);
+      virt_rows.push(row);
+      host_rows.push(Json::object()
+                         .put("name", r.name)
+                         .put("wall_us", wall.count()));
+    }
+    report.virt.put("rows", virt_rows);
+    report.host.put("rows", host_rows);
+    return out_.empty() || report.write(out_) ? 0 : 1;
+  }
+
+ private:
+  std::string out_;
+  std::string filter_;
+  std::string argv0_;
+  std::vector<Flag> flags_;
+};
 
 }  // namespace hatbench

@@ -4,11 +4,13 @@
 // backend and dispatcher (the paper's "same backend implementation to
 // avoid unfair comparison"), differing only in the communication path.
 // Topology per §5.4: 1 server node, 128 clients over 4 client nodes.
+// Each row reports the run's span (`span_ns`) and, per operation type, its
+// count and mean latency (`GET_ops`, `GET_mean_ns`, ...): per-operation
+// throughput is ops over the span, the figure's first panel.
 #pragma once
 
-#include <benchmark/benchmark.h>
-
 #include "kv/hatkv.h"
+#include "report.h"
 #include "ycsb/ycsb.h"
 
 namespace hatbench {
@@ -183,32 +185,24 @@ inline YcsbRunResult run_ycsb(const YcsbSetup& setup,
   return result;
 }
 
-inline void register_ycsb(const char* fig, ycsb::WorkloadSpec spec) {
+/// The YCSB figure `bench` (rows "<prefix>/<system>") on `spec`.
+inline int run_ycsb_figure(const char* bench, const char* prefix,
+                           const ycsb::WorkloadSpec& spec, int argc,
+                           char** argv) {
+  Figure fig(bench, argc, argv);
   for (const YcsbSetup& setup : ycsb_setups()) {
-    std::string name = std::string(fig) + "/" + setup.label;
-    const YcsbSetup* sp = &setup;
-    benchmark::RegisterBenchmark(
-        name.c_str(),
-        [sp, spec](benchmark::State& state) {
-          YcsbRunResult r;
-          for (auto _ : state) {
-            r = run_ycsb(*sp, spec, /*clients=*/128, /*ops=*/25);
-            state.SetIterationTime(sim::to_seconds(r.span));
-          }
-          state.counters["total_kops"] =
-              r.stats.total_throughput_kops(r.span);
-          for (ycsb::OpType t : ycsb::kAllOps) {
-            std::string op(ycsb::to_string(t));
-            state.counters[op + "_kops"] =
-                r.stats.throughput_kops(t, r.span);
-            state.counters[op + "_lat_us"] =
-                sim::to_micros(r.stats.mean_latency(t));
-          }
-        })
-        ->UseManualTime()
-        ->Iterations(1)
-        ->Unit(benchmark::kMillisecond);
+    fig.add(std::string(prefix) + "/" + setup.label, [&](Json& row) {
+      const YcsbRunResult r =
+          run_ycsb(setup, spec, /*clients=*/128, /*ops_per_client=*/25);
+      row.put("span_ns", r.span.count());
+      for (ycsb::OpType t : ycsb::kAllOps) {
+        const std::string op(ycsb::to_string(t));
+        row.put(op + "_ops", r.stats.count(t))
+            .put(op + "_mean_ns", r.stats.mean_latency(t).count());
+      }
+    });
   }
+  return fig.run();
 }
 
 }  // namespace hatbench

@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
-"""Gate for the plain benches' reports (bench/report.h).
+"""Gate for the benches' reports (bench/report.h).
 
-  bench_gate.py compare A B     A and B agree on bench, seed, config and
-                                virtual; otherwise name the first path that
-                                differs and exit 1. `host` (wall-clock) is
-                                never compared.
-  bench_gate.py check BENCH R   run BENCH's assertions on report R.
+  bench_gate.py compare A B       A and B agree on bench, seed, config and
+                                  virtual; otherwise name the first path
+                                  that differs and exit 1. `host`
+                                  (wall-clock) is never compared.
+  bench_gate.py check NAME R...   run check NAME's assertions on the
+                                  report(s) R.
+  bench_gate.py trace FILE        FILE is a Chrome trace a figure bench's
+                                  --trace wrote, with at least one span.
 
 Values compare as written: numbers by their literal text, objects by key
 order, so a compare is as strict as a byte cmp of those four blocks.
@@ -162,31 +165,103 @@ def check_adaptive(rep):
     assert ana["adaptive_total_switches"] > 0, "controller never adapted"
 
 
-CHECKS = {"cluster": check_cluster, "sim_core": check_sim_core,
-          "scalability": check_scalability, "adaptive": check_adaptive}
+def row(rep, name):
+    """The row called `name` of a figure report."""
+    matches = [r for r in rep["virtual"]["rows"] if r["name"] == name]
+    assert len(matches) == 1, f"expected one row {name}, got {len(matches)}"
+    return matches[0]
 
 
-def check(bench, path):
-    with open(path) as f:
-        rep = json.load(f)
-    if rep["bench"] != bench:
-        print(f"bench-gate: {path} is a {rep['bench']} report, not {bench}")
-        return 1
+def per_call(r, counter):
+    return r[counter] / r["calls"]
+
+
+def check_window(w1, w16):
+    # Pipelining beats serial: fig05 at --window 1 and 16 on one row. The
+    # counters are deterministic, so the comparisons are exact.
+    assert w1["config"]["window"] == 1 and w16["config"]["window"] == 16, \
+        "expected a --window 1 and a --window 16 report"
+    name = "Fig05/64B/Direct-WriteIMM/c4/busy"
+    a, b = row(w1, name), row(w16, name)
+    m1, m16 = (r["calls"] / r["elapsed_ns"] * 1e3 for r in (a, b))
+    d1, d16 = per_call(a, "doorbells"), per_call(b, "doorbells")
+    print(f"window=1:  {m1:.4f} mops, {d1:.3f} doorbells/call")
+    print(f"window=16: {m16:.4f} mops, {d16:.3f} doorbells/call")
+    assert m16 > m1, "windowed throughput must be strictly higher"
+    assert d16 < d1, "windowed doorbells/call must be strictly lower"
+
+
+def check_zero_copy(staged, zc):
+    # fig04's 64 B busy rows of Eager and Direct-WriteIMM, staged against
+    # --zero-copy 1.
+    assert staged["config"]["zero_copy"] == 0 and zc["config"]["zero_copy"], \
+        "expected a staged and a --zero-copy report"
+    eager_s, eager_z, imm_s, imm_z = (
+        row(rep, f"Fig04/{kind}/64B/busy")
+        for kind in ("Eager-SendRecv", "Direct-WriteIMM")
+        for rep in (staged, zc))
+    print(f"eager 64B copies/call: staged={per_call(eager_s, 'copy_bytes'):.0f}"
+          f" zc={per_call(eager_z, 'copy_bytes'):.0f}")
+    print(f"writeimm p50_ns: staged={imm_s['p50_ns']} zc={imm_z['p50_ns']}"
+          f" (zc inline_wqes/call={per_call(imm_z, 'inline_wqes'):.1f})")
+    # Zero-copy Eager pays at most one payload copy per 64 B echo; the
+    # staging path pays four.
+    assert per_call(eager_z, "copy_bytes") <= 64, "zc eager must be <=1 copy"
+    assert per_call(eager_s, "copy_bytes") >= 4 * 64, \
+        "staged eager is 4 copies"
+    # Small Direct-WriteIMM calls go fully inline and beat the staged p50.
+    assert per_call(imm_z, "inline_wqes") > 0, \
+        "zc WriteIMM must post inline WQEs"
+    assert imm_z["p50_ns"] < imm_s["p50_ns"], "inline must beat staged p50"
+
+
+# name -> (the bench whose reports it takes, its assertions)
+CHECKS = {"cluster": ("cluster", check_cluster),
+          "sim_core": ("sim_core", check_sim_core),
+          "scalability": ("scalability", check_scalability),
+          "adaptive": ("adaptive", check_adaptive),
+          "window": ("fig05", check_window),
+          "zero_copy": ("fig04", check_zero_copy)}
+
+
+def check(name, paths):
+    bench, assertions = CHECKS[name]
+    reps = []
+    for path in paths:
+        with open(path) as f:
+            rep = json.load(f)
+        if rep["bench"] != bench:
+            print(f"bench-gate: {path} is a {rep['bench']} report, not {bench}")
+            return 1
+        reps.append(rep)
     try:
-        CHECKS[bench](rep)
+        assertions(*reps)
     except (AssertionError, KeyError) as e:
-        print(f"bench-gate: {bench} check failed on {path}: {e}")
+        print(f"bench-gate: {name} check failed on {' '.join(paths)}: {e}")
         return 1
-    print(f"{bench} checks OK ({path})")
+    print(f"{name} checks OK ({' '.join(paths)})")
+    return 0
+
+
+def trace(path):
+    with open(path) as f:
+        events = json.load(f)["traceEvents"]
+    if not events or not any(e.get("ph") == "X" for e in events):
+        print(f"bench-gate: {path} has no complete (\"X\") spans")
+        return 1
+    print(f"trace OK: {len(events)} events ({path})")
     return 0
 
 
 def main(argv):
     if len(argv) == 4 and argv[1] == "compare":
         return compare(argv[2], argv[3])
-    if len(argv) == 4 and argv[1] == "check" and argv[2] in CHECKS:
-        return check(argv[2], argv[3])
-    print(__doc__.strip(), f"\nBENCH is one of: {', '.join(CHECKS)}",
+    if (len(argv) >= 4 and argv[1] == "check" and argv[2] in CHECKS and
+            len(argv) - 3 == CHECKS[argv[2]][1].__code__.co_argcount):
+        return check(argv[2], argv[3:])
+    if len(argv) == 3 and argv[1] == "trace":
+        return trace(argv[2])
+    print(__doc__.strip(), f"\nNAME is one of: {', '.join(CHECKS)}",
           file=sys.stderr)
     return 2
 

@@ -1,13 +1,15 @@
-// bench/report.h: the flag parser the plain benches share rejects bad
-// command lines instead of aborting or wrapping, and the JSON writer's
-// output is exact.
+// bench/report.h: the flag parser every bench shares rejects bad command
+// lines instead of aborting or wrapping, the JSON writer's output is exact,
+// and a figure bench runs the rows its filter selects, in order.
 #include "report.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <optional>
+#include <regex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace {
@@ -111,6 +113,72 @@ TEST(BenchReport, KeysKeepInsertionOrderInTheSharedShape) {
             "\"virtual\":{\"digest\":\"0x000000000000002a\",\"ok\":true,"
             "\"none\":null,\"inner\":{\"z\":1,\"a\":\"s\"}},"
             "\"host\":{\"before\":{\"x\":[1]}}}\n");
+}
+
+std::vector<std::string> names(const std::vector<hatbench::Row>& rows) {
+  std::vector<std::string> out;
+  for (const hatbench::Row& r : rows) out.push_back(r.name);
+  return out;
+}
+
+TEST(BenchRows, FilterIsASubstringMatchThatKeepsListOrder) {
+  std::vector<hatbench::Row> rows;
+  for (const char* n : {"Fig05/64B/Eager/c4", "Fig05/512B/RFP/c4",
+                        "Fig05/64B/RFP/c16", "Fig05/64B/Eager/c16"})
+    rows.push_back({n, nullptr});
+  EXPECT_EQ(names(hatbench::filter_rows(rows, "64B/")),
+            (std::vector<std::string>{"Fig05/64B/Eager/c4",
+                                      "Fig05/64B/RFP/c16",
+                                      "Fig05/64B/Eager/c16"}));
+  EXPECT_EQ(names(hatbench::filter_rows(rows, "RFP/c")),
+            (std::vector<std::string>{"Fig05/512B/RFP/c4",
+                                      "Fig05/64B/RFP/c16"}));
+  EXPECT_EQ(names(hatbench::filter_rows(rows, "")), names(rows));
+  EXPECT_TRUE(hatbench::filter_rows(rows, "fig05").empty());
+}
+
+TEST(BenchRows, RunWritesOneObjectPerSelectedRowInOrder) {
+  const char* argv[] = {"bench_x", "--filter", "a/"};
+  hatbench::Figure fig("demo", 3, const_cast<char**>(argv));
+  std::vector<std::string> ran;
+  for (const char* n : {"a/1", "b/2", "a/3"})
+    fig.add(n, [&ran, n](Json& row) {
+      ran.push_back(n);
+      row.put("v", n[2] - '0');
+    });
+  EXPECT_EQ(fig.run(), 0);
+  EXPECT_EQ(ran, (std::vector<std::string>{"a/1", "a/3"}));
+  EXPECT_EQ(fig.report.seed, hatbench::kFigureSeed);
+  EXPECT_EQ(fig.report.virt.str(),
+            "{\"rows\":[{\"name\":\"a/1\",\"v\":1},"
+            "{\"name\":\"a/3\",\"v\":3}]}");
+  EXPECT_TRUE(std::regex_match(
+      fig.report.host.str(),
+      std::regex(R"(\{"rows":\[\{"name":"a/1","wall_us":[0-9]+\},)"
+                 R"(\{"name":"a/3","wall_us":[0-9]+\}\]\})")))
+      << fig.report.host.str();
+}
+
+TEST(BenchRowsDeathTest, AFilterThatMatchesNoRowExitsWithUsageStatus2) {
+  uint32_t window = 1;
+  const char* argv[] = {"bench_x", "--filter", "Fig05/9B"};
+  hatbench::Figure fig("demo", 3, const_cast<char**>(argv),
+                       {{"--window", &window}});
+  fig.add("Fig05/64B/Eager/c4", [](Json&) {});
+  EXPECT_EXIT(fig.run(), testing::ExitedWithCode(2),
+              "--filter 'Fig05/9B' matches no row\nusage: bench_x "
+              "\\[--out STR\\] \\[--filter STR\\] \\[--window N\\]");
+}
+
+TEST(BenchRowsDeathTest, AFigureRejectsAFlagItDoesNotDeclare) {
+  // fig04 takes --zero-copy but has no window to set.
+  uint32_t zero_copy = 0;
+  const char* argv[] = {"bench_fig04", "--window", "16"};
+  EXPECT_EXIT(hatbench::Figure("fig04", 3, const_cast<char**>(argv),
+                               {{"--zero-copy", &zero_copy}}),
+              testing::ExitedWithCode(2),
+              "unknown flag: --window\nusage: bench_fig04 \\[--out STR\\] "
+              "\\[--filter STR\\] \\[--zero-copy N\\]");
 }
 
 }  // namespace
