@@ -4,15 +4,12 @@
 // the simulated mean over 64 timed calls.
 //
 //   bench_fig04_protocol_latency [--out F] [--filter S] [--trace F]
-//                                [--zero-copy N]
 #include "common.h"
 
 using namespace hatbench;
 
 int main(int argc, char** argv) {
-  Figure fig("fig04", argc, argv,
-             {trace_flag(), {"--zero-copy", &bench_zero_copy()}});
-  fig.report.config.put("zero_copy", bench_zero_copy());
+  Figure fig("fig04", argc, argv, {trace_flag()});
   for (auto kind : kFigureProtocols) {
     for (size_t bytes : latency_sizes()) {
       for (auto poll : {sim::PollMode::kBusy, sim::PollMode::kEvent}) {

@@ -4,18 +4,16 @@
 // `calls` over the run's simulated span `elapsed_ns`.
 //
 //   bench_fig05_protocol_throughput [--out F] [--filter S] [--trace F]
-//                                   [--zero-copy N] [--window N]
+//                                   [--window N]
 #include "common.h"
 
 using namespace hatbench;
 
 int main(int argc, char** argv) {
   Figure fig("fig05", argc, argv,
-             {trace_flag(), {"--zero-copy", &bench_zero_copy()},
-              {"--window", &bench_window()}});
+             {trace_flag(), {"--window", &bench_window()}});
   if (bench_window() == 0) fig.usage_error("--window: must be at least 1");
-  fig.report.config.put("window", bench_window())
-      .put("zero_copy", bench_zero_copy());
+  fig.report.config.put("window", bench_window());
   for (size_t bytes : {size_t(64), size_t(512), size_t(128 << 10)}) {
     for (auto kind : kFigureProtocols) {
       for (int clients : client_counts()) {

@@ -67,14 +67,6 @@ inline uint32_t& bench_window() {
   return w;
 }
 
-/// Zero-copy send path (fig04/fig05's `--zero-copy N`, on when N != 0):
-/// payloads go out inline or as gather SGE lists instead of through the
-/// staging copies.
-inline uint32_t& bench_zero_copy() {
-  static uint32_t zc = 0;
-  return zc;
-}
-
 /// Runs `fig`'s rows with `--trace` honoured: the sink is enabled before
 /// the first row, and the merged trace written after the last.
 inline int run_traced(Figure& fig) {
@@ -226,20 +218,8 @@ inline proto::Handler checksum_handler(verbs::Node& server) {
 }
 
 /// One benchmark call; true if the reply is the request, byte for byte.
-/// Under --zero-copy the response is taken as a lease into the recv ring
-/// (in-place delivery, no client materialization copy) and released right
-/// after it is compared — the pattern a real consumer of the fig05 profile
-/// would use. Staged channels keep the owned-buffer path so their numbers
-/// are untouched.
 inline Task<bool> bench_call(proto::RpcChannel& ch, proto::View req,
                              uint32_t resp_hint) {
-  if (bench_zero_copy()) {
-    auto r = co_await ch.call_leased(req, resp_hint);
-    proto::LeasedReply reply = std::move(r).value();
-    const bool same = echoed(reply.bytes(), req);
-    reply.release();
-    co_return same;
-  }
   auto r = co_await ch.call(req, resp_hint);
   co_return echoed(r.value(), req);
 }
@@ -254,8 +234,7 @@ inline sim::Duration measure_latency(BenchProbe& probe,
   proto::ChannelConfig cfg;
   cfg.with_poll(poll)
       .with_max_msg(std::max<uint32_t>(64 << 10, uint32_t(bytes) * 2))
-      .with_numa(numa_local, numa_local)
-      .with_zero_copy(bench_zero_copy() != 0);
+      .with_numa(numa_local, numa_local);
   auto ch = proto::make_channel(kind, *bed.client_node(0), *bed.server,
                                 checksum_handler(*bed.server), cfg);
   sim::Time total{};
@@ -315,8 +294,7 @@ inline ThroughputResult measure_throughput(BenchProbe& probe,
   cfg.with_poll(poll)
       .with_max_msg(std::max<uint32_t>(64 << 10, uint32_t(bytes) * 2))
       .with_numa(numa_local, numa_local)
-      .with_window(window)
-      .with_zero_copy(bench_zero_copy() != 0);
+      .with_window(window);
 
   std::vector<std::unique_ptr<proto::RpcChannel>> channels;
   for (int c = 0; c < clients; ++c)

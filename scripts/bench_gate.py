@@ -6,13 +6,15 @@
                                   that differs and exit 1. `host`
                                   (wall-clock) is never compared.
   bench_gate.py check NAME R...   run check NAME's assertions on the
-                                  report(s) R.
+                                  report(s) R (`echo` takes any number of
+                                  figure reports).
   bench_gate.py trace FILE        FILE is a Chrome trace a figure bench's
                                   --trace wrote, with at least one span.
 
 Values compare as written: numbers by their literal text, objects by key
 order, so a compare is as strict as a byte cmp of those four blocks.
 """
+import inspect
 import itertools
 import json
 import sys
@@ -191,37 +193,32 @@ def check_window(w1, w16):
     assert d16 < d1, "windowed doorbells/call must be strictly lower"
 
 
-def check_zero_copy(staged, zc):
-    # fig04's 64 B busy rows of Eager and Direct-WriteIMM, staged against
-    # --zero-copy 1.
-    assert staged["config"]["zero_copy"] == 0 and zc["config"]["zero_copy"], \
-        "expected a staged and a --zero-copy report"
-    eager_s, eager_z, imm_s, imm_z = (
-        row(rep, f"Fig04/{kind}/64B/busy")
-        for kind in ("Eager-SendRecv", "Direct-WriteIMM")
-        for rep in (staged, zc))
-    print(f"eager 64B copies/call: staged={per_call(eager_s, 'copy_bytes'):.0f}"
-          f" zc={per_call(eager_z, 'copy_bytes'):.0f}")
-    print(f"writeimm p50_ns: staged={imm_s['p50_ns']} zc={imm_z['p50_ns']}"
-          f" (zc inline_wqes/call={per_call(imm_z, 'inline_wqes'):.1f})")
-    # Zero-copy Eager pays at most one payload copy per 64 B echo; the
-    # staging path pays four.
-    assert per_call(eager_z, "copy_bytes") <= 64, "zc eager must be <=1 copy"
-    assert per_call(eager_s, "copy_bytes") >= 4 * 64, \
-        "staged eager is 4 copies"
-    # Small Direct-WriteIMM calls go fully inline and beat the staged p50.
-    assert per_call(imm_z, "inline_wqes") > 0, \
-        "zc WriteIMM must post inline WQEs"
-    assert imm_z["p50_ns"] < imm_s["p50_ns"], "inline must beat staged p50"
+def check_echo(*reps):
+    # Every figure row that compares its echoes byte for byte found none
+    # wrong. A report must have at least one such row.
+    for rep in reps:
+        rows = [r for r in rep["virtual"]["rows"] if "echo_mismatches" in r]
+        assert rows, f"{rep['bench']}: no row reports echo_mismatches"
+        bad = [r["name"] for r in rows if r["echo_mismatches"]]
+        assert not bad, f"{rep['bench']}: echo mismatches on {', '.join(bad)}"
+        print(f"{rep['bench']}: {len(rows)} rows, 0 echo mismatches")
 
 
-# name -> (the bench whose reports it takes, its assertions)
+# name -> (the bench whose reports it takes, None for any; its assertions)
 CHECKS = {"cluster": ("cluster", check_cluster),
           "sim_core": ("sim_core", check_sim_core),
           "scalability": ("scalability", check_scalability),
           "adaptive": ("adaptive", check_adaptive),
           "window": ("fig05", check_window),
-          "zero_copy": ("fig04", check_zero_copy)}
+          "echo": (None, check_echo)}
+
+
+def takes(assertions, n):
+    """True if `assertions` takes n reports (a *reps check takes 1+)."""
+    code = assertions.__code__
+    if code.co_flags & inspect.CO_VARARGS:
+        return n >= 1
+    return n == code.co_argcount
 
 
 def check(name, paths):
@@ -230,7 +227,7 @@ def check(name, paths):
     for path in paths:
         with open(path) as f:
             rep = json.load(f)
-        if rep["bench"] != bench:
+        if bench and rep["bench"] != bench:
             print(f"bench-gate: {path} is a {rep['bench']} report, not {bench}")
             return 1
         reps.append(rep)
@@ -257,7 +254,7 @@ def main(argv):
     if len(argv) == 4 and argv[1] == "compare":
         return compare(argv[2], argv[3])
     if (len(argv) >= 4 and argv[1] == "check" and argv[2] in CHECKS and
-            len(argv) - 3 == CHECKS[argv[2]][1].__code__.co_argcount):
+            takes(CHECKS[argv[2]][1], len(argv) - 3)):
         return check(argv[2], argv[3:])
     if len(argv) == 3 and argv[1] == "trace":
         return trace(argv[2])

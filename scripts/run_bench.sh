@@ -8,7 +8,7 @@
 #
 #   BUILD_DIR=build scripts/run_bench.sh   # BUILD_DIR defaults to build
 #
-# Windowed, zero-copy and filtered figure runs are direct binary calls, e.g.
+# Windowed and filtered figure runs are direct binary calls, e.g.
 #   build/bench/bench_fig05_protocol_throughput --window 16 --out w16.json
 set -euo pipefail
 

@@ -193,6 +193,8 @@ sim::Task<proto::Buffer> AdaptiveChannel::do_call(proto::View req,
 
 sim::Task<proto::LeasedReply> AdaptiveChannel::do_call_leased(
     proto::View req, uint32_t resp_size_hint) {
+  // Same accounting as do_call: a lent reply (a Direct ReplyLoan) holds no
+  // slot of the epoch, so the epoch is left as soon as the call resolves.
   auto ep = cur_;
   ++ep->inflight;
   sim_.rc_read(ep.get(), 0, "AdaptiveChannel.epoch", RC_HERE);
@@ -200,27 +202,12 @@ sim::Task<proto::LeasedReply> AdaptiveChannel::do_call_leased(
   const uint32_t live = ctrl_.call_begin();
   proto::LeasedResult r = co_await ep->ch->call_leased(req, resp_size_hint);
   ctrl_.call_end();
+  leave_epoch(ep);
   const bool stalled = epoch_stalls(*ep) > stalls0;
-  if (!r) {
-    leave_epoch(ep);
-    ctrl_.observe({req.size(), 0, stalled, live});
-    if (!ctrl_.frozen()) maybe_apply();
-    throw r.error();
-  }
-  proto::LeasedReply reply = std::move(*r);
-  ctrl_.observe({req.size(), reply.bytes().size(), stalled, live});
+  ctrl_.observe({req.size(), r ? r->bytes().size() : 0, stalled, live});
   if (!ctrl_.frozen()) maybe_apply();
-  if (!reply.holds_slot()) {
-    leave_epoch(ep);
-    co_return reply;
-  }
-  // A lease holding a slot points into the epoch's recv ring: the epoch
-  // counts it as in flight (blocking its teardown) until it is released.
-  auto inner = std::make_shared<proto::LeasedReply>(std::move(reply));
-  co_return proto::LeasedReply(inner->bytes(), [this, ep, inner]() {
-    inner->release();
-    leave_epoch(ep);
-  });
+  if (!r) throw r.error();
+  co_return std::move(*r);
 }
 
 void AdaptiveChannel::maybe_apply() {
@@ -264,9 +251,9 @@ AdaptiveChannel::~AdaptiveChannel() {
 }
 
 sim::Task<void> AdaptiveChannel::reap(std::shared_ptr<Epoch> old) {
-  // In-flight calls (and leases) drain on the old plan; only then does the
-  // old epoch's serve loop stop. The object itself stays alive in
-  // retired_ so late lease releases still find their rings.
+  // In-flight calls drain on the old plan; only then does the old epoch's
+  // serve loop stop. The object itself stays alive in retired_, so stats()
+  // still counts its traffic.
   co_await old->drained.wait();
   old->ch->shutdown();
   // From here on any call pinned to this epoch is a lifetime violation

@@ -168,13 +168,13 @@ class AdaptiveChannel : public proto::RpcChannel {
 
  private:
   /// One plan generation: the concrete channel plus the in-flight count
-  /// that gates its teardown. Retired epochs stay alive (leases may still
-  /// point into their rings) until the AdaptiveChannel is destroyed; their
-  /// serve loops are shut down once the last in-flight call drains.
+  /// that gates its teardown. Retired epochs stay alive until the
+  /// AdaptiveChannel is destroyed; their serve loops are shut down once the
+  /// last in-flight call drains.
   struct Epoch {
     explicit Epoch(sim::Simulator& sim) : drained(sim) {}
     std::unique_ptr<proto::RpcChannel> ch;
-    uint64_t inflight = 0;  // calls + outstanding leases on this epoch
+    uint64_t inflight = 0;  // calls in flight on this epoch
     bool retired = false;
     sim::Event drained;
   };

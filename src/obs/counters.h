@@ -57,7 +57,7 @@ enum class Ctr : uint8_t {
   kShardPolls,         // CQEs consumed by a shard's polling loop
   kPlanSwitches,       // adaptive controller republished a function's plan
   kEpochSwaps,         // adaptive channels rebuilt for a new plan epoch
-  kRecvLeases,         // responses delivered in place from the recv ring
+  kRecvLeases,         // replies lent in place from a Direct response slot
   kRaceReports,        // race/lifetime diagnostics recorded by RaceCheck
   kCount,
 };

@@ -34,12 +34,6 @@ struct PendingCall {
   uint32_t len = 0;
   Buffer resp;  // used by protocols whose dispatcher owns the resp bytes
   verbs::WcStatus status = verbs::WcStatus::kSuccess;
-  /// Leased delivery (call_leased): the caller asks the dispatcher to park
-  /// the in-place ring view instead of materializing a copy; the ring slot
-  /// rides to the caller's LeasedReply, which reposts it on release.
-  bool lease_wanted = false;
-  View lease_view{};
-  uint32_t lease_slot = UINT32_MAX;  // UINT32_MAX = delivered owned
 };
 
 class ChannelBase : public RpcChannel {
@@ -153,13 +147,8 @@ class ChannelBase : public RpcChannel {
     return sv_.pd().alloc_mr(n);
   }
 
-  /// Eager-style staging copy at the client / server (see policy above).
-  sim::Task<void> charge_client_copy(size_t bytes) {
-    cl_.counters().add(obs::Ctr::kCopyBytes, bytes);
-    channel_counters()->add(obs::Ctr::kCopyBytes, bytes);
-    return cl_.cpu().compute(
-        cost_.copy_time(bytes, cfg_.client_numa_local));
-  }
+  /// The server-side copy of a bypass response into its export region
+  /// (see policy above).
   sim::Task<void> charge_server_copy(size_t bytes) {
     sv_.counters().add(obs::Ctr::kCopyBytes, bytes);
     channel_counters()->add(obs::Ctr::kCopyBytes, bytes);

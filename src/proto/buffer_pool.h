@@ -1,11 +1,10 @@
-// Pooled, pre-registered serialization buffers for the zero-copy send path.
+// Pooled, pre-registered serialization buffers.
 //
 // A BufferPool owns one slab of host memory, registers it up front through
 // the owning node's MrCache (so every send posted from a lease is a cache
 // hit, never a per-call registration), and hands out fixed-size blocks as
-// RAII leases. Serialization writes land directly in registered memory —
-// the Thrift bridge (thrift::TRdma) serializes into a lease and the channel
-// gathers from it without a staging copy.
+// RAII leases. Serialization writes land directly in registered memory
+// (TMemoryBuffer::backed over a lease). TServerRdma gives each shard one.
 //
 // Re-acquiring a block that served an earlier call is the pool working as
 // intended (warm, registered memory) and is counted as a pool_buffer_reuse.

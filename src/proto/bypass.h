@@ -42,24 +42,11 @@ class BypassChannel : public ChannelBase {
     put_u64(p, seq);
     put_u32(p + 8, static_cast<uint32_t>(req.size()));
     const uint32_t wire = kReqHdr + static_cast<uint32_t>(req.size());
+    copy_bytes(p + kReqHdr, req.data(), req.size());
     verbs::SendWr wr;
+    wr.local = {p, wire};
     wr.remote = srv_req_slot_->remote(0);
     wr.signaled = false;
-    if (cfg_.zero_copy) {
-      // Gather [header | payload] straight from the staged header slot and
-      // the caller's buffer — fully inline when the wire frame fits.
-      wr.sg_list.push_back({p, kReqHdr});
-      if (!req.empty())
-        wr.sg_list.push_back({const_cast<std::byte*>(req.data()),
-                              static_cast<uint32_t>(req.size())});
-      if (wire <= cep_.qp->max_inline_data())
-        wr.inline_data = true;
-      else if (!req.empty())
-        cl_.pd().mr_cache().get(req.data(), req.size(), channel_counters());
-    } else {
-      copy_bytes(p + kReqHdr, req.data(), req.size());
-      wr.local = {p, wire};
-    }
     if (event_server()) {
       ++stats_.write_imms;
       wr.opcode = verbs::Opcode::kWriteImm;
@@ -109,26 +96,12 @@ class BypassChannel : public ChannelBase {
       Buffer resp = (co_await run_handler(
                          View{srv_req_slot_->data() + kReqHdr, req_len}))
                         .take();
-      if (resp.size() > cfg_.max_msg)
-        throw std::length_error("bypass protocol: response exceeds slot");
 
       if (kind_ == ProtocolKind::kHerd) {
-        if (cfg_.zero_copy) {
-          if (!co_await resp_pipe_->send_zc_owned(std::move(resp))) break;
-        } else {
-          if (!co_await resp_pipe_->send(resp)) break;
-        }
+        if (!co_await resp_pipe_->send(resp)) break;
         continue;
       }
-      // Place the response in the exported region (intrinsic server-side
-      // copy — the client can only READ from registered export space).
-      co_await charge_server_copy(resp.size());
-      std::byte* e = srv_export_->data();
-      copy_bytes(e + kExportHdr, resp.data(), resp.size());
-      // meta2 then meta1 (ready flag last, matching write ordering).
-      put_u64(e + 16, served_);
-      put_u32(e + 24, static_cast<uint32_t>(resp.size()));
-      put_u64(e, served_);
+      co_await publish(srv_export_->data(), served_, resp);
     }
   }
 
@@ -212,6 +185,18 @@ class BypassChannel : public ChannelBase {
   static constexpr uint32_t kMetaBytes = 16;
   static constexpr uint32_t kExportHdr = 32;  // meta1 + meta2
 
+  /// Export-metadata length of a response that did not fit max_msg.
+  static constexpr uint32_t kOversized = UINT32_MAX;
+
+  /// The response length the server published at `p`; fails the call when
+  /// the server published the oversize mark instead of a payload.
+  static uint32_t reply_len(const std::byte* p) {
+    const uint32_t len = get_u32(p);
+    if (len == kOversized)
+      throw std::length_error("bypass protocol: response exceeds slot");
+    return len;
+  }
+
   bool event_server() const {
     return cfg_.server_poll == sim::PollMode::kEvent;
   }
@@ -248,7 +233,7 @@ class BypassChannel : public ChannelBase {
         }
         // ...then fetch meta2 (extent) and finally the payload.
         co_await issue_read(16, kMetaBytes);
-        uint32_t len = get_u32(b + 8);
+        uint32_t len = reply_len(b + 8);
         co_await issue_read(kExportHdr, len);
         co_return Buffer(b, b + len);
       }
@@ -258,7 +243,7 @@ class BypassChannel : public ChannelBase {
         while (true) {
           co_await issue_read(0, kExportHdr);
           if (get_u64(b) == seq) {
-            len = get_u32(b + 24);
+            len = reply_len(b + 24);
             break;
           }
           ++stats_.read_retries;
@@ -289,13 +274,13 @@ class BypassChannel : public ChannelBase {
           // succeeding poll returned; learn the larger delay.
           sim::Duration observed = sim_.now() - t0;
           fetch_delay_ = (fetch_delay_ * 3 + observed) / 4;
-          uint32_t len = get_u32(b + 24);
+          uint32_t len = reply_len(b + 24);
           co_await issue_read(kExportHdr, len, kExportHdr);
           co_return Buffer(b + kExportHdr, b + kExportHdr + len);
         }
         // Hit on the first fetch: decay the delay so we stay optimistic.
         fetch_delay_ = fetch_delay_ * 7 / 8;
-        uint32_t len = get_u32(b + 24);
+        uint32_t len = reply_len(b + 24);
         if (len > guess) {
           // Undersized fetch: one more READ for the tail.
           co_await issue_read(kExportHdr + guess, len - guess,
@@ -337,22 +322,11 @@ class BypassChannel : public ChannelBase {
       pend = sim::pooled_shared<PendingCall>(sim_);
       pending_[slot] = pend;
     }
+    copy_bytes(p + kReqHdr, req.data(), req.size());
     verbs::SendWr wr;
+    wr.local = {p, wire};
     wr.remote = srv_req_slot_->remote(size_t(slot) * req_stride_);
     wr.signaled = false;
-    if (cfg_.zero_copy) {
-      wr.sg_list.push_back({p, kReqHdr});
-      if (!req.empty())
-        wr.sg_list.push_back({const_cast<std::byte*>(req.data()),
-                              static_cast<uint32_t>(req.size())});
-      if (wire <= cep_.qp->max_inline_data())
-        wr.inline_data = true;
-      else if (!req.empty())
-        cl_.pd().mr_cache().get(req.data(), req.size(), channel_counters());
-    } else {
-      copy_bytes(p + kReqHdr, req.data(), req.size());
-      wr.local = {p, wire};
-    }
     if (event_server()) {
       ++stats_.write_imms;
       wr.opcode = verbs::Opcode::kWriteImm;
@@ -399,7 +373,7 @@ class BypassChannel : public ChannelBase {
           ++stats_.read_retries;
         }
         co_await issue_read_w(slot, 16, kMetaBytes);
-        uint32_t len = get_u32(b + 8);
+        uint32_t len = reply_len(b + 8);
         co_await issue_read_w(slot, kExportHdr, len);
         co_return Buffer(b, b + len);
       }
@@ -408,7 +382,7 @@ class BypassChannel : public ChannelBase {
         while (true) {
           co_await issue_read_w(slot, 0, kExportHdr);
           if (get_u64(b) == seq) {
-            len = get_u32(b + 24);
+            len = reply_len(b + 24);
             break;
           }
           ++stats_.read_retries;
@@ -431,12 +405,12 @@ class BypassChannel : public ChannelBase {
           }
           sim::Duration observed = sim_.now() - t0;
           fetch_delay_ = (fetch_delay_ * 3 + observed) / 4;
-          uint32_t len = get_u32(b + 24);
+          uint32_t len = reply_len(b + 24);
           co_await issue_read_w(slot, kExportHdr, len, kExportHdr);
           co_return Buffer(b + kExportHdr, b + kExportHdr + len);
         }
         fetch_delay_ = fetch_delay_ * 7 / 8;
-        uint32_t len = get_u32(b + 24);
+        uint32_t len = reply_len(b + 24);
         if (len > guess) {
           co_await issue_read_w(slot, kExportHdr + guess, len - guess,
                                 kExportHdr + guess);
@@ -529,16 +503,7 @@ class BypassChannel : public ChannelBase {
     const std::byte* r = slot_req(slot);
     const uint64_t seq = get_u64(r);
     Buffer resp = (co_await run_handler(View{r + kReqHdr, req_len})).take();
-    if (resp.size() > cfg_.max_msg)
-      throw std::length_error("bypass protocol: response exceeds slot");
     if (kind_ == ProtocolKind::kHerd) {
-      if (cfg_.zero_copy) {
-        // The slot tag rides the gathered wire header; the response Buffer's
-        // ownership rides the WQE.
-        auto guard = co_await srv_send_mu_.scoped();
-        co_await resp_pipe_->send_zc_owned(std::move(resp), &slot);
-        co_return;
-      }
       Buffer framed(4 + resp.size());
       put_u32(framed.data(), slot);
       if (!resp.empty())
@@ -547,11 +512,23 @@ class BypassChannel : public ChannelBase {
       co_await resp_pipe_->send(framed);
       co_return;
     }
-    co_await charge_server_copy(resp.size());
-    std::byte* e = srv_export_->data() + size_t(slot) * exp_stride_;
-    copy_bytes(e + kExportHdr, resp.data(), resp.size());
+    co_await publish(srv_export_->data() + size_t(slot) * exp_stride_, seq,
+                     resp);
+  }
+
+  /// Places `resp` in the export stride at `e` (the intrinsic server-side
+  /// copy: the client can only READ from registered export space), then
+  /// meta2 and meta1 (ready flag last, matching write ordering). A reply
+  /// past max_msg publishes only the oversize mark, failing just its call.
+  sim::Task<void> publish(std::byte* e, uint64_t seq, const Buffer& resp) {
+    uint32_t len = kOversized;
+    if (resp.size() <= cfg_.max_msg) {
+      co_await charge_server_copy(resp.size());
+      copy_bytes(e + kExportHdr, resp.data(), resp.size());
+      len = static_cast<uint32_t>(resp.size());
+    }
     put_u64(e + 16, seq);
-    put_u32(e + 24, static_cast<uint32_t>(resp.size()));
+    put_u32(e + 24, len);
     put_u64(e, seq);
   }
 

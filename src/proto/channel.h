@@ -206,12 +206,6 @@ struct ChannelConfig {
   /// they ever accepted. Null = not tracked. Only leaf channels (those
   /// built on ChannelBase) honour it, so a hybrid's inner call counts once.
   uint64_t* shard_inflight = nullptr;
-  /// Zero-copy send path: payloads go out inline (≤ max_inline_data) or as
-  /// gather SGE lists straight from the caller's buffer (registered on
-  /// demand through the PD's MrCache) instead of being staged through slot
-  /// copies. Off by default: the legacy staging path stays bit-identical
-  /// for trace/counter regression oracles.
-  bool zero_copy = false;
 
   // Chainable named setters, so configurations read as a sentence:
   //   ChannelConfig{}.with_poll(kEvent).with_max_msg(64 << 10)
@@ -266,10 +260,6 @@ struct ChannelConfig {
     server_numa_local = server_local;
     return *this;
   }
-  ChannelConfig& with_zero_copy(bool on = true) {
-    zero_copy = on;
-    return *this;
-  }
 };
 
 /// Per-channel operation counters, used by tests to pin down each
@@ -298,9 +288,9 @@ class RpcChannel {
   /// (handler exceptions, oversized messages) propagate as exceptions.
   sim::Task<CallResult> call(View req, uint32_t resp_size_hint = 0);
 
-  /// Like call(), but the response may be delivered in place from the
-  /// channel's recv ring (zero-copy receive). Protocols without an in-place
-  /// path fall back to call() semantics with an owned buffer.
+  /// Like call(), but the response may be lent from the channel's response
+  /// slot (the Direct protocols). Other protocols fall back to call()
+  /// semantics with an owned buffer.
   sim::Task<LeasedResult> call_leased(View req, uint32_t resp_size_hint = 0);
 
   /// Lends one of the channel's registered send blocks for the next
@@ -349,7 +339,7 @@ class RpcChannel {
   virtual sim::Task<Buffer> do_call(View req, uint32_t resp_size_hint) = 0;
 
   /// Protocol-specific leased-call body; the default materializes through
-  /// do_call. Overrides deliver single-segment responses in place.
+  /// do_call. Overrides lend the response in place.
   virtual sim::Task<LeasedReply> do_call_leased(View req,
                                                 uint32_t resp_size_hint) {
     co_return LeasedReply(co_await do_call(req, resp_size_hint));

@@ -58,10 +58,12 @@ class DirectChannel : public ChannelBase {
   /// Lends the response slot instead of copying out of it: the slot goes
   /// back to the free list at the same instant as in do_call, and the loan
   /// is recalled only if the slot is re-acquired (or the channel dies)
-  /// while the reply is still alive.
+  /// while the reply is still alive. Each loan counts one recv lease.
   sim::Task<LeasedReply> do_call_leased(View req,
                                         uint32_t /*resp_size_hint*/) override {
     const Landed r = co_await exchange(req);
+    cl_.counters().add(obs::Ctr::kRecvLeases);
+    channel_counters()->add(obs::Ctr::kRecvLeases);
     std::shared_ptr<ReplyLoan>& loan = loans_[r.slot];
     if (!loan) loan = sim::pooled_shared<ReplyLoan>();
     loan->view = View(cli_resp_buf_->data() + offset(r.slot), r.len);
@@ -161,15 +163,7 @@ class DirectChannel : public ChannelBase {
     const bool in_block = cli_req_src_->contains(
         reinterpret_cast<uint64_t>(req.data()), len);
     std::byte* src = const_cast<std::byte*>(req.data());
-    bool inl = false;
-    if (cfg_.zero_copy) {
-      // Zero-copy: the WRITE gathers straight from the caller's buffer
-      // (valid until the response resolves), inline when it fits the
-      // doorbell, registered on demand through the MrCache otherwise.
-      inl = len <= cep_.qp->max_inline_data();
-      if (!inl && len > 0 && !in_block)
-        cl_.pd().mr_cache().get(req.data(), len, channel_counters());
-    } else if (!in_block) {
+    if (!in_block) {
       // A heap request stages into its slot's response area: nothing there
       // is live between the acquire (which recalled any lent reply) and the
       // response, and the WRITE gathers it before the server can answer.
@@ -177,7 +171,7 @@ class DirectChannel : public ChannelBase {
       copy_bytes(src, req.data(), req.size());
     }
     co_await push(cep_.qp, src, srv_req_buf_->remote(off), len, len, slot,
-                  cli_notify_src_, inl);
+                  cli_notify_src_);
     co_await pend->done.wait();
     pending_[slot].reset();
     if (pend->status != verbs::WcStatus::kSuccess) {
@@ -248,29 +242,19 @@ class DirectChannel : public ChannelBase {
     }
     const View bytes = resp.bytes(area);
     const uint32_t rlen = static_cast<uint32_t>(bytes.size());
-    if (cfg_.zero_copy && rlen <= sep_.qp->max_inline_data()) {
-      // Small response rides the doorbell (snapshotted at post time, so an
-      // owned Buffer may die immediately after) — no staging copy.
-      co_await push(sep_.qp, const_cast<std::byte*>(bytes.data()),
-                    cli_resp_buf_->remote(off), rlen, rlen, slot,
-                    srv_notify_src_, true);
-    } else {
-      // The WQE reads the payload at execution time, after an owned Buffer
-      // is gone, so an owned reply stages into the area first.
-      if (!resp.in_area()) copy_bytes(area.data(), bytes.data(), rlen);
-      co_await push(sep_.qp, area.data(), cli_resp_buf_->remote(off), rlen,
-                    rlen, slot, srv_notify_src_);
-    }
+    // The WQE reads the payload at execution time, after an owned Buffer is
+    // gone, so an owned reply stages into the area first.
+    if (!resp.in_area()) copy_bytes(area.data(), bytes.data(), rlen);
+    co_await push(sep_.qp, area.data(), cli_resp_buf_->remote(off), rlen, rlen,
+                  slot, srv_notify_src_);
   }
 
   /// Delivers `len` bytes from `src` into the peer's pre-known buffer slot
   /// using the variant's doorbell/notify scheme, announcing `note` as the
-  /// length (`len`, or kOversized). `inl` posts the payload WRITE inline
-  /// (zero-copy path, len pre-checked against max_inline_data).
+  /// length (`len`, or kOversized).
   sim::Task<void> push(verbs::QueuePair* qp, std::byte* src,
                        verbs::RemoteAddr dst, uint32_t len, uint32_t note,
-                       uint32_t slot, verbs::MemoryRegion* notify_region,
-                       bool inl = false) {
+                       uint32_t slot, verbs::MemoryRegion* notify_region) {
     switch (kind_) {
       case ProtocolKind::kDirectWriteImm: {
         ++stats_.write_imms;
@@ -278,8 +262,7 @@ class DirectChannel : public ChannelBase {
                                              .local = {src, len},
                                              .remote = dst,
                                              .imm = slot_imm(slot, note),
-                                             .signaled = false,
-                                             .inline_data = inl});
+                                             .signaled = false});
         break;
       }
       case ProtocolKind::kDirectWriteSend:
@@ -292,13 +275,10 @@ class DirectChannel : public ChannelBase {
         verbs::SendWr write{.opcode = verbs::Opcode::kWrite,
                             .local = {src, len},
                             .remote = dst,
-                            .signaled = false,
-                            .inline_data = inl};
+                            .signaled = false};
         verbs::SendWr notify{.opcode = verbs::Opcode::kSend,
                              .local = {n, 8},
-                             .signaled = false,
-                             // The 8-byte notify always fits the doorbell.
-                             .inline_data = cfg_.zero_copy};
+                             .signaled = false};
         if (kind_ == ProtocolKind::kChainedWriteSend) {
           std::vector<verbs::SendWr> chain;
           chain.push_back(write);

@@ -14,7 +14,6 @@
 
 #include "proto/channel.h"
 #include "proto/wire.h"
-#include "sim/rc_annotate.h"
 #include "sim/sync.h"
 
 namespace hatrpc::proto {
@@ -28,22 +27,10 @@ class EagerPipe {
             const ChannelConfig& cfg, ChannelStats* stats,
             obs::CounterSet* chan)
       : src_(src), dst_(dst), cfg_(cfg), stats_(stats), chan_(chan),
-        cost_(src.node->fabric().cost()),
-        rc_sim_(&src.node->fabric().simulator()),
-        zc_leased_(cfg.eager_slots, false) {
+        cost_(src.node->fabric().cost()) {
     send_ring_ = src_.node->pd().alloc_mr(ring_bytes());
     recv_ring_ = dst_.node->pd().alloc_mr(ring_bytes());
-    // Zero-copy sends still need a registered scratch ring for the tiny
-    // wire header that is gathered ahead of the user payload.
-    if (cfg_.zero_copy)
-      zc_hdr_ = src_.node->pd().alloc_mr(
-          static_cast<size_t>(kZcHdrBytes) * cfg_.eager_slots);
     for (uint32_t i = 0; i < cfg_.eager_slots; ++i) post_recv_slot(i);
-  }
-
-  EagerPipe(EagerPipe&&) = default;
-  ~EagerPipe() {
-    for (uint32_t i = 0; i < cfg_.eager_slots; ++i) rc_sim_->rc_forget(this, i);
   }
 
   size_t ring_bytes() const {
@@ -100,123 +87,22 @@ class EagerPipe {
   }
 
   /// Receives one message; nullopt when the CQ is closed (shutdown).
+  /// Charges the eager bookkeeping CPU and an assembly copy per segment.
   sim::Task<std::optional<Buffer>> recv() {
-    verbs::Wc wc = co_await dst_.recv_wc();
-    if (!wc.ok()) {
-      last_status_ = wc.status;
-      co_return std::nullopt;
-    }
-    co_return co_await assemble(wc);
-  }
-
-  // ---- Zero-copy path ----------------------------------------------------
-
-  /// What recv_zc() hands back: either an in-place view into the recv ring
-  /// (single-segment message — the consumer must release(slot) when done so
-  /// the slot can be reposted) or an owned buffer (multi-segment messages
-  /// fall back to the staged assembly).
-  struct ZcMsg {
-    static constexpr uint32_t kNoSlot = UINT32_MAX;
-    Buffer owned;
-    View view{};
-    uint32_t slot = kNoSlot;
-    bool in_place() const { return slot != kNoSlot; }
-    View bytes() const { return in_place() ? view : View(owned); }
-  };
-
-  /// Zero-copy send of a BORROWED payload: the caller guarantees `msg`
-  /// stays valid until the send's WQE has executed (a client holding its
-  /// request across the call does). Small messages go out inline; larger
-  /// single-slot messages gather [header | payload] straight from the user
-  /// buffer (registered through the sender node's MrCache). Messages that
-  /// do not fit one slot fall back to the staged multi-segment path.
-  /// `slot_prefix`, when set, is framed ahead of the payload exactly like
-  /// the windowed staging path's 4-byte prefix.
-  sim::Task<bool> send_zc(View msg, const uint32_t* slot_prefix = nullptr) {
-    co_return co_await send_zc_impl(msg, slot_prefix, nullptr);
-  }
-
-  /// Zero-copy send of an OWNED payload (server responses whose Buffer dies
-  /// when the serve task returns): ownership moves into the WQE's
-  /// keep_alive, so the bytes outlive the caller without a staging copy.
-  sim::Task<bool> send_zc_owned(Buffer&& msg,
-                                const uint32_t* slot_prefix = nullptr) {
-    auto keep = std::make_shared<const Buffer>(std::move(msg));
-    co_return co_await send_zc_impl(View(*keep), slot_prefix, keep);
-  }
-
-  /// Receives one message without the staging copy where possible.
-  sim::Task<std::optional<ZcMsg>> recv_zc() {
-    verbs::Wc wc = co_await dst_.recv_wc();
-    if (!wc.ok()) {
-      last_status_ = wc.status;
-      co_return std::nullopt;
-    }
-    uint32_t idx = static_cast<uint32_t>(wc.wr_id);
-    const std::byte* s =
-        recv_ring_->data() + static_cast<size_t>(idx) * cfg_.eager_slot;
-    const size_t total = get_u32(s);
-    if (total + 4 == wc.byte_len) {
-      // Single segment: message matching is still bookkeeping work, but the
-      // payload is consumed in place — no assembly copy.
-      co_await dst_.node->cpu().compute(cost_.eager_match_cpu);
-      zc_leased_[idx] = true;
-      // The slot begins a leased lifetime owned by the consumer; the view
-      // read below conflicts with anything that reposts the slot early.
-      rc_sim_->rc_revive(this, idx);
-      rc_sim_->rc_read(this, idx, "EagerPipe.recv_slot", RC_HERE);
-      ZcMsg m;
-      m.view = View{s + 4, total};
-      m.slot = idx;
-      co_return m;
-    }
-    // Multi-segment: assemble through the staged path (charged as usual).
-    auto out = co_await assemble(wc);
-    if (!out) co_return std::nullopt;
-    ZcMsg m;
-    m.owned = std::move(*out);
-    co_return m;
-  }
-
-  /// Reposts an in-place message's ring slot once the consumer is done.
-  /// Releasing a slot that is not leased (double release, or release after
-  /// the slot was already reposted) is a no-op — reposting twice would put
-  /// the slot in the recv queue twice and let two future messages land in
-  /// the same bytes — and a RaceCheck lifetime diagnostic.
-  void release(uint32_t slot) {
-    if (slot >= zc_leased_.size() || !zc_leased_[slot]) {
-      rc_sim_->rc_lifetime(this, slot, "EagerPipe.recv_slot", RC_HERE,
-                           "release of a recv slot that is not leased");
-      return;
-    }
-    zc_leased_[slot] = false;
-    rc_sim_->rc_retire(this, slot, "EagerPipe.recv_slot", RC_HERE);
-    post_recv_slot(slot);
-  }
-
-  /// Status of the completion that made send()/recv() bail out.
-  verbs::WcStatus last_status() const { return last_status_; }
-
- private:
-  // Staged multi-segment assembly — the legacy recv() body, with the first
-  // (already polled, successful) completion handed in. Charges the eager
-  // bookkeeping CPU and an assembly copy per segment, exactly as before.
-  sim::Task<std::optional<Buffer>> assemble(verbs::Wc wc) {
     Buffer out;
     size_t total = 0;
     bool first = true;
     std::optional<verbs::Wc> pending;
     while (first || out.size() < total) {
-      if (!first) {
-        if (pending) {
-          wc = *pending;
-          pending.reset();
-        } else {
-          wc = co_await dst_.recv_wc();
-          if (!wc.ok()) {
-            last_status_ = wc.status;
-            co_return std::nullopt;
-          }
+      verbs::Wc wc;
+      if (pending) {
+        wc = *pending;
+        pending.reset();
+      } else {
+        wc = co_await dst_.recv_wc();
+        if (!wc.ok()) {
+          last_status_ = wc.status;
+          co_return std::nullopt;
         }
       }
       uint32_t idx = static_cast<uint32_t>(wc.wr_id);
@@ -242,118 +128,10 @@ class EagerPipe {
     co_return out;
   }
 
-  sim::Task<bool> send_zc_impl(View msg, const uint32_t* slot_prefix,
-                               std::shared_ptr<const void> keep) {
-    const uint32_t hdr = slot_prefix ? kZcHdrBytes : 4u;
-    const uint32_t total =
-        static_cast<uint32_t>(msg.size()) + (slot_prefix ? 4u : 0u);
-    const uint32_t wire = hdr + static_cast<uint32_t>(msg.size());
-    if (wire > cfg_.eager_slot) {
-      // Does not fit one slot: segment with per-slot gather SGEs straight
-      // from the user buffer (no staging copy — this copy used to dominate
-      // the fig05 profile for multi-slot messages).
-      co_return co_await send_zc_segmented(msg, slot_prefix, std::move(keep));
-    }
-    const uint32_t nslots = cfg_.eager_slots;
-    while (outstanding_ > 0 && src_.scq->try_poll()) --outstanding_;
-    while (outstanding_ >= nslots) {
-      verbs::Wc wc = co_await src_.send_wc();
-      if (!wc.ok()) {
-        last_status_ = wc.status;
-        co_return false;
-      }
-      --outstanding_;
-    }
-    const uint32_t idx = cursor_ % nslots;
-    std::byte* h = zc_hdr_->data() + static_cast<size_t>(idx) * kZcHdrBytes;
-    put_u32(h, total);
-    if (slot_prefix) put_u32(h + 4, *slot_prefix);
-    // Matching bookkeeping only — no staging copy on the zero-copy path.
-    co_await src_.node->cpu().compute(cost_.eager_match_cpu);
-    verbs::SendWr wr{.wr_id = idx,
-                     .opcode = verbs::Opcode::kSend,
-                     .signaled = true};
-    wr.sg_list.push_back({h, hdr});
-    if (!msg.empty())
-      wr.sg_list.push_back(
-          {const_cast<std::byte*>(msg.data()),
-           static_cast<uint32_t>(msg.size())});
-    if (wire <= src_.qp->max_inline_data()) {
-      // Small message: the payload rides the doorbell (prepare_send
-      // snapshots it into the WQE, so no lifetime obligation remains).
-      wr.inline_data = true;
-    } else if (!msg.empty()) {
-      // Gather straight from the user buffer; register on demand.
-      src_.node->pd().mr_cache().get(msg.data(), msg.size(), chan_);
-      wr.keep_alive = std::move(keep);
-    }
-    co_await src_.qp->post_send(std::move(wr));
-    ++stats_->sends;
-    ++outstanding_;
-    ++cursor_;
-    co_return true;
-  }
+  /// Status of the completion that made send()/recv() bail out.
+  verbs::WcStatus last_status() const { return last_status_; }
 
-  // Multi-slot zero-copy send. The wire image is byte-identical to the
-  // staged path — first segment [u32 total][u32 slot?][payload slice],
-  // later segments raw payload slices, same per-segment byte_len — so the
-  // receiver's assemble() is oblivious; only the sender-side staging copy
-  // (and its copy_time compute) disappears. Each segment gathers [header |
-  // payload slice]: the header rides the per-slot zc scratch ring (slot
-  // reuse is gated on send completions exactly like the staged ring), the
-  // payload slice comes from the user buffer registered once up front. For
-  // owned payloads every segment's WQE shares the keep_alive, so the bytes
-  // live until the last segment executes.
-  sim::Task<bool> send_zc_segmented(View msg, const uint32_t* slot_prefix,
-                                    std::shared_ptr<const void> keep) {
-    const uint32_t slot = cfg_.eager_slot;
-    const uint32_t nslots = cfg_.eager_slots;
-    const uint32_t pfx = slot_prefix ? 4u : 0u;
-    const uint32_t total = static_cast<uint32_t>(msg.size()) + pfx;
-    size_t off = 0;
-    bool first = true;
-    while (outstanding_ > 0 && src_.scq->try_poll()) --outstanding_;
-    if (!msg.empty())
-      src_.node->pd().mr_cache().get(msg.data(), msg.size(), chan_);
-    while (first || off < msg.size()) {
-      const uint32_t idx = cursor_ % nslots;
-      const uint32_t hdr = first ? 4u + pfx : 0u;
-      const uint32_t take = static_cast<uint32_t>(
-          std::min<size_t>(slot - hdr, msg.size() - off));
-      while (outstanding_ >= nslots) {
-        verbs::Wc wc = co_await src_.send_wc();
-        if (!wc.ok()) {
-          last_status_ = wc.status;
-          co_return false;
-        }
-        --outstanding_;
-      }
-      // Matching bookkeeping only — no staging copy on the zero-copy path.
-      co_await src_.node->cpu().compute(cost_.eager_match_cpu);
-      verbs::SendWr wr{.wr_id = idx,
-                       .opcode = verbs::Opcode::kSend,
-                       .signaled = true};
-      if (hdr > 0) {
-        std::byte* h =
-            zc_hdr_->data() + static_cast<size_t>(idx) * kZcHdrBytes;
-        put_u32(h, total);
-        if (slot_prefix) put_u32(h + 4, *slot_prefix);
-        wr.sg_list.push_back({h, hdr});
-      }
-      if (take > 0)
-        wr.sg_list.push_back(
-            {const_cast<std::byte*>(msg.data() + off), take});
-      if (keep) wr.keep_alive = keep;
-      co_await src_.qp->post_send(std::move(wr));
-      ++stats_->sends;
-      ++outstanding_;
-      off += take;
-      ++cursor_;
-      first = false;
-    }
-    co_return true;
-  }
-
+ private:
   void charge_copy(verbs::Node& node, uint64_t bytes) {
     node.counters().add(obs::Ctr::kCopyBytes, bytes);
     if (chan_) chan_->add(obs::Ctr::kCopyBytes, bytes);
@@ -372,14 +150,9 @@ class EagerPipe {
   ChannelStats* stats_;
   obs::CounterSet* chan_;
   const verbs::CostModel& cost_;
-  /// Per-slot wire-header scratch for zero-copy sends: [u32 total][u32 slot].
-  static constexpr uint32_t kZcHdrBytes = 8;
 
   verbs::MemoryRegion* send_ring_;
   verbs::MemoryRegion* recv_ring_;
-  verbs::MemoryRegion* zc_hdr_ = nullptr;
-  sim::Simulator* rc_sim_;
-  std::vector<bool> zc_leased_;  // in-place recv slots awaiting release()
   uint32_t outstanding_ = 0;
   uint32_t cursor_ = 0;  // staging slot cursor, persistent across messages
   verbs::WcStatus last_status_ = verbs::WcStatus::kSuccess;

@@ -67,15 +67,6 @@ class HybridChannel : public RpcChannel {
     co_return std::move(*r);
   }
 
-  sim::Task<LeasedReply> do_call_leased(View req,
-                                        uint32_t resp_size_hint) override {
-    size_t decisive = std::max<size_t>(req.size(), resp_size_hint);
-    RpcChannel& path = decisive <= threshold_ ? *eager_ : *rndv_;
-    LeasedResult r = co_await path.call_leased(req, resp_size_hint);
-    if (!r) throw r.error();
-    co_return std::move(*r);
-  }
-
  private:
   HybridChannel(ProtocolKind kind, verbs::Node& client,
                 std::unique_ptr<RpcChannel> eager,

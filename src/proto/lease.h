@@ -5,7 +5,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -79,65 +78,25 @@ struct ReplyLoan {
 };
 
 /// A response delivered without the client-side materialization copy where
-/// the protocol can manage it: a view into the channel's pooled recv ring
-/// (released — i.e. the ring slot reposted — when the lease dies; such a
-/// lease must not outlive its channel), a ReplyLoan from a response slot
-/// (safe to keep past the channel), or an owned Buffer fallback.
+/// the protocol can manage it: a ReplyLoan from a response slot (safe to
+/// keep past the channel), or an owned Buffer fallback.
 class LeasedReply {
  public:
   LeasedReply() = default;
   explicit LeasedReply(Buffer owned) : owned_(std::move(owned)) {}
-  LeasedReply(View v, std::function<void()> release)
-      : view_(v), release_(std::move(release)) {}
   explicit LeasedReply(std::shared_ptr<const ReplyLoan> loan)
       : loan_(std::move(loan)) {}
-  LeasedReply(LeasedReply&& o) noexcept
-      : owned_(std::move(o.owned_)), view_(o.view_),
-        release_(std::move(o.release_)), loan_(std::move(o.loan_)) {
-    o.release_ = nullptr;
-    o.view_ = {};
-  }
-  LeasedReply& operator=(LeasedReply&& o) noexcept {
-    if (this != &o) {
-      release();
-      owned_ = std::move(o.owned_);
-      view_ = o.view_;
-      release_ = std::move(o.release_);
-      loan_ = std::move(o.loan_);
-      o.release_ = nullptr;
-      o.view_ = {};
-    }
-    return *this;
-  }
+  LeasedReply(LeasedReply&&) = default;
+  LeasedReply& operator=(LeasedReply&&) = default;
   LeasedReply(const LeasedReply&) = delete;
   LeasedReply& operator=(const LeasedReply&) = delete;
-  ~LeasedReply() { release(); }
 
-  View bytes() const {
-    if (loan_) return loan_->bytes();
-    return release_ ? view_ : View(owned_);
-  }
+  View bytes() const { return loan_ ? loan_->bytes() : View(owned_); }
   /// True when the bytes live in the channel's memory (no copy paid).
-  bool in_place() const {
-    return static_cast<bool>(release_) || (loan_ && !loan_->recalled);
-  }
-  /// True while the reply holds a ring slot of its channel (released with
-  /// the reply); an owned buffer or a loan holds nothing.
-  bool holds_slot() const { return static_cast<bool>(release_); }
-  /// Reposts the underlying ring slot early (the dtor does it otherwise).
-  void release() {
-    if (release_) {
-      release_();
-      release_ = nullptr;
-    }
-    view_ = {};
-    loan_.reset();
-  }
+  bool in_place() const { return loan_ && !loan_->recalled; }
 
  private:
   Buffer owned_;
-  View view_{};
-  std::function<void()> release_;
   std::shared_ptr<const ReplyLoan> loan_;
 };
 

@@ -26,10 +26,7 @@ class RendezvousChannel : public ChannelBase {
     if (req.size() > cfg_.max_msg)
       throw std::length_error("rendezvous: request exceeds payload pool");
     if (cfg_.window > 1) co_return co_await do_call_w(req);
-    // Zero-copy mode sources the request straight from the caller's buffer
-    // (valid until the response resolves) instead of the payload pool.
-    if (!cfg_.zero_copy)
-      copy_bytes(cli_payload_->data(), req.data(), req.size());
+    copy_bytes(cli_payload_->data(), req.data(), req.size());
     const uint32_t len = static_cast<uint32_t>(req.size());
 
     if (kind_ == ProtocolKind::kWriteRndv) {
@@ -37,22 +34,15 @@ class RendezvousChannel : public ChannelBase {
       co_await send_ctrl(cep_, cli_ctrl_src_, kRts, len, {});
       Ctrl cts = co_await recv_ctrl(cep_, cli_ctrl_ring_);
       ++stats_.write_imms;
-      std::byte* src = cli_payload_->data();
-      const bool inl = cfg_.zero_copy && len <= cep_.qp->max_inline_data();
-      if (cfg_.zero_copy) {
-        src = const_cast<std::byte*>(req.data());
-        if (!inl && len > 0)
-          cl_.pd().mr_cache().get(req.data(), len, channel_counters());
-      }
       co_await cep_.qp->post_send(verbs::SendWr{
           .opcode = verbs::Opcode::kWriteImm,
-          .local = {src, len},
+          .local = {cli_payload_->data(), len},
           .remote = cts.addr,
           .imm = len,
-          .signaled = false,
-          .inline_data = inl});
+          .signaled = false});
       // Response (reverse Write-RNDV): RTS' -> we reply CTS -> recv-imm.
       Ctrl rts = co_await recv_ctrl(cep_, cli_ctrl_ring_);
+      check_reply_len(rts.len);
       co_await send_ctrl(cep_, cli_ctrl_src_, kCts, rts.len,
                          cli_resp_buf_->remote(0));
       verbs::Wc wc = co_await cep_.recv_wc();
@@ -62,22 +52,12 @@ class RendezvousChannel : public ChannelBase {
       co_return Buffer(p, p + wc.imm);
     }
 
-    // Read-RNDV: RTS carries our buffer; the server READs the request. In
-    // zero-copy mode that buffer is the caller's own (registered on demand
-    // through the MrCache), so the READ pulls user memory directly.
-    if (cfg_.zero_copy) {
-      verbs::MemoryRegion* mr =
-          cl_.pd().mr_cache().get(req.data(), len, channel_counters());
-      co_await send_ctrl(
-          cep_, cli_ctrl_src_, kRts, len,
-          verbs::RemoteAddr{reinterpret_cast<uint64_t>(req.data()),
-                            mr->rkey()});
-    } else {
-      co_await send_ctrl(cep_, cli_ctrl_src_, kRts, len,
-                         cli_payload_->remote(0));
-    }
+    // Read-RNDV: RTS carries our buffer; the server READs the request.
+    co_await send_ctrl(cep_, cli_ctrl_src_, kRts, len,
+                       cli_payload_->remote(0));
     // Server processes, then announces its response buffer.
     Ctrl rts = co_await recv_ctrl(cep_, cli_ctrl_ring_);
+    check_reply_len(rts.len);
     ++stats_.reads;
     co_await cep_.qp->post_send(verbs::SendWr{.wr_id = 1,
                                               .opcode = verbs::Opcode::kRead,
@@ -127,18 +107,14 @@ class RendezvousChannel : public ChannelBase {
 
       Buffer resp =
           (co_await run_handler(View{srv_payload_->data(), req_len})).take();
-      if (resp.size() > cfg_.max_msg)
-        throw std::length_error("rendezvous: response exceeds payload pool");
+      if (resp.size() > cfg_.max_msg) {
+        // Fail just this call: the response RTS' announces the oversize
+        // mark, and neither side moves a payload or sends CTS/FIN for it.
+        co_await send_ctrl(sep_, srv_ctrl_src_, kRts, kOversized, {});
+        continue;
+      }
       const uint32_t rlen = static_cast<uint32_t>(resp.size());
-      // Small Write-RNDV responses go out inline straight from the
-      // handler's Buffer (snapshotted at post time); everything else is
-      // staged because the WQE reads the payload after `resp` is gone
-      // (Write-RNDV large) or the client READs it later (Read-RNDV).
-      const bool zc_inl = cfg_.zero_copy &&
-                          kind_ == ProtocolKind::kWriteRndv &&
-                          rlen <= sep_.qp->max_inline_data();
-      if (!zc_inl)
-        copy_bytes(srv_resp_src_->data(), resp.data(), resp.size());
+      copy_bytes(srv_resp_src_->data(), resp.data(), resp.size());
 
       if (kind_ == ProtocolKind::kWriteRndv) {
         co_await send_ctrl(sep_, srv_ctrl_src_, kRts, rlen, {});
@@ -147,11 +123,10 @@ class RendezvousChannel : public ChannelBase {
         ++stats_.write_imms;
         co_await sep_.qp->post_send(verbs::SendWr{
             .opcode = verbs::Opcode::kWriteImm,
-            .local = {zc_inl ? resp.data() : srv_resp_src_->data(), rlen},
+            .local = {srv_resp_src_->data(), rlen},
             .remote = cts.addr,
             .imm = rlen,
-            .signaled = false,
-            .inline_data = zc_inl});
+            .signaled = false});
       } else {
         co_await send_ctrl(sep_, srv_ctrl_src_, kRts, rlen,
                            srv_resp_src_->remote(0));
@@ -218,6 +193,8 @@ class RendezvousChannel : public ChannelBase {
   static constexpr uint32_t kRts = 1;
   static constexpr uint32_t kCts = 2;
   static constexpr uint32_t kFin = 3;
+  /// Length a response RTS' announces for a reply past max_msg.
+  static constexpr uint32_t kOversized = UINT32_MAX;
 
   struct Ctrl {
     uint32_t type = 0;
@@ -249,9 +226,13 @@ class RendezvousChannel : public ChannelBase {
     put_u32(p + 16, addr.rkey);
     co_await ep.qp->post_send(verbs::SendWr{.opcode = verbs::Opcode::kSend,
                                             .local = {p, 20},
-                                            .signaled = false,
-                                            // 20B always fits the doorbell
-                                            .inline_data = cfg_.zero_copy});
+                                            .signaled = false});
+  }
+
+  /// Fails the call whose response RTS' announced the oversize mark.
+  static void check_reply_len(uint32_t len) {
+    if (len == kOversized)
+      throw std::length_error("rendezvous: response exceeds payload pool");
   }
 
   sim::Task<Ctrl> recv_ctrl(verbs::Endpoint& ep, verbs::MemoryRegion* ring,
@@ -285,9 +266,7 @@ class RendezvousChannel : public ChannelBase {
     put_u32(p + 20, slot);
     co_await ep.qp->post_send(verbs::SendWr{.opcode = verbs::Opcode::kSend,
                                             .local = {p, 24},
-                                            .signaled = false,
-                                            // 24B always fits the doorbell
-                                            .inline_data = cfg_.zero_copy});
+                                            .signaled = false});
   }
 
   sim::Task<void> recv_dispatch(verbs::Endpoint& ep,
@@ -387,6 +366,7 @@ class RendezvousChannel : public ChannelBase {
           .imm = slot_imm(slot, len),
           .signaled = false});
       RMsg rts = co_await expect(slot);  // server's response RTS'
+      check_reply_len(rts.ctrl.len);
       co_await send_ctrl_w(cep_, cli_ctrl_src_, kCts, rts.ctrl.len,
                            cli_resp_buf_->remote(off), slot);
       RMsg data = co_await expect(slot);  // response WRITE_IMM landed
@@ -398,6 +378,7 @@ class RendezvousChannel : public ChannelBase {
     co_await send_ctrl_w(cep_, cli_ctrl_src_, kRts, len,
                          cli_payload_->remote(off), slot);
     RMsg rts = co_await expect(slot);  // server's response RTS'
+    check_reply_len(rts.ctrl.len);
     ++stats_.reads;
     co_await cep_.qp->post_send(verbs::SendWr{
         .wr_id = slot,
@@ -439,8 +420,10 @@ class RendezvousChannel : public ChannelBase {
       Buffer resp = (co_await run_handler(
                          View{srv_payload_->data() + off, req_len}))
                         .take();
-      if (resp.size() > cfg_.max_msg)
-        throw std::length_error("rendezvous: response exceeds payload pool");
+      if (resp.size() > cfg_.max_msg) {
+        co_await send_ctrl_w(sep_, srv_ctrl_src_, kRts, kOversized, {}, slot);
+        continue;
+      }
       copy_bytes(srv_resp_src_->data() + off, resp.data(), resp.size());
       const uint32_t rlen = static_cast<uint32_t>(resp.size());
 

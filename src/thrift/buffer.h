@@ -31,9 +31,9 @@ class TMemoryBuffer {
     return b;
   }
 
-  /// Serialization target backed by caller-provided storage (a pooled,
-  /// pre-registered block on the zero-copy send path): writes land in the
-  /// backing in place; a message that outgrows it spills to the heap.
+  /// Serialization target backed by caller-provided storage (a registered
+  /// send block or a pooled lease): writes land in the backing in place; a
+  /// message that outgrows it spills to the heap.
   static TMemoryBuffer backed(std::span<std::byte> storage) {
     TMemoryBuffer b;
     b.ext_ = storage.data();

@@ -84,29 +84,17 @@ class PlanCache {
 };
 
 /// Interface point between the Thrift layer and the RDMA engine: one
-/// established protocol channel. On the zero-copy send path the endpoint
-/// also owns a pool of pre-registered serialization buffers on the client
-/// node: TRdma stages outgoing messages there, so the channel's
-/// gather/inline path posts from memory the MrCache already knows.
+/// established protocol channel.
 class TRdmaEndPoint {
  public:
   explicit TRdmaEndPoint(std::unique_ptr<proto::RpcChannel> ch)
       : channel_(std::move(ch)) {}
 
-  TRdmaEndPoint(std::unique_ptr<proto::RpcChannel> ch, verbs::Node& client,
-                const proto::ChannelConfig& cfg)
-      : channel_(std::move(ch)) {
-    if (cfg.zero_copy) pool_.emplace(client, cfg.max_msg, cfg.window + 1);
-  }
-
   proto::RpcChannel& channel() { return *channel_; }
-  /// Null unless the endpoint was created with zero_copy configured.
-  proto::BufferPool* pool() { return pool_ ? &*pool_ : nullptr; }
   void shutdown() { channel_->shutdown(); }
 
  private:
   std::unique_ptr<proto::RpcChannel> channel_;
-  std::optional<proto::BufferPool> pool_;
 };
 
 /// Client-side RDMA transport with TSocket-compatible buffer semantics:
@@ -134,42 +122,16 @@ class TRdma final : public MessageTransport {
   /// How many times the bound plan went stale and was re-resolved.
   uint64_t plan_refreshes() const { return plan_refreshes_; }
 
-  void write(View data) {
-    if (proto::BufferPool* pool = ep_.pool(); pool && out_.empty()) {
-      // Zero-copy staging: the outbound message accumulates in a pooled,
-      // pre-registered block instead of the heap buffer.
-      if (!lease_) lease_ = pool->acquire();
-      if (out_len_ + data.size() <= lease_.capacity()) {
-        std::memcpy(lease_.data() + out_len_, data.data(), data.size());
-        out_len_ += data.size();
-        return;
-      }
-      // The message outgrew the block: spill to the heap and append there.
-      out_.assign(lease_.data(), lease_.data() + out_len_);
-      lease_.release();
-      out_len_ = 0;
-    }
-    out_.insert(out_.end(), data.begin(), data.end());
-  }
+  void write(View data) { out_.insert(out_.end(), data.begin(), data.end()); }
 
   /// Sends the buffered request through the RDMA engine and latches the
   /// response for read(). Transport failures surface as RpcError (the
   /// Result's error arm re-raised), matching TSocket's exception shape.
   sim::Task<void> flush() {
     refresh_plan();
-    // The outbound bytes: the pooled lease (held across the call so the
-    // channel's borrowed gather view stays valid) or the heap spill.
-    Buffer heap;
-    View req;
-    if (lease_) {
-      req = View{lease_.data(), out_len_};
-    } else {
-      heap = std::move(out_);
-      out_.clear();
-      req = heap;
-    }
+    const Buffer req = std::move(out_);
+    out_.clear();
     proto::CallResult r = co_await ep_.channel().call(req, resp_hint_);
-    end_send();
     in_ = std::move(r).value();
     rpos_ = 0;
   }
@@ -194,12 +156,6 @@ class TRdma final : public MessageTransport {
   void close() override { ep_.shutdown(); }
 
  private:
-  void end_send() {
-    if (lease_) {
-      lease_.release();
-      out_len_ = 0;
-    }
-  }
   void refresh_plan() {
     if (!plan_cache_ || plan_cache_->fresh(plan_fn_, plan_epoch_)) return;
     if (auto s = plan_cache_->resolve(plan_fn_)) {
@@ -212,8 +168,6 @@ class TRdma final : public MessageTransport {
 
   TRdmaEndPoint& ep_;
   Buffer out_;
-  proto::BufferPool::Lease lease_;  // zero-copy staging block
-  size_t out_len_ = 0;              // bytes staged into the lease
   Buffer in_;
   size_t rpos_ = 0;
   uint32_t resp_hint_ = 0;
@@ -257,7 +211,6 @@ class TRdmaTransport {
     p.writeI32(static_cast<int32_t>(cfg.window));
     p.writeByte(cfg.client_poll == sim::PollMode::kBusy ? 1 : 0);
     p.writeByte(cfg.server_poll == sim::PollMode::kBusy ? 1 : 0);
-    p.writeByte(cfg.zero_copy ? 1 : 0);
     co_await framed.send(req.view());
     // AcceptReply carries the endpoint id (stand-in for the QP number /
     // rkey blob a real reply would carry).
@@ -297,13 +250,11 @@ class TRdmaTransport {
                                       : sim::PollMode::kEvent;
       cfg.server_poll = rp.readByte() ? sim::PollMode::kBusy
                                       : sim::PollMode::kEvent;
-      cfg.zero_copy = rp.readByte() != 0;
       // Create the verbs resources on both ends (QP exchange + buffer
       // registration) and reply with the endpoint handle.
       verbs::Node& client = *server_.fabric().node(client_id);
       endpoints_.push_back(std::make_unique<TRdmaEndPoint>(
-          proto::make_channel(kind, client, server_, processor_, cfg),
-          client, cfg));
+          proto::make_channel(kind, client, server_, processor_, cfg)));
       TMemoryBuffer reply;
       TBinaryProtocol wp(reply);
       wp.writeI32(static_cast<int32_t>(endpoints_.size() - 1));
@@ -420,7 +371,7 @@ class TServerRdma {
     Shard& sh = stamp_shard(client, cfg);
     const proto::Handler& h = sh.processor ? sh.processor : processor_;
     sh.endpoints.push_back(std::make_unique<TRdmaEndPoint>(
-        proto::make_channel(kind, client, node_, h, cfg), client, cfg));
+        proto::make_channel(kind, client, node_, h, cfg)));
     return sh.endpoints.back().get();
   }
 
@@ -445,8 +396,7 @@ class TServerRdma {
                                           params, fp);
     if (cache) cache->bind_racecheck(&node_.fabric().simulator());
     if (cache && !fn.empty()) cache->publish(fn, ch->plan());
-    sh.endpoints.push_back(
-        std::make_unique<TRdmaEndPoint>(std::move(ch), client, cfg));
+    sh.endpoints.push_back(std::make_unique<TRdmaEndPoint>(std::move(ch)));
     return sh.endpoints.back().get();
   }
 

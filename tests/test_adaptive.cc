@@ -320,43 +320,8 @@ TEST(AdaptiveChannel, FrozenRunIsBitIdenticalToTheStaticTwin) {
 }
 
 // ---------------------------------------------------------------------------
-// Leased receive path (fig05 satellite).
+// Lent Direct replies through the adaptive wrapper.
 // ---------------------------------------------------------------------------
-
-TEST(LeasedReceive, InPlaceDeliverySkipsTheClientCopyAndRepostsTheSlot) {
-  Simulator sim;
-  verbs::Fabric fabric(sim);
-  verbs::Node* cl = fabric.add_node();
-  verbs::Node* sv = fabric.add_node();
-  ChannelConfig cfg = ChannelConfig{}.with_zero_copy();
-  auto ch = proto::make_channel(ProtocolKind::kEagerSendRecv, *cl, *sv,
-                                echo_handler(*sv), cfg);
-  uint64_t copy_after_warmup = 0;
-  sim.spawn([](verbs::Fabric& fabric, proto::RpcChannel& ch,
-               uint64_t& copy_after) -> Task<void> {
-    Buffer req(1024, std::byte{0x77});
-    // Many more calls than the ring has slots: leases must repost.
-    for (int i = 0; i < 64; ++i) {
-      auto r = co_await ch.call_leased(req, 1024);
-      proto::LeasedReply reply = std::move(*r);
-      EXPECT_TRUE(reply.in_place());
-      EXPECT_EQ(reply.bytes().size(), req.size());
-      if (reply.bytes().size() == req.size()) {
-        EXPECT_TRUE(
-            std::equal(req.begin(), req.end(), reply.bytes().begin()));
-      }
-      if (i == 0)
-        copy_after = fabric.node(0)->counters().get(obs::Ctr::kCopyBytes);
-      reply.release();
-    }
-    // No client-side materialization copies after warm-up.
-    EXPECT_EQ(fabric.node(0)->counters().get(obs::Ctr::kCopyBytes),
-              copy_after);
-    EXPECT_EQ(fabric.node(0)->counters().get(obs::Ctr::kRecvLeases), 64u);
-    ch.shutdown();
-  }(fabric, *ch, copy_after_warmup));
-  sim.run();
-}
 
 TEST(LeasedReceive, LentDirectReplyPassesThroughAndSurvivesSlotReuse) {
   // A Direct reply is lent from its response slot without holding it; the
@@ -385,59 +350,6 @@ TEST(LeasedReceive, LentDirectReplyPassesThroughAndSurvivesSlotReuse) {
   EXPECT_EQ(first, "first");
   EXPECT_EQ(second, "second");
   EXPECT_EQ(sim.live_tasks(), 0u);
-}
-
-TEST(LeasedReceive, WindowedLeasesRouteAndFallBackWhenRingIsTight) {
-  Simulator sim;
-  verbs::Fabric fabric(sim);
-  verbs::Node* cl = fabric.add_node();
-  verbs::Node* sv = fabric.add_node();
-  // window 4 of a 16-slot ring: leased delivery allowed (4*2 <= 16).
-  ChannelConfig cfg = ChannelConfig{}.with_window(4).with_zero_copy();
-  auto ch = proto::make_channel(ProtocolKind::kEagerSendRecv, *cl, *sv,
-                                echo_handler(*sv), cfg);
-  int failures = 0;
-  sim::WaitGroup wg(sim);
-  for (int t = 0; t < 4; ++t) {
-    wg.add();
-    sim.spawn([](proto::RpcChannel& ch, int t, int& failures,
-                 sim::WaitGroup& wg) -> Task<void> {
-      for (int i = 0; i < 16; ++i) {
-        Buffer req(700 + 64 * t, std::byte(0x42 + t));
-        auto r = co_await ch.call_leased(req, uint32_t(req.size()));
-        if (!r) {
-          ++failures;
-        } else {
-          proto::LeasedReply reply = std::move(*r);
-          View got = reply.bytes();
-          if (got.size() != req.size() ||
-              !std::equal(req.begin(), req.end(), got.begin()))
-            ++failures;
-        }
-      }
-      wg.done();
-    }(*ch, t, failures, wg));
-  }
-  sim.spawn([](sim::WaitGroup& wg, proto::RpcChannel& ch) -> Task<void> {
-    co_await wg.wait();
-    ch.shutdown();
-  }(wg, *ch));
-  sim.run();
-  EXPECT_EQ(failures, 0);
-  EXPECT_GT(cl->counters().get(obs::Ctr::kRecvLeases), 0u);
-
-  // A window as deep as the ring must NOT lease (deadlock guard): the
-  // fallback still answers, owned.
-  ChannelConfig deep = ChannelConfig{}.with_window(16).with_zero_copy();
-  auto ch2 = proto::make_channel(ProtocolKind::kEagerSendRecv, *cl, *sv,
-                                 echo_handler(*sv), deep);
-  sim.spawn([](proto::RpcChannel& ch) -> Task<void> {
-    Buffer req(256, std::byte{0x01});
-    auto r = co_await ch.call_leased(req, 256);
-    EXPECT_FALSE(r->in_place());
-    ch.shutdown();
-  }(*ch2));
-  sim.run();
 }
 
 // ---------------------------------------------------------------------------

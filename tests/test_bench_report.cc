@@ -171,14 +171,14 @@ TEST(BenchRowsDeathTest, AFilterThatMatchesNoRowExitsWithUsageStatus2) {
 }
 
 TEST(BenchRowsDeathTest, AFigureRejectsAFlagItDoesNotDeclare) {
-  // fig04 takes --zero-copy but has no window to set.
-  uint32_t zero_copy = 0;
+  // fig04 takes --trace but has no window to set.
+  std::string trace;
   const char* argv[] = {"bench_fig04", "--window", "16"};
   EXPECT_EXIT(hatbench::Figure("fig04", 3, const_cast<char**>(argv),
-                               {{"--zero-copy", &zero_copy}}),
+                               {{"--trace", &trace}}),
               testing::ExitedWithCode(2),
               "unknown flag: --window\nusage: bench_fig04 \\[--out STR\\] "
-              "\\[--filter STR\\] \\[--zero-copy N\\]");
+              "\\[--filter STR\\] \\[--trace STR\\]");
 }
 
 }  // namespace

@@ -231,6 +231,33 @@ TEST(LentReply, OutlivesCloseAndChannelDestruction) {
   EXPECT_EQ(str_of(reply.view()), "outlives it all");
 }
 
+TEST(LentReply, EachLentReplyCountsOneRecvLease) {
+  // Five engine Direct calls lend five replies. The first is held across
+  // the next call, which reuses its slot and recalls it: still one lease.
+  World w;
+  HatServer server(*w.server_node, lending_hints(), {});
+  register_echo(server);
+  HatConnection conn(*w.client, server);
+  bool recalled = false;
+  w.sim.spawn([](HatConnection& conn, HatServer& server,
+                 bool& recalled) -> Task<void> {
+    Reply held = co_await conn.call_raw("FastGet", proto::to_buffer("held"));
+    for (int i = 0; i < 4; ++i)
+      co_await conn.call_raw("FastGet", proto::to_buffer("next"));
+    recalled = !held.envelope.in_place() && str_of(held.view()) == "held";
+    server.stop();
+  }(conn, server, recalled));
+  w.sim.run();
+  EXPECT_TRUE(recalled);
+  const obs::Counters& ctrs = w.fabric.obs().counters;
+  EXPECT_EQ(ctrs.node(w.client->id()).get(obs::Ctr::kRecvLeases), 5u);
+  EXPECT_EQ(ctrs.node(w.server_node->id()).get(obs::Ctr::kRecvLeases), 0u);
+  uint64_t channel_leases = 0;
+  for (uint32_t c = 0; c < ctrs.channel_count(); ++c)
+    channel_leases += ctrs.channel(c).get(obs::Ctr::kRecvLeases);
+  EXPECT_EQ(channel_leases, 5u);
+}
+
 // ---- Fallbacks: same bytes, virtual times and counters as the staged path.
 
 struct Outcome {
@@ -344,13 +371,11 @@ struct StreamRun {
   int mismatches = 0;
 };
 
-StreamRun run_stream(uint64_t seed, bool zero_copy) {
+StreamRun run_stream(uint64_t seed) {
   Simulator sim;
   verbs::Fabric fabric(sim);
   verbs::Node* server_node = fabric.add_node();
-  EngineConfig cfg;
-  cfg.channel.zero_copy = zero_copy;
-  HatServer server(*server_node, lending_hints(), cfg);
+  HatServer server(*server_node, lending_hints(), EngineConfig{});
   register_echo(server);
   constexpr int kClients = 3, kCalls = 8;
   std::vector<std::unique_ptr<HatConnection>> conns;
@@ -394,16 +419,13 @@ StreamRun run_stream(uint64_t seed, bool zero_copy) {
 }
 
 TEST(LentBuffersDeterminism, SeededStreamRunsRepeatIdentically) {
-  for (bool zero_copy : {false, true}) {
-    SCOPED_TRACE(zero_copy ? "zero-copy channels" : "staged channels");
-    const StreamRun a = run_stream(7, zero_copy);
-    const StreamRun b = run_stream(7, zero_copy);
-    EXPECT_EQ(a.mismatches, 0);
-    EXPECT_EQ(a.latency_ns.size(), 24u);
-    EXPECT_EQ(a.latency_ns, b.latency_ns);
-    EXPECT_EQ(a.counters, b.counters);
-    EXPECT_FALSE(a.counters.empty());
-  }
+  const StreamRun a = run_stream(7);
+  const StreamRun b = run_stream(7);
+  EXPECT_EQ(a.mismatches, 0);
+  EXPECT_EQ(a.latency_ns.size(), 24u);
+  EXPECT_EQ(a.latency_ns, b.latency_ns);
+  EXPECT_EQ(a.counters, b.counters);
+  EXPECT_FALSE(a.counters.empty());
 }
 
 // ---- In-place server replies: a handler writes its reply into its Direct
@@ -461,12 +483,11 @@ struct RawRun {
   std::vector<std::string> replies;  // completion order; or "throw: <what>"
   std::vector<int64_t> done_ns;
   std::string counters;
-  uint64_t inline_wqes = 0;
 };
 
 /// Drives one raw channel: each lane is a client task issuing its requests
 /// in turn; with several lanes the channel's window is their number.
-RawRun run_raw(ProtocolKind kind, bool zero_copy,
+RawRun run_raw(ProtocolKind kind,
                const std::vector<std::vector<std::string>>& lanes,
                const std::function<proto::Handler(verbs::Node&)>& handler,
                uint32_t max_msg = 64 << 10) {
@@ -475,14 +496,9 @@ RawRun run_raw(ProtocolKind kind, bool zero_copy,
   verbs::Node* client = fabric.add_node();
   verbs::Node* server = fabric.add_node();
   proto::ChannelConfig cfg;
-  cfg.with_max_msg(max_msg)
-      .with_window(uint32_t(lanes.size()))
-      .with_zero_copy(zero_copy);
+  cfg.with_max_msg(max_msg).with_window(uint32_t(lanes.size()));
   auto ch = proto::make_channel(kind, *client, *server, handler(*server), cfg);
   RawRun run;
-  // Every request stays allocated for the whole run, so the zero-copy
-  // MrCache, which keys on request addresses, sees the same ranges in any
-  // run, whatever the handler allocates meanwhile.
   std::vector<std::vector<Buffer>> reqs;
   for (const auto& lane : lanes) {
     reqs.emplace_back();
@@ -513,7 +529,6 @@ RawRun run_raw(ProtocolKind kind, bool zero_copy,
   sim.run();
   EXPECT_EQ(sim.live_tasks(), 0u);
   run.counters = fabric.obs().counters.dump();
-  run.inline_wqes = fabric.obs().counters.node_total(obs::Ctr::kInlineWqes);
   return run;
 }
 
@@ -532,125 +547,89 @@ std::string payload(sim::Rng& rng, size_t n) {
 
 TEST(InPlaceReply, EveryDirectVariantMatchesTheStagedPath) {
   for (ProtocolKind kind : kDirectKinds) {
-    for (bool zero_copy : {false, true}) {
-      // 40 B replies take the inline branch on zero-copy channels.
-      for (size_t bytes : {size_t(40), size_t(6000)}) {
-        SCOPED_TRACE(std::string(proto::to_string(kind)) +
-                     (zero_copy ? " zero-copy " : " staged ") +
-                     std::to_string(bytes) + " B");
-        sim::Rng rng(bytes);
-        const std::vector<std::vector<std::string>> lanes = {
-            {payload(rng, bytes), payload(rng, bytes), payload(rng, bytes)}};
-        std::vector<bool> in_area;
-        const RawRun natural =
-            run_raw(kind, zero_copy, lanes, [&](verbs::Node& sv) {
-              return noting_in_area(piecewise_echo(sv, 1), in_area);
-            });
-        const RawRun staged =
-            run_raw(kind, zero_copy, lanes, [](verbs::Node& sv) {
-              return staged_twin(piecewise_echo(sv, 1));
-            });
-        EXPECT_EQ(natural.replies, lanes[0]);
-        EXPECT_EQ(in_area, (std::vector<bool>{true, true, true}));
-        expect_same(natural, staged);
-        // Zero-copy: every notify SEND rides the doorbell, and so do both
-        // payloads of a 40 B call.
-        const uint64_t notifies =
-            kind == ProtocolKind::kDirectWriteImm ? 0 : 6;
-        EXPECT_EQ(natural.inline_wqes,
-                  zero_copy ? notifies + (bytes == 40 ? 6 : 0) : 0);
-      }
+    for (size_t bytes : {size_t(40), size_t(6000)}) {
+      SCOPED_TRACE(std::string(proto::to_string(kind)) + " " +
+                   std::to_string(bytes) + " B");
+      sim::Rng rng(bytes);
+      const std::vector<std::vector<std::string>> lanes = {
+          {payload(rng, bytes), payload(rng, bytes), payload(rng, bytes)}};
+      std::vector<bool> in_area;
+      const RawRun natural = run_raw(kind, lanes, [&](verbs::Node& sv) {
+        return noting_in_area(piecewise_echo(sv, 1), in_area);
+      });
+      const RawRun staged = run_raw(kind, lanes, [](verbs::Node& sv) {
+        return staged_twin(piecewise_echo(sv, 1));
+      });
+      EXPECT_EQ(natural.replies, lanes[0]);
+      EXPECT_EQ(in_area, (std::vector<bool>{true, true, true}));
+      expect_same(natural, staged);
     }
   }
 }
 
 TEST(InPlaceReply, WindowedRepliesWrittenInPiecesStayInTheirSlots) {
   for (ProtocolKind kind : kDirectKinds) {
-    for (bool zero_copy : {false, true}) {
-      SCOPED_TRACE(std::string(proto::to_string(kind)) +
-                   (zero_copy ? " zero-copy" : " staged"));
-      sim::Rng rng(17);
-      std::vector<std::vector<std::string>> lanes(4);
-      std::vector<std::string> want;
-      for (auto& lane : lanes)
-        for (int i = 0; i < 6; ++i) {
-          lane.push_back(payload(rng, 3000 + rng.bounded(6000)));
-          want.push_back(lane.back());
-        }
-      std::vector<bool> in_area;
-      const RawRun natural =
-          run_raw(kind, zero_copy, lanes, [&](verbs::Node& sv) {
-            return noting_in_area(piecewise_echo(sv, 4), in_area);
-          });
-      const RawRun staged =
-          run_raw(kind, zero_copy, lanes, [](verbs::Node& sv) {
-            return staged_twin(piecewise_echo(sv, 4));
-          });
-      // Every call got its own payload back, whatever order they finished.
-      std::vector<std::string> got = natural.replies;
-      std::sort(got.begin(), got.end());
-      std::sort(want.begin(), want.end());
-      EXPECT_EQ(got, want);
-      EXPECT_EQ(in_area, std::vector<bool>(24, true));
-      expect_same(natural, staged);
-    }
+    SCOPED_TRACE(std::string(proto::to_string(kind)));
+    sim::Rng rng(17);
+    std::vector<std::vector<std::string>> lanes(4);
+    std::vector<std::string> want;
+    for (auto& lane : lanes)
+      for (int i = 0; i < 6; ++i) {
+        lane.push_back(payload(rng, 3000 + rng.bounded(6000)));
+        want.push_back(lane.back());
+      }
+    std::vector<bool> in_area;
+    const RawRun natural = run_raw(kind, lanes, [&](verbs::Node& sv) {
+      return noting_in_area(piecewise_echo(sv, 4), in_area);
+    });
+    const RawRun staged = run_raw(kind, lanes, [](verbs::Node& sv) {
+      return staged_twin(piecewise_echo(sv, 4));
+    });
+    // Every call got its own payload back, whatever order they finished.
+    std::vector<std::string> got = natural.replies;
+    std::sort(got.begin(), got.end());
+    std::sort(want.begin(), want.end());
+    EXPECT_EQ(got, want);
+    EXPECT_EQ(in_area, std::vector<bool>(24, true));
+    expect_same(natural, staged);
   }
 }
 
 TEST(InPlaceReply, BufferHandlerRepliesAreUnchanged) {
   // A Buffer-returning handler stages into the area once, as before the
   // area existed. The completion times and counters are pinned from the
-  // code before in-place replies, for a staged and a zero-copy channel.
-  struct Case {
-    bool zero_copy;
-    std::vector<int64_t> done_ns;
-    const char* counters;
-  };
-  const Case cases[] = {
-      {false,
-       {2278, 2278, 10142, 11754, 12485, 14097},
-       "node/0: doorbells=4 wqes_posted=6 cqes_polled=6 dma_bytes=82992 "
-       "mr_bytes=262144 doorbell_coalesced_wqes=2 cq_batch_polls=5\n"
-       "node/1: doorbells=5 wqes_posted=6 cqes_polled=6 dma_bytes=82992 "
-       "mr_bytes=262144 doorbell_coalesced_wqes=1 cq_batch_polls=5\n"
-       "channel/0: doorbells=9 wqes_posted=12 dma_bytes=82992 "
-       "doorbell_coalesced_wqes=3\n"},
-      {true,
-       {2124, 2124, 9988, 11600, 12331, 13943},
-       "node/0: doorbells=4 wqes_posted=6 cqes_polled=6 dma_bytes=82896 "
-       "mr_bytes=303544 doorbell_coalesced_wqes=2 cq_batch_polls=5 "
-       "inline_wqes=2 mr_cache_misses=4\n"
-       "node/1: doorbells=5 wqes_posted=6 cqes_polled=6 dma_bytes=82896 "
-       "mr_bytes=262144 doorbell_coalesced_wqes=1 cq_batch_polls=5 "
-       "inline_wqes=2\n"
-       "channel/0: doorbells=9 wqes_posted=12 dma_bytes=82800 "
-       "doorbell_coalesced_wqes=3 inline_wqes=4 mr_cache_misses=4\n"},
-  };
-  for (const Case& c : cases) {
-    SCOPED_TRACE(c.zero_copy ? "zero-copy" : "staged");
-    sim::Rng rng(5);
-    std::vector<std::vector<std::string>> lanes(2);
-    for (auto& lane : lanes)
-      for (size_t n : {size_t(48), size_t(20000), size_t(700)})
-        lane.push_back(payload(rng, n));
-    const RawRun run = run_raw(
-        ProtocolKind::kDirectWriteImm, c.zero_copy, lanes,
-        [](verbs::Node& sv) -> proto::Handler {
-          return [&sv](View req) -> Task<Buffer> {
-            co_await sv.cpu().compute(300ns + sim::Duration(req.size() / 8));
-            co_return Buffer(req.rbegin(), req.rend());
-          };
-        });
-    std::vector<std::string> want;
-    for (const auto& lane : lanes)
-      for (const std::string& p : lane) want.emplace_back(p.rbegin(), p.rend());
-    std::vector<std::string> got = run.replies;
-    std::sort(got.begin(), got.end());
-    std::sort(want.begin(), want.end());
-    EXPECT_EQ(got, want);
-    EXPECT_EQ(run.done_ns, c.done_ns);
-    EXPECT_EQ(run.counters, c.counters);
-  }
+  // code before in-place replies.
+  sim::Rng rng(5);
+  std::vector<std::vector<std::string>> lanes(2);
+  for (auto& lane : lanes)
+    for (size_t n : {size_t(48), size_t(20000), size_t(700)})
+      lane.push_back(payload(rng, n));
+  const RawRun run = run_raw(
+      ProtocolKind::kDirectWriteImm, lanes,
+      [](verbs::Node& sv) -> proto::Handler {
+        return [&sv](View req) -> Task<Buffer> {
+          co_await sv.cpu().compute(300ns + sim::Duration(req.size() / 8));
+          co_return Buffer(req.rbegin(), req.rend());
+        };
+      });
+  std::vector<std::string> want;
+  for (const auto& lane : lanes)
+    for (const std::string& p : lane) want.emplace_back(p.rbegin(), p.rend());
+  std::vector<std::string> got = run.replies;
+  std::sort(got.begin(), got.end());
+  std::sort(want.begin(), want.end());
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(run.done_ns, (std::vector<int64_t>{2278, 2278, 10142, 11754,
+                                               12485, 14097}));
+  EXPECT_EQ(run.counters,
+            "node/0: doorbells=4 wqes_posted=6 cqes_polled=6 "
+            "dma_bytes=82992 mr_bytes=262144 doorbell_coalesced_wqes=2 "
+            "cq_batch_polls=5\n"
+            "node/1: doorbells=5 wqes_posted=6 cqes_polled=6 "
+            "dma_bytes=82992 mr_bytes=262144 doorbell_coalesced_wqes=1 "
+            "cq_batch_polls=5\n"
+            "channel/0: doorbells=9 wqes_posted=12 dma_bytes=82992 "
+            "doorbell_coalesced_wqes=3\n");
 }
 
 /// A dispatcher method that writes part of its result, then fails.

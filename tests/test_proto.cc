@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <string>
+#include <string_view>
 #include <tuple>
 
 #include "proto/channel.h"
@@ -361,38 +363,170 @@ TEST(ProtocolSequencing, TwoChannelsOnOneServerAreIndependent) {
 }
 
 TEST(ProtocolLimits, OversizedDirectReplyFailsOnlyThatCall) {
-  // A response past max_msg fails its own call with the length_error an
-  // oversized request raises; the simulation and the channel carry on.
-  for (ProtocolKind kind :
-       {ProtocolKind::kDirectWriteImm, ProtocolKind::kDirectWriteSend,
-        ProtocolKind::kChainedWriteSend}) {
-    SCOPED_TRACE(std::string(to_string(kind)));
-    Simulator sim;
-    verbs::Fabric fabric(sim);
-    verbs::Node* client = fabric.add_node();
-    verbs::Node* server = fabric.add_node();
-    Handler handler = [](View req) -> Task<Buffer> {
-      if (as_string(req) == "big") co_return Buffer(8192, std::byte{'x'});
-      co_return Buffer(req.begin(), req.end());
-    };
-    auto ch = make_channel(kind, *client, *server, handler,
-                           ChannelConfig{}.with_max_msg(4096));
-    std::string error, after;
-    sim.spawn([](RpcChannel& ch, std::string& error,
-                 std::string& after) -> Task<void> {
-      try {
-        co_await ch.call(to_buffer("big"));
-      } catch (const std::length_error& e) {
-        error = e.what();
+  // A response past max_msg fails its own call with a length_error, on
+  // every protocol that bounds replies by max_msg; the simulation and the
+  // channel carry on. Replies that travel an eager pipe (Eager-SendRecv,
+  // HERD, and the hybrids' eager half) are not bounded by max_msg and
+  // arrive whole.
+  for (ProtocolKind kind : kAllProtocols) {
+    const bool delivers = kind == ProtocolKind::kEagerSendRecv ||
+                          kind == ProtocolKind::kHerd ||
+                          kind == ProtocolKind::kHybridEagerRndv ||
+                          kind == ProtocolKind::kArGrpc;
+    const char* error =
+        is_direct(kind) ? "direct protocol: response exceeds the pre-known "
+                          "buffer"
+        : kind == ProtocolKind::kWriteRndv || kind == ProtocolKind::kReadRndv
+            ? "rendezvous: response exceeds payload pool"
+            : "bypass protocol: response exceeds slot";
+    for (uint32_t window : {1u, 4u}) {
+      SCOPED_TRACE(std::string(to_string(kind)) + " window " +
+                   std::to_string(window));
+      Simulator sim;
+      verbs::Fabric fabric(sim);
+      verbs::Node* client = fabric.add_node();
+      verbs::Node* server = fabric.add_node();
+      Handler handler = [](View req) -> Task<Buffer> {
+        if (as_string(req) == "big") co_return Buffer(16384, std::byte{'x'});
+        co_return Buffer(req.begin(), req.end());
+      };
+      auto ch = make_channel(
+          kind, *client, *server, handler,
+          ChannelConfig{}.with_max_msg(8192).with_window(window));
+      std::string big, after;
+      sim.spawn([](RpcChannel& ch, std::string& big,
+                   std::string& after) -> Task<void> {
+        try {
+          CallResult r = co_await ch.call(to_buffer("big"));
+          big = r ? std::to_string(r->size()) + " bytes" : "rpc error";
+        } catch (const std::length_error& e) {
+          big = e.what();
+        }
+        after = as_string((co_await ch.call(to_buffer("small"))).value());
+        ch.shutdown();
+      }(*ch, big, after));
+      // Bounded, so a client that never hears back fails instead of hangs.
+      EXPECT_NO_THROW(sim.run_until(sim::Time(100ms)));
+      EXPECT_EQ(big, delivers ? "16384 bytes" : error);
+      EXPECT_EQ(after, "small");
+      EXPECT_EQ(ch->stats().calls, 2u);
+      EXPECT_EQ(sim.live_tasks(), 0u);
+    }
+  }
+}
+
+// ---- Golden pins of every staged path: each protocol at windows 1 and 4,
+// echoing 64 B and 16 KiB payloads. Any change to a path's virtual time or
+// counters moves the run's end time or the hash of its counter dump.
+
+uint64_t fnv1a(std::string_view s) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (unsigned char c : s) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+struct Golden {
+  ProtocolKind kind;
+  uint32_t window;
+  size_t bytes;
+  int64_t end_ns;
+  uint64_t dump_fnv;
+};
+
+/// `window` lanes, each echoing three distinct `bytes`-byte payloads.
+Golden run_golden(ProtocolKind kind, uint32_t window, size_t bytes) {
+  Simulator sim;
+  verbs::Fabric fabric(sim);
+  verbs::Node* client = fabric.add_node();
+  verbs::Node* server = fabric.add_node();
+  auto ch = make_channel(kind, *client, *server, make_upcase_handler(*server),
+                         ChannelConfig{}.with_window(window));
+  int mismatches = 0, live = int(window);
+  for (uint32_t lane = 0; lane < window; ++lane)
+    sim.spawn([](RpcChannel& ch, uint32_t lane, size_t bytes,
+                 int& mismatches, int& live) -> Task<void> {
+      for (uint32_t i = 0; i < 3; ++i) {
+        std::string req(bytes, '\0');
+        for (size_t k = 0; k < bytes; ++k)
+          req[k] = static_cast<char>('a' + (k * 7 + lane * 5 + i) % 26);
+        std::string want = req;
+        for (char& c : want) c = static_cast<char>(c - 32);
+        CallResult r = co_await ch.call(to_buffer(req), uint32_t(bytes));
+        if (!r || as_string(*r) != want) ++mismatches;
       }
-      after = as_string((co_await ch.call(to_buffer("small"))).value());
-      ch.shutdown();
-    }(*ch, error, after));
-    EXPECT_NO_THROW(sim.run());
-    EXPECT_EQ(error, "direct protocol: response exceeds the pre-known buffer");
-    EXPECT_EQ(after, "small");
-    EXPECT_EQ(ch->stats().calls, 2u);
-    EXPECT_EQ(sim.live_tasks(), 0u);
+      if (--live == 0) ch.shutdown();
+    }(*ch, lane, bytes, mismatches, live));
+  sim.run();
+  EXPECT_EQ(mismatches, 0);
+  EXPECT_EQ(sim.live_tasks(), 0u);
+  return {kind, window, bytes, sim.now().count(),
+          fnv1a(fabric.obs().counters.dump())};
+}
+
+// Only a deliberate change to a staged path's costs may regenerate these.
+constexpr Golden kPinned[] = {
+    {ProtocolKind::kEagerSendRecv, 1, 64, 9732, 0x3a935fce38c71376ull},
+    {ProtocolKind::kEagerSendRecv, 1, 16384, 37452, 0xe436b2c88d6476d9ull},
+    {ProtocolKind::kEagerSendRecv, 4, 64, 11400, 0xacf0f41a3df8a9a0ull},
+    {ProtocolKind::kEagerSendRecv, 4, 16384, 59115, 0x62fbb9942910b2e3ull},
+    {ProtocolKind::kDirectWriteSend, 1, 64, 7710, 0xb6e6965f4836a466ull},
+    {ProtocolKind::kDirectWriteSend, 1, 16384, 17130, 0x3d2bcbc45023e882ull},
+    {ProtocolKind::kDirectWriteSend, 4, 64, 8790, 0x10a0dbdb64af719aull},
+    {ProtocolKind::kDirectWriteSend, 4, 16384, 41970, 0xb4898b30a9b2454full},
+    {ProtocolKind::kChainedWriteSend, 1, 64, 7350, 0x901f288f590deec6ull},
+    {ProtocolKind::kChainedWriteSend, 1, 16384, 17610, 0xfd58d74866d5e6e2ull},
+    {ProtocolKind::kChainedWriteSend, 4, 64, 8430, 0x0795545765305f76ull},
+    {ProtocolKind::kChainedWriteSend, 4, 16384, 42450, 0x5f5c801784cc3cb9ull},
+    {ProtocolKind::kWriteRndv, 1, 64, 17268, 0x76703724ff97ef87ull},
+    {ProtocolKind::kWriteRndv, 1, 16384, 28200, 0x22f63451f23fe69bull},
+    {ProtocolKind::kWriteRndv, 4, 64, 20508, 0x05564127091cf4bdull},
+    {ProtocolKind::kWriteRndv, 4, 16384, 35156, 0xdfd9376aeb4cebe6ull},
+    {ProtocolKind::kReadRndv, 1, 64, 18770, 0x11a932cdee99189cull},
+    {ProtocolKind::kReadRndv, 1, 16384, 29702, 0xe3bca61b7ca30e46ull},
+    {ProtocolKind::kReadRndv, 4, 64, 21002, 0x3b6cd1c4ffc9100cull},
+    {ProtocolKind::kReadRndv, 4, 16384, 41468, 0xa748d6bc12b2ed61ull},
+    {ProtocolKind::kDirectWriteImm, 1, 64, 6180, 0x3d111fccbc7e684cull},
+    {ProtocolKind::kDirectWriteImm, 1, 16384, 17112, 0xb28878c0bfb95e5bull},
+    {ProtocolKind::kDirectWriteImm, 4, 64, 7260, 0xe1d3593ec8750e78ull},
+    {ProtocolKind::kDirectWriteImm, 4, 16384, 21072, 0x4cfe47540f927a46ull},
+    {ProtocolKind::kPilaf, 1, 64, 17676, 0x12fa3024c619e366ull},
+    {ProtocolKind::kPilaf, 1, 16384, 36057, 0x17cbf1e18c678866ull},
+    {ProtocolKind::kPilaf, 4, 64, 19296, 0xe881694fb3fda424ull},
+    {ProtocolKind::kPilaf, 4, 16384, 47038, 0x5093a7ff5d56f1f4ull},
+    {ProtocolKind::kFarm, 1, 64, 12051, 0x7ee61243e0c60347ull},
+    {ProtocolKind::kFarm, 1, 16384, 30438, 0x9dc5c2bd5326d7c1ull},
+    {ProtocolKind::kFarm, 4, 64, 13131, 0xc8cbf1d1f9021b0cull},
+    {ProtocolKind::kFarm, 4, 16384, 37859, 0xc01a78077ab1ef28ull},
+    {ProtocolKind::kRfp, 1, 64, 6426, 0x8676508a072f3f58ull},
+    {ProtocolKind::kRfp, 1, 16384, 30977, 0x5f24680d7e3059acull},
+    {ProtocolKind::kRfp, 4, 64, 6966, 0xf42f0c2ae67fd802ull},
+    {ProtocolKind::kRfp, 4, 16384, 47515, 0xbc102b51ad6f05cdull},
+    {ProtocolKind::kHerd, 1, 64, 7536, 0x947ba03f41f3458cull},
+    {ProtocolKind::kHerd, 1, 16384, 26871, 0x515c21bb78939e7bull},
+    {ProtocolKind::kHerd, 4, 64, 9204, 0xa68cbc42e25487e4ull},
+    {ProtocolKind::kHerd, 4, 16384, 55587, 0xae0c0f362ba01f1dull},
+    {ProtocolKind::kHybridEagerRndv, 1, 64, 9732, 0xaef37cb175c5e659ull},
+    {ProtocolKind::kHybridEagerRndv, 1, 16384, 28200, 0xc9924de34584a242ull},
+    {ProtocolKind::kHybridEagerRndv, 4, 64, 11400, 0x9c16fabe7af698adull},
+    {ProtocolKind::kHybridEagerRndv, 4, 16384, 35156, 0xe19737af8e91391dull},
+    {ProtocolKind::kArGrpc, 1, 64, 9732, 0xaef37cb175c5e659ull},
+    {ProtocolKind::kArGrpc, 1, 16384, 29702, 0x510f400447b1e455ull},
+    {ProtocolKind::kArGrpc, 4, 64, 11400, 0x9c16fabe7af698adull},
+    {ProtocolKind::kArGrpc, 4, 16384, 41468, 0x273b967ccf177f0eull},
+};
+
+TEST(StagedGolden, EveryKindWindowAndPayloadIsPinned) {
+  ASSERT_EQ(std::size(kPinned), std::size(kAllProtocols) * 2 * 2);
+  for (const Golden& want : kPinned) {
+    SCOPED_TRACE(std::string(to_string(want.kind)) + " window " +
+                 std::to_string(want.window) + " " +
+                 std::to_string(want.bytes) + " B");
+    const Golden got = run_golden(want.kind, want.window, want.bytes);
+    EXPECT_EQ(got.end_ns, want.end_ns);
+    EXPECT_EQ(got.dump_fnv, want.dump_fnv);
   }
 }
 

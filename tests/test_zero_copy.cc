@@ -1,10 +1,10 @@
-// Tests for the zero-copy send path: inline WQEs (IBV_SEND_INLINE
-// semantics: snapshot at post time, max_inline_data boundary enforced),
-// gather SGE lists, the MR registration cache (hit/miss/LRU-evict,
-// dereg and rkey-revoke invalidation), pooled pre-registered serialization
-// buffers, and the counter-oracle payoffs: Eager 64B drops from 4 payload
-// copies to 1, Direct-WriteIMM small calls go fully inline, and the legacy
-// staging path (zero_copy off, the default) stays byte-identical.
+// Tests for the verbs-level zero-copy techniques: inline WQEs
+// (IBV_SEND_INLINE semantics: snapshot at post time, max_inline_data
+// boundary enforced), the MR registration cache (hit/miss/LRU-evict, dereg
+// and rkey-revoke invalidation) and pooled pre-registered serialization
+// buffers; plus the staged eager path they leave alone: segmented windowed
+// sends route every reply to its call, and a staged run's counter dump
+// mentions none of the techniques.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -16,7 +16,7 @@
 #include "proto/buffer_pool.h"
 #include "proto/channel.h"
 #include "sim/sync.h"
-#include "thrift/rdma.h"
+#include "thrift/buffer.h"
 #include "verbs/endpoint.h"
 #include "verbs/fault.h"
 #include "verbs/verbs.h"
@@ -288,105 +288,18 @@ TEST(InlineWqe, PayloadIsSnapshottedAtPostTime) {
 }
 
 // ---------------------------------------------------------------------------
-// Channel-level counter oracles.
+// Channel-level oracles.
 // ---------------------------------------------------------------------------
 
-struct Footprint {
-  obs::CounterSet ctrs;
-  int calls = 0;
-  uint64_t per_call(obs::Ctr c) const {
-    EXPECT_EQ(ctrs.get(c) % uint64_t(calls), 0u) << obs::to_string(c);
-    return ctrs.get(c) / uint64_t(calls);
-  }
-};
-
-Footprint measure(ProtocolKind kind, size_t bytes, ChannelConfig cfg,
-                  int calls = 4) {
-  Simulator sim;
-  verbs::Fabric fabric(sim);
-  verbs::Node* cl = fabric.add_node();
-  verbs::Node* sv = fabric.add_node();
-  auto ch = make_channel(kind, *cl, *sv, echo_handler(*sv), cfg);
-  Footprint f;
-  f.calls = calls;
-  sim.spawn([](verbs::Fabric& fabric, RpcChannel& ch, size_t bytes,
-               int calls, Footprint& f) -> Task<void> {
-    obs::Counters& ctrs = fabric.obs().counters;
-    auto channel_sum = [&ctrs] {
-      obs::CounterSet sum;
-      for (uint32_t c = 0; c < ctrs.channel_count(); ++c)
-        for (size_t i = 0; i < sum.v.size(); ++i)
-          sum.v[i] += ctrs.channel(c).v[i];
-      return sum;
-    };
-    Buffer payload(bytes, std::byte{0x7e});
-    (co_await ch.call(payload, uint32_t(bytes))).value();  // warm-up
-    obs::CounterSet base = channel_sum();
-    for (int i = 0; i < calls; ++i) {
-      Buffer echoed = (co_await ch.call(payload, uint32_t(bytes))).value();
-      EXPECT_EQ(echoed, payload);
-    }
-    f.ctrs = channel_sum().delta_since(base);
-    ch.shutdown();
-  }(fabric, *ch, bytes, calls, f));
-  sim.run();
-  return f;
-}
-
-TEST(ZeroCopyOracle, Eager64BDropsFromFourCopiesToOne) {
-  constexpr size_t kLen = 64;
-  Footprint staged =
-      measure(ProtocolKind::kEagerSendRecv, kLen, ChannelConfig{});
-  Footprint zc = measure(ProtocolKind::kEagerSendRecv, kLen,
-                         ChannelConfig{}.with_zero_copy());
-  // Legacy stays at eager's intrinsic 4x; zero-copy pays exactly one copy
-  // (materializing the response at the client), everything else gathered
-  // inline.
-  EXPECT_EQ(staged.per_call(obs::Ctr::kCopyBytes), 4 * kLen);
-  EXPECT_EQ(staged.per_call(obs::Ctr::kInlineWqes), 0u);
-  EXPECT_EQ(zc.per_call(obs::Ctr::kCopyBytes), kLen);
-  EXPECT_EQ(zc.per_call(obs::Ctr::kInlineWqes), 2u);  // req + resp inline
-  EXPECT_EQ(zc.per_call(obs::Ctr::kDoorbells), 2u);   // still one per side
-}
-
-TEST(ZeroCopyOracle, EagerLargeMessageGathersInsteadOfInlining) {
-  constexpr size_t kLen = 300;  // wire frame > max_inline_data (220)
-  Footprint zc = measure(ProtocolKind::kEagerSendRecv, kLen,
-                         ChannelConfig{}.with_zero_copy());
-  EXPECT_EQ(zc.per_call(obs::Ctr::kInlineWqes), 0u);
-  // Each direction posts one 2-element [header | payload] gather list.
-  EXPECT_EQ(zc.per_call(obs::Ctr::kGatherSges), 4u);
-  EXPECT_EQ(zc.per_call(obs::Ctr::kCopyBytes), kLen);  // still one copy
-}
-
-TEST(ZeroCopyOracle, SegmentedEagerSendSkipsTheStagingCopy) {
-  // Message > eager_slot: the eager pipe fragments it across slots. The
-  // staged path copies each slice into its ring slot; the zero-copy path
-  // posts [header | payload-slice] gather lists straight from the caller's
-  // registered buffer, so the only copies left are the two receive-side
-  // reassemblies (request at the server, response at the client).
-  constexpr size_t kLen = 10000;  // 3 wire segments at the 4KB default slot
-  Footprint staged =
-      measure(ProtocolKind::kEagerSendRecv, kLen, ChannelConfig{});
-  Footprint zc = measure(ProtocolKind::kEagerSendRecv, kLen,
-                         ChannelConfig{}.with_zero_copy());
-  EXPECT_EQ(staged.per_call(obs::Ctr::kCopyBytes), 4 * kLen);
-  EXPECT_EQ(zc.per_call(obs::Ctr::kCopyBytes), 2 * kLen);
-  EXPECT_GT(zc.per_call(obs::Ctr::kGatherSges), 0u);
-  // Framing is unchanged: both paths post the same number of WQEs.
-  EXPECT_EQ(zc.per_call(obs::Ctr::kWqesPosted),
-            staged.per_call(obs::Ctr::kWqesPosted));
-}
-
 TEST(ZeroCopyOracle, SegmentedWindowedSendsHaveNoCrossTalk) {
-  // window > 1 with oversized payloads: segmented zero-copy sends from two
+  // window > 1 with oversized payloads: segmented eager sends from two
   // lanes interleave on the ring, and the slot prefix must still route
   // every response to its own call.
   Simulator sim;
   verbs::Fabric fabric(sim);
   verbs::Node* cl = fabric.add_node();
   verbs::Node* sv = fabric.add_node();
-  ChannelConfig cfg = ChannelConfig{}.with_window(2).with_zero_copy();
+  ChannelConfig cfg = ChannelConfig{}.with_window(2);
   auto ch = make_channel(ProtocolKind::kEagerSendRecv, *cl, *sv,
                          echo_handler(*sv), cfg);
   sim::WaitGroup wg(sim);
@@ -409,78 +322,6 @@ TEST(ZeroCopyOracle, SegmentedWindowedSendsHaveNoCrossTalk) {
   }(wg, *ch));
   sim.run();
   EXPECT_EQ(mismatches, 0);
-}
-
-TEST(ZeroCopyOracle, DirectWriteImmSmallCallGoesFullyInline) {
-  constexpr size_t kLen = 64;
-  Footprint zc = measure(ProtocolKind::kDirectWriteImm, kLen,
-                         ChannelConfig{}.with_zero_copy());
-  EXPECT_EQ(zc.per_call(obs::Ctr::kInlineWqes), 2u);  // req + resp WRITE_IMM
-  EXPECT_EQ(zc.per_call(obs::Ctr::kCopyBytes), 0u);
-  EXPECT_EQ(zc.per_call(obs::Ctr::kDoorbells), 2u);
-}
-
-TEST(ZeroCopyOracle, PipelinedInlineSendsHaveNoSlotCrossTalk) {
-  // window > 1: several inline WQEs in flight at once, each snapshotted at
-  // post time — responses must match their own request, not a neighbour's.
-  Simulator sim;
-  verbs::Fabric fabric(sim);
-  verbs::Node* cl = fabric.add_node();
-  verbs::Node* sv = fabric.add_node();
-  ChannelConfig cfg = ChannelConfig{}.with_window(4).with_zero_copy();
-  auto ch = make_channel(ProtocolKind::kDirectWriteImm, *cl, *sv,
-                         echo_handler(*sv), cfg);
-  sim::WaitGroup wg(sim);
-  int mismatches = 0;
-  for (int t = 0; t < 4; ++t) {
-    wg.add();
-    sim.spawn([](RpcChannel& ch, int t, int& mismatches,
-                 sim::WaitGroup& wg) -> Task<void> {
-      for (int i = 0; i < 8; ++i) {
-        Buffer req(64, std::byte(0x10 * (t + 1) + i));
-        Buffer got = (co_await ch.call(req, 64)).value();
-        if (got != req) ++mismatches;
-      }
-      wg.done();
-    }(*ch, t, mismatches, wg));
-  }
-  sim.spawn([](sim::WaitGroup& wg, RpcChannel& ch) -> Task<void> {
-    co_await wg.wait();
-    ch.shutdown();
-  }(wg, *ch));
-  sim.run();
-  EXPECT_EQ(mismatches, 0);
-  EXPECT_GT(fabric.obs().counters.node(cl->id()).get(obs::Ctr::kInlineWqes),
-            0u);
-}
-
-TEST(ZeroCopyOracle, RendezvousZeroCopyEchoesCorrectly) {
-  // Write-RNDV inlines small responses and writes requests straight from
-  // the caller's buffer; Read-RNDV advertises the caller's buffer for the
-  // server's READ (registered through the MrCache).
-  for (auto kind : {ProtocolKind::kWriteRndv, ProtocolKind::kReadRndv}) {
-    Footprint zc = measure(kind, 8192, ChannelConfig{}.with_zero_copy());
-    EXPECT_EQ(zc.ctrs.get(obs::Ctr::kFailedCalls), 0u);
-    Footprint small = measure(kind, 64, ChannelConfig{}.with_zero_copy());
-    EXPECT_EQ(small.ctrs.get(obs::Ctr::kFailedCalls), 0u);
-  }
-  // The large Read-RNDV request is READ out of a cache-registered user
-  // buffer: warm calls hit, never re-register.
-  Simulator sim;
-  verbs::Fabric fabric(sim);
-  verbs::Node* cl = fabric.add_node();
-  verbs::Node* sv = fabric.add_node();
-  auto ch = make_channel(ProtocolKind::kReadRndv, *cl, *sv, echo_handler(*sv),
-                         ChannelConfig{}.with_zero_copy());
-  sim.spawn([](verbs::Node* cl, RpcChannel& ch) -> Task<void> {
-    Buffer payload(8192, std::byte{0x5c});
-    (co_await ch.call(payload, 8192)).value();
-    const uint64_t hits0 = cl->pd().mr_cache().hits();
-    (co_await ch.call(payload, 8192)).value();  // same buffer: cache hit
-    EXPECT_GT(cl->pd().mr_cache().hits(), hits0);
-    ch.shutdown();
-  }(cl, *ch));
-  sim.run();
 }
 
 // ---------------------------------------------------------------------------
@@ -521,38 +362,6 @@ TEST(BufferPool, ReusesBlocksAndFallsBackWhenExhausted) {
   EXPECT_EQ(n->pd().mr_cache().hits(), hits0 + 1);
 }
 
-TEST(BufferPool, ThriftEndToEndReusesPooledBuffers) {
-  Simulator sim;
-  verbs::Fabric fabric(sim);
-  verbs::Node* cl = fabric.add_node();
-  verbs::Node* sv = fabric.add_node();
-  thrift::TServerRdma server(*sv, echo_handler(*sv));
-  thrift::TRdmaEndPoint* ep =
-      server.accept(*cl, ProtocolKind::kEagerSendRecv,
-                    ChannelConfig{}.with_zero_copy());
-  ASSERT_NE(ep->pool(), nullptr);
-
-  std::string got;
-  sim.spawn([](thrift::TRdmaEndPoint* ep, std::string& got,
-               thrift::TServerRdma& srv) -> Task<void> {
-    thrift::TRdma t(*ep);
-    for (int i = 0; i < 3; ++i) {
-      std::string msg = "zero-copy-" + std::to_string(i);
-      t.write(to_buffer(msg));
-      co_await t.flush();
-      std::byte buf[64];
-      size_t n = co_await t.read(buf, sizeof buf);
-      got = std::string(reinterpret_cast<const char*>(buf), n);
-    }
-    srv.stop();
-  }(ep, got, server));
-  sim.run();
-  EXPECT_EQ(got, "zero-copy-2");
-  // Calls 2 and 3 re-acquired the block call 1 used.
-  EXPECT_GE(ep->pool()->reuses(), 2u);
-  EXPECT_EQ(ep->pool()->exhausted(), 0u);
-}
-
 TEST(BufferPool, BackedTMemoryBufferSpillsToHeapOnOverflow) {
   std::vector<std::byte> block(16);
   auto m = thrift::TMemoryBuffer::backed({block.data(), block.size()});
@@ -566,17 +375,16 @@ TEST(BufferPool, BackedTMemoryBufferSpillsToHeapOnOverflow) {
 }
 
 // ---------------------------------------------------------------------------
-// Legacy-path protection: zero_copy off stays bit-identical.
+// The staged path posts no inline or gather WQE and touches no MrCache.
 // ---------------------------------------------------------------------------
 
-std::string counter_dump(bool zero_copy) {
+std::string counter_dump() {
   Simulator sim;
   verbs::Fabric fabric(sim);
   verbs::Node* cl = fabric.add_node();
   verbs::Node* sv = fabric.add_node();
   auto ch = make_channel(ProtocolKind::kEagerSendRecv, *cl, *sv,
-                         echo_handler(*sv),
-                         ChannelConfig{}.with_zero_copy(zero_copy));
+                         echo_handler(*sv), ChannelConfig{});
   sim.spawn([](RpcChannel& ch) -> Task<void> {
     for (int i = 0; i < 8; ++i) {
       Buffer payload(64 + size_t(i) * 32, std::byte{0x42});
@@ -589,21 +397,14 @@ std::string counter_dump(bool zero_copy) {
 }
 
 TEST(LegacyPath, DefaultConfigDumpMentionsNoZeroCopyCounters) {
-  std::string dump = counter_dump(false);
+  std::string dump = counter_dump();
   EXPECT_FALSE(dump.empty());
-  // Zero-valued counters are suppressed, so a legacy run's dump is
-  // byte-identical to pre-zero-copy builds.
+  // Zero-valued counters are suppressed, so none of the techniques shows
+  // up in a staged run's dump.
   EXPECT_EQ(dump.find("inline_wqes"), std::string::npos);
   EXPECT_EQ(dump.find("gather_sges"), std::string::npos);
   EXPECT_EQ(dump.find("mr_cache"), std::string::npos);
   EXPECT_EQ(dump.find("pool_buffer"), std::string::npos);
-}
-
-TEST(LegacyPath, ZeroCopyRunsAreDeterministic) {
-  std::string a = counter_dump(true);
-  std::string b = counter_dump(true);
-  EXPECT_EQ(a, b);
-  EXPECT_NE(a.find("inline_wqes"), std::string::npos);
 }
 
 }  // namespace
