@@ -88,6 +88,18 @@ sed -n '/enum class Ctr/,/^};/p' src/obs/counters.h \
   | rule 'dead-counter' \
          'every Ctr enumerator needs a producer or reader outside counters.h.'
 
+# --- Rule 6: no co_await on a conditional between two calls. ---------------
+# GCC 12.2 miscompiles `co_await (c ? a() : b())` when both arms are calls
+# returning tasks, and the awaiting coroutine crashes (a protocol that polled
+# its send or recv CQ that way segfaulted the test suite). Await each call in
+# its own branch of an if/else. A conditional between two objects, as in
+# `co_await (c ? x : y).call()`, is fine.
+grep -rnE --include='*.h' --include='*.cc' \
+    'co_await\s*\(.*\?[^:;]*\w\s*\([^()]*\)\s*:[^;]*\w\s*\(' \
+    src tests bench examples \
+  | rule 'co-await-conditional-calls' \
+         'co_await on (c ? f() : g()) crashes under GCC 12.2; use if/else.'
+
 # --- clang-tidy (optional: degrades to a notice when absent). ---------------
 if command -v clang-tidy >/dev/null 2>&1; then
   if [ -f "$build_dir/compile_commands.json" ]; then

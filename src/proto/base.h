@@ -66,7 +66,7 @@ class ChannelBase : public RpcChannel {
   bool resize_window(uint32_t n) override {
     if (n == 0) n = 1;
     if (n > cfg_.window) return false;  // beyond allocation: rebuild needed
-    if (cfg_.window == 1) return n == 1;  // unwindowed channels have no pool
+    if (cfg_.window == 1) return n == 1;  // one slot cannot shrink
     target_window_ = n;
     while (live_window_ > target_window_) {
       auto s = free_slots_.try_pop();
@@ -157,9 +157,11 @@ class ChannelBase : public RpcChannel {
   }
 
   // ---- Sliding-window scaffolding ---------------------------------------
-  // Completions carry the originating call's window slot in the top byte of
-  // the 32-bit imm (the low 24 bits keep the length), so a dispatcher can
-  // route each completion to the right pending call().
+  // Every call holds one of cfg_.window slots while it runs; window 1 is the
+  // one-slot case. Completions carry the originating call's slot in the top
+  // byte of a 32-bit word (an imm, or a ctrl frame's type word; the low 24
+  // bits keep the length or type), so a dispatcher can route each completion
+  // to the right pending call().
   static constexpr uint32_t kSlotShift = 24;
   static constexpr uint32_t kLenMask = (1u << kSlotShift) - 1;
   static constexpr uint32_t kMaxWindow = 256;
@@ -170,6 +172,15 @@ class ChannelBase : public RpcChannel {
     return imm >> kSlotShift;
   }
   static constexpr uint32_t imm_len(uint32_t imm) { return imm & kLenMask; }
+
+  /// The one-slot rule, the only window-dependent choice a protocol makes.
+  /// With one slot there is one waiter per side: it polls its own CQs, and
+  /// the server runs the handler inline. With more, dispatcher tasks route
+  /// completions by slot tag and each handler runs in a task of its own.
+  /// Dispatchers at window 1 would hold a busy-poll core between calls (and,
+  /// on the server, while the handler computes), over-subscribing a busy
+  /// server's cores.
+  bool one_slot() const { return cfg_.window == 1; }
 
   /// Claims a window slot, blocking (and counting a window_stall) while all
   /// cfg_.window slots are in flight.
@@ -185,6 +196,21 @@ class ChannelBase : public RpcChannel {
       throw RpcError(RpcErrc::kChannelClosed, "window slot pool closed");
     co_return *s;
   }
+
+  /// Returns a held window slot to the pool when the call holding it ends,
+  /// whichever way it ends.
+  class SlotGuard {
+   public:
+    SlotGuard(ChannelBase& ch, uint32_t slot) : ch_(ch), slot_(slot) {}
+    SlotGuard(const SlotGuard&) = delete;
+    SlotGuard& operator=(const SlotGuard&) = delete;
+    ~SlotGuard() { ch_.release_slot(slot_); }
+
+   private:
+    ChannelBase& ch_;
+    uint32_t slot_;
+  };
+
   void release_slot(uint32_t s) {
     // A live shrink withholds slots as their calls come home instead of
     // recirculating them (resize_window above).

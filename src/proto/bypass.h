@@ -15,13 +15,15 @@
 // polling (no completion); with an event server the request is sent as
 // WRITE_WITH_IMM so an interrupt can be raised.
 //
-// Pipelining (window > 1): the request slot and export region become rings
-// of per-slot strides. The busy server scans every slot per wakeup (one
-// pickup charge per detected batch) and spawns a handler per ready slot;
-// the event server recovers the slot from the imm tag. Client READs are
-// tagged wr_id=slot and routed by a send-CQ dispatcher so concurrent
-// fetches never steal each other's completions. window=1 keeps the classic
-// single-slot layout and charges bit-for-bit.
+// Call windows: the request slot, the export region and the client's read
+// buffer are rings of per-slot strides. The busy server scans every slot
+// per wakeup (one pickup charge per detected batch); the event server
+// recovers the slot from the imm tag. Client READs are tagged wr_id=slot.
+// With one slot there is one waiter per side: the client polls its own send
+// CQ (and HERD's response pipe) and the server runs the handler inline.
+// With more, a send-CQ dispatcher routes READ completions so concurrent
+// fetches never steal each other's, and the server spawns a handler per
+// ready slot.
 #pragma once
 
 #include "proto/base.h"
@@ -35,84 +37,65 @@ class BypassChannel : public ChannelBase {
   sim::Task<Buffer> do_call(View req, uint32_t resp_size_hint) override {
     if (req.size() > cfg_.max_msg)
       throw std::length_error("bypass protocol: request exceeds slot");
-    if (cfg_.window > 1) co_return co_await do_call_w(req, resp_size_hint);
+    const uint32_t slot = co_await acquire_slot();
+    const SlotGuard held(*this, slot);
+    if (dead_) throw_wc("bypass", dead_status_);
     const uint64_t seq = ++seq_;
     // Request: [u64 seq][u32 len][payload] written into the server slot.
-    std::byte* p = cli_req_src_->data();
+    std::byte* p = cli_req_src_->data() + size_t(slot) * req_stride_;
     put_u64(p, seq);
     put_u32(p + 8, static_cast<uint32_t>(req.size()));
     const uint32_t wire = kReqHdr + static_cast<uint32_t>(req.size());
+    std::shared_ptr<PendingCall> pend;
+    if (kind_ == ProtocolKind::kHerd && !one_slot()) {
+      pend = sim::pooled_shared<PendingCall>(sim_);
+      pending_[slot] = pend;
+    }
     copy_bytes(p + kReqHdr, req.data(), req.size());
     verbs::SendWr wr;
     wr.local = {p, wire};
-    wr.remote = srv_req_slot_->remote(0);
+    wr.remote = srv_req_slot_->remote(size_t(slot) * req_stride_);
     wr.signaled = false;
     if (event_server()) {
       ++stats_.write_imms;
       wr.opcode = verbs::Opcode::kWriteImm;
-      wr.imm = wire;
+      wr.imm = slot_imm(slot, wire);
     } else {
       ++stats_.writes;
       wr.opcode = verbs::Opcode::kWrite;
     }
     co_await cep_.qp->post_send(std::move(wr));
 
-    if (kind_ == ProtocolKind::kHerd) {
+    if (kind_ != ProtocolKind::kHerd)
+      co_return co_await fetch_response(slot, seq, resp_size_hint);
+    if (one_slot()) {
+      // The caller reads its own (unprefixed) reply off the pipe; with more
+      // slots, herd_dispatch routes slot-prefixed replies.
       auto resp = co_await resp_pipe_->recv();
       if (!resp) throw_wc("herd recv", resp_pipe_->last_status());
       co_return std::move(*resp);
     }
-    co_return co_await fetch_response(seq, resp_size_hint);
+    co_await pend->done.wait();
+    pending_[slot].reset();
+    if (pend->status != verbs::WcStatus::kSuccess)
+      throw_wc("herd recv", pend->status);
+    co_return std::move(pend->resp);
   }
 
   sim::Task<void> serve() override {
-    if (cfg_.window > 1) {
-      if (event_server())
-        co_await serve_event_w();
-      else
-        co_await serve_busy_w();
-      co_return;
-    }
-    while (!stop_) {
-      uint32_t req_len = 0;
-      if (event_server()) {
-        verbs::Wc wc = co_await sep_.recv_wc();
-        if (!wc.ok()) break;
-        repost_recv(static_cast<uint32_t>(wc.wr_id));
-        req_len = wc.imm - kReqHdr;
-      } else {
-        // CPU memory polling: spin (occupying a core) until the request
-        // header's sequence number advances.
-        auto guard = sv_.cpu().busy_guard();
-        while (!stop_ && get_u64(srv_req_slot_->data()) == served_) {
-          co_await watch_.wait();
-        }
-        if (stop_) break;
-        co_await sim_.sleep(sv_.cpu().pickup_delay(sim::PollMode::kBusy));
-        req_len = get_u32(srv_req_slot_->data() + 8);
-      }
-      served_ = get_u64(srv_req_slot_->data());
-
-      Buffer resp = (co_await run_handler(
-                         View{srv_req_slot_->data() + kReqHdr, req_len}))
-                        .take();
-
-      if (kind_ == ProtocolKind::kHerd) {
-        if (!co_await resp_pipe_->send(resp)) break;
-        continue;
-      }
-      co_await publish(srv_export_->data(), served_, resp);
-    }
+    if (event_server())
+      co_await serve_event();
+    else
+      co_await serve_busy();
   }
 
   void start() override {
     ChannelBase::start();
-    if (cfg_.window > 1) {
-      if (kind_ == ProtocolKind::kHerd)
-        sim_.spawn(herd_dispatch());
-      else
-        sim_.spawn(read_dispatch());
-    }
+    if (one_slot()) return;
+    if (kind_ == ProtocolKind::kHerd)
+      sim_.spawn(herd_dispatch());
+    else
+      sim_.spawn(read_dispatch());
   }
 
   void extra_shutdown() override { watch_.notify_all(); }
@@ -126,45 +109,35 @@ class BypassChannel : public ChannelBase {
     const uint32_t w = cfg_.window;
     req_stride_ = kReqHdr + cfg_.max_msg;
     exp_stride_ = kExportHdr + cfg_.max_msg;
-    if (w > 1 && event_server() && req_stride_ > kLenMask)
+    if (event_server() && req_stride_ > kLenMask)
       throw std::length_error("bypass protocol: max_msg exceeds the 24-bit "
                               "imm length field");
+    // Each stride's header is polled before the first write lands in it.
+    auto zero_headers = [w](verbs::MemoryRegion* mr, uint32_t stride,
+                            uint32_t hdr) {
+      for (uint32_t s = 0; s < w; ++s)
+        std::memset(mr->data() + size_t(s) * stride, 0, hdr);
+    };
     cli_req_src_ = alloc_client_mr(size_t(req_stride_) * w);
     srv_req_slot_ = alloc_server_mr(size_t(req_stride_) * w);
-    if (w == 1) {
-      cli_read_buf_ = alloc_client_mr(kMetaBytes + cfg_.max_msg);
-      srv_req_slot_->zero_prefix(kReqHdr);  // polled before the first write
-      cli_read_buf_->zero_prefix(kExportHdr);
-    } else {
-      cli_read_buf_ = alloc_client_mr(size_t(exp_stride_) * w);
-      for (uint32_t s = 0; s < w; ++s) {
-        std::memset(srv_req_slot_->data() + size_t(s) * req_stride_, 0,
-                    kReqHdr);
-        std::memset(cli_read_buf_->data() + size_t(s) * exp_stride_, 0,
-                    kExportHdr);
-      }
-      served_v_.assign(w, 0);
-      if (kind_ == ProtocolKind::kHerd) {
-        pending_.resize(w);
-      } else {
-        for (uint32_t s = 0; s < w; ++s)
-          read_done_.push_back(
-              std::make_unique<sim::Channel<verbs::WcStatus>>(sim_));
-      }
-    }
+    zero_headers(srv_req_slot_, req_stride_, kReqHdr);
+    served_seq_.assign(w, 0);
     if (kind_ == ProtocolKind::kHerd) {
       resp_pipe_.emplace(sep_, cep_, cfg_, &stats_, channel_counters());
       stats_.client_registered += resp_pipe_->ring_bytes();
       stats_.server_registered += resp_pipe_->ring_bytes();
+      if (!one_slot()) pending_.resize(w);
     } else {
-      // Exported region the client READs: [meta1 16B][meta2 16B][payload].
+      // Exported region the client READs: [meta1 16B][meta2 16B][payload],
+      // and the client buffer those READs land in, one stride per slot.
       srv_export_ = alloc_server_mr(size_t(exp_stride_) * w);
-      if (w == 1)
-        srv_export_->zero_prefix(kExportHdr);
-      else
+      cli_read_buf_ = alloc_client_mr(size_t(exp_stride_) * w);
+      zero_headers(srv_export_, exp_stride_, kExportHdr);
+      zero_headers(cli_read_buf_, exp_stride_, kExportHdr);
+      if (!one_slot())
         for (uint32_t s = 0; s < w; ++s)
-          std::memset(srv_export_->data() + size_t(s) * exp_stride_, 0,
-                      kExportHdr);
+          read_done_.push_back(
+              std::make_unique<sim::Channel<verbs::WcStatus>>(sim_));
     }
     if (event_server()) {
       if (cfg_.server_srq) sep_.qp->set_srq(cfg_.server_srq);
@@ -208,65 +181,75 @@ class BypassChannel : public ChannelBase {
       sep_.qp->post_recv(verbs::RecvWr{.wr_id = idx});
   }
 
-  sim::Task<verbs::Wc> issue_read(uint64_t remote_off, uint32_t len,
-                                  uint64_t local_off = 0) {
+  /// Slot-tagged READ of `len` export bytes at `remote_off` into the slot's
+  /// read stride at `local_off`. With one slot the caller polls its own send
+  /// CQ; with more, read_dispatch routes the completion by wr_id.
+  sim::Task<void> issue_read(uint32_t slot, uint64_t remote_off, uint32_t len,
+                             uint64_t local_off = 0) {
     ++stats_.reads;
+    const size_t base = size_t(slot) * exp_stride_;
     co_await cep_.qp->post_send(verbs::SendWr{
-        .wr_id = 3,
+        .wr_id = slot,
         .opcode = verbs::Opcode::kRead,
-        .local = {cli_read_buf_->data() + local_off, len},
-        .remote = srv_export_->remote(remote_off)});
-    verbs::Wc wc = co_await cep_.send_wc();
-    if (!wc.ok()) throw_wc("bypass read", wc.status);
-    co_return wc;
+        .local = {cli_read_buf_->data() + base + local_off, len},
+        .remote = srv_export_->remote(base + remote_off)});
+    verbs::WcStatus st = verbs::WcStatus::kWrFlushErr;
+    if (one_slot()) {
+      st = (co_await cep_.send_wc()).status;
+    } else if (auto routed = co_await read_done_[slot]->pop()) {
+      st = *routed;
+    }
+    if (st != verbs::WcStatus::kSuccess) throw_wc("bypass read", st);
   }
 
-  sim::Task<Buffer> fetch_response(uint64_t seq, uint32_t hint) {
-    const std::byte* b = cli_read_buf_->data();
+  sim::Task<Buffer> fetch_response(uint32_t slot, uint64_t seq,
+                                   uint32_t hint) {
+    const std::byte* b = cli_read_buf_->data() + size_t(slot) * exp_stride_;
     switch (kind_) {
       case ProtocolKind::kPilaf: {
         // Probe meta1 until the server published our sequence number...
         while (true) {
-          co_await issue_read(0, kMetaBytes);
+          co_await issue_read(slot, 0, kMetaBytes);
           if (get_u64(b) == seq) break;
           ++stats_.read_retries;
         }
         // ...then fetch meta2 (extent) and finally the payload.
-        co_await issue_read(16, kMetaBytes);
+        co_await issue_read(slot, 16, kMetaBytes);
         uint32_t len = reply_len(b + 8);
-        co_await issue_read(kExportHdr, len);
+        co_await issue_read(slot, kExportHdr, len);
         co_return Buffer(b, b + len);
       }
       case ProtocolKind::kFarm: {
         // meta1+meta2 in one aligned object read, then the payload.
         uint32_t len = 0;
         while (true) {
-          co_await issue_read(0, kExportHdr);
+          co_await issue_read(slot, 0, kExportHdr);
           if (get_u64(b) == seq) {
             len = reply_len(b + 24);
             break;
           }
           ++stats_.read_retries;
         }
-        co_await issue_read(kExportHdr, len);
+        co_await issue_read(slot, kExportHdr, len);
         co_return Buffer(b, b + len);
       }
       case ProtocolKind::kRfp: {
         // RFP's adaptive remote fetching: wait out the LEARNED server
         // response delay (EWMA over past calls), then fetch header+payload
-        // in one READ sized by the caller's hint. A mistimed optimistic
-        // fetch costs a wasted payload-sized READ, so misses poll with
-        // cheap header-only reads, then one payload read — and feed the
-        // observed delay back into the estimate.
-        uint32_t guess = hint > 0 ? std::min(hint, cfg_.max_msg)
-                                  : cfg_.eager_slot;
+        // in one READ sized by the caller's hint (one eager slot without
+        // one), never past the stride. A mistimed optimistic fetch costs a
+        // wasted payload-sized READ, so misses poll with cheap header-only
+        // reads, then one payload read — and feed the observed delay back
+        // into the estimate.
+        const uint32_t guess =
+            std::min(hint > 0 ? hint : cfg_.eager_slot, cfg_.max_msg);
         sim::Time t0 = sim_.now();
         if (fetch_delay_ > sim::Duration{0}) co_await sim_.sleep(fetch_delay_);
-        co_await issue_read(0, kExportHdr + guess);
+        co_await issue_read(slot, 0, kExportHdr + guess);
         if (get_u64(b) != seq) {
           ++stats_.read_retries;
           while (true) {
-            co_await issue_read(0, kExportHdr);
+            co_await issue_read(slot, 0, kExportHdr);
             if (get_u64(b) == seq) break;
             ++stats_.read_retries;
           }
@@ -275,7 +258,7 @@ class BypassChannel : public ChannelBase {
           sim::Duration observed = sim_.now() - t0;
           fetch_delay_ = (fetch_delay_ * 3 + observed) / 4;
           uint32_t len = reply_len(b + 24);
-          co_await issue_read(kExportHdr, len, kExportHdr);
+          co_await issue_read(slot, kExportHdr, len, kExportHdr);
           co_return Buffer(b + kExportHdr, b + kExportHdr + len);
         }
         // Hit on the first fetch: decay the delay so we stay optimistic.
@@ -283,137 +266,8 @@ class BypassChannel : public ChannelBase {
         uint32_t len = reply_len(b + 24);
         if (len > guess) {
           // Undersized fetch: one more READ for the tail.
-          co_await issue_read(kExportHdr + guess, len - guess,
+          co_await issue_read(slot, kExportHdr + guess, len - guess,
                               kExportHdr + guess);
-        }
-        co_return Buffer(b + kExportHdr, b + kExportHdr + len);
-      }
-      default:
-        throw std::logic_error("not a bypass protocol");
-    }
-  }
-
-  // ---- Windowed path ----------------------------------------------------
-
-  sim::Task<Buffer> do_call_w(View req, uint32_t hint) {
-    uint32_t slot = co_await acquire_slot();
-    if (dead_) {
-      release_slot(slot);
-      throw_wc("bypass", dead_status_);
-    }
-    try {
-      Buffer out = co_await run_call_w(slot, req, hint);
-      release_slot(slot);
-      co_return out;
-    } catch (...) {
-      release_slot(slot);
-      throw;
-    }
-  }
-
-  sim::Task<Buffer> run_call_w(uint32_t slot, View req, uint32_t hint) {
-    const uint64_t seq = ++seq_;
-    std::byte* p = cli_req_src_->data() + size_t(slot) * req_stride_;
-    put_u64(p, seq);
-    put_u32(p + 8, static_cast<uint32_t>(req.size()));
-    const uint32_t wire = kReqHdr + static_cast<uint32_t>(req.size());
-    std::shared_ptr<PendingCall> pend;
-    if (kind_ == ProtocolKind::kHerd) {
-      pend = sim::pooled_shared<PendingCall>(sim_);
-      pending_[slot] = pend;
-    }
-    copy_bytes(p + kReqHdr, req.data(), req.size());
-    verbs::SendWr wr;
-    wr.local = {p, wire};
-    wr.remote = srv_req_slot_->remote(size_t(slot) * req_stride_);
-    wr.signaled = false;
-    if (event_server()) {
-      ++stats_.write_imms;
-      wr.opcode = verbs::Opcode::kWriteImm;
-      wr.imm = slot_imm(slot, wire);
-    } else {
-      ++stats_.writes;
-      wr.opcode = verbs::Opcode::kWrite;
-    }
-    co_await cep_.qp->post_send(std::move(wr));
-    if (kind_ == ProtocolKind::kHerd) {
-      co_await pend->done.wait();
-      pending_[slot].reset();
-      if (pend->status != verbs::WcStatus::kSuccess)
-        throw_wc("herd recv", pend->status);
-      co_return std::move(pend->resp);
-    }
-    co_return co_await fetch_response_w(slot, seq, hint);
-  }
-
-  /// Slot-tagged READ: wr_id carries the slot so read_dispatch can route
-  /// the completion back to this call's mailbox.
-  sim::Task<void> issue_read_w(uint32_t slot, uint64_t remote_off,
-                               uint32_t len, uint64_t local_off = 0) {
-    ++stats_.reads;
-    const size_t base = size_t(slot) * exp_stride_;
-    co_await cep_.qp->post_send(verbs::SendWr{
-        .wr_id = slot,
-        .opcode = verbs::Opcode::kRead,
-        .local = {cli_read_buf_->data() + base + local_off, len},
-        .remote = srv_export_->remote(base + remote_off)});
-    auto st = co_await read_done_[slot]->pop();
-    if (!st || *st != verbs::WcStatus::kSuccess)
-      throw_wc("bypass read", st ? *st : verbs::WcStatus::kWrFlushErr);
-  }
-
-  sim::Task<Buffer> fetch_response_w(uint32_t slot, uint64_t seq,
-                                     uint32_t hint) {
-    const std::byte* b = cli_read_buf_->data() + size_t(slot) * exp_stride_;
-    switch (kind_) {
-      case ProtocolKind::kPilaf: {
-        while (true) {
-          co_await issue_read_w(slot, 0, kMetaBytes);
-          if (get_u64(b) == seq) break;
-          ++stats_.read_retries;
-        }
-        co_await issue_read_w(slot, 16, kMetaBytes);
-        uint32_t len = reply_len(b + 8);
-        co_await issue_read_w(slot, kExportHdr, len);
-        co_return Buffer(b, b + len);
-      }
-      case ProtocolKind::kFarm: {
-        uint32_t len = 0;
-        while (true) {
-          co_await issue_read_w(slot, 0, kExportHdr);
-          if (get_u64(b) == seq) {
-            len = reply_len(b + 24);
-            break;
-          }
-          ++stats_.read_retries;
-        }
-        co_await issue_read_w(slot, kExportHdr, len);
-        co_return Buffer(b, b + len);
-      }
-      case ProtocolKind::kRfp: {
-        uint32_t guess = hint > 0 ? std::min(hint, cfg_.max_msg)
-                                  : cfg_.eager_slot;
-        sim::Time t0 = sim_.now();
-        if (fetch_delay_ > sim::Duration{0}) co_await sim_.sleep(fetch_delay_);
-        co_await issue_read_w(slot, 0, kExportHdr + guess);
-        if (get_u64(b) != seq) {
-          ++stats_.read_retries;
-          while (true) {
-            co_await issue_read_w(slot, 0, kExportHdr);
-            if (get_u64(b) == seq) break;
-            ++stats_.read_retries;
-          }
-          sim::Duration observed = sim_.now() - t0;
-          fetch_delay_ = (fetch_delay_ * 3 + observed) / 4;
-          uint32_t len = reply_len(b + 24);
-          co_await issue_read_w(slot, kExportHdr, len, kExportHdr);
-          co_return Buffer(b + kExportHdr, b + kExportHdr + len);
-        }
-        fetch_delay_ = fetch_delay_ * 7 / 8;
-        uint32_t len = reply_len(b + 24);
-        if (len > guess) {
-          co_await issue_read_w(slot, kExportHdr + guess, len - guess,
-                                kExportHdr + guess);
         }
         co_return Buffer(b + kExportHdr, b + kExportHdr + len);
       }
@@ -462,58 +316,79 @@ class BypassChannel : public ChannelBase {
     }
   }
 
-  sim::Task<void> serve_event_w() {
+  sim::Task<void> serve_event() {
+    std::vector<verbs::Wc> wcs;
     for (;;) {
-      auto wcs = co_await sep_.recv_wcs(cfg_.window);
-      for (verbs::Wc& wc : wcs) {
+      if (one_slot()) {
+        const verbs::Wc wc = co_await sep_.recv_wc();
+        wcs.assign(1, wc);
+      } else {
+        wcs = co_await sep_.recv_wcs(cfg_.window);
+      }
+      for (const verbs::Wc& wc : wcs) {
         if (!wc.ok()) co_return;
         repost_recv(static_cast<uint32_t>(wc.wr_id));
-        const uint32_t slot = imm_slot(wc.imm);
-        const uint32_t wire = imm_len(wc.imm);
-        served_v_[slot] = get_u64(slot_req(slot));
-        sim_.spawn(handle_slot(slot, wire - kReqHdr));
+        co_await take_request(imm_slot(wc.imm), imm_len(wc.imm) - kReqHdr);
       }
     }
   }
 
-  sim::Task<void> serve_busy_w() {
+  sim::Task<void> serve_busy() {
     std::vector<uint32_t> found;
     while (!stop_) {
       found.clear();
       {
+        // CPU memory polling: spin (occupying a core) until a request
+        // header's sequence number advances.
         auto guard = sv_.cpu().busy_guard();
         for (;;) {
           for (uint32_t s = 0; s < cfg_.window; ++s)
-            if (get_u64(slot_req(s)) != served_v_[s]) found.push_back(s);
+            if (get_u64(slot_req(s)) != served_seq_[s]) found.push_back(s);
           if (!found.empty() || stop_) break;
           co_await watch_.wait();
         }
+        if (stop_) break;
+        // One pickup charge covers the whole detected batch. With one slot
+        // the poller serves the request itself, so it spins through it.
+        if (one_slot())
+          co_await sim_.sleep(sv_.cpu().pickup_delay(sim::PollMode::kBusy));
       }
-      if (stop_) break;
-      // One pickup charge covers the whole detected batch.
-      co_await sim_.sleep(sv_.cpu().pickup_delay(sim::PollMode::kBusy));
-      for (uint32_t s : found) {
-        served_v_[s] = get_u64(slot_req(s));
-        sim_.spawn(handle_slot(s, get_u32(slot_req(s) + 8)));
-      }
+      if (!one_slot())
+        co_await sim_.sleep(sv_.cpu().pickup_delay(sim::PollMode::kBusy));
+      for (uint32_t s : found)
+        co_await take_request(s, get_u32(slot_req(s) + 8));
     }
+  }
+
+  /// Marks `slot`'s request served and handles it: inline with one slot,
+  /// in a task of its own with more, so handlers overlap.
+  sim::Task<void> take_request(uint32_t slot, uint32_t req_len) {
+    served_seq_[slot] = get_u64(slot_req(slot));
+    if (one_slot())
+      co_await handle_slot(slot, req_len);
+    else
+      sim_.spawn(handle_slot(slot, req_len));
   }
 
   sim::Task<void> handle_slot(uint32_t slot, uint32_t req_len) {
     const std::byte* r = slot_req(slot);
     const uint64_t seq = get_u64(r);
     Buffer resp = (co_await run_handler(View{r + kReqHdr, req_len})).take();
-    if (kind_ == ProtocolKind::kHerd) {
-      Buffer framed(4 + resp.size());
-      put_u32(framed.data(), slot);
-      if (!resp.empty())
-        copy_bytes(framed.data() + 4, resp.data(), resp.size());
-      auto guard = co_await srv_send_mu_.scoped();
-      co_await resp_pipe_->send(framed);
+    if (kind_ != ProtocolKind::kHerd) {
+      co_await publish(srv_export_->data() + size_t(slot) * exp_stride_, seq,
+                       resp);
       co_return;
     }
-    co_await publish(srv_export_->data() + size_t(slot) * exp_stride_, seq,
-                     resp);
+    if (one_slot()) {
+      co_await resp_pipe_->send(resp);
+      co_return;
+    }
+    Buffer framed(4 + resp.size());
+    put_u32(framed.data(), slot);
+    if (!resp.empty())
+      copy_bytes(framed.data() + 4, resp.data(), resp.size());
+    auto guard = co_await srv_send_mu_.scoped();
+    co_await resp_pipe_->send(framed);
   }
 
   /// Places `resp` in the export stride at `e` (the intrinsic server-side
@@ -537,19 +412,18 @@ class BypassChannel : public ChannelBase {
   }
 
   verbs::MemoryRegion* cli_req_src_ = nullptr;
-  verbs::MemoryRegion* cli_read_buf_ = nullptr;
+  verbs::MemoryRegion* cli_read_buf_ = nullptr;  // Pilaf, FaRM and RFP
   verbs::MemoryRegion* srv_req_slot_ = nullptr;
   verbs::MemoryRegion* srv_export_ = nullptr;
   std::optional<EagerPipe> resp_pipe_;  // HERD response path
   sim::WaitQueue watch_;
   sim::Mutex srv_send_mu_;  // serializes windowed HERD pipe responses
   uint64_t seq_ = 0;
-  uint64_t served_ = 0;                  // window=1: last served request seq
-  std::vector<uint64_t> served_v_;       // window>1: per-slot served seq
+  std::vector<uint64_t> served_seq_;  // per slot: last served request seq
   uint32_t req_stride_ = 0;
   uint32_t exp_stride_ = 0;
   std::vector<std::unique_ptr<sim::Channel<verbs::WcStatus>>> read_done_;
-  std::vector<std::shared_ptr<PendingCall>> pending_;  // HERD window>1
+  std::vector<std::shared_ptr<PendingCall>> pending_;  // windowed HERD
   sim::Duration fetch_delay_{};  // RFP adaptive-fetch delay estimate
 };
 

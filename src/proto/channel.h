@@ -180,7 +180,8 @@ struct ChannelConfig {
   /// Sliding window: how many calls may be in flight on the channel at
   /// once. Every protocol allocates `window` slots of its per-connection
   /// rings; call() blocks (and counts a window_stall) when all slots are
-  /// busy. window=1 is the classic one-outstanding-call channel.
+  /// busy. window=1 is the one-outstanding-call channel, on which
+  /// concurrent callers take turns.
   uint32_t window = 1;
   /// When set, the server side of recv-consuming protocols (Direct-WriteIMM
   /// and event-polled bypass) attaches its QP to this shared receive queue

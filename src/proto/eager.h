@@ -3,11 +3,12 @@
 // modest pinned memory, but every byte is staged through a slot copy on
 // both sides, so it suits small messages (and the res_util hint).
 //
-// Pipelining (window > 1): messages gain a 4-byte slot prefix so responses
-// can be routed back to the right pending call; whole-message sends are
-// serialized per pipe direction (the ring is a shared resource) while the
-// window lets multiple requests be in flight and the server handle them
-// concurrently. window=1 keeps the classic unprefixed framing bit-for-bit.
+// Call windows: every call holds a window slot. With one slot there is one
+// waiter, so the caller reads its own reply off the response pipe and the
+// server runs the handler inline. With more, messages gain a 4-byte slot
+// prefix so a client dispatcher can route each response to its pending
+// call; whole-message sends are serialized per pipe direction (the ring is
+// a shared resource) while the server handles requests concurrently.
 #pragma once
 
 #include "proto/base.h"
@@ -19,17 +20,15 @@ namespace hatrpc::proto {
 class EagerChannel : public ChannelBase {
  public:
   sim::Task<Buffer> do_call(View req, uint32_t /*resp_size_hint*/) override {
-    if (cfg_.window == 1) {
+    const uint32_t slot = co_await acquire_slot();
+    const SlotGuard held(*this, slot);
+    if (dead_) throw_wc("eager recv", dead_status_);
+    if (one_slot()) {
       if (!co_await c2s_.send(req))
         throw_wc("eager send", c2s_.last_status());
       auto resp = co_await s2c_.recv();
       if (!resp) throw_wc("eager recv", s2c_.last_status());
       co_return std::move(*resp);
-    }
-    uint32_t slot = co_await acquire_slot();
-    if (dead_) {
-      release_slot(slot);
-      throw_wc("eager recv", dead_status_);
     }
     auto pend = sim::pooled_shared<PendingCall>(sim_);
     pending_[slot] = pend;
@@ -44,18 +43,13 @@ class EagerChannel : public ChannelBase {
     }
     if (!sent) {
       pending_[slot].reset();
-      release_slot(slot);
       throw_wc("eager send", c2s_.last_status());
     }
     co_await pend->done.wait();
     pending_[slot].reset();
-    if (pend->status != verbs::WcStatus::kSuccess) {
-      release_slot(slot);
+    if (pend->status != verbs::WcStatus::kSuccess)
       throw_wc("eager recv", pend->status);
-    }
-    Buffer out = std::move(pend->resp);
-    release_slot(slot);
-    co_return out;
+    co_return std::move(pend->resp);
   }
 
  protected:
@@ -63,7 +57,7 @@ class EagerChannel : public ChannelBase {
     while (!stop_) {
       auto req = co_await c2s_.recv();
       if (!req) break;
-      if (cfg_.window == 1) {
+      if (one_slot()) {
         Buffer resp = (co_await run_handler(*req)).take();
         if (!co_await s2c_.send(resp)) break;
       } else {
@@ -74,7 +68,7 @@ class EagerChannel : public ChannelBase {
 
   void start() override {
     ChannelBase::start();
-    if (cfg_.window > 1)
+    if (!one_slot())
       sim_.spawn(client_dispatch());
   }
 

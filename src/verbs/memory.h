@@ -84,10 +84,6 @@ class MemoryRegion {
     return {data() + offset, len};
   }
 
-  /// Zeroes the first `n` bytes (control words that are polled before any
-  /// remote write lands).
-  void zero_prefix(size_t n) { std::memset(data(), 0, std::min(n, size_)); }
-
   /// Withdraws remote access (fault injection: a server losing its exported
   /// regions). Local use keeps working; remote ops NAK with kRemAccessErr.
   void revoke() { revoked_ = true; }

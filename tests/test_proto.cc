@@ -415,6 +415,76 @@ TEST(ProtocolLimits, OversizedDirectReplyFailsOnlyThatCall) {
   }
 }
 
+TEST(ProtocolLimits, RfpFirstFetchWithoutAHintStaysInsideItsSlot) {
+  // With no size hint RFP's first fetch guesses one eager slot (4 KiB), but
+  // never more than max_msg: a READ of [export header | guess] must land
+  // inside the call's read stride. VerbsCheck's sge rule reports a READ that
+  // overruns it.
+  for (uint32_t window : {1u, 4u}) {
+    for (uint32_t max_msg : {1024u, 4096u}) {
+      SCOPED_TRACE("window " + std::to_string(window) + " max_msg " +
+                   std::to_string(max_msg));
+      Simulator sim;
+      verbs::Fabric fabric(sim);
+      fabric.check().set_mode(verbs::VerbsCheck::Mode::kRecord);
+      verbs::Node* client = fabric.add_node();
+      verbs::Node* server = fabric.add_node();
+      auto ch = make_channel(
+          ProtocolKind::kRfp, *client, *server, make_upcase_handler(*server),
+          ChannelConfig{}.with_max_msg(max_msg).with_window(window));
+      int echoed = 0, live = int(window);
+      for (uint32_t lane = 0; lane < window; ++lane)
+        sim.spawn([](RpcChannel& ch, uint32_t lane, int& echoed,
+                     int& live) -> Task<void> {
+          for (uint32_t i = 0; i < 3; ++i) {
+            const std::string req = payload_of(100 + lane * 10 + i);
+            CallResult r = co_await ch.call(to_buffer(req));
+            if (r && as_string(*r) == upcased(req)) ++echoed;
+          }
+          if (--live == 0) ch.shutdown();
+        }(*ch, lane, echoed, live));
+      EXPECT_NO_THROW(sim.run_until(sim::Time(100ms)));
+      EXPECT_EQ(echoed, int(3 * window));
+      EXPECT_EQ(fabric.check().reports().size(), 0u);
+      EXPECT_EQ(sim.live_tasks(), 0u);
+    }
+  }
+}
+
+TEST(ProtocolSequencing, ConcurrentCallersOnAWindowOneChannelGetTheirOwnEcho) {
+  // A window-1 channel has one slot: two callers sharing it take turns, and
+  // each gets the echo of its own request back.
+  for (ProtocolKind kind : kAllProtocols) {
+    for (size_t bytes : {size_t(64), size_t(16384)}) {
+      SCOPED_TRACE(std::string(to_string(kind)) + " " +
+                   std::to_string(bytes) + " B");
+      Simulator sim;
+      verbs::Fabric fabric(sim);
+      verbs::Node* client = fabric.add_node();
+      verbs::Node* server = fabric.add_node();
+      auto ch = make_channel(kind, *client, *server,
+                             make_upcase_handler(*server), ChannelConfig{});
+      int echoed = 0, live = 2;
+      for (uint32_t lane = 0; lane < 2; ++lane)
+        sim.spawn([](RpcChannel& ch, uint32_t lane, size_t bytes, int& echoed,
+                     int& live) -> Task<void> {
+          for (uint32_t i = 0; i < 4; ++i) {
+            std::string req(bytes, '\0');
+            for (size_t k = 0; k < bytes; ++k)
+              req[k] = static_cast<char>('a' + (k + lane * 13 + i * 3) % 26);
+            CallResult r = co_await ch.call(to_buffer(req), uint32_t(bytes));
+            if (r && as_string(*r) == upcased(req)) ++echoed;
+          }
+          if (--live == 0) ch.shutdown();
+        }(*ch, lane, bytes, echoed, live));
+      // Bounded, so callers that steal each other's replies fail, not hang.
+      EXPECT_NO_THROW(sim.run_until(sim::Time(100ms)));
+      EXPECT_EQ(echoed, 8);
+      EXPECT_EQ(sim.live_tasks(), 0u);
+    }
+  }
+}
+
 // ---- Golden pins of every staged path: each protocol at windows 1 and 4,
 // echoing 64 B and 16 KiB payloads. Any change to a path's virtual time or
 // counters moves the run's end time or the hash of its counter dump.
@@ -436,14 +506,16 @@ struct Golden {
   uint64_t dump_fnv;
 };
 
-/// `window` lanes, each echoing three distinct `bytes`-byte payloads.
-Golden run_golden(ProtocolKind kind, uint32_t window, size_t bytes) {
+/// `window` lanes, each echoing three distinct `bytes`-byte payloads, with
+/// both sides polling in `poll` mode.
+Golden run_golden(ProtocolKind kind, uint32_t window, size_t bytes,
+                  PollMode poll = PollMode::kBusy) {
   Simulator sim;
   verbs::Fabric fabric(sim);
   verbs::Node* client = fabric.add_node();
   verbs::Node* server = fabric.add_node();
   auto ch = make_channel(kind, *client, *server, make_upcase_handler(*server),
-                         ChannelConfig{}.with_window(window));
+                         ChannelConfig{}.with_window(window).with_poll(poll));
   int mismatches = 0, live = int(window);
   for (uint32_t lane = 0; lane < window; ++lane)
     sim.spawn([](RpcChannel& ch, uint32_t lane, size_t bytes,
@@ -482,40 +554,40 @@ constexpr Golden kPinned[] = {
     {ProtocolKind::kChainedWriteSend, 4, 16384, 42450, 0x5f5c801784cc3cb9ull},
     {ProtocolKind::kWriteRndv, 1, 64, 17268, 0x76703724ff97ef87ull},
     {ProtocolKind::kWriteRndv, 1, 16384, 28200, 0x22f63451f23fe69bull},
-    {ProtocolKind::kWriteRndv, 4, 64, 20508, 0x05564127091cf4bdull},
-    {ProtocolKind::kWriteRndv, 4, 16384, 35156, 0xdfd9376aeb4cebe6ull},
+    {ProtocolKind::kWriteRndv, 4, 64, 20508, 0x2c7b7e5c0048fd58ull},
+    {ProtocolKind::kWriteRndv, 4, 16384, 35156, 0xee1f92d047bbcb8bull},
     {ProtocolKind::kReadRndv, 1, 64, 18770, 0x11a932cdee99189cull},
     {ProtocolKind::kReadRndv, 1, 16384, 29702, 0xe3bca61b7ca30e46ull},
-    {ProtocolKind::kReadRndv, 4, 64, 21002, 0x3b6cd1c4ffc9100cull},
-    {ProtocolKind::kReadRndv, 4, 16384, 41468, 0xa748d6bc12b2ed61ull},
+    {ProtocolKind::kReadRndv, 4, 64, 21002, 0xa1cf6e4650d16ea5ull},
+    {ProtocolKind::kReadRndv, 4, 16384, 41468, 0x7759ee2a013c7c04ull},
     {ProtocolKind::kDirectWriteImm, 1, 64, 6180, 0x3d111fccbc7e684cull},
     {ProtocolKind::kDirectWriteImm, 1, 16384, 17112, 0xb28878c0bfb95e5bull},
     {ProtocolKind::kDirectWriteImm, 4, 64, 7260, 0xe1d3593ec8750e78ull},
     {ProtocolKind::kDirectWriteImm, 4, 16384, 21072, 0x4cfe47540f927a46ull},
-    {ProtocolKind::kPilaf, 1, 64, 17676, 0x12fa3024c619e366ull},
-    {ProtocolKind::kPilaf, 1, 16384, 36057, 0x17cbf1e18c678866ull},
+    {ProtocolKind::kPilaf, 1, 64, 17676, 0x87900c966d3e6058ull},
+    {ProtocolKind::kPilaf, 1, 16384, 36057, 0x866fe478ad27b208ull},
     {ProtocolKind::kPilaf, 4, 64, 19296, 0xe881694fb3fda424ull},
     {ProtocolKind::kPilaf, 4, 16384, 47038, 0x5093a7ff5d56f1f4ull},
-    {ProtocolKind::kFarm, 1, 64, 12051, 0x7ee61243e0c60347ull},
-    {ProtocolKind::kFarm, 1, 16384, 30438, 0x9dc5c2bd5326d7c1ull},
+    {ProtocolKind::kFarm, 1, 64, 12051, 0x678f874dfdb7c8e1ull},
+    {ProtocolKind::kFarm, 1, 16384, 30438, 0x7568af5e62e3c46bull},
     {ProtocolKind::kFarm, 4, 64, 13131, 0xc8cbf1d1f9021b0cull},
     {ProtocolKind::kFarm, 4, 16384, 37859, 0xc01a78077ab1ef28ull},
-    {ProtocolKind::kRfp, 1, 64, 6426, 0x8676508a072f3f58ull},
-    {ProtocolKind::kRfp, 1, 16384, 30977, 0x5f24680d7e3059acull},
+    {ProtocolKind::kRfp, 1, 64, 6426, 0xc3bd6a1bcf5b3baeull},
+    {ProtocolKind::kRfp, 1, 16384, 30977, 0x496949f0f63f561eull},
     {ProtocolKind::kRfp, 4, 64, 6966, 0xf42f0c2ae67fd802ull},
     {ProtocolKind::kRfp, 4, 16384, 47515, 0xbc102b51ad6f05cdull},
-    {ProtocolKind::kHerd, 1, 64, 7536, 0x947ba03f41f3458cull},
-    {ProtocolKind::kHerd, 1, 16384, 26871, 0x515c21bb78939e7bull},
-    {ProtocolKind::kHerd, 4, 64, 9204, 0xa68cbc42e25487e4ull},
-    {ProtocolKind::kHerd, 4, 16384, 55587, 0xae0c0f362ba01f1dull},
+    {ProtocolKind::kHerd, 1, 64, 7536, 0x6877156ad0826570ull},
+    {ProtocolKind::kHerd, 1, 16384, 26871, 0x96a1eab5a3e41977ull},
+    {ProtocolKind::kHerd, 4, 64, 9204, 0xff7f77661de1c2c9ull},
+    {ProtocolKind::kHerd, 4, 16384, 55587, 0xf38e55b70a266644ull},
     {ProtocolKind::kHybridEagerRndv, 1, 64, 9732, 0xaef37cb175c5e659ull},
     {ProtocolKind::kHybridEagerRndv, 1, 16384, 28200, 0xc9924de34584a242ull},
     {ProtocolKind::kHybridEagerRndv, 4, 64, 11400, 0x9c16fabe7af698adull},
-    {ProtocolKind::kHybridEagerRndv, 4, 16384, 35156, 0xe19737af8e91391dull},
+    {ProtocolKind::kHybridEagerRndv, 4, 16384, 35156, 0x5212fe88b4a38faaull},
     {ProtocolKind::kArGrpc, 1, 64, 9732, 0xaef37cb175c5e659ull},
     {ProtocolKind::kArGrpc, 1, 16384, 29702, 0x510f400447b1e455ull},
     {ProtocolKind::kArGrpc, 4, 64, 11400, 0x9c16fabe7af698adull},
-    {ProtocolKind::kArGrpc, 4, 16384, 41468, 0x273b967ccf177f0eull},
+    {ProtocolKind::kArGrpc, 4, 16384, 41468, 0x0392f7ea4968c905ull},
 };
 
 TEST(StagedGolden, EveryKindWindowAndPayloadIsPinned) {
@@ -525,6 +597,73 @@ TEST(StagedGolden, EveryKindWindowAndPayloadIsPinned) {
                  std::to_string(want.window) + " " +
                  std::to_string(want.bytes) + " B");
     const Golden got = run_golden(want.kind, want.window, want.bytes);
+    EXPECT_EQ(got.end_ns, want.end_ns);
+    EXPECT_EQ(got.dump_fnv, want.dump_fnv);
+  }
+}
+
+// The same grid with client and server polling in event mode, which takes
+// the interrupt-driven branches (WRITE_WITH_IMM bypass requests, CQ waits
+// charged an interrupt pickup) that the busy pins above never reach.
+constexpr Golden kEventPinned[] = {
+    {ProtocolKind::kEagerSendRecv, 1, 64, 27432, 0x3a935fce38c71376ull},
+    {ProtocolKind::kEagerSendRecv, 1, 16384, 50472, 0xe436b2c88d6476d9ull},
+    {ProtocolKind::kEagerSendRecv, 4, 64, 46060, 0xf22848541a72bc18ull},
+    {ProtocolKind::kEagerSendRecv, 4, 16384, 82815, 0x2b133e254b724327ull},
+    {ProtocolKind::kDirectWriteSend, 1, 64, 25410, 0xb6e6965f4836a466ull},
+    {ProtocolKind::kDirectWriteSend, 1, 16384, 34830, 0x3d2bcbc45023e882ull},
+    {ProtocolKind::kDirectWriteSend, 4, 64, 26490, 0x10a0dbdb64af719aull},
+    {ProtocolKind::kDirectWriteSend, 4, 16384, 59670, 0xb4898b30a9b2454full},
+    {ProtocolKind::kChainedWriteSend, 1, 64, 25050, 0x901f288f590deec6ull},
+    {ProtocolKind::kChainedWriteSend, 1, 16384, 35310, 0xfd58d74866d5e6e2ull},
+    {ProtocolKind::kChainedWriteSend, 4, 64, 26130, 0x0795545765305f76ull},
+    {ProtocolKind::kChainedWriteSend, 4, 16384, 60150, 0x5f5c801784cc3cb9ull},
+    {ProtocolKind::kWriteRndv, 1, 64, 70368, 0x76703724ff97ef87ull},
+    {ProtocolKind::kWriteRndv, 1, 16384, 81300, 0x22f63451f23fe69bull},
+    {ProtocolKind::kWriteRndv, 4, 64, 73608, 0x2c7b7e5c0048fd58ull},
+    {ProtocolKind::kWriteRndv, 4, 16384, 87420, 0x220006b9706c930aull},
+    {ProtocolKind::kReadRndv, 1, 64, 59770, 0x11a932cdee99189cull},
+    {ProtocolKind::kReadRndv, 1, 16384, 70702, 0xe3bca61b7ca30e46ull},
+    {ProtocolKind::kReadRndv, 4, 64, 62302, 0xa1cf6e4650d16ea5ull},
+    {ProtocolKind::kReadRndv, 4, 16384, 91054, 0x1a1b67d36624ea63ull},
+    {ProtocolKind::kDirectWriteImm, 1, 64, 23880, 0x3d111fccbc7e684cull},
+    {ProtocolKind::kDirectWriteImm, 1, 16384, 34812, 0xb28878c0bfb95e5bull},
+    {ProtocolKind::kDirectWriteImm, 4, 64, 24960, 0xe1d3593ec8750e78ull},
+    {ProtocolKind::kDirectWriteImm, 4, 16384, 39372, 0x1c28481500c6c81aull},
+    {ProtocolKind::kPilaf, 1, 64, 58704, 0x825c0dfc45f2bad4ull},
+    {ProtocolKind::kPilaf, 1, 16384, 80307, 0xab3c0e13d6cd7051ull},
+    {ProtocolKind::kPilaf, 4, 64, 60864, 0xaa428be3dd84f0e9ull},
+    {ProtocolKind::kPilaf, 4, 16384, 85912, 0x7f27f6d270e93aa8ull},
+    {ProtocolKind::kFarm, 1, 64, 44232, 0x184b83c2bea622c8ull},
+    {ProtocolKind::kFarm, 1, 16384, 65838, 0x664bda38e06d12c2ull},
+    {ProtocolKind::kFarm, 4, 64, 45852, 0xa1ba7c5ed9b31da3ull},
+    {ProtocolKind::kFarm, 4, 16384, 70903, 0x11972d356d1a6975ull},
+    {ProtocolKind::kRfp, 1, 64, 41832, 0x471af2d2adabfdfaull},
+    {ProtocolKind::kRfp, 1, 16384, 61952, 0x66c16170b1e52b93ull},
+    {ProtocolKind::kRfp, 4, 64, 36694, 0x68daa34bae6511bcull},
+    {ProtocolKind::kRfp, 4, 16384, 83978, 0xe87dd59c5096404bull},
+    {ProtocolKind::kHerd, 1, 64, 25656, 0x90d3b4c8f17215fdull},
+    {ProtocolKind::kHerd, 1, 16384, 42651, 0xcf559e7f178cf36eull},
+    {ProtocolKind::kHerd, 4, 64, 45648, 0xb8148c70ca75bc65ull},
+    {ProtocolKind::kHerd, 4, 16384, 80327, 0x4870dd8329837b31ull},
+    {ProtocolKind::kHybridEagerRndv, 1, 64, 27432, 0xaef37cb175c5e659ull},
+    {ProtocolKind::kHybridEagerRndv, 1, 16384, 81300, 0xc9924de34584a242ull},
+    {ProtocolKind::kHybridEagerRndv, 4, 64, 46060, 0x323af1c29b1a8315ull},
+    {ProtocolKind::kHybridEagerRndv, 4, 16384, 87420, 0x4983c0811e32240bull},
+    {ProtocolKind::kArGrpc, 1, 64, 27432, 0xaef37cb175c5e659ull},
+    {ProtocolKind::kArGrpc, 1, 16384, 70702, 0x510f400447b1e455ull},
+    {ProtocolKind::kArGrpc, 4, 64, 46060, 0x323af1c29b1a8315ull},
+    {ProtocolKind::kArGrpc, 4, 16384, 91054, 0xbfdd9fa2d89ddb98ull},
+};
+
+TEST(StagedGolden, EveryKindWindowAndPayloadIsPinnedInEventMode) {
+  ASSERT_EQ(std::size(kEventPinned), std::size(kAllProtocols) * 2 * 2);
+  for (const Golden& want : kEventPinned) {
+    SCOPED_TRACE(std::string(to_string(want.kind)) + " window " +
+                 std::to_string(want.window) + " " +
+                 std::to_string(want.bytes) + " B");
+    const Golden got =
+        run_golden(want.kind, want.window, want.bytes, PollMode::kEvent);
     EXPECT_EQ(got.end_ns, want.end_ns);
     EXPECT_EQ(got.dump_fnv, want.dump_fnv);
   }

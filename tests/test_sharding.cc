@@ -162,8 +162,7 @@ TEST(ShardCounters, WindowStallsMirrorClientNodeTotals) {
     eps.push_back(srv.accept(*bed.clients[c],
                              proto::ProtocolKind::kEagerSendRecv,
                              proto::ChannelConfig{}.with_window(2)));
-  // Four concurrent lanes on a window-2 channel force stalls (window=1
-  // would take the classic unwindowed single-call path and never stall).
+  // Four concurrent lanes on a window-2 channel force stalls.
   sim::WaitGroup wg(bed.sim);
   wg.add(8);
   for (uint32_t c = 0; c < 2; ++c)
