@@ -96,7 +96,6 @@ Row run_config(uint64_t seed, uint32_t shards, sim::PollMode mode,
 
   thrift::TServerRdma::Options so;
   so.shards = std::max(1u, shards);
-  so.steering = thrift::Steering::kRoundRobin;
   so.bind_cores = shards > 0;
   // Per-SRQ depth covers the shard's worst-case concurrent inbound burst
   // (its share of the connections, window deep each); channels replenish

@@ -103,8 +103,6 @@ struct BenchProbe {
         .put("wqes", totals.get(obs::Ctr::kWqesPosted))
         .put("copy_bytes", totals.get(obs::Ctr::kCopyBytes))
         .put("dma_bytes", totals.get(obs::Ctr::kDmaBytes))
-        .put("inline_wqes", totals.get(obs::Ctr::kInlineWqes))
-        .put("gather_sges", totals.get(obs::Ctr::kGatherSges))
         .put("echo_mismatches", echo_mismatches);
   }
 };

@@ -61,15 +61,15 @@ grep -rn --include='*.h' -E '\bsim::now\(\)' src \
 
 # --- Rule 4: no braced SendWr temporaries that own memory. ------------------
 # GCC 12 coroutine frame promotion copies a braced SendWr temporary
-# memberwise without running vector/shared_ptr move constructors, so a
-# `.sg_list = std::move(v)` initializer leaves two owners of one buffer and
-# double-frees (see the SendWr::sg_list note in src/verbs/qp.h). Build such
-# WRs as named objects and post_send(std::move(wr)).
+# memberwise without running the shared_ptr move constructor, so a
+# `.keep_alive = std::move(p)` initializer leaves two owners of one count
+# (see the SendWr::keep_alive note in src/verbs/qp.h). Build such WRs as
+# named objects and post_send(std::move(wr)).
 grep -rnz --include='*.h' --include='*.cc' \
-    -oE 'SendWr\{[^}]*\.(sg_list|keep_alive)' src tests bench examples \
+    -oE 'SendWr\{[^}]*\.keep_alive' src tests bench examples \
   | tr '\0' '\n' | grep -v '^$' \
   | rule 'sendwr-brace-owning-member' \
-         'braced SendWr temporaries with sg_list/keep_alive double-free under GCC 12 coroutines; use a named WR.'
+         'braced SendWr temporaries with keep_alive double-free under GCC 12 coroutines; use a named WR.'
 
 # --- Rule 5: every observability counter has a producer. --------------------
 # A Ctr enumerator nobody references outside counters.h is a dead counter:

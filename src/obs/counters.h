@@ -38,7 +38,6 @@ enum class Ctr : uint8_t {
   kCqBatchPolls,   // batched CQ drains (one pickup, many CQEs)
   kWindowStalls,   // call() blocked because the channel window was full
   kInlineWqes,     // WQEs whose payload rode the MMIO write (IBV_SEND_INLINE)
-  kGatherSges,     // SGEs posted in multi-element gather lists
   kMrCacheHits,    // registration-cache lookups served from the cache
   kMrCacheMisses,  // lookups that had to register the buffer
   kMrCacheEvictions,  // cached registrations dropped by LRU pressure
@@ -86,7 +85,6 @@ constexpr const char* to_string(Ctr c) {
     case Ctr::kCqBatchPolls: return "cq_batch_polls";
     case Ctr::kWindowStalls: return "window_stalls";
     case Ctr::kInlineWqes: return "inline_wqes";
-    case Ctr::kGatherSges: return "gather_sges";
     case Ctr::kMrCacheHits: return "mr_cache_hits";
     case Ctr::kMrCacheMisses: return "mr_cache_misses";
     case Ctr::kMrCacheEvictions: return "mr_cache_evictions";

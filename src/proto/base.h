@@ -118,7 +118,6 @@ class ChannelBase : public RpcChannel {
       throw std::length_error("channel window exceeds the slot-tag range");
     for (uint32_t s = 0; s < cfg_.window; ++s) free_slots_.push(s);
     live_window_ = target_window_ = cfg_.window;
-    inflight_gauge_ = cfg_.shard_inflight;
   }
 
   /// Spawns the protocol's server loop(s); called by the factory after the

@@ -201,12 +201,6 @@ struct ChannelConfig {
   /// mirrors shard-attributable events into it (CQE polls via the server
   /// CQs, window stalls). Null = not sharded.
   obs::CounterSet* shard_counters = nullptr;
-  /// Live in-flight gauge owned by the steering server's shard: call()
-  /// increments it while the call is outstanding, so kLeastLoaded steering
-  /// ranks shards by what they are doing NOW, not by how many connections
-  /// they ever accepted. Null = not tracked. Only leaf channels (those
-  /// built on ChannelBase) honour it, so a hybrid's inner call counts once.
-  uint64_t* shard_inflight = nullptr;
 
   // Chainable named setters, so configurations read as a sentence:
   //   ChannelConfig{}.with_poll(kEvent).with_max_msg(64 << 10)
@@ -250,10 +244,6 @@ struct ChannelConfig {
   }
   ChannelConfig& with_shard_counters(obs::CounterSet* shard) {
     shard_counters = shard;
-    return *this;
-  }
-  ChannelConfig& with_shard_inflight(uint64_t* gauge) {
-    shard_inflight = gauge;
     return *this;
   }
   ChannelConfig& with_numa(bool client_local, bool server_local) {
@@ -361,31 +351,11 @@ class RpcChannel {
   uint32_t obs_channel_id() const { return obs_id_; }
   uint32_t obs_pid() const { return obs_pid_; }
 
-  /// Scoped increment of the owning shard's live in-flight gauge (the
-  /// kLeastLoaded steering signal). Exception-safe: the decrement rides the
-  /// coroutine frame's unwinding whichever way the call resolves.
-  struct InflightGuard {
-    explicit InflightGuard(uint64_t* g) : g_(g) {
-      if (g_) ++*g_;
-    }
-    InflightGuard(const InflightGuard&) = delete;
-    InflightGuard& operator=(const InflightGuard&) = delete;
-    ~InflightGuard() {
-      if (g_) --*g_;
-    }
-    uint64_t* g_;
-  };
-
   /// Bookkeeping shared by call() and call_leased(), kept in plain
   /// functions so neither coroutine pays an extra frame. begin_call counts
   /// the call and returns the span start (empty when tracing is off).
   std::optional<sim::Time> begin_call() {
     ++stats_.calls;
-    // Relaxed access: the gauge is read by kLeastLoaded steering with no
-    // ordering on purpose (a stale load balance decision is still correct).
-    if (inflight_gauge_ && sim_clock_)
-      sim_clock_->rc_update(inflight_gauge_, 0, "shard.inflight_gauge",
-                            RC_HERE);
     if (!obs_ || !obs_->tracer.enabled()) return std::nullopt;
     return sim_clock_->now();
   }
@@ -406,12 +376,10 @@ class RpcChannel {
   sim::Simulator* sim_clock_ = nullptr;
   uint32_t obs_id_ = 0;
   uint32_t obs_pid_ = 0;
-  uint64_t* inflight_gauge_ = nullptr;  // set by ChannelBase from the config
 };
 
 inline sim::Task<CallResult> RpcChannel::call(View req,
                                               uint32_t resp_size_hint) {
-  InflightGuard gauge(inflight_gauge_);
   const std::optional<sim::Time> t0 = begin_call();
   try {
     Buffer resp = co_await do_call(req, resp_size_hint);
@@ -425,7 +393,6 @@ inline sim::Task<CallResult> RpcChannel::call(View req,
 
 inline sim::Task<LeasedResult> RpcChannel::call_leased(
     View req, uint32_t resp_size_hint) {
-  InflightGuard gauge(inflight_gauge_);
   const std::optional<sim::Time> t0 = begin_call();
   try {
     LeasedReply resp = co_await do_call_leased(req, resp_size_hint);

@@ -109,12 +109,23 @@ class EagerPipe {
       const std::byte* s =
           recv_ring_->data() + static_cast<size_t>(idx) * cfg_.eager_slot;
       uint32_t hdr = first ? 4u : 0u;
+      // Sizes come off the wire: a fragment shorter than its header, or one
+      // that would grow the message past its declared total, fails the
+      // receive like a local length error instead of being copied.
+      if (wc.byte_len < hdr) {
+        last_status_ = verbs::WcStatus::kLocLenErr;
+        co_return std::nullopt;
+      }
       if (first) {
         total = get_u32(s);
         out.reserve(total);
         first = false;
       }
       uint32_t take = wc.byte_len - hdr;
+      if (take > total - out.size()) {
+        last_status_ = verbs::WcStatus::kLocLenErr;
+        co_return std::nullopt;
+      }
       charge_copy(*dst_.node, take);
       co_await dst_.node->cpu().compute(
           cost_.eager_match_cpu +

@@ -25,9 +25,9 @@
 // Locations are (object pointer, sub-index) pairs annotated at hazard
 // sites. Three access classes:
 //   * kRead / kWrite — strict: unordered conflicting accesses are races;
-//   * kUpdate — relaxed, for state that is racy BY DESIGN (in-flight
-//     gauges read by steering, dedupe caches, epoch-validated plan
-//     snapshots, version-validated one-sided read regions): updates never
+//   * kUpdate — relaxed, for state that is racy BY DESIGN (dedupe
+//     caches, epoch-validated plan snapshots, version-validated one-sided
+//     read regions): updates never
 //     conflict with each other, but do conflict with strict accesses and
 //     still trip lifetime checks.
 // retire()/revive() track lifetimes: any access to a retired location

@@ -270,23 +270,6 @@ class TRdmaTransport {
   std::vector<std::unique_ptr<TRdmaEndPoint>> endpoints_;
 };
 
-/// Connection→shard steering policy, applied once at accept time.
-enum class Steering : uint8_t {
-  kRoundRobin,   // accept order modulo shard count
-  kLeastLoaded,  // fewest live connections, ties to the lowest shard id
-  kAffinity,     // hash of the client node id (QP-hash analogue): a client
-                 // always lands on the same shard, like RSS/flow steering
-};
-
-constexpr const char* to_string(Steering s) {
-  switch (s) {
-    case Steering::kRoundRobin: return "round_robin";
-    case Steering::kLeastLoaded: return "least_loaded";
-    case Steering::kAffinity: return "affinity";
-  }
-  return "unknown";
-}
-
 /// Server-side counterpart of TServerSocket: the RDMA engine delivers each
 /// request to the processor registered at channel-creation time, so
 /// TServerRdma is the factory/owner of endpoints on the server node.
@@ -298,9 +281,9 @@ constexpr const char* to_string(Steering s) {
 /// window_stalls), and — when bind_cores is set — a pinned core whose
 /// single busy-polling thread (Cpu::pin_spinner) serves every connection
 /// steered onto the shard. Doorbell coalescing batches are per QP, hence
-/// never shared across shards either. Connections are steered at accept
-/// time by the configured policy. The default, one unbound shard, is the
-/// plain single-context server.
+/// never shared across shards either. Connections are steered round robin
+/// at accept time. The default, one unbound shard, is the plain
+/// single-context server.
 class TServerRdma {
  public:
   struct Options {
@@ -313,8 +296,6 @@ class TServerRdma {
     uint32_t srq_depth = 0;
     /// Number of per-core shards; at least 1.
     uint32_t shards = 1;
-    /// Connection→shard policy applied at accept time.
-    Steering steering = Steering::kRoundRobin;
     /// Pin shard i to core i % cores. Off by default; the scalability
     /// bench turns it on to study per-core saturation and over-subscription
     /// collapse.
@@ -336,11 +317,6 @@ class TServerRdma {
     uint32_t index = 0;
     int core = -1;  // pinned core, -1 when bind_cores is off
     uint32_t ctr_id = 0;
-    /// Live in-flight gauge: every call() on a channel accepted onto this
-    /// shard holds +1 while outstanding. kLeastLoaded steers on this, so a
-    /// shard that accepted a long-dead burst ranks idle again the moment
-    /// its calls drain (accept counts never decay; this does).
-    uint64_t inflight = 0;
     obs::CounterSet* ctrs = nullptr;
     verbs::SharedReceiveQueue* srq = nullptr;
     std::optional<proto::BufferPool> pool;
@@ -368,7 +344,7 @@ class TServerRdma {
   /// and counter scope into the channel config.
   TRdmaEndPoint* accept(verbs::Node& client, proto::ProtocolKind kind,
                         proto::ChannelConfig cfg) {
-    Shard& sh = stamp_shard(client, cfg);
+    Shard& sh = stamp_shard(cfg);
     const proto::Handler& h = sh.processor ? sh.processor : processor_;
     sh.endpoints.push_back(std::make_unique<TRdmaEndPoint>(
         proto::make_channel(kind, client, node_, h, cfg)));
@@ -378,7 +354,7 @@ class TServerRdma {
   /// Adaptive accept: like accept(), but wraps the connection in an
   /// AdaptiveChannel seeded with `prior`, so the runtime controller
   /// re-selects protocol/polling/window from live counters. Shard
-  /// resources (SRQ, core, counter scope, in-flight gauge) are stamped
+  /// resources (SRQ, core, counter scope) are stamped
   /// into the config every rebuilt epoch inherits, so plan changes never
   /// migrate a connection off its shard. When `fn` is given, the
   /// function's footprint scope (shared across connections carrying the
@@ -390,7 +366,7 @@ class TServerRdma {
                                  PlanCache* cache = nullptr,
                                  const std::string& fn = {}) {
     obs::FunctionFootprint* fp = fn.empty() ? nullptr : footprint_for(fn);
-    Shard& sh = stamp_shard(client, cfg);
+    Shard& sh = stamp_shard(cfg);
     const proto::Handler& h = sh.processor ? sh.processor : processor_;
     auto ch = hint::make_adaptive_channel(client, node_, h, cfg, prior,
                                           params, fp);
@@ -434,16 +410,15 @@ class TServerRdma {
   Shard& shard(uint32_t i) { return shards_.at(i); }
 
  private:
-  /// Steers `client` onto a shard and stamps the shard's resources into
-  /// `cfg` (shared by accept and accept_adaptive).
-  Shard& stamp_shard(const verbs::Node& client, proto::ChannelConfig& cfg) {
-    Shard& sh = shards_[pick_shard(client)];
-    ++accepted_;
+  /// Steers the next connection onto a shard, round robin in accept
+  /// order, and stamps the shard's resources into `cfg` (shared by accept
+  /// and accept_adaptive).
+  Shard& stamp_shard(proto::ChannelConfig& cfg) {
+    Shard& sh = shards_[accepted_++ % shards_.size()];
     sh.ctrs->add(obs::Ctr::kShardAccepts);
     if (sh.srq) cfg.with_server_srq(sh.srq);
     if (sh.core >= 0) cfg.with_server_core(sh.core);
     cfg.with_shard_counters(sh.ctrs);
-    cfg.with_shard_inflight(&sh.inflight);
     // The shard's polling thread starts spinning with its first busy-mode
     // connection (an idle shard's core stays free for its siblings).
     if (sh.core >= 0 && cfg.server_poll == sim::PollMode::kBusy &&
@@ -487,48 +462,6 @@ class TServerRdma {
         sh.processor = (*factory)(i, sh.core,
                                   sh.pool ? &*sh.pool : nullptr);
     }
-  }
-
-  /// splitmix64 finalizer — the same mix HatKV's ring uses, here standing
-  /// in for hashing the QP number at accept time.
-  static uint64_t mix(uint64_t x) {
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-  }
-
-  uint32_t pick_shard(const verbs::Node& client) const {
-    const auto n = static_cast<uint32_t>(shards_.size());
-    switch (opts_.steering) {
-      case Steering::kRoundRobin:
-        return static_cast<uint32_t>(accepted_ % n);
-      case Steering::kLeastLoaded: {
-        // Primary key: the live in-flight gauge (what the shard is doing
-        // NOW — a shard that absorbed a burst ranks idle again once it
-        // drains). Secondary: connection count, so idle shards still fill
-        // evenly. Strict < keeps ties on the lowest shard id. The gauge
-        // reads are deliberately unordered against the calls mutating
-        // them (stale steering is still correct) — relaxed rc accesses.
-        sim::Simulator& rsim = node_.fabric().simulator();
-        for (uint32_t i = 0; i < n; ++i)
-          rsim.rc_update(&shards_[i].inflight, 0, "shard.inflight_gauge",
-                         RC_HERE);
-        uint32_t best = 0;
-        for (uint32_t i = 1; i < n; ++i) {
-          const Shard& a = shards_[i];
-          const Shard& b = shards_[best];
-          if (a.inflight < b.inflight ||
-              (a.inflight == b.inflight &&
-               a.endpoints.size() < b.endpoints.size()))
-            best = i;
-        }
-        return best;
-      }
-      case Steering::kAffinity:
-        return static_cast<uint32_t>(mix(client.id()) % n);
-    }
-    return 0;
   }
 
   verbs::Node& node_;

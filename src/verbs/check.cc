@@ -97,9 +97,9 @@ void VerbsCheck::on_modify(QueuePair& qp, QpState from, QpState to) {
                to_string(to));
 }
 
-void VerbsCheck::check_local_sge(QueuePair& qp, const SendWr& wr,
-                                 const Sge& sge, const char* provenance,
-                                 bool needs_local_write) {
+void VerbsCheck::check_local(QueuePair& qp, const SendWr& wr,
+                             const char* provenance) {
+  const Sge& sge = wr.local;
   if (sge.length == 0 && sge.addr == nullptr) return;
   ProtectionDomain& pd = qp.node().pd();
   MemoryRegion* mr = pd.find_containing(sge.addr, sge.length);
@@ -116,7 +116,8 @@ void VerbsCheck::check_local_sge(QueuePair& qp, const SendWr& wr,
     }
     return;
   }
-  if (needs_local_write && !mr->has_access(kAccessLocalWrite))
+  // A READ scatters the fetched bytes into the local buffer.
+  if (wr.opcode == Opcode::kRead && !mr->has_access(kAccessLocalWrite))
     report(Rule::kAccess, qp.node().id(), qp.qp_num(), wr.wr_id, provenance,
            "MR lkey=" + std::to_string(mr->lkey()) +
                " lacks LOCAL_WRITE for a scatter target");
@@ -128,7 +129,7 @@ void VerbsCheck::check_remote(QueuePair& qp, const SendWr& wr,
   if (!peer) return;  // post_send rejects unconnected QPs before this hook
   Node& dst = peer->node();
   ProtectionDomain& pd = dst.pd();
-  const uint64_t bytes = wr.total_bytes();
+  const uint64_t bytes = wr.local.length;
   MemoryRegion* mr = pd.find_rkey(wr.remote.rkey);
   if (!mr) {
     if (find_dead_rkey(dst.id(), wr.remote.rkey)) {
@@ -181,19 +182,15 @@ void VerbsCheck::on_post_send(QueuePair& qp, const SendWr& wr,
                " (sends require RTS)");
   }
   const CostModel& cm = fabric_.cost();
-  if (!wr.sg_list.empty() && wr.sg_list.size() > cm.max_sge)
-    report(Rule::kSgeCap, node, qp.qp_num(), wr.wr_id, provenance,
-           "gather list of " + std::to_string(wr.sg_list.size()) +
-               " SGEs exceeds max_sge=" + std::to_string(cm.max_sge));
   if (wr.inline_data) {
     if (wr.opcode == Opcode::kRead) {
       report(Rule::kInlineCap, node, qp.qp_num(), wr.wr_id, provenance,
              "IBV_SEND_INLINE is invalid for RDMA READ");
       return;  // prepare_send rejects this WR: it never enters the queue
     }
-    if (wr.total_bytes() > cm.max_inline_data) {
+    if (wr.local.length > cm.max_inline_data) {
       report(Rule::kInlineCap, node, qp.qp_num(), wr.wr_id, provenance,
-             "inline payload of " + std::to_string(wr.total_bytes()) +
+             "inline payload of " + std::to_string(wr.local.length) +
                  "B exceeds max_inline_data=" +
                  std::to_string(cm.max_inline_data));
       return;  // ditto: post_send throws before the WQE is built
@@ -201,13 +198,7 @@ void VerbsCheck::on_post_send(QueuePair& qp, const SendWr& wr,
     // Inline payloads are snapshotted into the WQE at post time; the source
     // buffer needs no registration (that is the point of INLINE).
   } else {
-    const bool scatter = wr.opcode == Opcode::kRead;
-    if (wr.sg_list.empty()) {
-      check_local_sge(qp, wr, wr.local, provenance, scatter);
-    } else {
-      for (const Sge& s : wr.sg_list)
-        check_local_sge(qp, wr, s, provenance, scatter);
-    }
+    check_local(qp, wr, provenance);
   }
   if (wr.opcode != Opcode::kSend) check_remote(qp, wr, provenance);
   qps_[qp.qp_num()].sends.push_back(InflightWr{

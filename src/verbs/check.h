@@ -46,7 +46,6 @@ enum class Rule : uint8_t {
   kUseAfterDereg,   // SGE or rkey backed by a deregistered registration
   kAccess,          // MR access flags forbid the operation
   kInlineCap,       // IBV_SEND_INLINE payload exceeds max_inline_data
-  kSgeCap,          // gather list longer than cap.max_sge
   kCqOverflow,      // CQE delivered past the CQ's capacity
   kRqOverflow,      // recv queue / SRQ deeper than its cap
   kRkey,            // one-sided op against an rkey that was never registered
@@ -63,7 +62,6 @@ constexpr const char* to_string(Rule r) {
     case Rule::kUseAfterDereg: return "use-after-dereg";
     case Rule::kAccess: return "access";
     case Rule::kInlineCap: return "inline-cap";
-    case Rule::kSgeCap: return "sge-cap";
     case Rule::kCqOverflow: return "cq-overflow";
     case Rule::kRqOverflow: return "rq-overflow";
     case Rule::kRkey: return "rkey";
@@ -172,8 +170,7 @@ class VerbsCheck
   void report(Rule rule, uint32_t node, uint32_t qp, uint64_t wr_id,
               const char* provenance, std::string detail,
               bool may_throw = true);
-  void check_local_sge(QueuePair& qp, const SendWr& wr, const Sge& sge,
-                       const char* provenance, bool needs_local_write);
+  void check_local(QueuePair& qp, const SendWr& wr, const char* provenance);
   void check_remote(QueuePair& qp, const SendWr& wr, const char* provenance);
   const DeadReg* find_dead(uint32_t node, uint64_t addr, uint64_t len) const;
   const DeadReg* find_dead_rkey(uint32_t node, uint32_t rkey) const;

@@ -26,7 +26,6 @@ struct CostModel {
 
   // -- Initiator-side software/PCIe ----------------------------------------
   Duration post_wqe_cpu = 80ns;     // building one WR in software
-  Duration post_sge_cpu = 15ns;     // each gather element past the first
   Duration mmio_doorbell = 180ns;   // uncached PCIe doorbell write (per post)
   Duration poll_cqe_cpu = 60ns;     // consuming one CQE in software
 
@@ -43,7 +42,6 @@ struct CostModel {
   // The simulated data path does not enforce these — real queues are plain
   // std:: containers — but VerbsCheck flags any post that exceeds them,
   // because ConnectX-5 hardware rejects such posts outright.
-  uint32_t max_sge = 16;       // gather/scatter elements per WR
   uint32_t max_recv_wr = 4096; // per-QP receive queue depth
   uint32_t max_srq_wr = 4096;  // shared receive queue depth
   uint32_t cq_depth = 4096;    // default CQE capacity (create_cq's cqe arg)

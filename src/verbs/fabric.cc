@@ -38,39 +38,11 @@ const char* opcode_name(Opcode op) {
   return "unknown";
 }
 
-/// Charges a counter to the requester's node scope and, when the QP is
-/// bound to a channel, to the channel scope as well.
-void count_qp(QueuePair& qp, obs::Ctr c, uint64_t v = 1) {
-  qp.node().counters().add(c, v);
-  if (obs::CounterSet* chan = qp.channel_counters()) chan->add(c, v);
-}
-
-/// Copies a WR's (possibly multi-SGE) payload contiguously into `dst` —
-/// what the NIC's DMA gather does on the wire side.
-void gather_payload(const SendWr& wr, std::byte* dst) {
-  if (wr.sg_list.empty()) {
-    if (wr.local.length > 0) std::memcpy(dst, wr.local.addr, wr.local.length);
-    return;
-  }
-  for (const Sge& s : wr.sg_list) {
-    if (s.length > 0) std::memcpy(dst, s.addr, s.length);
-    dst += s.length;
-  }
-}
-
-/// Scatters `n` fetched bytes back across a READ WR's segments.
-void scatter_payload(const SendWr& wr, const std::byte* src, uint64_t n) {
-  if (wr.sg_list.empty()) {
-    if (n > 0) std::memcpy(wr.local.addr, src, n);
-    return;
-  }
-  for (const Sge& s : wr.sg_list) {
-    uint64_t take = std::min<uint64_t>(s.length, n);
-    if (take > 0) std::memcpy(s.addr, src, take);
-    src += take;
-    n -= take;
-    if (n == 0) break;
-  }
+/// Counts one event in the requester's node scope and, when the QP is
+/// bound to a channel, in the channel scope as well.
+void count_qp(QueuePair& qp, obs::Ctr c) {
+  qp.node().counters().add(c);
+  if (obs::CounterSet* chan = qp.channel_counters()) chan->add(c);
 }
 
 }  // namespace
@@ -344,7 +316,7 @@ sim::Duration QueuePair::prepare_send(SendWr& wr) {
   if (wr.inline_data) {
     if (wr.opcode == Opcode::kRead)
       throw std::logic_error("IBV_SEND_INLINE is invalid for RDMA READ");
-    const uint64_t bytes = wr.total_bytes();
+    const uint64_t bytes = wr.local.length;
     if (bytes > cm.max_inline_data)
       throw std::length_error(
           "inline payload of " + std::to_string(bytes) +
@@ -354,15 +326,11 @@ sim::Duration QueuePair::prepare_send(SendWr& wr) {
     // buffer-release semantics — no slot cross-talk under pipelining).
     // The bytes come from the fabric's recycled snapshot pool.
     auto snap = fabric_.buf_arena().shared_lease(bytes);
-    gather_payload(wr, snap->data());
-    wr.sg_list.clear();
-    wr.local = Sge{snap->data(), static_cast<uint32_t>(bytes)};
+    if (bytes > 0) std::memcpy(snap->data(), wr.local.addr, bytes);
+    wr.local.addr = snap->data();
     wr.keep_alive = std::move(snap);
     extra += cm.inline_write_time(bytes);
     count_qp(*this, obs::Ctr::kInlineWqes);
-  } else if (wr.sg_list.size() > 1) {
-    extra += cm.post_sge_cpu * static_cast<int64_t>(wr.sg_list.size() - 1);
-    count_qp(*this, obs::Ctr::kGatherSges, wr.sg_list.size());
   }
   return extra;
 }
@@ -379,8 +347,8 @@ Task<void> QueuePair::post_send(SendWr wr) {
     if (vc.on()) vc.on_post_send(*this, wr, "post_send");
   }
   const CostModel& cm = fabric_.cost();
-  // Inline stores / extra gather elements add to the WR build time; a plain
-  // single-SGE post charges exactly the pre-zero-copy cost.
+  // Inline stores add to the WR build time; a plain post charges exactly
+  // the pre-zero-copy cost.
   const sim::Duration build = cm.post_wqe_cpu + prepare_send(wr);
   sq_pending_.push_back(std::move(wr));
   return send_doorbell(build);
@@ -407,11 +375,11 @@ Task<void> QueuePair::send_doorbell(sim::Duration build) {
 }
 
 void QueuePair::flush_sends() {
-  std::vector<SendWr> batch;
-  batch.swap(sq_pending_);
-  count_post(batch.size());
-  for (auto& w : batch)
+  sq_batch_.swap(sq_pending_);
+  count_post(sq_batch_.size());
+  for (auto& w : sq_batch_)
     fabric_.simulator().spawn(fabric_.execute_wqe(*this, w));
+  sq_batch_.clear();
   ++db_flush_seq_;
   db_flushing_ = false;
   db_flushed_.notify_all();
@@ -484,7 +452,7 @@ Task<void> Fabric::execute_wqe_inner(QueuePair& src, SendWr wr) {
   QueuePair* dst_qp = src.peer();
   Node& d = dst_qp->node();
   const CostModel& cm = cost_;
-  const uint64_t bytes = wr.total_bytes();
+  const uint64_t bytes = wr.local.length;
   FaultPlan* fp = fault_plan_.get();
   const FaultProfile prof = fp ? fp->profile : FaultProfile{};
 
@@ -591,7 +559,8 @@ Task<void> Fabric::execute_wqe_inner(QueuePair& src, SendWr wr) {
             co_return;
           }
           if (bytes > 0)
-            gather_payload(wr, reinterpret_cast<std::byte*>(wr.remote.addr));
+            std::memcpy(reinterpret_cast<std::byte*>(wr.remote.addr),
+                        wr.local.addr, bytes);
           mr->notify_remote_write(wr.remote.addr, bytes);
         }
         if (wr.opcode == Opcode::kSend || wr.opcode == Opcode::kWriteImm) {
@@ -657,7 +626,7 @@ Task<void> Fabric::execute_wqe_inner(QueuePair& src, SendWr wr) {
               fail_wqe(src, wr, WcStatus::kRemOpErr);
               co_return;
             }
-            if (bytes > 0) gather_payload(wr, rwr->buf.addr);
+            if (bytes > 0) std::memcpy(rwr->buf.addr, wr.local.addr, bytes);
           }
           co_await sim_.sleep(cm.nic_cqe);
           dst_qp->recv_cq().deliver(Wc{
@@ -764,7 +733,7 @@ Task<void> Fabric::execute_wqe_inner(QueuePair& src, SendWr wr) {
         fail_wqe(src, wr, WcStatus::kWrFlushErr);
         co_return;
       }
-      if (bytes > 0) scatter_payload(wr, snapshot.data(), bytes);
+      if (bytes > 0) std::memcpy(wr.local.addr, snapshot.data(), bytes);
       if (wr.signaled) {
         co_await sim_.sleep(cm.nic_cqe);
         src.send_cq().deliver(Wc{

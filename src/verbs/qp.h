@@ -37,39 +37,24 @@ struct Sge {
 struct SendWr {
   uint64_t wr_id = 0;
   Opcode opcode = Opcode::kSend;
-  /// Single-SGE fast path; ignored when sg_list is non-empty.
+  /// The WR's one local buffer: the gather source of a send or write, the
+  /// scatter target of a read.
   Sge local{};
-  /// Multi-element gather list: the NIC DMA-gathers the segments in order
-  /// and they appear contiguous at the destination (for kRead, the fetched
-  /// bytes are scattered back across the segments).
-  ///
-  /// Build gather WRs as named objects (push_back into wr.sg_list, then
-  /// post_send(std::move(wr))). Do NOT write a braced SendWr temporary with
-  /// `.sg_list = std::move(vec)` inside a co_await expression: GCC 12's
-  /// coroutine frame promotion copies such temporaries memberwise without
-  /// running the vector move constructor, leaving `vec` and the WR aliasing
-  /// one heap buffer — a double free when both die. scripts/lint.sh rejects
-  /// the pattern.
-  std::vector<Sge> sg_list;
   RemoteAddr remote{};  // for kWrite / kWriteImm / kRead
   uint32_t imm = 0;     // for kWriteImm
   bool signaled = true;
   /// IBV_SEND_INLINE: the payload is snapshotted into the WQE at post time,
   /// so the application buffer is reusable the moment post_send returns.
-  /// Rejected (std::length_error) when total_bytes() exceeds the QP's
+  /// Rejected (std::length_error) when the payload exceeds the QP's
   /// max_inline_data, and invalid for kRead.
   bool inline_data = false;
   /// Ownership that must survive until the WQE finishes executing (the sim
   /// analogue of "don't touch the buffer until the CQE"): zero-copy senders
-  /// park a moved-from Buffer here instead of staging a copy.
+  /// park a moved-from Buffer here instead of staging a copy. Set it on a
+  /// named WR, never in a braced SendWr temporary inside a co_await: GCC 12
+  /// copies that temporary memberwise without running the shared_ptr move
+  /// constructor (scripts/lint.sh rule 4).
   std::shared_ptr<const void> keep_alive;
-
-  uint64_t total_bytes() const {
-    if (sg_list.empty()) return local.length;
-    uint64_t n = 0;
-    for (const Sge& s : sg_list) n += s.length;
-    return n;
-  }
 };
 
 struct RecvWr {
@@ -190,9 +175,9 @@ class QueuePair {
 
   /// Validates and finalizes a WR before it enters the send queue: rejects
   /// oversized/invalid inline posts, snapshots inline payloads into the WQE
-  /// (freeing the app buffer), counts inline/gather WQEs, and returns the
-  /// extra software build time (inline stores + per-SGE setup) the poster
-  /// must charge on top of post_wqe_cpu.
+  /// (freeing the app buffer), counts inline WQEs, and returns the extra
+  /// software build time (inline stores) the poster must charge on top of
+  /// post_wqe_cpu.
   sim::Duration prepare_send(SendWr& wr);
 
   /// Sweeps sq_pending_ into the NIC under the doorbell that just landed.
@@ -203,8 +188,8 @@ class QueuePair {
   /// runs synchronously in the caller, so rejections throw straight out of
   /// the call and no WR is ever copied into a coroutine frame as a
   /// parameter. These tails carry only trivially-copyable costs, or a
-  /// vector moved from a named lvalue (see the sg_list note above for the
-  /// compiler hazard this layout avoids).
+  /// vector moved from a named lvalue (see the keep_alive note above for
+  /// the compiler hazard this layout avoids).
   sim::Task<void> send_doorbell(sim::Duration build);
   sim::Task<void> chain_doorbell(sim::Duration sw, std::vector<SendWr> wrs);
 
@@ -222,6 +207,9 @@ class QueuePair {
   /// Doorbell batcher: WQEs built while a flush MMIO is in progress wait
   /// here and are swept by that flush (see post_send).
   std::vector<SendWr> sq_pending_;
+  /// The batch a flush is sweeping. It trades buffers with sq_pending_ and
+  /// keeps their capacity, so a steady-state post allocates nothing.
+  std::vector<SendWr> sq_batch_;
   bool db_flushing_ = false;
   uint64_t db_flush_seq_ = 0;
   sim::WaitQueue db_flushed_;

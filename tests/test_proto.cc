@@ -7,11 +7,15 @@
 
 #include <algorithm>
 #include <iterator>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "proto/channel.h"
+#include "proto/eager_pipe.h"
 #include "proto/hybrid.h"
 #include "proto/wire.h"
 
@@ -507,15 +511,18 @@ struct Golden {
 };
 
 /// `window` lanes, each echoing three distinct `bytes`-byte payloads, with
-/// both sides polling in `poll` mode.
+/// both sides polling in `poll` mode and placed NUMA-local or -remote.
 Golden run_golden(ProtocolKind kind, uint32_t window, size_t bytes,
-                  PollMode poll = PollMode::kBusy) {
+                  PollMode poll = PollMode::kBusy, bool numa_local = true) {
   Simulator sim;
   verbs::Fabric fabric(sim);
   verbs::Node* client = fabric.add_node();
   verbs::Node* server = fabric.add_node();
   auto ch = make_channel(kind, *client, *server, make_upcase_handler(*server),
-                         ChannelConfig{}.with_window(window).with_poll(poll));
+                         ChannelConfig{}
+                             .with_window(window)
+                             .with_poll(poll)
+                             .with_numa(numa_local, numa_local));
   int mismatches = 0, live = int(window);
   for (uint32_t lane = 0; lane < window; ++lane)
     sim.spawn([](RpcChannel& ch, uint32_t lane, size_t bytes,
@@ -667,6 +674,101 @@ TEST(StagedGolden, EveryKindWindowAndPayloadIsPinnedInEventMode) {
     EXPECT_EQ(got.end_ns, want.end_ns);
     EXPECT_EQ(got.dump_fnv, want.dump_fnv);
   }
+}
+
+// The 16 KiB busy grid with both sides NUMA-remote: every doorbell pays
+// the remote-socket penalty and every software copy the remote bandwidth.
+constexpr Golden kNumaRemotePinned[] = {
+    {ProtocolKind::kEagerSendRecv, 1, 16384, 45492, 0xe436b2c88d6476d9ull},
+    {ProtocolKind::kEagerSendRecv, 4, 16384, 77151, 0x62fbb9942910b2e3ull},
+    {ProtocolKind::kDirectWriteSend, 1, 16384, 18210, 0x3d2bcbc45023e882ull},
+    {ProtocolKind::kDirectWriteSend, 4, 16384, 43050, 0xb4898b30a9b2454full},
+    {ProtocolKind::kChainedWriteSend, 1, 16384, 18690, 0xfd58d74866d5e6e2ull},
+    {ProtocolKind::kChainedWriteSend, 4, 16384, 43530, 0x5f5c801784cc3cb9ull},
+    {ProtocolKind::kWriteRndv, 1, 16384, 31440, 0x22f63451f23fe69bull},
+    {ProtocolKind::kWriteRndv, 4, 16384, 38036, 0x75cd139af7d8b937ull},
+    {ProtocolKind::kReadRndv, 1, 16384, 32402, 0xe3bca61b7ca30e46ull},
+    {ProtocolKind::kReadRndv, 4, 16384, 46030, 0xea13935eeeb83859ull},
+    {ProtocolKind::kDirectWriteImm, 1, 16384, 18192, 0xb28878c0bfb95e5bull},
+    {ProtocolKind::kDirectWriteImm, 4, 16384, 22152, 0x4cfe47540f927a46ull},
+    {ProtocolKind::kPilaf, 1, 16384, 38757, 0x866fe478ad27b208ull},
+    {ProtocolKind::kPilaf, 4, 16384, 47438, 0x56aa4f3ae145b07full},
+    {ProtocolKind::kFarm, 1, 16384, 32598, 0x7568af5e62e3c46bull},
+    {ProtocolKind::kFarm, 4, 16384, 40801, 0x707da2e0c2b9ed85ull},
+    {ProtocolKind::kRfp, 1, 16384, 33137, 0x496949f0f63f561eull},
+    {ProtocolKind::kRfp, 4, 16384, 54074, 0xa7978caf773efd0bull},
+    {ProtocolKind::kHerd, 1, 16384, 31431, 0x96a1eab5a3e41977ull},
+    {ProtocolKind::kHerd, 4, 16384, 72463, 0xf38e55b70a266644ull},
+    {ProtocolKind::kHybridEagerRndv, 1, 16384, 31440, 0xc9924de34584a242ull},
+    {ProtocolKind::kHybridEagerRndv, 4, 16384, 38036, 0x471aa434316dc59aull},
+    {ProtocolKind::kArGrpc, 1, 16384, 32402, 0x510f400447b1e455ull},
+    {ProtocolKind::kArGrpc, 4, 16384, 46030, 0x30d7ffb91c2a4a72ull},
+};
+
+TEST(StagedGolden, NumaRemoteKindsAndWindowsArePinned) {
+  ASSERT_EQ(std::size(kNumaRemotePinned), std::size(kAllProtocols) * 2);
+  for (const Golden& want : kNumaRemotePinned) {
+    SCOPED_TRACE(std::string(to_string(want.kind)) + " window " +
+                 std::to_string(want.window));
+    const Golden got = run_golden(want.kind, want.window, want.bytes,
+                                  PollMode::kBusy, /*numa_local=*/false);
+    EXPECT_EQ(got.end_ns, want.end_ns);
+    EXPECT_EQ(got.dump_fnv, want.dump_fnv);
+  }
+}
+
+// ---- EagerPipe reassembly: fragment sizes come off the wire, so a
+// fragment shorter than its header or one that overruns the declared total
+// fails the receive instead of being copied.
+
+/// Posts each of `frags` as a raw SEND into a fresh EagerPipe's receive
+/// ring, then runs one recv(). Returns what it gave and its last_status().
+std::pair<std::optional<Buffer>, verbs::WcStatus> recv_raw_fragments(
+    const std::vector<Buffer>& frags) {
+  Simulator sim;
+  verbs::Fabric fabric(sim);
+  verbs::Node* a = fabric.add_node();
+  verbs::Node* b = fabric.add_node();
+  verbs::Endpoint src = verbs::make_endpoint(*a, PollMode::kBusy);
+  verbs::Endpoint dst = verbs::make_endpoint(*b, PollMode::kBusy);
+  verbs::connect(src, dst);
+  ChannelStats stats;
+  EagerPipe pipe(src, dst, ChannelConfig{}, &stats, nullptr);
+  verbs::MemoryRegion* mr = a->pd().alloc_mr(4096);
+  std::pair<std::optional<Buffer>, verbs::WcStatus> out;
+  sim.spawn([](verbs::Endpoint& src, verbs::MemoryRegion* mr, EagerPipe& pipe,
+               const std::vector<Buffer>& frags,
+               std::pair<std::optional<Buffer>, verbs::WcStatus>& out)
+                -> Task<void> {
+    for (const Buffer& f : frags) {
+      std::copy(f.begin(), f.end(), mr->data());
+      co_await src.qp->post_send(verbs::SendWr{
+          .opcode = verbs::Opcode::kSend,
+          .local = {mr->data(), static_cast<uint32_t>(f.size())},
+          .signaled = true});
+      EXPECT_TRUE((co_await src.send_wc()).ok());
+    }
+    out.first = co_await pipe.recv();
+    out.second = pipe.last_status();
+  }(src, mr, pipe, frags, out));
+  sim.run();
+  EXPECT_EQ(sim.live_tasks(), 0u);
+  return out;
+}
+
+TEST(EagerPipe, FragmentShorterThanItsHeaderFailsTheReceive) {
+  const auto [msg, status] = recv_raw_fragments({Buffer(2, std::byte{7})});
+  EXPECT_FALSE(msg.has_value());
+  EXPECT_EQ(status, verbs::WcStatus::kLocLenErr);
+}
+
+TEST(EagerPipe, FragmentPastTheDeclaredTotalFailsTheReceive) {
+  Buffer first(4096, std::byte{1});
+  put_u32(first.data(), 4100);  // 4092 bytes here, so 8 more are due
+  const auto [msg, status] =
+      recv_raw_fragments({first, Buffer(4096, std::byte{2})});
+  EXPECT_FALSE(msg.has_value());
+  EXPECT_EQ(status, verbs::WcStatus::kLocLenErr);
 }
 
 // ---- Reliability framing: the RpcHeader comes off the wire, so its parse

@@ -1,4 +1,4 @@
-// Per-core sharded TServerRdma: steering policy pinning, per-shard counter
+// Per-core sharded TServerRdma: round-robin steering, per-shard counter
 // accounting, core binding, and a golden pin of the default single-shard
 // server's timeline and counters.
 #include <gtest/gtest.h>
@@ -49,7 +49,6 @@ TEST(Steering, RoundRobinCyclesShards) {
   Bed bed(8);
   thrift::TServerRdma::Options so;
   so.shards = 4;
-  so.steering = thrift::Steering::kRoundRobin;
   thrift::TServerRdma srv(*bed.server, echo_handler(*bed.server), so);
   for (uint32_t c = 0; c < 8; ++c) {
     srv.accept(*bed.clients[c], proto::ProtocolKind::kEagerSendRecv,
@@ -60,53 +59,6 @@ TEST(Steering, RoundRobinCyclesShards) {
   EXPECT_EQ(shard_loads(srv), (std::vector<size_t>{2, 2, 2, 2}));
   for (uint32_t i = 0; i < 4; ++i)
     EXPECT_EQ(srv.shard(i).ctrs->get(obs::Ctr::kShardAccepts), 2u);
-  srv.stop();
-  bed.sim.run();
-}
-
-TEST(Steering, LeastLoadedFillsLowestFirst) {
-  Bed bed(5);
-  thrift::TServerRdma::Options so;
-  so.shards = 3;
-  so.steering = thrift::Steering::kLeastLoaded;
-  thrift::TServerRdma srv(*bed.server, echo_handler(*bed.server), so);
-  for (uint32_t c = 0; c < 5; ++c)
-    srv.accept(*bed.clients[c], proto::ProtocolKind::kEagerSendRecv,
-               proto::ChannelConfig{});
-  // Ties go to the lowest shard id, so 5 accepts land 2/2/1.
-  EXPECT_EQ(shard_loads(srv), (std::vector<size_t>{2, 2, 1}));
-  srv.stop();
-  bed.sim.run();
-}
-
-TEST(Steering, AffinityIsStablePerClient) {
-  Bed bed(6);
-  thrift::TServerRdma::Options so;
-  so.shards = 4;
-  so.steering = thrift::Steering::kAffinity;
-  thrift::TServerRdma srv(*bed.server, echo_handler(*bed.server), so);
-  // First pass: record each client's shard (via which load grew).
-  std::vector<size_t> before = shard_loads(srv);
-  std::vector<uint32_t> assigned;
-  for (uint32_t c = 0; c < 6; ++c) {
-    srv.accept(*bed.clients[c], proto::ProtocolKind::kEagerSendRecv,
-               proto::ChannelConfig{});
-    std::vector<size_t> after = shard_loads(srv);
-    for (uint32_t s = 0; s < 4; ++s)
-      if (after[s] != before[s]) assigned.push_back(s);
-    before = std::move(after);
-  }
-  ASSERT_EQ(assigned.size(), 6u);
-  // Second pass, reversed order: every client lands on the same shard again.
-  for (uint32_t c = 6; c-- > 0;) {
-    std::vector<size_t> pre = shard_loads(srv);
-    srv.accept(*bed.clients[c], proto::ProtocolKind::kEagerSendRecv,
-               proto::ChannelConfig{});
-    std::vector<size_t> post = shard_loads(srv);
-    for (uint32_t s = 0; s < 4; ++s) {
-      if (post[s] != pre[s]) { EXPECT_EQ(s, assigned[c]) << "client " << c; }
-    }
-  }
   srv.stop();
   bed.sim.run();
 }

@@ -223,37 +223,7 @@ TEST(VerbsCheckRule, OversizedInlinePayload) {
 }
 
 // ---------------------------------------------------------------------------
-// Rule class 6: sge-cap — gather lists longer than the device cap.
-// ---------------------------------------------------------------------------
-
-TEST(VerbsCheckRule, GatherListExceedsMaxSge) {
-  Pair p(Mode::kRecord);
-  const uint32_t cap = p.fabric.cost().max_sge;
-  MemoryRegion* src = p.a->pd().alloc_mr((cap + 1) * 8);
-  MemoryRegion* dst = p.b->pd().alloc_mr((cap + 1) * 8);
-  std::vector<Sge> sges;
-  for (uint32_t i = 0; i <= cap; ++i)
-    sges.push_back(Sge{src->data() + i * 8, 8});
-  p.sim.spawn([](Pair& p, std::vector<Sge> sges,
-                 MemoryRegion* dst) -> Task<void> {
-    // Gather WRs are built as named objects, never as braced temporaries
-    // with an owning sg_list — see the SendWr::sg_list note in qp.h.
-    SendWr wr;
-    wr.wr_id = 51;
-    wr.opcode = Opcode::kWrite;
-    wr.sg_list = std::move(sges);
-    wr.remote = dst->remote(0);
-    co_await p.qa->post_send(std::move(wr));
-    EXPECT_TRUE((co_await p.a_scq->wait(PollMode::kBusy)).ok());
-  }(p, std::move(sges), dst));
-  p.sim.run();
-  const Diagnostic& d = only(p.check(), Rule::kSgeCap);
-  EXPECT_EQ(d.wr_id, 51u);
-  EXPECT_NE(d.detail.find("exceeds max_sge=16"), std::string::npos);
-}
-
-// ---------------------------------------------------------------------------
-// Rule class 7: cq-overflow — more CQEs than the created capacity.
+// Rule class 6: cq-overflow — more CQEs than the created capacity.
 // ---------------------------------------------------------------------------
 
 TEST(VerbsCheckRule, CqOverflowPastCreatedCapacity) {
@@ -291,7 +261,7 @@ TEST(VerbsCheckRule, CqOverflowPastCreatedCapacity) {
 }
 
 // ---------------------------------------------------------------------------
-// Rule class 8: rq-overflow — SRQ deeper than its max_wr.
+// Rule class 7: rq-overflow — SRQ deeper than its max_wr.
 // ---------------------------------------------------------------------------
 
 TEST(VerbsCheckRule, SrqOverflowPastMaxWr) {
@@ -309,7 +279,7 @@ TEST(VerbsCheckRule, SrqOverflowPastMaxWr) {
 }
 
 // ---------------------------------------------------------------------------
-// Rule class 9: rkey — one-sided ops against a never-registered rkey.
+// Rule class 8: rkey — one-sided ops against a never-registered rkey.
 // ---------------------------------------------------------------------------
 
 TEST(VerbsCheckRule, WriteToUnknownRkey) {
@@ -331,7 +301,7 @@ TEST(VerbsCheckRule, WriteToUnknownRkey) {
 }
 
 // ---------------------------------------------------------------------------
-// Rule class 10: double-completion — a CQE with no matching outstanding WR.
+// Rule class 9: double-completion — a CQE with no matching outstanding WR.
 // ---------------------------------------------------------------------------
 
 TEST(VerbsCheckRule, CompletionWithNoOutstandingWr) {
@@ -348,7 +318,7 @@ TEST(VerbsCheckRule, CompletionWithNoOutstandingWr) {
 }
 
 // ---------------------------------------------------------------------------
-// Rule class 11: use-after-destroy — destroyed QPs and closed SRQs.
+// Rule class 10: use-after-destroy — destroyed QPs and closed SRQs.
 // ---------------------------------------------------------------------------
 
 TEST(VerbsCheckRule, PostToDestroyedQp) {
@@ -380,7 +350,7 @@ TEST(VerbsCheckRule, PostToClosedSrq) {
 }
 
 // ---------------------------------------------------------------------------
-// Rule class 12: leak — the end-of-simulation audit finds orphaned WRs.
+// Rule class 11: leak — the end-of-simulation audit finds orphaned WRs.
 // ---------------------------------------------------------------------------
 
 TEST(VerbsCheckRule, AuditFlagsNeverCompletedSend) {
@@ -558,7 +528,7 @@ TEST(VerbsCheck, RuleNamesAreDistinct) {
   for (size_t i = 0; i < names.size(); ++i)
     for (size_t j = i + 1; j < names.size(); ++j)
       EXPECT_NE(names[i], names[j]);
-  EXPECT_EQ(names.size(), 12u);
+  EXPECT_EQ(names.size(), 11u);
 }
 
 }  // namespace

@@ -402,7 +402,6 @@ TEST(LegacyPath, DefaultConfigDumpMentionsNoZeroCopyCounters) {
   // Zero-valued counters are suppressed, so none of the techniques shows
   // up in a staged run's dump.
   EXPECT_EQ(dump.find("inline_wqes"), std::string::npos);
-  EXPECT_EQ(dump.find("gather_sges"), std::string::npos);
   EXPECT_EQ(dump.find("mr_cache"), std::string::npos);
   EXPECT_EQ(dump.find("pool_buffer"), std::string::npos);
 }
