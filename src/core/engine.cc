@@ -124,7 +124,8 @@ Task<thrift::SocketRpcClient*> HatConnection::tcp_client() {
   co_return tcp_.get();
 }
 
-Task<void> HatConnection::charge_serialize(verbs::Node& node, size_t bytes) {
+sim::Cpu::Compute HatConnection::charge_serialize(verbs::Node& node,
+                                                  size_t bytes) {
   const EngineConfig& cfg = server_.config();
   return node.cpu().compute(
       cfg.serialize_fixed + sim::transfer_time(bytes, cfg.serialize_gbps));

@@ -104,7 +104,7 @@ class HatConnection : public HatCaller {
 
   proto::RpcChannel& channel_for(const hint::Plan& plan);
   sim::Task<thrift::SocketRpcClient*> tcp_client();
-  sim::Task<void> charge_serialize(verbs::Node& node, size_t bytes);
+  sim::Cpu::Compute charge_serialize(verbs::Node& node, size_t bytes);
 
   verbs::Node& client_;
   HatServer& server_;

@@ -214,7 +214,7 @@ std::string ShardHandler::op_key(int64_t client_id, int64_t seq) {
   return std::to_string(client_id) + ":" + std::to_string(seq);
 }
 
-Task<void> ShardHandler::charge_pages(uint64_t pages) {
+sim::Cpu::Compute ShardHandler::charge_pages(uint64_t pages) {
   return node_.cpu().compute(cfg_.op_fixed +
                              cfg_.page_cpu * static_cast<int64_t>(pages));
 }

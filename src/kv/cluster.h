@@ -246,7 +246,7 @@ class ShardHandler : public hatshard::HatShardIf {
   /// Forwards down the chain to the first live successor.
   sim::Task<void> forward(const std::string& key, const std::string& value,
                           uint64_t version, int64_t client_id, int64_t seq);
-  sim::Task<void> charge_pages(uint64_t pages);
+  sim::Cpu::Compute charge_pages(uint64_t pages);
   sim::Task<void> charge_commit(const CommitInfo& info);
   /// Applied-op cache lookup; nullopt when (client_id, seq) is unseen.
   std::optional<uint64_t> applied_version(int64_t client_id, int64_t seq);

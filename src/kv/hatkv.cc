@@ -20,7 +20,7 @@ HatKVConfig HatKVConfig::from_hints(const hint::ServiceHints& hints) {
   return cfg;
 }
 
-Task<void> HatKVHandler::charge_pages(uint64_t pages) {
+sim::Cpu::Compute HatKVHandler::charge_pages(uint64_t pages) {
   return node_.cpu().compute(cfg_.op_fixed +
                              cfg_.page_cpu * static_cast<int64_t>(pages));
 }

@@ -49,7 +49,7 @@ class HatKVHandler : public hatkv::HatKVIf {
   const HatKVConfig& config() const { return cfg_; }
 
  private:
-  sim::Task<void> charge_pages(uint64_t pages);
+  sim::Cpu::Compute charge_pages(uint64_t pages);
   sim::Task<void> charge_commit(const CommitInfo& info);
 
   verbs::Node& node_;

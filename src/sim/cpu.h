@@ -33,6 +33,7 @@
 #pragma once
 
 #include <algorithm>
+#include <coroutine>
 #include <cstdint>
 #include <vector>
 
@@ -84,30 +85,26 @@ class Cpu {
   /// work is pinned: it contends against that core's spinners and bound
   /// work (plus an even share of the node's floating demand) instead of the
   /// whole-node average — and one resident spinner is credited back, since
-  /// the shard's polling thread executes its handlers itself.
-  Task<void> compute(Duration work, int core = kAnyCore) {
-    if (core < 0) {
-      ++active_;
-      double f = oversubscription();
-      Duration d = scale(work, f);
-      if (f > 1.0) d += p_.ctx_switch;
-      co_await sim_.sleep(d);
-      --active_;
-      co_return;
+  /// the shard's polling thread executes its handlers itself. One timer,
+  /// so an awaiter rather than a task: computing allocates no frame.
+  class Compute {
+   public:
+    Compute(Cpu& cpu, Duration work, int core)
+        : cpu_(cpu), work_(work), core_(core) {}
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> h) {
+      cpu_.sim_.schedule_after(cpu_.begin_compute(work_, core_), h);
     }
-    const size_t k = core_index(core);
-    ++core_active_[k];
-    ++bound_active_;
-    double spin_others =
-        core_spin_[k] > 0 ? static_cast<double>(core_spin_[k] - 1) : 0.0;
-    double f = std::max(1.0, spin_others +
-                                 static_cast<double>(core_active_[k]) +
-                                 floating_share());
-    Duration d = scale(work, f);
-    if (f > 1.0) d += p_.ctx_switch;
-    co_await sim_.sleep(d);
-    --core_active_[k];
-    --bound_active_;
+    void await_resume() { cpu_.end_compute(core_); }
+
+   private:
+    Cpu& cpu_;
+    Duration work_;
+    int core_;
+  };
+
+  Compute compute(Duration work, int core = kAnyCore) {
+    return Compute(*this, work, core);
   }
 
   /// Latency between a completion becoming visible and the polling thread
@@ -226,6 +223,38 @@ class Cpu {
  private:
   friend class BusyGuard;
   friend class SpinGuard;
+
+  /// Counts one computation as running and returns how long `work` takes
+  /// under the contention that brings; end_compute() stops counting it.
+  Duration begin_compute(Duration work, int core) {
+    if (core < 0) {
+      ++active_;
+      double f = oversubscription();
+      Duration d = scale(work, f);
+      if (f > 1.0) d += p_.ctx_switch;
+      return d;
+    }
+    const size_t k = core_index(core);
+    ++core_active_[k];
+    ++bound_active_;
+    double spin_others =
+        core_spin_[k] > 0 ? static_cast<double>(core_spin_[k] - 1) : 0.0;
+    double f = std::max(1.0, spin_others +
+                                 static_cast<double>(core_active_[k]) +
+                                 floating_share());
+    Duration d = scale(work, f);
+    if (f > 1.0) d += p_.ctx_switch;
+    return d;
+  }
+
+  void end_compute(int core) {
+    if (core < 0) {
+      --active_;
+      return;
+    }
+    --core_active_[core_index(core)];
+    --bound_active_;
+  }
 
   /// Pinning wraps: binding shard i to core i % cores is how a sweep drives
   /// more shards than physical cores into collapse.

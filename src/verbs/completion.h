@@ -117,12 +117,26 @@ class CompletionQueue {
 
   /// Waits for the next completion with the given polling discipline,
   /// charging the discipline's pickup latency and the software CQE cost.
+  /// A floating busy wait holds a spinning thread for its whole duration.
   Task<Wc> wait(PollMode mode) {
-    if (mode == PollMode::kBusy && core_ < 0) {
-      auto guard = cpu_.busy_guard();
-      co_return co_await wait_inner(mode);
+    std::optional<sim::Cpu::BusyGuard> spin;
+    if (mode == PollMode::kBusy && core_ < 0) spin.emplace(cpu_);
+    while (true) {
+      while (cqes_.empty()) {
+        if (closed_) co_return Wc{.status = WcStatus::kWrFlushErr};
+        co_await avail_.wait();
+      }
+      co_await sim_.sleep(cpu_.pickup_delay(mode, core_));
+      if (!cqes_.empty()) break;  // lost a race with another poller
+      if (closed_) co_return Wc{.status = WcStatus::kWrFlushErr};
     }
-    co_return co_await wait_inner(mode);
+    co_await sim_.sleep(cost_.poll_cqe_cpu);
+    Wc wc = cqes_.front();
+    cqes_.pop_front();
+    rc_pop();
+    ++consumed_;
+    count_polled();
+    co_return wc;
   }
 
   /// Non-blocking batch drain (ibv_poll_cq(cq, max_n)): pops up to max_n
@@ -148,11 +162,35 @@ class CompletionQueue {
   /// paying the per-CQE software cost for each but only one wake-up. This
   /// is what amortizes interrupt/poll overhead for pipelined channels.
   Task<std::vector<Wc>> wait_many(PollMode mode, size_t max_n) {
-    if (mode == PollMode::kBusy && core_ < 0) {
-      auto guard = cpu_.busy_guard();
-      co_return co_await wait_many_inner(mode, max_n);
+    std::optional<sim::Cpu::BusyGuard> spin;
+    if (mode == PollMode::kBusy && core_ < 0) spin.emplace(cpu_);
+    if (max_n == 0) max_n = 1;
+    while (true) {
+      while (cqes_.empty()) {
+        if (closed_) {
+          co_return std::vector<Wc>{Wc{.status = WcStatus::kWrFlushErr}};
+        }
+        co_await avail_.wait();
+      }
+      co_await sim_.sleep(cpu_.pickup_delay(mode, core_));
+      if (!cqes_.empty()) break;  // lost a race with another poller
+      if (closed_) {
+        co_return std::vector<Wc>{Wc{.status = WcStatus::kWrFlushErr}};
+      }
     }
-    co_return co_await wait_many_inner(mode, max_n);
+    size_t take = std::min(max_n, cqes_.size());
+    co_await sim_.sleep(cost_.poll_cqe_cpu * static_cast<int64_t>(take));
+    std::vector<Wc> out;
+    out.reserve(take);
+    for (size_t i = 0; i < take; ++i) {
+      out.push_back(cqes_.front());
+      cqes_.pop_front();
+      rc_pop();
+      ++consumed_;
+      count_polled();
+    }
+    if (ctrs_) ctrs_->add(obs::Ctr::kCqBatchPolls);
+    co_return out;
   }
 
   /// Unblocks all waiters with a kWrFlushErr Wc; used for clean shutdown of
@@ -182,55 +220,6 @@ class CompletionQueue {
       sim_.rc_consume(rc_tok_.front());
       rc_tok_.pop_front();
     }
-  }
-
-  Task<Wc> wait_inner(PollMode mode) {
-    while (true) {
-      while (cqes_.empty()) {
-        if (closed_) co_return Wc{.status = WcStatus::kWrFlushErr};
-        co_await avail_.wait();
-      }
-      co_await sim_.sleep(cpu_.pickup_delay(mode, core_));
-      if (!cqes_.empty()) break;  // lost a race with another poller
-      if (closed_) co_return Wc{.status = WcStatus::kWrFlushErr};
-    }
-    co_await sim_.sleep(cost_.poll_cqe_cpu);
-    Wc wc = cqes_.front();
-    cqes_.pop_front();
-    rc_pop();
-    ++consumed_;
-    count_polled();
-    co_return wc;
-  }
-
-  Task<std::vector<Wc>> wait_many_inner(PollMode mode, size_t max_n) {
-    if (max_n == 0) max_n = 1;
-    while (true) {
-      while (cqes_.empty()) {
-        if (closed_) {
-          co_return std::vector<Wc>{Wc{.status = WcStatus::kWrFlushErr}};
-        }
-        co_await avail_.wait();
-      }
-      co_await sim_.sleep(cpu_.pickup_delay(mode, core_));
-      if (!cqes_.empty()) break;  // lost a race with another poller
-      if (closed_) {
-        co_return std::vector<Wc>{Wc{.status = WcStatus::kWrFlushErr}};
-      }
-    }
-    size_t take = std::min(max_n, cqes_.size());
-    co_await sim_.sleep(cost_.poll_cqe_cpu * static_cast<int64_t>(take));
-    std::vector<Wc> out;
-    out.reserve(take);
-    for (size_t i = 0; i < take; ++i) {
-      out.push_back(cqes_.front());
-      cqes_.pop_front();
-      rc_pop();
-      ++consumed_;
-      count_polled();
-    }
-    if (ctrs_) ctrs_->add(obs::Ctr::kCqBatchPolls);
-    co_return out;
   }
 
   sim::Simulator& sim_;

@@ -163,8 +163,9 @@ class QueuePair {
 
   /// Fabric-side: takes the next posted recv, waiting (RNR backpressure)
   /// if the application has not replenished the queue yet. Returns nullopt
-  /// if the QP errors out while waiting.
-  sim::Task<std::optional<RecvWr>> take_recv();
+  /// if the QP errors out while waiting. Senders blocked here take recvs
+  /// in the order they blocked.
+  sim::Channel<RecvWr>::Pop take_recv() { return recv_queue_.pop(); }
 
   /// Fabric-side, non-blocking variant for paced finite-RNR re-probing.
   std::optional<RecvWr> try_take_recv() { return recv_queue_.try_pop(); }

@@ -141,14 +141,15 @@ TEST(FigureShapes, FunctionIsolationProtectsLatencyRpc) {
     sim::Duration lat_total{};
     int lat_calls = 0;
     bool bulk_done = false;
+    bool lat_done = false;
     sim.spawn([](proto::RpcChannel& ch, bool& done) -> Task<void> {
       proto::Buffer big(128 << 10, std::byte{0x2});
       for (int i = 0; i < 20; ++i) (co_await ch.call(big, 128 << 10)).value();
       done = true;
     }(*bulk, bulk_done));
     sim.spawn([](Simulator& sim, proto::RpcChannel& ch,
-                 sim::Duration& total, int& calls,
-                 bool& bulk_done) -> Task<void> {
+                 sim::Duration& total, int& calls, bool& bulk_done,
+                 bool& lat_done) -> Task<void> {
       proto::Buffer small(256, std::byte{0x3});
       while (!bulk_done) {
         sim::Time t0 = sim.now();
@@ -156,13 +157,17 @@ TEST(FigureShapes, FunctionIsolationProtectsLatencyRpc) {
         total += sim.now() - t0;
         ++calls;
       }
-    }(sim, isolated ? *lat : *bulk, lat_total, lat_calls, bulk_done));
-    sim.spawn([](Simulator& sim, bool& bulk_done, proto::RpcChannel* a,
-                 proto::RpcChannel* b) -> Task<void> {
-      while (!bulk_done) co_await sim.sleep(50us);
+      lat_done = true;
+    }(sim, isolated ? *lat : *bulk, lat_total, lat_calls, bulk_done,
+      lat_done));
+    // Teardown waits for the latency loop's last call too: shutting the
+    // channels down under it would flush that call.
+    sim.spawn([](Simulator& sim, bool& bulk_done, bool& lat_done,
+                 proto::RpcChannel* a, proto::RpcChannel* b) -> Task<void> {
+      while (!bulk_done || !lat_done) co_await sim.sleep(50us);
       a->shutdown();
       if (b) b->shutdown();
-    }(sim, bulk_done, bulk.get(), lat.get()));
+    }(sim, bulk_done, lat_done, bulk.get(), lat.get()));
     sim.run();
     return lat_total / std::max(lat_calls, 1);
   };
