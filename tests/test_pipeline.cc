@@ -1,6 +1,8 @@
 // Windowed (pipelined) channel tests: N in-flight calls per channel with
 // slot-tagged completion routing. Covers every protocol's windowed path
-// (no slot cross-talk), window stalls, the fault-injected chaos harness
+// (no slot cross-talk, also under shuffled same-instant schedules with
+// RaceCheck on), an abort with the window full, window stalls, the
+// fault-injected chaos harness
 // composed with ReliableChannel (same-seed determinism), the SRQ-backed
 // thrift server, and the headline speedup: a filled window beats the
 // one-outstanding-call channel by pipelining wire, NIC, and handler time.
@@ -91,6 +93,13 @@ TEST_P(WindowedProtocol, Window8EchoNoCrossTalk) {
   EXPECT_EQ(ch->stats().calls, 32u);
 }
 
+std::string kind_name(const ::testing::TestParamInfo<ProtocolKind>& info) {
+  std::string name(proto::to_string(info.param));
+  for (char& c : name)
+    if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
+  return name;
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllKinds, WindowedProtocol,
     ::testing::Values(ProtocolKind::kEagerSendRecv,
@@ -100,12 +109,90 @@ INSTANTIATE_TEST_SUITE_P(
                       ProtocolKind::kDirectWriteImm, ProtocolKind::kPilaf,
                       ProtocolKind::kFarm, ProtocolKind::kRfp,
                       ProtocolKind::kHerd, ProtocolKind::kHybridEagerRndv),
-    [](const ::testing::TestParamInfo<ProtocolKind>& info) {
-      std::string name(proto::to_string(info.param));
-      for (char& c : name)
-        if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
-      return name;
-    });
+    kind_name);
+
+constexpr ProtocolKind kAllKinds[] = {
+    ProtocolKind::kEagerSendRecv,    ProtocolKind::kDirectWriteSend,
+    ProtocolKind::kChainedWriteSend, ProtocolKind::kWriteRndv,
+    ProtocolKind::kReadRndv,         ProtocolKind::kDirectWriteImm,
+    ProtocolKind::kPilaf,            ProtocolKind::kFarm,
+    ProtocolKind::kRfp,              ProtocolKind::kHerd,
+    ProtocolKind::kHybridEagerRndv,  ProtocolKind::kArGrpc,
+};
+
+class WindowedTeardown : public ::testing::TestWithParam<ProtocolKind> {};
+
+/// Four calls in flight on a window of 4 when the channel is aborted: each
+/// fails with a typed RpcError, a later call fails without waiting, no task
+/// stays parked, and every posted WQE retires with a completion. Payloads
+/// alternate across the rendezvous threshold so both halves of a hybrid
+/// have calls in flight.
+TEST_P(WindowedTeardown, AbortFailsEveryInFlightCall) {
+  Bed bed;
+  bed.fabric.check().set_mode(verbs::VerbsCheck::Mode::kRecord);
+  ChannelConfig cfg;
+  cfg.with_poll(PollMode::kBusy).with_max_msg(8 << 10).with_window(4);
+  // A handler slower than the abort keeps every call in flight through it.
+  proto::Handler slow = [&bed](View req) -> Task<Buffer> {
+    co_await bed.sim.sleep(100us);
+    co_return Buffer(req.begin(), req.end());
+  };
+  auto ch = proto::make_channel(GetParam(), *bed.cl, *bed.sv, slow, cfg);
+  std::vector<proto::RpcErrc> errors;
+  sim::WaitGroup wg(bed.sim);
+  wg.add(4);
+  for (uint32_t l = 0; l < 4; ++l) {
+    bed.sim.spawn([](proto::RpcChannel& ch, Buffer req,
+                     std::vector<proto::RpcErrc>& errors,
+                     sim::WaitGroup& wg) -> Task<void> {
+      proto::CallResult r = co_await ch.call(req, uint32_t(req.size()));
+      EXPECT_FALSE(r.ok()) << "an in-flight call outlived the abort";
+      if (!r.ok()) errors.push_back(r.error().errc());
+      wg.done();
+    }(*ch, Buffer(l % 2 ? 6000 : 64, std::byte(l)), errors, wg));
+  }
+  bed.sim.spawn([](Bed& bed, proto::RpcChannel& ch,
+                   sim::WaitGroup& wg) -> Task<void> {
+    co_await bed.sim.sleep(20us);
+    ch.abort();
+    co_await wg.wait();
+    const sim::Time t0 = bed.sim.now();
+    const Buffer req(64, std::byte{7});
+    proto::CallResult late = co_await ch.call(req, 64);
+    EXPECT_FALSE(late.ok()) << "a call on an aborted channel succeeded";
+    EXPECT_EQ(bed.sim.now(), t0) << "a call on an aborted channel waited";
+  }(bed, *ch, wg));
+  bed.sim.run();
+  EXPECT_EQ(errors.size(), 4u);
+  EXPECT_EQ(bed.sim.live_tasks(), 0u);
+  verbs::AuditReport audit = bed.fabric.audit();
+  EXPECT_TRUE(audit.clean()) << audit.str();
+}
+
+INSTANTIATE_TEST_SUITE_P(AllKinds, WindowedTeardown,
+                         ::testing::ValuesIn(kAllKinds), kind_name);
+
+class WindowedTiebreak : public ::testing::TestWithParam<ProtocolKind> {};
+
+/// Four concurrent echo lanes on a window of 4, with same-instant events
+/// shuffled by tiebreak seeds 0-3 and RaceCheck throwing at the first
+/// unordered access: each caller must get its own echo back.
+TEST_P(WindowedTiebreak, EachCallerGetsItsOwnEcho) {
+  for (uint64_t seed = 0; seed < 4; ++seed) {
+    SCOPED_TRACE("tiebreak seed " + std::to_string(seed));
+    Bed bed;
+    bed.sim.racecheck().set_mode(sim::RaceCheck::Mode::kAbort);
+    bed.sim.set_tiebreak_seed(seed);
+    ChannelConfig cfg;
+    cfg.with_poll(PollMode::kBusy).with_max_msg(8 << 10).with_window(4);
+    auto ch = proto::make_channel(GetParam(), *bed.cl, *bed.sv,
+                                  echo_handler(), cfg);
+    drive_echo(bed, *ch, /*lanes=*/4, /*iters=*/4);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllKinds, WindowedTiebreak,
+                         ::testing::ValuesIn(kAllKinds), kind_name);
 
 TEST(Pipeline, EventPolledWindowedImm) {
   // The slot-tagged imm path through the event poller (interrupt pickup).
