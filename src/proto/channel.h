@@ -363,7 +363,8 @@ class RpcChannel {
   void end_call(std::optional<sim::Time> t0, bool failed) {
     if (failed && obs_) {
       obs_->counters.channel(obs_id_).add(obs::Ctr::kFailedCalls);
-      obs_->counters.node(obs_pid_).add(obs::Ctr::kFailedCalls);
+      if (counts_node_failures_)
+        obs_->counters.node(obs_pid_).add(obs::Ctr::kFailedCalls);
     }
     if (t0)
       obs_->tracer.complete(
@@ -372,6 +373,9 @@ class RpcChannel {
   }
 
   ChannelStats stats_;
+  /// False on a channel that forwards each call to an inner channel of its
+  /// own, which already counts the failure on the node.
+  bool counts_node_failures_ = true;
   obs::Obs* obs_ = nullptr;
   sim::Simulator* sim_clock_ = nullptr;
   uint32_t obs_id_ = 0;

@@ -6,9 +6,9 @@
 // Call windows: every call holds a window slot. With one slot there is one
 // waiter, so the caller reads its own reply off the response pipe and the
 // server runs the handler inline. With more, messages gain a 4-byte slot
-// prefix so a client dispatcher can route each response to its pending
-// call; whole-message sends are serialized per pipe direction (the ring is
-// a shared resource) while the server handles requests concurrently.
+// tag so the client's Router can hand each response to the call holding
+// its slot; whole-message sends are serialized per pipe direction (the ring
+// is a shared resource) while the server handles requests concurrently.
 #pragma once
 
 #include "proto/base.h"
@@ -23,33 +23,20 @@ class EagerChannel : public ChannelBase {
     const uint32_t slot = co_await acquire_slot();
     const SlotGuard held(*this, slot);
     if (dead_) throw_wc("eager recv", dead_status_);
-    if (one_slot()) {
-      if (!co_await c2s_.send(req))
-        throw_wc("eager send", c2s_.last_status());
-      auto resp = co_await s2c_.recv();
-      if (!resp) throw_wc("eager recv", s2c_.last_status());
-      co_return std::move(*resp);
-    }
-    auto pend = sim::pooled_shared<PendingCall>(sim_);
-    pending_[slot] = pend;
     bool sent;
     {
-      Buffer framed(4 + req.size());
-      put_u32(framed.data(), slot);
-      if (!req.empty())
-        copy_bytes(framed.data() + 4, req.data(), req.size());
       auto guard = co_await send_mu_.scoped();
-      sent = co_await c2s_.send(framed);
+      sent = co_await c2s_.send(req, wire_tag(slot));
     }
-    if (!sent) {
-      pending_[slot].reset();
-      throw_wc("eager send", c2s_.last_status());
-    }
-    co_await pend->done.wait();
-    pending_[slot].reset();
-    if (pend->status != verbs::WcStatus::kSuccess)
-      throw_wc("eager recv", pend->status);
-    co_return std::move(pend->resp);
+    if (!sent) throw_wc("eager send", c2s_.last_status());
+    std::optional<Buffer> resp;
+    if (one_slot())
+      resp = co_await s2c_.recv();
+    else
+      resp = co_await replies_.next(slot);
+    if (!resp)
+      throw_wc("eager recv", one_slot() ? s2c_.last_status() : dead_status_);
+    co_return std::move(*resp);
   }
 
  protected:
@@ -68,8 +55,7 @@ class EagerChannel : public ChannelBase {
 
   void start() override {
     ChannelBase::start();
-    if (!one_slot())
-      sim_.spawn(client_dispatch());
+    if (!one_slot()) sim_.spawn(replies_.drain(s2c_));
   }
 
  private:
@@ -79,57 +65,32 @@ class EagerChannel : public ChannelBase {
                     std::move(handler), cfg),
         c2s_(cep_, sep_, cfg_, &stats_, channel_counters()),
         s2c_(sep_, cep_, cfg_, &stats_, channel_counters()),
-        send_mu_(sim_), srv_send_mu_(sim_) {
+        send_mu_(sim_), srv_send_mu_(sim_),
+        replies_(*this, routed_slots()) {
     // Each pipe pins one ring per side.
     stats_.client_registered += c2s_.ring_bytes() + s2c_.ring_bytes();
     stats_.server_registered += c2s_.ring_bytes() + s2c_.ring_bytes();
-    pending_.resize(cfg_.window);
   }
 
   friend std::unique_ptr<RpcChannel> make_channel(ProtocolKind,
                                                   verbs::Node&, verbs::Node&,
                                                   Handler, ChannelConfig);
 
+  /// Serves one slot-tagged request, answering under the same tag. The tag
+  /// comes off the wire: a request naming no slot of the window is dropped.
   sim::Task<void> serve_one(Buffer req) {
-    uint32_t slot = get_u32(req.data());
-    Buffer resp =
-        (co_await run_handler(View{req.data() + 4, req.size() - 4})).take();
-    Buffer framed(4 + resp.size());
-    put_u32(framed.data(), slot);
-    if (!resp.empty())
-      copy_bytes(framed.data() + 4, resp.data(), resp.size());
+    const uint32_t slot = EagerPipe::slot_tag(req);
+    if (!in_window(slot)) co_return;
+    Buffer resp = (co_await run_handler(View(req).subspan(4))).take();
     auto guard = co_await srv_send_mu_.scoped();
-    co_await s2c_.send(framed);
-  }
-
-  sim::Task<void> client_dispatch() {
-    for (;;) {
-      auto m = co_await s2c_.recv();
-      if (!m) {
-        mark_dead(s2c_.last_status());
-        for (auto& p : pending_)
-          if (p) {
-            p->status = dead_status_;
-            p->done.set();
-          }
-        co_return;
-      }
-      uint32_t slot = get_u32(m->data());
-      if (slot < pending_.size()) {
-        if (auto& p = pending_[slot]) {
-          p->resp.assign(m->begin() + 4, m->end());
-          p->status = verbs::WcStatus::kSuccess;
-          p->done.set();
-        }
-      }
-    }
+    co_await s2c_.send(resp, slot);
   }
 
   EagerPipe c2s_;
   EagerPipe s2c_;
   sim::Mutex send_mu_;
   sim::Mutex srv_send_mu_;
-  std::vector<std::shared_ptr<PendingCall>> pending_;
+  Router<Buffer> replies_;  // windowed: each slot's reply
 };
 
 }  // namespace hatrpc::proto

@@ -43,21 +43,27 @@ class EagerPipe {
   /// staging cursor therefore persists across messages, and slot reuse is
   /// gated on send completions (polled with the sender's discipline) so a
   /// new message never overwrites a slot whose send is still outstanding.
+  /// With `tag`, the message is the 4-byte slot tag a windowed channel
+  /// routes by followed by `msg`, gathered straight into the staging slots.
   /// Returns false (with last_status() set) if a send completes in error.
-  sim::Task<bool> send(View msg) {
+  sim::Task<bool> send(View msg, std::optional<uint32_t> tag = std::nullopt) {
     const uint32_t slot = cfg_.eager_slot;
     const uint32_t nslots = cfg_.eager_slots;
+    std::byte prefix[4];
+    const size_t pre = tag ? sizeof prefix : 0;
+    if (tag) put_u32(prefix, *tag);
+    const size_t total = pre + msg.size();
     size_t off = 0;
     bool first = true;
     // Lazily reclaim completions from previous messages (no charge when
     // they are already visible — ibv_poll_cq batch semantics).
     while (outstanding_ > 0 && src_.scq->try_poll()) --outstanding_;
-    while (first || off < msg.size()) {
+    while (first || off < total) {
       uint32_t idx = cursor_ % nslots;
       std::byte* s = send_ring_->data() + static_cast<size_t>(idx) * slot;
       uint32_t hdr = first ? 4u : 0u;
       uint32_t take = static_cast<uint32_t>(
-          std::min<size_t>(slot - hdr, msg.size() - off));
+          std::min<size_t>(slot - hdr, total - off));
       // Slot reuse: the ring is full, wait for the oldest send to complete.
       while (outstanding_ >= nslots) {
         verbs::Wc wc = co_await src_.send_wc();
@@ -71,8 +77,16 @@ class EagerPipe {
       co_await src_.node->cpu().compute(
           cost_.eager_match_cpu +
           cost_.copy_time(take, src_.qp->numa_local));
-      if (first) put_u32(s, static_cast<uint32_t>(msg.size()));
-      if (take > 0) std::memcpy(s + hdr, msg.data() + off, take);
+      if (first) put_u32(s, static_cast<uint32_t>(total));
+      // Bytes [off, off + take) of the tag followed by msg.
+      size_t from_tag = 0;
+      if (off < pre) {
+        from_tag = std::min<size_t>(take, pre - off);
+        std::memcpy(s + hdr, prefix + off, from_tag);
+      }
+      if (take > from_tag)
+        std::memcpy(s + hdr + from_tag, msg.data() + (off + from_tag - pre),
+                    take - from_tag);
       co_await src_.qp->post_send(verbs::SendWr{
           .wr_id = idx,
           .opcode = verbs::Opcode::kSend,
@@ -145,6 +159,13 @@ class EagerPipe {
 
   /// Status of the completion that made send()/recv() bail out.
   verbs::WcStatus last_status() const { return last_status_; }
+
+  /// The slot tag at the front of a message sent with one, or kNoSlot when
+  /// the message is too short to carry it (the tag comes off the wire).
+  static constexpr uint32_t kNoSlot = UINT32_MAX;
+  static uint32_t slot_tag(View msg) {
+    return msg.size() < 4 ? kNoSlot : get_u32(msg.data());
+  }
 
  private:
   void charge_copy(verbs::Node& node, uint64_t bytes) {

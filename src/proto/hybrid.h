@@ -74,6 +74,8 @@ class HybridChannel : public RpcChannel {
       : kind_(kind), eager_(std::move(eager)), rndv_(std::move(rndv)),
         threshold_(threshold) {
     bind_obs(client.fabric(), client.id());
+    // The inner path's call() counts a failure on the client node already.
+    counts_node_failures_ = false;
   }
 
   friend std::unique_ptr<RpcChannel> make_channel(ProtocolKind,

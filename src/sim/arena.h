@@ -13,8 +13,8 @@
 //     is returned to the OS until process exit, which is exactly the
 //     behaviour a steady-state simulation wants.
 //   * PoolAllocator / pooled_shared — std::allocate_shared plumbing over the
-//     FrameArena so shared control blocks (PendingCall, CallState, snapshot
-//     leases) stop costing one malloc per RPC.
+//     FrameArena so shared control blocks (CallState, reply loans, event
+//     cores) stop costing one malloc per RPC.
 //   * BufArena — recycled std::vector<std::byte> payload buffers for the
 //     fabric's inline-WQE and READ-response snapshots; capacity is retained
 //     across leases so steady state performs no byte-buffer mallocs at all.

@@ -1,7 +1,8 @@
 // Host cost per call, pinned. A steady-state ATB Ping (generated stub,
 // Direct-WriteIMM, busy polling, 512 B) allocates a fixed number of
-// coroutine frames and processes a fixed number of events; both counts
-// are deterministic. The event count is the model's (every event is a
+// coroutine frames (and pooled shared blocks, which come from the same
+// arena) and processes a fixed number of events; both counts are
+// deterministic. The event count is the model's (every event is a
 // modelled step), so it must not move when the simulator's host cost is
 // cut. The frame count is that host cost: a step that completes with at
 // most one timer is an awaiter and allocates no frame (DESIGN.md §12).
@@ -79,7 +80,7 @@ TEST(HostCost, SteadyStatePingFramesAndEventsPerCall) {
   // Every steady-state call costs the same, so the totals divide evenly.
   EXPECT_EQ(c.frames % kCalls, 0u);
   EXPECT_EQ(c.events % kCalls, 0u);
-  EXPECT_EQ(c.frames / kCalls, 24u);
+  EXPECT_EQ(c.frames / kCalls, 22u);
   EXPECT_EQ(c.events / kCalls, 22u);
 }
 

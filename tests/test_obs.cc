@@ -340,23 +340,31 @@ TEST(CallResult, OkResultDereferences) {
 }
 
 TEST(CallResult, FailedCallsAreCountedPerChannelAndNode) {
-  Simulator sim;
-  verbs::Fabric fabric(sim);
-  verbs::Node* cl = fabric.add_node();
-  verbs::Node* sv = fabric.add_node();
-  auto ch = make_channel(ProtocolKind::kEagerSendRecv, *cl, *sv,
-                         echo_handler(*sv), ChannelConfig{});
-  sim.spawn([](RpcChannel& ch) -> Task<void> {
-    Buffer payload(64, std::byte{0x9});
-    (co_await ch.call(payload, 64)).value();
-    ch.abort();  // subsequent call must fail with a typed error
-    CallResult r = co_await ch.call(payload, 64);
-    EXPECT_FALSE(r.ok());
-  }(*ch));
-  sim.run();
-  EXPECT_EQ(fabric.obs().counters.channel(0).get(obs::Ctr::kFailedCalls), 1u);
-  EXPECT_EQ(fabric.obs().counters.node(cl->id()).get(obs::Ctr::kFailedCalls),
-            1u);
+  // A hybrid forwards each call to an inner channel (the eager one is
+  // channel 0 here), which counts the failure; the node counts it once.
+  for (ProtocolKind kind :
+       {ProtocolKind::kEagerSendRecv, ProtocolKind::kHybridEagerRndv,
+        ProtocolKind::kArGrpc}) {
+    SCOPED_TRACE(std::string(to_string(kind)));
+    Simulator sim;
+    verbs::Fabric fabric(sim);
+    verbs::Node* cl = fabric.add_node();
+    verbs::Node* sv = fabric.add_node();
+    auto ch =
+        make_channel(kind, *cl, *sv, echo_handler(*sv), ChannelConfig{});
+    sim.spawn([](RpcChannel& ch) -> Task<void> {
+      Buffer payload(64, std::byte{0x9});
+      (co_await ch.call(payload, 64)).value();
+      ch.abort();  // subsequent call must fail with a typed error
+      CallResult r = co_await ch.call(payload, 64);
+      EXPECT_FALSE(r.ok());
+    }(*ch));
+    sim.run();
+    EXPECT_EQ(fabric.obs().counters.channel(0).get(obs::Ctr::kFailedCalls),
+              1u);
+    EXPECT_EQ(
+        fabric.obs().counters.node(cl->id()).get(obs::Ctr::kFailedCalls), 1u);
+  }
 }
 
 }  // namespace
