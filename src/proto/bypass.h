@@ -77,10 +77,7 @@ class BypassChannel : public ChannelBase {
   }
 
   sim::Task<void> serve() override {
-    if (event_server())
-      co_await serve_event();
-    else
-      co_await serve_busy();
+    return event_server() ? serve_event() : serve_busy();
   }
 
   void start() override {
@@ -317,16 +314,12 @@ class BypassChannel : public ChannelBase {
     }
   }
 
-  /// Marks `slot`'s request served and handles it: inline with one slot,
-  /// in a task of its own with more, so handlers overlap. The length comes
-  /// off the wire: a request overrunning its slot is dropped.
+  /// Marks `slot`'s request served and hands it to serve_request. The
+  /// length comes off the wire: a request overrunning its slot is dropped.
   sim::Task<void> take_request(uint32_t slot, uint32_t req_len) {
     served_seq_[slot] = get_u64(slot_req(slot));
-    if (req_len > cfg_.max_msg) co_return;
-    if (one_slot())
-      co_await handle_slot(slot, req_len);
-    else
-      sim_.spawn(handle_slot(slot, req_len));
+    if (req_len > cfg_.max_msg) return {};
+    return serve_request(handle_slot(slot, req_len));
   }
 
   sim::Task<void> handle_slot(uint32_t slot, uint32_t req_len) {

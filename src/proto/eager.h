@@ -5,7 +5,7 @@
 //
 // Call windows: every call holds a window slot. With one slot there is one
 // waiter, so the caller reads its own reply off the response pipe and the
-// server runs the handler inline. With more, messages gain a 4-byte slot
+// server runs each request inline. With more, messages gain a 4-byte slot
 // tag so the client's Router can hand each response to the call holding
 // its slot; whole-message sends are serialized per pipe direction (the ring
 // is a shared resource) while the server handles requests concurrently.
@@ -40,16 +40,15 @@ class EagerChannel : public ChannelBase {
   }
 
  protected:
+  /// A fragment the pipe rejects is dropped (a real failed completion is
+  /// followed by the QP's flush); any other failed completion ends the loop.
   sim::Task<void> serve() override {
     while (!stop_) {
       auto req = co_await c2s_.recv();
-      if (!req) break;
-      if (one_slot()) {
-        Buffer resp = (co_await run_handler(*req)).take();
-        if (!co_await s2c_.send(resp)) break;
-      } else {
-        sim_.spawn(serve_one(std::move(*req)));
-      }
+      if (req)
+        co_await serve_request(serve_one(std::move(*req)));
+      else if (c2s_.last_status() != verbs::WcStatus::kLocLenErr)
+        break;
     }
   }
 
@@ -76,14 +75,16 @@ class EagerChannel : public ChannelBase {
                                                   verbs::Node&, verbs::Node&,
                                                   Handler, ChannelConfig);
 
-  /// Serves one slot-tagged request, answering under the same tag. The tag
-  /// comes off the wire: a request naming no slot of the window is dropped.
+  /// Serves one request, answering under its slot tag (none with one slot).
+  /// The tag comes off the wire: a request naming no slot of the window is
+  /// dropped.
   sim::Task<void> serve_one(Buffer req) {
-    const uint32_t slot = EagerPipe::slot_tag(req);
+    const uint32_t slot = one_slot() ? 0 : EagerPipe::slot_tag(req);
     if (!in_window(slot)) co_return;
-    Buffer resp = (co_await run_handler(View(req).subspan(4))).take();
+    Buffer resp =
+        (co_await run_handler(View(req).subspan(one_slot() ? 0 : 4))).take();
     auto guard = co_await srv_send_mu_.scoped();
-    co_await s2c_.send(resp, slot);
+    co_await s2c_.send(resp, wire_tag(slot));
   }
 
   EagerPipe c2s_;

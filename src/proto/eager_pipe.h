@@ -124,15 +124,17 @@ class EagerPipe {
       const std::byte* s =
           recv_ring_->data() + static_cast<size_t>(idx) * cfg_.eager_slot;
       uint32_t hdr = first ? 4u : 0u;
+      if (first) total = get_u32(s);
       // Sizes come off the wire: a fragment shorter than its header, or one
       // that would grow the message past its declared total, fails the
-      // receive like a local length error instead of being copied.
-      if (wc.byte_len < hdr) {
+      // receive like a local length error instead of being copied, and
+      // gives its ring slot back.
+      if (wc.byte_len < hdr || wc.byte_len - hdr > total - out.size()) {
+        post_recv_slot(idx);
         last_status_ = verbs::WcStatus::kLocLenErr;
         co_return std::nullopt;
       }
       if (first) {
-        total = get_u32(s);
         // The total comes off the wire, so reserve at most max_msg (plus a
         // windowed channel's 4-byte slot prefix); a longer message still
         // arrives whole, its buffer growing with its fragments.
@@ -140,10 +142,6 @@ class EagerPipe {
         first = false;
       }
       uint32_t take = wc.byte_len - hdr;
-      if (take > total - out.size()) {
-        last_status_ = verbs::WcStatus::kLocLenErr;
-        co_return std::nullopt;
-      }
       charge_copy(*dst_.node, take);
       co_await dst_.node->cpu().compute(
           cost_.eager_match_cpu +

@@ -34,51 +34,47 @@ class RendezvousChannel : public ChannelBase {
 
     if (kind_ == ProtocolKind::kWriteRndv) {
       // RTS -> wait CTS -> WRITE_IMM payload into the server's buffer.
-      co_await send_ctrl(cep_, cli_ctrl_src_, slot, kRts, len, {});
-      RMsg cts = co_await expect(slot);
+      co_await send_ctrl(cli_, slot, kRts, len, {});
+      const RMsg cts = co_await expect(cli_, slot, kCts);
       ++stats_.write_imms;
       co_await cep_.qp->post_send(verbs::SendWr{
           .opcode = verbs::Opcode::kWriteImm,
           .local = {cli_payload_->data() + off, len},
-          .remote = cts.ctrl.addr,
+          .remote = cts.addr,
           .imm = slot_imm(slot, len),
           .signaled = false});
       // Response (reverse Write-RNDV): RTS' -> we reply CTS -> recv-imm.
-      RMsg rts = co_await expect(slot);
-      check_reply_len(rts.ctrl.len);
-      co_await send_ctrl(cep_, cli_ctrl_src_, slot, kCts, rts.ctrl.len,
-                         cli_resp_buf_->remote(off));
-      RMsg data = co_await expect(slot);
+      const RMsg rts = co_await expect(cli_, slot, kRts);
+      check_reply_len(rts.len);
+      co_await send_ctrl(cli_, slot, kCts, rts.len, cli_resp_buf_->remote(off));
+      const RMsg data = co_await expect(cli_, slot, kData);
+      check_reply_len(data.len);
       const std::byte* p = cli_resp_buf_->data() + off;
       co_return Buffer(p, p + data.len);
     }
 
     // Read-RNDV: RTS carries our buffer; the server READs the request,
     // processes it, then announces its response buffer.
-    co_await send_ctrl(cep_, cli_ctrl_src_, slot, kRts, len,
-                       cli_payload_->remote(off));
-    RMsg rts = co_await expect(slot);
-    check_reply_len(rts.ctrl.len);
+    co_await send_ctrl(cli_, slot, kRts, len, cli_payload_->remote(off));
+    const RMsg rts = co_await expect(cli_, slot, kRts);
+    check_reply_len(rts.len);
     ++stats_.reads;
     co_await cep_.qp->post_send(verbs::SendWr{
         .wr_id = slot,
         .opcode = verbs::Opcode::kRead,
-        .local = {cli_resp_buf_->data() + off, rts.ctrl.len},
-        .remote = rts.ctrl.addr});
-    co_await expect(slot, /*read=*/true);
+        .local = {cli_resp_buf_->data() + off, rts.len},
+        .remote = rts.addr});
+    co_await expect(cli_, slot, kReadDone);
     // FIN releases the server's response buffer for the slot's next call.
-    co_await send_ctrl(cep_, cli_ctrl_src_, slot, kFin, 0, {});
+    co_await send_ctrl(cli_, slot, kFin, 0, {});
     const std::byte* p = cli_resp_buf_->data() + off;
-    co_return Buffer(p, p + rts.ctrl.len);
+    co_return Buffer(p, p + rts.len);
   }
 
   sim::Task<void> serve() override {
-    if (one_slot()) {
-      co_await serve_slot(0);
-      co_return;
-    }
-    for (uint32_t s = 0; s < cfg_.window; ++s) sim_.spawn(serve_slot(s));
-    co_await drain(srv_, /*sends=*/false);
+    for (uint32_t s = 0; s < cfg_.window; ++s)
+      co_await serve_request(serve_slot(s));
+    if (!one_slot()) co_await drain(srv_, /*sends=*/false);
   }
 
   void start() override {
@@ -96,8 +92,8 @@ class RendezvousChannel : public ChannelBase {
   RendezvousChannel(ProtocolKind kind, verbs::Node& client,
                     verbs::Node& server, Handler handler, ChannelConfig cfg)
       : ChannelBase(kind, client, server, std::move(handler), cfg),
-        cli_{cep_, nullptr, Router<RMsg>(*this, routed_slots())},
-        srv_{sep_, nullptr, Router<RMsg>(*this, routed_slots())} {
+        cli_{cep_, Router<RMsg>(*this, routed_slots())},
+        srv_{sep_, Router<RMsg>(*this, routed_slots(), /*server=*/true)} {
     if (cfg_.max_msg > kLenMask)
       throw std::length_error("rendezvous: max_msg exceeds the 24-bit imm "
                               "length field");
@@ -113,8 +109,8 @@ class RendezvousChannel : public ChannelBase {
     // next call's RTS). With a window, several calls keep ctrl messages in
     // flight at once, so the rings scale with the window too.
     ctrl_slots_ = std::max(cfg_.eager_slots, 4 * w);
-    cli_ctrl_src_ = alloc_client_mr(kCtrlBytes * ctrl_slots_);
-    srv_ctrl_src_ = alloc_server_mr(kCtrlBytes * ctrl_slots_);
+    cli_.src = alloc_client_mr(kCtrlBytes * ctrl_slots_);
+    srv_.src = alloc_server_mr(kCtrlBytes * ctrl_slots_);
     cli_.ring = alloc_client_mr(kCtrlBytes * ctrl_slots_);
     srv_.ring = alloc_server_mr(kCtrlBytes * ctrl_slots_);
     for (uint32_t i = 0; i < ctrl_slots_; ++i) {
@@ -131,106 +127,94 @@ class RendezvousChannel : public ChannelBase {
   static constexpr uint32_t kRts = 1;
   static constexpr uint32_t kCts = 2;
   static constexpr uint32_t kFin = 3;
+  /// The types a payload's WRITE_IMM (its length in the imm) and a READ's
+  /// completion decode as: past a ctrl frame's 24-bit type word, so no
+  /// frame passes for one.
+  static constexpr uint32_t kData = 1u << kSlotShift;
+  static constexpr uint32_t kReadDone = kData + 1;
   /// Length a response RTS' announces for a reply past max_msg.
   static constexpr uint32_t kOversized = UINT32_MAX;
 
-  struct Ctrl {
+  /// One decoded completion for a slot.
+  struct RMsg {
     uint32_t type = 0;
     uint32_t len = 0;
     verbs::RemoteAddr addr{};
   };
-
-  /// One decoded completion for a slot.
-  struct RMsg {
-    enum Kind : uint8_t { kCtrlMsg, kData, kReadDone };
-    Kind kind = kCtrlMsg;
-    Ctrl ctrl{};
-    uint32_t len = 0;  // kData: payload length from the imm
-  };
   using Routed = Router<RMsg>::Routed;
 
-  /// One side: its endpoint, the ring its ctrl frames land in, its router.
+  /// One side: its endpoint, its router, the ring its ctrl frames land in,
+  /// and the rotating sources of the ctrl frames it sends.
   struct Side {
     verbs::Endpoint& ep;
-    verbs::MemoryRegion* ring;
     Router<RMsg> mail;
+    verbs::MemoryRegion* ring = nullptr;
+    verbs::MemoryRegion* src = nullptr;
+    uint32_t seq = 0;
   };
 
   /// Sends a 20-byte ctrl frame: [slot << 24 | type][len][addr][rkey].
-  sim::Task<void> send_ctrl(verbs::Endpoint& ep, verbs::MemoryRegion* src,
-                            uint32_t slot, uint32_t type, uint32_t len,
-                            verbs::RemoteAddr addr) {
+  sim::Task<void> send_ctrl(Side& side, uint32_t slot, uint32_t type,
+                            uint32_t len, verbs::RemoteAddr addr) {
     ++stats_.sends;
-    uint32_t& seq = &ep == &cep_ ? cli_ctrl_seq_ : srv_ctrl_seq_;
-    std::byte* p = src->data() +
-                   static_cast<size_t>(seq++ % ctrl_slots_) * kCtrlBytes;
+    std::byte* p = side.src->data() +
+                   static_cast<size_t>(side.seq++ % ctrl_slots_) * kCtrlBytes;
     put_u32(p, slot_imm(slot, type));
     put_u32(p + 4, len);
     put_u64(p + 8, addr.addr);
     put_u32(p + 16, addr.rkey);
-    co_await ep.qp->post_send(verbs::SendWr{.opcode = verbs::Opcode::kSend,
-                                            .local = {p, 20},
-                                            .signaled = false});
+    co_await side.ep.qp->post_send(verbs::SendWr{
+        .opcode = verbs::Opcode::kSend, .local = {p, 20}, .signaled = false});
   }
 
-  /// Fails the call whose response RTS' announced the oversize mark.
-  static void check_reply_len(uint32_t len) {
-    if (len == kOversized)
+  /// Fails the call whose reply announces a length past max_msg: the
+  /// oversize mark, or any such length off the wire.
+  void check_reply_len(uint32_t len) const {
+    if (len > cfg_.max_msg)
       throw std::length_error("rendezvous: response exceeds payload pool");
   }
 
-  /// Decodes one completion on `side`, reposting the ctrl recv it consumed;
-  /// a length off the wire past max_msg (bar the oversize mark) fails it.
+  /// Decodes one completion on `side`, reposting the ctrl recv it consumed.
   Routed decode(Side& side, const verbs::Wc& wc) {
     if (!wc.ok()) return {.status = wc.status};
     if (wc.opcode == verbs::WcOpcode::kRdmaRead)
-      return {.slot = uint32_t(wc.wr_id), .msg = {.kind = RMsg::kReadDone}};
+      return {.slot = uint32_t(wc.wr_id), .msg = {.type = kReadDone}};
     Routed r{.slot = imm_slot(wc.imm),
-             .msg = {.kind = RMsg::kData, .len = imm_len(wc.imm)}};
+             .msg = {.type = kData, .len = imm_len(wc.imm)}};
     if (wc.opcode != verbs::WcOpcode::kRecvImm) {
       const std::byte* p =
           side.ring->data() + static_cast<size_t>(wc.wr_id) * kCtrlBytes;
       r = {.slot = imm_slot(get_u32(p)),
-           .msg = {.ctrl = {imm_len(get_u32(p)), get_u32(p + 4),
-                            {get_u64(p + 8), get_u32(p + 16)}}}};
+           .msg = {imm_len(get_u32(p)), get_u32(p + 4),
+                   {get_u64(p + 8), get_u32(p + 16)}}};
     }
     post_ctrl_recv(side, static_cast<uint32_t>(wc.wr_id));
-    const uint32_t ctrl_len = r.msg.ctrl.len == kOversized ? 0 : r.msg.ctrl.len;
-    if (std::max(r.msg.len, ctrl_len) > cfg_.max_msg)
-      return {.status = verbs::WcStatus::kLocLenErr};
     return r;
   }
 
-  /// The next message for `slot` on `side`: its READ's completion when
-  /// `read`, else a ctrl frame or payload, or the status a completion there
-  /// failed with. With one slot the caller is the side's only waiter, so it
-  /// polls its own CQ; with more, it awaits the slot's mailbox.
-  sim::Task<Routed> next(Side& side, uint32_t slot, bool read) {
-    if (one_slot()) {
-      verbs::Wc wc;
-      if (read)
-        wc = co_await side.ep.send_wc();
-      else
-        wc = co_await side.ep.recv_wc();
-      co_return decode(side, wc);
+  /// `slot`'s next message of `type` on `side`. With one slot the caller
+  /// is the side's only waiter, so it polls its own CQ (the send CQ for a
+  /// READ's completion); with more, it awaits the slot's mailbox. Any other
+  /// message, and on the server one announcing more than max_msg, is
+  /// dropped and the wait goes on. A failed completion throws: it fails the
+  /// client's call, and ends the server's slot worker.
+  sim::Task<RMsg> expect(Side& side, uint32_t slot, uint32_t type) {
+    for (;;) {
+      Routed r{.slot = slot};
+      if (!one_slot()) {
+        std::optional<RMsg> m = co_await side.mail.next(slot);
+        if (!m) throw_wc("rndv", dead_status_);
+        r.msg = *m;
+      } else if (type == kReadDone) {
+        r = decode(side, co_await side.ep.send_wc());
+      } else {
+        r = decode(side, co_await side.ep.recv_wc());
+      }
+      if (r.status != verbs::WcStatus::kSuccess) throw_wc("rndv", r.status);
+      if (r.slot == slot && r.msg.type == type &&
+          (&side == &cli_ || r.msg.len <= cfg_.max_msg))
+        co_return r.msg;
     }
-    std::optional<RMsg> m = co_await side.mail.next(slot);
-    if (!m) co_return Routed{.status = dead_status_};
-    co_return Routed{.slot = slot, .msg = *m};
-  }
-
-  /// Whether `r` is a `kind` message (a ctrl frame of `type`), not a failure.
-  static bool got(const Routed& r, RMsg::Kind kind, uint32_t type = 0) {
-    return r.status == verbs::WcStatus::kSuccess && r.msg.kind == kind &&
-           (kind != RMsg::kCtrlMsg || r.msg.ctrl.type == type);
-  }
-
-  /// The client's next message for `slot`; a failed completion fails the
-  /// call.
-  sim::Task<RMsg> expect(uint32_t slot, bool read = false) {
-    const Routed r = co_await next(cli_, slot, read);
-    if (r.status != verbs::WcStatus::kSuccess) throw_wc("rndv", r.status);
-    co_return r.msg;
   }
 
   /// Drains `side`'s recv CQ (its send CQ when `sends`) into its router.
@@ -243,60 +227,59 @@ class RendezvousChannel : public ChannelBase {
   }
 
   /// The server half of `slot`'s calls, looping for the slot's next
-  /// request until its completions stop.
+  /// request until a failed completion ends it.
   sim::Task<void> serve_slot(uint32_t slot) {
     const size_t off = slot * size_t(cfg_.max_msg);
-    for (;;) {
-      const Routed rts = co_await next(srv_, slot, false);
-      if (!got(rts, RMsg::kCtrlMsg, kRts)) co_return;
-      uint32_t req_len = 0;
-      if (kind_ == ProtocolKind::kWriteRndv) {
-        co_await send_ctrl(sep_, srv_ctrl_src_, slot, kCts, rts.msg.ctrl.len,
-                           srv_payload_->remote(off));
-        const Routed data = co_await next(srv_, slot, false);
-        if (!got(data, RMsg::kData)) co_return;
-        req_len = data.msg.len;
-      } else {
-        ++stats_.reads;
-        co_await sep_.qp->post_send(verbs::SendWr{
-            .wr_id = slot,
-            .opcode = verbs::Opcode::kRead,
-            .local = {srv_payload_->data() + off, rts.msg.ctrl.len},
-            .remote = rts.msg.ctrl.addr});
-        if (!got(co_await next(srv_, slot, true), RMsg::kReadDone)) co_return;
-        req_len = rts.msg.ctrl.len;
-      }
+    try {
+      for (;;) {
+        const RMsg rts = co_await expect(srv_, slot, kRts);
+        uint32_t req_len = rts.len;
+        if (kind_ == ProtocolKind::kWriteRndv) {
+          co_await send_ctrl(srv_, slot, kCts, req_len,
+                             srv_payload_->remote(off));
+          req_len = (co_await expect(srv_, slot, kData)).len;
+        } else {
+          ++stats_.reads;
+          co_await sep_.qp->post_send(verbs::SendWr{
+              .wr_id = slot,
+              .opcode = verbs::Opcode::kRead,
+              .local = {srv_payload_->data() + off, req_len},
+              .remote = rts.addr});
+          co_await expect(srv_, slot, kReadDone);
+        }
 
-      Buffer resp = (co_await run_handler(
-                         View{srv_payload_->data() + off, req_len}))
-                        .take();
-      if (resp.size() > cfg_.max_msg) {
-        // Fail just this call: the response RTS' announces the oversize
-        // mark, and neither side moves a payload or sends CTS/FIN for it.
-        co_await send_ctrl(sep_, srv_ctrl_src_, slot, kRts, kOversized, {});
-        continue;
-      }
-      const uint32_t rlen = static_cast<uint32_t>(resp.size());
-      copy_bytes(srv_resp_src_->data() + off, resp.data(), resp.size());
+        Buffer resp = (co_await run_handler(
+                           View{srv_payload_->data() + off, req_len}))
+                          .take();
+        if (resp.size() > cfg_.max_msg) {
+          // Fail just this call: the response RTS' announces the oversize
+          // mark, and neither side moves a payload or sends CTS/FIN for it.
+          co_await send_ctrl(srv_, slot, kRts, kOversized, {});
+          continue;
+        }
+        const uint32_t rlen = static_cast<uint32_t>(resp.size());
+        copy_bytes(srv_resp_src_->data() + off, resp.data(), resp.size());
 
-      if (kind_ == ProtocolKind::kWriteRndv) {
-        co_await send_ctrl(sep_, srv_ctrl_src_, slot, kRts, rlen, {});
-        const Routed cts = co_await next(srv_, slot, false);
-        if (!got(cts, RMsg::kCtrlMsg, kCts)) co_return;
-        ++stats_.write_imms;
-        co_await sep_.qp->post_send(verbs::SendWr{
-            .opcode = verbs::Opcode::kWriteImm,
-            .local = {srv_resp_src_->data() + off, rlen},
-            .remote = cts.msg.ctrl.addr,
-            .imm = slot_imm(slot, rlen),
-            .signaled = false});
-      } else {
-        co_await send_ctrl(sep_, srv_ctrl_src_, slot, kRts, rlen,
-                           srv_resp_src_->remote(off));
-        // Wait FIN before reusing the response buffer.
-        if (!got(co_await next(srv_, slot, false), RMsg::kCtrlMsg, kFin))
-          co_return;
+        if (kind_ == ProtocolKind::kWriteRndv) {
+          co_await send_ctrl(srv_, slot, kRts, rlen, {});
+          const RMsg cts = co_await expect(srv_, slot, kCts);
+          ++stats_.write_imms;
+          co_await sep_.qp->post_send(verbs::SendWr{
+              .opcode = verbs::Opcode::kWriteImm,
+              .local = {srv_resp_src_->data() + off, rlen},
+              .remote = cts.addr,
+              .imm = slot_imm(slot, rlen),
+              .signaled = false});
+        } else {
+          co_await send_ctrl(srv_, slot, kRts, rlen,
+                             srv_resp_src_->remote(off));
+          // Wait FIN before reusing the response buffer.
+          co_await expect(srv_, slot, kFin);
+        }
       }
+    } catch (const RpcError&) {
+      // A failed completion ends the server's side; the client learns of it
+      // from its own completions.
     }
   }
 
@@ -311,10 +294,6 @@ class RendezvousChannel : public ChannelBase {
   verbs::MemoryRegion* cli_resp_buf_ = nullptr;
   verbs::MemoryRegion* srv_payload_ = nullptr;
   verbs::MemoryRegion* srv_resp_src_ = nullptr;
-  verbs::MemoryRegion* cli_ctrl_src_ = nullptr;
-  verbs::MemoryRegion* srv_ctrl_src_ = nullptr;
-  uint32_t cli_ctrl_seq_ = 0;
-  uint32_t srv_ctrl_seq_ = 0;
   uint32_t ctrl_slots_ = 0;
   Side cli_;
   Side srv_;

@@ -102,6 +102,7 @@ class [[nodiscard]] Task {
   bool done() const { return h_ && h_.done(); }
 
   /// Awaiting a task starts it and suspends the awaiter until it finishes.
+  /// An empty Task<void> is already done: awaiting it is a no-op.
   auto operator co_await() & = delete;  // must await an rvalue (ownership)
   auto operator co_await() && {
     struct Awaiter {
@@ -112,7 +113,12 @@ class [[nodiscard]] Task {
         h.promise().continuation = cont;
         return h;
       }
-      T await_resume() { return h.promise().take(); }
+      T await_resume() {
+        if constexpr (std::is_void_v<T>) {
+          if (!h) return;
+        }
+        return h.promise().take();
+      }
     };
     return Awaiter{h_};
   }

@@ -1020,42 +1020,154 @@ TEST(DirectClient, FailsAReplyAnnouncingMoreThanMaxMsg) {
   EXPECT_EQ(sim.live_tasks(), 0u);
 }
 
+/// Sends each of `frames` as a raw SEND on the client's QP of a fresh
+/// `kind` channel (max_msg 4 KiB, `window` slots), then, 200 us later, one
+/// real call. The server must drop every forged frame and keep serving:
+/// the handler sees nothing before the call and only the call after it,
+/// the call echoes within 50 ms of virtual time, and no task outlives
+/// shutdown.
+void expect_server_drops(ProtocolKind kind, uint32_t window,
+                         const std::vector<Buffer>& frames) {
+  SCOPED_TRACE(std::string(to_string(kind)) + ", window " +
+               std::to_string(window));
+  Simulator sim;
+  verbs::Fabric fabric(sim);
+  verbs::Node* cl = fabric.add_node();
+  verbs::Node* sv = fabric.add_node();
+  std::vector<Buffer> seen;
+  Handler echo = [&seen](View req) -> Task<Buffer> {
+    seen.emplace_back(req.begin(), req.end());
+    co_return Buffer(req.begin(), req.end());
+  };
+  auto ch = make_channel(
+      kind, *cl, *sv, echo,
+      ChannelConfig{}.with_max_msg(4096).with_window(window));
+  verbs::QueuePair* qp = qp_on(fabric, *cl);
+  ASSERT_NE(qp, nullptr);
+  // One 32-byte source per frame: a SEND reads its payload when it runs.
+  verbs::MemoryRegion* src = cl->pd().alloc_mr(32 * frames.size());
+  const Buffer req(64, std::byte{5});
+  bool echoed = false;
+  sim.spawn([](Simulator& sim, verbs::QueuePair* qp, verbs::MemoryRegion* src,
+               const std::vector<Buffer>& frames, RpcChannel& ch,
+               const Buffer& req, const std::vector<Buffer>& seen,
+               bool& echoed) -> Task<void> {
+    for (size_t i = 0; i < frames.size(); ++i) {
+      std::byte* p = src->data() + 32 * i;
+      std::copy(frames[i].begin(), frames[i].end(), p);
+      co_await qp->post_send(verbs::SendWr{
+          .opcode = verbs::Opcode::kSend,
+          .local = {p, static_cast<uint32_t>(frames[i].size())},
+          .signaled = false});
+    }
+    co_await sim.sleep(200us);
+    EXPECT_TRUE(seen.empty()) << "a forged frame reached the handler";
+    CallResult r = co_await ch.call(req, 64);
+    echoed = r.ok() && *r == req;
+  }(sim, qp, src, frames, *ch, req, seen, echoed));
+  sim.run_until(sim::Time(50ms));
+  EXPECT_TRUE(echoed) << "the call after the forged frames did not echo";
+  EXPECT_TRUE(seen == std::vector<Buffer>{req})
+      << "the handler saw " << seen.size() << " requests";
+  ch->shutdown();
+  sim.run();
+  EXPECT_EQ(sim.live_tasks(), 0u);
+}
+
+/// A rendezvous ctrl frame for slot 0: [type][len][addr][rkey].
+Buffer ctrl_frame(uint32_t type, uint32_t len) {
+  Buffer f(20, std::byte{0});
+  put_u32(f.data(), type);
+  put_u32(f.data() + 4, len);
+  return f;
+}
+
+constexpr uint32_t kRtsType = 1;
+constexpr uint32_t kFinType = 3;
+
+TEST(EagerServer, DropsAFragmentShorterThanItsHeader) {
+  for (uint32_t window : {1u, 2u})
+    expect_server_drops(ProtocolKind::kEagerSendRecv, window,
+                        {Buffer(2, std::byte{7})});
+}
+
+TEST(EagerServer, RepostsTheRingSlotOfEveryDroppedFragment) {
+  // One more rejected fragment than the ring has slots: each must give its
+  // recv back, or the real call's SEND finds no posted recv.
+  const std::vector<Buffer> frames(ChannelConfig{}.eager_slots + 1,
+                                   Buffer(2, std::byte{7}));
+  for (uint32_t window : {1u, 2u})
+    expect_server_drops(ProtocolKind::kEagerSendRecv, window, frames);
+}
+
 TEST(RendezvousServer, FailsAFrameAnnouncingMoreThanMaxMsg) {
-  // A Read-RNDV RTS carries the request's length off the wire; the server
-  // READs that many bytes into its max_msg slot. One announcing 64 KiB
-  // against a 4 KiB max_msg fails as a length error before any READ, at one
-  // slot and through the router.
+  // An RTS carries the request's length off the wire, and the server READs
+  // (Read-RNDV) or accepts (Write-RNDV) that many bytes into its max_msg
+  // slot. One announcing 64 KiB against a 4 KiB max_msg is dropped before
+  // any READ, and the slot keeps waiting for a real request.
+  for (ProtocolKind kind : {ProtocolKind::kReadRndv, ProtocolKind::kWriteRndv})
+    for (uint32_t window : {1u, 2u})
+      expect_server_drops(kind, window, {ctrl_frame(kRtsType, 64 << 10)});
+}
+
+TEST(RendezvousServer, DropsAFinWhileWaitingForAnRts) {
+  for (uint32_t window : {1u, 2u})
+    expect_server_drops(ProtocolKind::kReadRndv, window,
+                        {ctrl_frame(kFinType, 0)});
+}
+
+TEST(RendezvousClient, FailsAReplyAnnouncingMoreThanMaxMsg) {
+  // The reply's length comes off the wire in the server's RTS: one past
+  // max_msg fails the one call it names with a length error, and a call
+  // holding another slot still echoes.
   for (uint32_t window : {1u, 2u}) {
     SCOPED_TRACE("window " + std::to_string(window));
     Simulator sim;
     verbs::Fabric fabric(sim);
     verbs::Node* cl = fabric.add_node();
     verbs::Node* sv = fabric.add_node();
-    int served = 0;
-    Handler echo = [&served](View req) -> Task<Buffer> {
-      ++served;
+    Handler slow_echo = [&sim](View req) -> Task<Buffer> {
+      co_await sim.sleep(50us);
       co_return Buffer(req.begin(), req.end());
     };
     auto ch = make_channel(
-        ProtocolKind::kReadRndv, *cl, *sv, echo,
+        ProtocolKind::kReadRndv, *cl, *sv, slow_echo,
         ChannelConfig{}.with_max_msg(4096).with_window(window));
-    verbs::QueuePair* qp = qp_on(fabric, *cl);
+    verbs::QueuePair* qp = qp_on(fabric, *sv);
     ASSERT_NE(qp, nullptr);
-    // A forged RTS for slot 0: [type][len][addr][rkey].
-    verbs::MemoryRegion* src = cl->pd().alloc_mr(64 << 10);
-    verbs::MemoryRegion* rts = cl->pd().alloc_mr(20);
-    const verbs::RemoteAddr from = src->remote(0);
-    put_u32(rts->data(), 1);
-    put_u32(rts->data() + 4, 64 << 10);
-    put_u64(rts->data() + 8, from.addr);
-    put_u32(rts->data() + 16, from.rkey);
-    sim.spawn([](verbs::QueuePair* qp, verbs::MemoryRegion* rts) -> Task<void> {
+    verbs::MemoryRegion* forged = sv->pd().alloc_mr(20);
+    const Buffer rts = ctrl_frame(kRtsType, 1u << 20);
+    std::copy(rts.begin(), rts.end(), forged->data());
+    const Buffer req(64, std::byte{5});
+    bool threw = false;
+    int echoed = 0;
+    // The first call holds slot 0, which the forged RTS names.
+    sim.spawn([](RpcChannel& ch, const Buffer& req, bool& threw,
+                 int& echoed) -> Task<void> {
+      try {
+        if (CallResult r = co_await ch.call(req, 64); r.ok() && *r == req)
+          ++echoed;
+      } catch (const std::length_error&) {
+        threw = true;
+      }
+    }(*ch, req, threw, echoed));
+    if (window > 1) {
+      sim.spawn([](RpcChannel& ch, const Buffer& req,
+                   int& echoed) -> Task<void> {
+        if (CallResult r = co_await ch.call(req, 64); r.ok() && *r == req)
+          ++echoed;
+      }(*ch, req, echoed));
+    }
+    sim.spawn([](Simulator& sim, verbs::QueuePair* qp,
+                 verbs::MemoryRegion* forged) -> Task<void> {
+      co_await sim.sleep(10us);
       co_await qp->post_send(verbs::SendWr{.opcode = verbs::Opcode::kSend,
-                                           .local = {rts->data(), 20},
+                                           .local = {forged->data(), 20},
                                            .signaled = false});
-    }(qp, rts));
+    }(sim, qp, forged));
     sim.run_until(sim::Time(200us));
-    EXPECT_EQ(served, 0) << "the oversized request reached the handler";
+    EXPECT_TRUE(threw) << "a reply past max_msg was taken";
+    EXPECT_EQ(echoed, window > 1 ? 1 : 0);
     ch->shutdown();
     sim.run();
     EXPECT_EQ(sim.live_tasks(), 0u);

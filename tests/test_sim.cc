@@ -92,6 +92,18 @@ TEST(Simulator, NestedTaskAwait) {
   EXPECT_EQ(got, 42);
 }
 
+TEST(Simulator, AwaitingAnEmptyVoidTaskIsANoOp) {
+  Simulator sim;
+  bool resumed = false;
+  sim.spawn([](bool& resumed) -> Task<void> {
+    co_await Task<void>{};
+    resumed = true;
+  }(resumed));
+  sim.run();
+  EXPECT_TRUE(resumed);
+  EXPECT_EQ(sim.now(), 0ns);
+}
+
 TEST(Simulator, ExceptionPropagatesThroughAwait) {
   Simulator sim;
   auto thrower = [](Simulator& s) -> Task<void> {
