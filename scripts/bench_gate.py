@@ -193,6 +193,28 @@ def check_window(w1, w16):
     assert d16 < d1, "windowed doorbells/call must be strictly lower"
 
 
+def check_fig05(rep):
+    # The paper's Fig. 5 shape at 512 B: in every busy-polling client count,
+    # Direct-WriteIMM finishes its calls first of the ten protocols.
+    assert rep["config"]["window"] == 1, "expected a --window 1 report"
+    groups = {}
+    for r in rep["virtual"]["rows"]:
+        size, kind, clients, poll = r["name"].split("/")[1:]
+        if size == "512B" and poll == "busy":
+            groups.setdefault(clients, {})[kind] = r["elapsed_ns"]
+    assert groups, "no Fig05/512B/*/busy rows"
+    for clients, spans in groups.items():
+        assert len(spans) == 10, f"{clients}: {len(spans)} protocols, not 10"
+        best = min(spans, key=spans.get)
+        direct = spans["Direct-WriteIMM"]
+        others = [v for k, v in spans.items() if k != "Direct-WriteIMM"]
+        assert direct < min(others), \
+            f"512B {clients} busy: {best} ({spans[best]} ns) beats " \
+            f"Direct-WriteIMM ({direct} ns)"
+    print(f"fig05: Direct-WriteIMM first at 512 B busy in {len(groups)} "
+          "client counts")
+
+
 def check_echo(*reps):
     # Every figure row that compares its echoes byte for byte found none
     # wrong. A report must have at least one such row.
@@ -209,6 +231,7 @@ CHECKS = {"cluster": ("cluster", check_cluster),
           "sim_core": ("sim_core", check_sim_core),
           "scalability": ("scalability", check_scalability),
           "adaptive": ("adaptive", check_adaptive),
+          "fig05": ("fig05", check_fig05),
           "window": ("fig05", check_window),
           "echo": (None, check_echo)}
 

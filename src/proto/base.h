@@ -181,8 +181,7 @@ class ChannelBase : public RpcChannel {
   /// routes completions by slot tag and each handler runs in a task of its
   /// own (serve_request). Drain loops at window 1 would hold a busy-poll
   /// core between calls (and, on the server, while the handler computes),
-  /// over-subscribing a busy server's cores. Direct is the exception: its
-  /// client drains, and its server spawns the handler, at every window.
+  /// over-subscribing a busy server's cores. Every protocol follows it.
   bool one_slot() const { return cfg_.window == 1; }
 
   /// Whether a slot tag read off the wire names a slot of the window.

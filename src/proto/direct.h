@@ -8,13 +8,13 @@
 // Their shared cost is the reserved max_msg buffer per connection — the
 // memory-scaling weakness the paper's res_util hint steers away from.
 //
-// Pipelining: the message buffers are rings of cfg_.window slots, one per
+// Call windows: the message buffers are rings of cfg_.window slots, one per
 // in-flight call. Notifications carry the slot (in the imm's top byte for
-// WRITE_IMM, in the notify payload for the SEND variants); the client's
-// Router drains the recv CQ in batches and hands each completion to the
-// call holding its slot, while the server spawns one handler task per
-// request so slots are served concurrently. window=1 degenerates to the
-// classic one-outstanding-call channel with identical per-call charges.
+// WRITE_IMM, in the notify payload for the SEND variants). With one slot
+// the caller polls its own recv CQ and the server runs each handler inline;
+// with more, the client's Router drains the recv CQ in batches and hands
+// each completion to the call holding its slot, while each handler runs in
+// a task of its own so slots are served concurrently (serve_request).
 //
 // Host copies: the request blocks are lent to callers (lease_send_block),
 // so a caller that serializes into one is posted with no staging copy, and
@@ -80,15 +80,14 @@ class DirectChannel : public ChannelBase {
         // Slot and length come off the wire: a request naming no slot of
         // the window, or overrunning its slot's buffer, is dropped.
         if (in_window(n.slot) && n.msg <= cfg_.max_msg)
-          sim_.spawn(serve_one(n.slot, n.msg));
+          co_await serve_request(serve_one(n.slot, n.msg));
       }
     }
   }
 
-  /// The client drains at every window, one slot included (the committed
-  /// numbers measure that shape).
   void start() override {
     ChannelBase::start();
+    if (one_slot()) return;
     sim_.spawn(replies_.drain(
         [this] { return cep_.recv_wcs(cfg_.window); },
         [this](const verbs::Wc& wc) {
@@ -100,7 +99,7 @@ class DirectChannel : public ChannelBase {
   DirectChannel(ProtocolKind kind, verbs::Node& client, verbs::Node& server,
                 Handler handler, ChannelConfig cfg)
       : ChannelBase(kind, client, server, std::move(handler), cfg),
-        replies_(*this, cfg_.window) {
+        replies_(*this, routed_slots()) {
     if (cfg_.max_msg >= kOversized)
       throw std::length_error("direct protocol: max_msg must stay below the "
                               "24-bit notify length field's oversize mark");
@@ -179,7 +178,22 @@ class DirectChannel : public ChannelBase {
     }
     co_await push(cep_.qp, src, srv_req_buf_->remote(off), len, len, slot,
                   cli_notify_src_);
-    const std::optional<uint32_t> rlen = co_await replies_.next(slot);
+    std::optional<uint32_t> rlen;
+    if (!one_slot()) {
+      rlen = co_await replies_.next(slot);
+    } else {
+      // The one caller reaps its own reply: a note tagged past the window
+      // is dropped, and a failed completion fails the channel.
+      while (!rlen) {
+        auto wcs = co_await cep_.recv_wcs(1);
+        const Note n = take_note(wcs.front(), cep_.qp, cli_notify_ring_);
+        if (n.status != verbs::WcStatus::kSuccess) {
+          mark_dead(n.status);
+          break;
+        }
+        if (in_window(n.slot)) rlen = n.msg;
+      }
+    }
     if (!rlen || *rlen > cfg_.max_msg) {
       release_slot(slot);
       if (!rlen) throw_wc("direct recv", dead_status_);
@@ -311,7 +325,7 @@ class DirectChannel : public ChannelBase {
   verbs::MemoryRegion* srv_notify_src_ = nullptr;
   verbs::MemoryRegion* cli_notify_ring_ = nullptr;
   verbs::MemoryRegion* srv_notify_ring_ = nullptr;
-  Router<uint32_t> replies_;  // per slot: the length its reply announced
+  Router<uint32_t> replies_;  // windowed: each slot's announced reply length
   std::vector<std::shared_ptr<ReplyLoan>> loans_;  // per window slot
   std::vector<uint32_t> free_blocks_;  // cli_req_src_ blocks not lent out
   uint32_t ring_slots_ = 0;

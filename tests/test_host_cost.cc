@@ -86,8 +86,8 @@ TEST(HostCost, SteadyStatePingFramesAndEventsPerCall) {
   // Every steady-state call costs the same, so the totals divide evenly.
   EXPECT_EQ(c.frames % kCalls, 0u);
   EXPECT_EQ(c.events % kCalls, 0u);
-  EXPECT_EQ(c.frames / kCalls, 22u);
-  EXPECT_EQ(c.events / kCalls, 22u);
+  EXPECT_EQ(c.frames / kCalls, 21u);
+  EXPECT_EQ(c.events / kCalls, 21u);
 }
 
 /// Frames and events over `timed` echo calls of `bytes` on a fresh `kind`
@@ -137,16 +137,16 @@ TEST(HostCost, EveryKindFramesAndEventsPer64Calls) {
   const Pin pins[] = {
       {K::kEagerSendRecv, 512, 1088, 1472},
       {K::kEagerSendRecv, 128 << 10, 19520, 50496},
-      {K::kDirectWriteSend, 512, 1472, 1664},
-      {K::kDirectWriteSend, 128 << 10, 1472, 5760},
-      {K::kChainedWriteSend, 512, 1600, 1792},
-      {K::kChainedWriteSend, 128 << 10, 1600, 5888},
+      {K::kDirectWriteSend, 512, 1408, 1600},
+      {K::kDirectWriteSend, 128 << 10, 1408, 5696},
+      {K::kChainedWriteSend, 512, 1536, 1728},
+      {K::kChainedWriteSend, 128 << 10, 1536, 5824},
       {K::kWriteRndv, 512, 2432, 3136},
       {K::kWriteRndv, 128 << 10, 2432, 7104},
       {K::kReadRndv, 512, 2048, 3008},
       {K::kReadRndv, 128 << 10, 2048, 6976},
-      {K::kDirectWriteImm, 512, 1088, 1152},
-      {K::kDirectWriteImm, 128 << 10, 1088, 5120},
+      {K::kDirectWriteImm, 512, 1024, 1088},
+      {K::kDirectWriteImm, 128 << 10, 1024, 5056},
       {K::kPilaf, 512, 1920, 3328},
       {K::kPilaf, 128 << 10, 5120, 14464},
       {K::kFarm, 512, 1600, 2624},

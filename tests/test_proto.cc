@@ -1020,6 +1020,156 @@ TEST(DirectClient, FailsAReplyAnnouncingMoreThanMaxMsg) {
   EXPECT_EQ(sim.live_tasks(), 0u);
 }
 
+constexpr ProtocolKind kDirectKinds[] = {ProtocolKind::kDirectWriteSend,
+                                         ProtocolKind::kChainedWriteSend,
+                                         ProtocolKind::kDirectWriteImm};
+
+/// How one call of `direct_calls_after_a_forged_note` ended.
+enum class Outcome { kOwnEcho, kLengthError, kOther, kPending };
+
+/// Runs `calls` calls one after another on a fresh `kind` channel (max_msg
+/// 4 KiB, `window` slots) whose echo handler takes 50 us. Each call sends
+/// its own bytes. 10 us in, the server's QP sends the client a forged reply
+/// note naming `slot` and announcing `len` bytes: a WRITE_IMM's imm for
+/// Direct-WriteIMM, a [len][slot] notify SEND for the other two. Returns
+/// how each call ended by 1 ms of virtual time, after checking that no
+/// task outlives shutdown.
+std::vector<Outcome> direct_calls_after_a_forged_note(ProtocolKind kind,
+                                                      uint32_t window,
+                                                      uint32_t slot,
+                                                      uint32_t len,
+                                                      int calls) {
+  Simulator sim;
+  verbs::Fabric fabric(sim);
+  verbs::Node* cl = fabric.add_node();
+  verbs::Node* sv = fabric.add_node();
+  Handler slow_echo = [&sim](View req) -> Task<Buffer> {
+    co_await sim.sleep(50us);
+    co_return Buffer(req.begin(), req.end());
+  };
+  auto ch = make_channel(
+      kind, *cl, *sv, slow_echo,
+      ChannelConfig{}.with_max_msg(4096).with_window(window));
+  verbs::QueuePair* qp = qp_on(fabric, *sv);
+  EXPECT_NE(qp, nullptr);
+  if (!qp) return {};
+  verbs::MemoryRegion* src = sv->pd().alloc_mr(8);
+  verbs::MemoryRegion* dst = cl->pd().alloc_mr(8);
+  verbs::SendWr note{.opcode = verbs::Opcode::kSend,
+                     .local = {src->data(), 8},
+                     .signaled = false};
+  if (kind == ProtocolKind::kDirectWriteImm) {
+    note = {.opcode = verbs::Opcode::kWriteImm,
+            .local = {src->data(), 0},
+            .remote = dst->remote(),
+            .imm = (slot << 24) | len,
+            .signaled = false};
+  } else {
+    put_u32(src->data(), len);
+    put_u32(src->data() + 4, slot);
+  }
+  std::vector<Outcome> out(size_t(calls), Outcome::kPending);
+  sim.spawn([](RpcChannel& ch, std::vector<Outcome>& out) -> Task<void> {
+    for (size_t i = 0; i < out.size(); ++i) {
+      const Buffer req(64, std::byte(i + 1));
+      try {
+        CallResult r = co_await ch.call(req, 64);
+        out[i] = r.ok() && *r == req ? Outcome::kOwnEcho : Outcome::kOther;
+      } catch (const std::length_error&) {
+        out[i] = Outcome::kLengthError;
+      }
+    }
+  }(*ch, out));
+  sim.spawn([](Simulator& sim, verbs::QueuePair* qp,
+               verbs::SendWr note) -> Task<void> {
+    co_await sim.sleep(10us);
+    co_await qp->post_send(note);
+  }(sim, qp, note));
+  sim.run_until(sim::Time(1ms));
+  ch->shutdown();
+  sim.run();
+  EXPECT_EQ(sim.live_tasks(), 0u);
+  return out;
+}
+
+TEST(DirectClient, DropsANoteNamingNoSlotOfTheWindow) {
+  // The reply note's slot tag comes off the wire: one past the window is
+  // dropped, whether the caller reaps its own CQ (one slot) or a router
+  // routes it (two), and the real reply still reaches its call.
+  for (ProtocolKind kind : kDirectKinds)
+    for (uint32_t window : {1u, 2u}) {
+      SCOPED_TRACE(std::string(to_string(kind)) + ", window " +
+                   std::to_string(window));
+      EXPECT_EQ(direct_calls_after_a_forged_note(kind, window, 200, 16, 1),
+                std::vector<Outcome>{Outcome::kOwnEcho});
+    }
+}
+
+TEST(DirectClient, AnOversizeNoteFailsOnlyTheCallItNames) {
+  // A forged note past max_msg for the first call's slot fails that call
+  // with a length error; the two calls after it echo their own bytes.
+  for (ProtocolKind kind : kDirectKinds)
+    for (uint32_t window : {1u, 2u}) {
+      SCOPED_TRACE(std::string(to_string(kind)) + ", window " +
+                   std::to_string(window));
+      EXPECT_EQ(
+          direct_calls_after_a_forged_note(kind, window, 0, 1u << 20, 3),
+          (std::vector<Outcome>{Outcome::kLengthError, Outcome::kOwnEcho,
+                                Outcome::kOwnEcho}));
+    }
+}
+
+/// The median latency of 40 back-to-back 512 B calls on each of 16 busy
+/// window-1 clients, one node and channel each, against one default server
+/// node whose handler computes 1 us plus the bytes at 20 GB/s (fig05's).
+sim::Duration median_of_16_busy_clients(ProtocolKind kind) {
+  constexpr int kClients = 16;
+  constexpr int kCalls = 40;
+  Simulator sim;
+  verbs::Fabric fabric(sim);
+  verbs::Node* sv = fabric.add_node();
+  Handler handler = [sv](View req) -> Task<Buffer> {
+    co_await sv->cpu().compute(1us + sim::transfer_time(req.size(), 20.0));
+    co_return Buffer(req.begin(), req.end());
+  };
+  std::vector<std::unique_ptr<RpcChannel>> channels;
+  for (int c = 0; c < kClients; ++c)
+    channels.push_back(make_channel(kind, *fabric.add_node(), *sv, handler,
+                                    ChannelConfig{}.with_poll(PollMode::kBusy)));
+  std::vector<sim::Duration> lat;
+  for (auto& ch : channels) {
+    sim.spawn([](Simulator& sim, RpcChannel& ch,
+                 std::vector<sim::Duration>& lat) -> Task<void> {
+      const Buffer req(512, std::byte{'p'});
+      for (int i = 0; i < kCalls; ++i) {
+        const sim::Time t0 = sim.now();
+        EXPECT_EQ((co_await ch.call(req, 512)).value(), req);
+        lat.push_back(sim.now() - t0);
+      }
+      ch.shutdown();
+    }(sim, *ch, lat));
+  }
+  sim.run();
+  EXPECT_EQ(sim.live_tasks(), 0u);
+  EXPECT_EQ(lat.size(), size_t(kClients * kCalls));
+  std::nth_element(lat.begin(), lat.begin() + lat.size() / 2, lat.end());
+  return lat[lat.size() / 2];
+}
+
+TEST(DirectClient, WriteImmMedianBeatsEagerAtSixteenBusyClients) {
+  // The paper's Fig. 5 puts Direct-WriteIMM first. Under the one-slot rule
+  // its client reaps its own reply and its server runs the handler inline.
+  // A server that spawned every handler while its poller kept spinning
+  // would hold two cores per request, time-slice the handlers of 16 busy
+  // connections and lose to Eager-SendRecv here.
+  const sim::Duration direct =
+      median_of_16_busy_clients(ProtocolKind::kDirectWriteImm);
+  const sim::Duration eager =
+      median_of_16_busy_clients(ProtocolKind::kEagerSendRecv);
+  EXPECT_LT(direct, eager) << direct.count() << " ns vs " << eager.count()
+                           << " ns";
+}
+
 /// Sends each of `frames` as a raw SEND on the client's QP of a fresh
 /// `kind` channel (max_msg 4 KiB, `window` slots), then, 200 us later, one
 /// real call. The server must drop every forged frame and keep serving:
