@@ -19,11 +19,11 @@
 // buffer are rings of per-slot strides. The busy server scans every slot
 // per wakeup (one pickup charge per detected batch); the event server
 // recovers the slot from the imm tag. Client READs are tagged wr_id=slot.
-// With one slot there is one waiter per side: the client polls its own send
-// CQ (and HERD's response pipe) and the server runs the handler inline.
-// With more, a Router drains the send CQ (HERD: the slot-tagged response
-// pipe) so concurrent fetches never steal each other's completions, and the
-// server spawns a handler per ready slot.
+// The waiting callers take turns sweeping the client's send CQ (HERD: the
+// response pipe), and the Router hands each completion to the call holding
+// its slot, so concurrent fetches never steal each other's completions.
+// With one slot the server runs the handler inline; with more, it spawns a
+// handler per ready slot.
 #pragma once
 
 #include "proto/base.h"
@@ -63,35 +63,17 @@ class BypassChannel : public ChannelBase {
 
     if (kind_ != ProtocolKind::kHerd)
       co_return co_await fetch_response(slot, seq, resp_size_hint);
-    // With one slot the caller reads its own (untagged) reply off the pipe;
-    // with more, replies_ routes slot-tagged ones.
-    std::optional<Buffer> resp;
-    if (one_slot())
-      resp = co_await resp_pipe_->recv();
-    else
-      resp = co_await replies_.next(slot);
-    if (!resp)
-      throw_wc("herd recv",
-               one_slot() ? resp_pipe_->last_status() : dead_status_);
-    co_return std::move(*resp);
+    while (co_await mail_.turn(slot))
+      mail_.sweep(co_await resp_pipe_->recv(), [this](std::optional<Buffer>& m) {
+        return untag(*resp_pipe_, m);
+      });
+    Routed r = mail_.take(slot);
+    if (r.status != verbs::WcStatus::kSuccess) throw_wc("herd recv", r.status);
+    co_return std::move(r.msg);
   }
 
   sim::Task<void> serve() override {
     return event_server() ? serve_event() : serve_busy();
-  }
-
-  void start() override {
-    ChannelBase::start();
-    if (one_slot()) return;
-    if (kind_ == ProtocolKind::kHerd) {
-      sim_.spawn(replies_.drain(*resp_pipe_));
-      return;
-    }
-    using Read = Router<verbs::Wc>::Routed;
-    sim_.spawn(reads_.drain([this] { return cep_.send_wcs(cfg_.window); },
-                            [](const verbs::Wc& wc) -> Read {
-                              return {wc.status, uint32_t(wc.wr_id), wc};
-                            }));
   }
 
   void extra_shutdown() override { watch_.notify_all(); }
@@ -102,8 +84,7 @@ class BypassChannel : public ChannelBase {
       : ChannelBase(kind, client, server, std::move(handler), cfg),
         watch_(client.fabric().simulator()),
         srv_send_mu_(client.fabric().simulator()),
-        reads_(*this, kind == ProtocolKind::kHerd ? 0 : routed_slots()),
-        replies_(*this, kind == ProtocolKind::kHerd ? routed_slots() : 0) {
+        mail_(*this) {
     const uint32_t w = cfg_.window;
     req_stride_ = kReqHdr + cfg_.max_msg;
     exp_stride_ = kExportHdr + cfg_.max_msg;
@@ -147,6 +128,8 @@ class BypassChannel : public ChannelBase {
                                                   verbs::Node&, verbs::Node&,
                                                   Handler, ChannelConfig);
 
+  using Routed = Router<Buffer>::Routed;
+
   static constexpr uint32_t kReqHdr = 12;    // [u64 seq][u32 len]
   static constexpr uint32_t kMetaBytes = 16;
   static constexpr uint32_t kExportHdr = 32;  // meta1 + meta2
@@ -175,8 +158,7 @@ class BypassChannel : public ChannelBase {
   }
 
   /// Slot-tagged READ of `len` export bytes at `remote_off` into the slot's
-  /// read stride at `local_off`. With one slot the caller polls its own send
-  /// CQ; with more, reads_ routes the completion by wr_id.
+  /// read stride at `local_off`; mail_ routes its completion by wr_id.
   sim::Task<void> issue_read(uint32_t slot, uint64_t remote_off, uint32_t len,
                              uint64_t local_off = 0) {
     ++stats_.reads;
@@ -186,12 +168,13 @@ class BypassChannel : public ChannelBase {
         .opcode = verbs::Opcode::kRead,
         .local = {cli_read_buf_->data() + base + local_off, len},
         .remote = srv_export_->remote(base + remote_off)});
-    if (one_slot()) {
-      const verbs::Wc wc = co_await cep_.send_wc();
-      if (!wc.ok()) throw_wc("bypass read", wc.status);
-    } else if (!co_await reads_.next(slot)) {
-      throw_wc("bypass read", dead_status_);
-    }
+    while (co_await mail_.turn(slot))
+      mail_.sweep(co_await cep_.scq->reap(cep_.poll, cfg_.window),
+                  [](const verbs::Wc& wc) -> Routed {
+                    return {.status = wc.status, .slot = uint32_t(wc.wr_id)};
+                  });
+    const Routed r = mail_.take(slot);
+    if (r.status != verbs::WcStatus::kSuccess) throw_wc("bypass read", r.status);
   }
 
   sim::Task<Buffer> fetch_response(uint32_t slot, uint64_t seq,
@@ -366,8 +349,8 @@ class BypassChannel : public ChannelBase {
   std::vector<uint64_t> served_seq_;  // per slot: last served request seq
   uint32_t req_stride_ = 0;
   uint32_t exp_stride_ = 0;
-  Router<verbs::Wc> reads_;  // windowed Pilaf/FaRM/RFP: READ completions
-  Router<Buffer> replies_;   // windowed HERD: each slot's reply
+  // Each slot's READ completions (Pilaf, FaRM, RFP) or reply (HERD).
+  Router<Buffer> mail_;
   sim::Duration fetch_delay_{};  // RFP adaptive-fetch delay estimate
 };
 

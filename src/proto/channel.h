@@ -290,7 +290,7 @@ class RpcChannel {
   /// is posted from there without a staging copy.
   virtual SendBlock lease_send_block() { return {}; }
 
-  /// Stops the server-side serve loop(s) so the simulation can drain.
+  /// Stops the server-side serve loop(s) so the simulation can run dry.
   virtual void shutdown() = 0;
 
   /// Hard teardown: shutdown() plus transitioning the underlying QPs into
@@ -314,7 +314,7 @@ class RpcChannel {
 
   /// Bounds the number of in-flight calls to `n` without reallocating:
   /// shrinking withholds free slots as they come home (in-flight calls
-  /// drain untouched), growing re-releases withheld ones. Returns false if
+  /// finish untouched), growing re-releases withheld ones. Returns false if
   /// `n` exceeds what the channel allocated — that needs an epoch swap.
   virtual bool resize_window(uint32_t /*n*/) { return false; }
 

@@ -10,11 +10,11 @@
 //
 // Call windows: the message buffers are rings of cfg_.window slots, one per
 // in-flight call. Notifications carry the slot (in the imm's top byte for
-// WRITE_IMM, in the notify payload for the SEND variants). With one slot
-// the caller polls its own recv CQ and the server runs each handler inline;
-// with more, the client's Router drains the recv CQ in batches and hands
-// each completion to the call holding its slot, while each handler runs in
-// a task of its own so slots are served concurrently (serve_request).
+// WRITE_IMM, in the notify payload for the SEND variants). The waiting
+// callers take turns sweeping the client's recv CQ, and the Router hands
+// each note to the call holding its slot. With one slot the server runs
+// each handler inline; with more, each runs in a task of its own so slots
+// are served concurrently (serve_request).
 //
 // Host copies: the request blocks are lent to callers (lease_send_block),
 // so a caller that serializes into one is posted with no staging copy, and
@@ -85,21 +85,11 @@ class DirectChannel : public ChannelBase {
     }
   }
 
-  void start() override {
-    ChannelBase::start();
-    if (one_slot()) return;
-    sim_.spawn(replies_.drain(
-        [this] { return cep_.recv_wcs(cfg_.window); },
-        [this](const verbs::Wc& wc) {
-          return take_note(wc, cep_.qp, cli_notify_ring_);
-        }));
-  }
-
  private:
   DirectChannel(ProtocolKind kind, verbs::Node& client, verbs::Node& server,
                 Handler handler, ChannelConfig cfg)
       : ChannelBase(kind, client, server, std::move(handler), cfg),
-        replies_(*this, routed_slots()) {
+        replies_(*this, /*marks_dead=*/true) {
     if (cfg_.max_msg >= kOversized)
       throw std::length_error("direct protocol: max_msg must stay below the "
                               "24-bit notify length field's oversize mark");
@@ -114,7 +104,7 @@ class DirectChannel : public ChannelBase {
     ring_slots_ = std::max(cfg_.eager_slots, w);
     if (kind_ == ProtocolKind::kDirectWriteImm) {
       // WRITE_WITH_IMM consumes a (bufferless) posted recv on each side.
-      // The server drains the shared pool instead when one is configured.
+      // The server takes its recvs from the shared pool when one is set.
       if (cfg_.server_srq) sep_.qp->set_srq(cfg_.server_srq);
       for (uint32_t i = 0; i < ring_slots_; ++i) {
         cep_.qp->post_recv(verbs::RecvWr{.wr_id = i});
@@ -178,29 +168,19 @@ class DirectChannel : public ChannelBase {
     }
     co_await push(cep_.qp, src, srv_req_buf_->remote(off), len, len, slot,
                   cli_notify_src_);
-    std::optional<uint32_t> rlen;
-    if (!one_slot()) {
-      rlen = co_await replies_.next(slot);
-    } else {
-      // The one caller reaps its own reply: a note tagged past the window
-      // is dropped, and a failed completion fails the channel.
-      while (!rlen) {
-        auto wcs = co_await cep_.recv_wcs(1);
-        const Note n = take_note(wcs.front(), cep_.qp, cli_notify_ring_);
-        if (n.status != verbs::WcStatus::kSuccess) {
-          mark_dead(n.status);
-          break;
-        }
-        if (in_window(n.slot)) rlen = n.msg;
-      }
-    }
-    if (!rlen || *rlen > cfg_.max_msg) {
-      release_slot(slot);
-      if (!rlen) throw_wc("direct recv", dead_status_);
-      throw std::length_error("direct protocol: response exceeds the "
-                              "pre-known buffer");
-    }
-    co_return Landed{slot, *rlen};
+    while (co_await replies_.turn(slot))
+      replies_.sweep(co_await cep_.recv_wcs(cfg_.window),
+                     [this](const verbs::Wc& wc) {
+                       return take_note(wc, cep_.qp, cli_notify_ring_);
+                     });
+    const Note n = replies_.take(slot);
+    if (n.status == verbs::WcStatus::kSuccess && n.msg <= cfg_.max_msg)
+      co_return Landed{slot, n.msg};
+    release_slot(slot);
+    if (n.status != verbs::WcStatus::kSuccess)
+      throw_wc("direct recv", dead_status_);
+    throw std::length_error("direct protocol: response exceeds the "
+                            "pre-known buffer");
   }
 
   /// Before a slot's response area is reused, copies out the reply still
@@ -325,7 +305,7 @@ class DirectChannel : public ChannelBase {
   verbs::MemoryRegion* srv_notify_src_ = nullptr;
   verbs::MemoryRegion* cli_notify_ring_ = nullptr;
   verbs::MemoryRegion* srv_notify_ring_ = nullptr;
-  Router<uint32_t> replies_;  // windowed: each slot's announced reply length
+  Router<uint32_t> replies_;  // each slot's announced reply length
   std::vector<std::shared_ptr<ReplyLoan>> loans_;  // per window slot
   std::vector<uint32_t> free_blocks_;  // cli_req_src_ blocks not lent out
   uint32_t ring_slots_ = 0;

@@ -3,12 +3,12 @@
 // modest pinned memory, but every byte is staged through a slot copy on
 // both sides, so it suits small messages (and the res_util hint).
 //
-// Call windows: every call holds a window slot. With one slot there is one
-// waiter, so the caller reads its own reply off the response pipe and the
-// server runs each request inline. With more, messages gain a 4-byte slot
-// tag so the client's Router can hand each response to the call holding
-// its slot; whole-message sends are serialized per pipe direction (the ring
-// is a shared resource) while the server handles requests concurrently.
+// Call windows: every call holds a window slot. The waiting callers take
+// turns reading the response pipe, and the Router hands each response to
+// the call holding its slot. With more than one slot, messages gain a
+// 4-byte slot tag and the server handles requests concurrently;
+// whole-message sends are serialized per pipe direction (the ring is a
+// shared resource).
 #pragma once
 
 #include "proto/base.h"
@@ -29,32 +29,26 @@ class EagerChannel : public ChannelBase {
       sent = co_await c2s_.send(req, wire_tag(slot));
     }
     if (!sent) throw_wc("eager send", c2s_.last_status());
-    std::optional<Buffer> resp;
-    if (one_slot())
-      resp = co_await s2c_.recv();
-    else
-      resp = co_await replies_.next(slot);
-    if (!resp)
-      throw_wc("eager recv", one_slot() ? s2c_.last_status() : dead_status_);
-    co_return std::move(*resp);
+    while (co_await replies_.turn(slot))
+      replies_.sweep(co_await s2c_.recv(), [this](std::optional<Buffer>& m) {
+        return untag(s2c_, m);
+      });
+    auto r = replies_.take(slot);
+    if (r.status != verbs::WcStatus::kSuccess) throw_wc("eager recv", r.status);
+    co_return std::move(r.msg);
   }
 
  protected:
-  /// A fragment the pipe rejects is dropped (a real failed completion is
-  /// followed by the QP's flush); any other failed completion ends the loop.
+  /// A fragment the pipe rejects, or a request naming no slot of the
+  /// window, is dropped; a failed completion ends the loop.
   sim::Task<void> serve() override {
     while (!stop_) {
       auto req = co_await c2s_.recv();
-      if (req)
-        co_await serve_request(serve_one(std::move(*req)));
-      else if (c2s_.last_status() != verbs::WcStatus::kLocLenErr)
-        break;
+      auto r = untag(c2s_, req);
+      if (r.status != verbs::WcStatus::kSuccess) break;
+      if (in_window(r.slot))
+        co_await serve_request(serve_one(r.slot, std::move(r.msg)));
     }
-  }
-
-  void start() override {
-    ChannelBase::start();
-    if (!one_slot()) sim_.spawn(replies_.drain(s2c_));
   }
 
  private:
@@ -65,7 +59,7 @@ class EagerChannel : public ChannelBase {
         c2s_(cep_, sep_, cfg_, &stats_, channel_counters()),
         s2c_(sep_, cep_, cfg_, &stats_, channel_counters()),
         send_mu_(sim_), srv_send_mu_(sim_),
-        replies_(*this, routed_slots()) {
+        replies_(*this) {
     // Each pipe pins one ring per side.
     stats_.client_registered += c2s_.ring_bytes() + s2c_.ring_bytes();
     stats_.server_registered += c2s_.ring_bytes() + s2c_.ring_bytes();
@@ -76,13 +70,8 @@ class EagerChannel : public ChannelBase {
                                                   Handler, ChannelConfig);
 
   /// Serves one request, answering under its slot tag (none with one slot).
-  /// The tag comes off the wire: a request naming no slot of the window is
-  /// dropped.
-  sim::Task<void> serve_one(Buffer req) {
-    const uint32_t slot = one_slot() ? 0 : EagerPipe::slot_tag(req);
-    if (!in_window(slot)) co_return;
-    Buffer resp =
-        (co_await run_handler(View(req).subspan(one_slot() ? 0 : 4))).take();
+  sim::Task<void> serve_one(uint32_t slot, Buffer req) {
+    Buffer resp = (co_await run_handler(View(req))).take();
     auto guard = co_await srv_send_mu_.scoped();
     co_await s2c_.send(resp, wire_tag(slot));
   }
@@ -91,7 +80,7 @@ class EagerChannel : public ChannelBase {
   EagerPipe s2c_;
   sim::Mutex send_mu_;
   sim::Mutex srv_send_mu_;
-  Router<Buffer> replies_;  // windowed: each slot's reply
+  Router<Buffer> replies_;  // each slot's reply
 };
 
 }  // namespace hatrpc::proto

@@ -148,7 +148,7 @@ class EagerPipe {
           cost_.copy_time(take, dst_.qp->numa_local));
       out.insert(out.end(), s + hdr, s + hdr + take);
       post_recv_slot(idx);
-      // Batch-drain CQEs that are already visible (ibv_poll_cq semantics) —
+      // Batch-take CQEs that are already visible (ibv_poll_cq semantics) —
       // this is what keeps event-mode pickups per batch, not per segment.
       if (out.size() < total) pending = dst_.rcq->try_poll();
     }

@@ -9,10 +9,10 @@
 //
 // Call windows: payload pools are per-slot rings, and every message carries
 // its call's window slot (in the ctrl frame's type word, in the imm's top
-// byte, in a READ's wr_id). The server runs one worker per slot. With one
-// slot there is one waiter per side, so each side polls its own CQs and the
-// server runs the handler inline; with more, each side's Router drains its
-// recv CQ (and, for Read-RNDV, its send CQ) into the slots' mailboxes.
+// byte, in a READ's wr_id). The server runs one worker per slot: inline
+// with one slot, in a task of its own with more. On each side the waiting
+// calls (or workers) take turns sweeping each CQ, and a Router per CQ hands
+// each completion to the slot it names.
 #pragma once
 
 #include "proto/base.h"
@@ -74,26 +74,14 @@ class RendezvousChannel : public ChannelBase {
   sim::Task<void> serve() override {
     for (uint32_t s = 0; s < cfg_.window; ++s)
       co_await serve_request(serve_slot(s));
-    if (!one_slot()) co_await drain(srv_, /*sends=*/false);
-  }
-
-  void start() override {
-    ChannelBase::start();
-    if (one_slot()) return;
-    sim_.spawn(drain(cli_, /*sends=*/false));
-    if (kind_ == ProtocolKind::kReadRndv) {
-      // Only READs are signaled; WriteRndv has nothing on the send CQs.
-      sim_.spawn(drain(cli_, /*sends=*/true));
-      sim_.spawn(drain(srv_, /*sends=*/true));
-    }
   }
 
  private:
   RendezvousChannel(ProtocolKind kind, verbs::Node& client,
                     verbs::Node& server, Handler handler, ChannelConfig cfg)
       : ChannelBase(kind, client, server, std::move(handler), cfg),
-        cli_{cep_, Router<RMsg>(*this, routed_slots())},
-        srv_{sep_, Router<RMsg>(*this, routed_slots(), /*server=*/true)} {
+        cli_{cep_, Router<RMsg>(*this), Router<RMsg>(*this)},
+        srv_{sep_, Router<RMsg>(*this), Router<RMsg>(*this)} {
     if (cfg_.max_msg > kLenMask)
       throw std::length_error("rendezvous: max_msg exceeds the 24-bit imm "
                               "length field");
@@ -143,11 +131,13 @@ class RendezvousChannel : public ChannelBase {
   };
   using Routed = Router<RMsg>::Routed;
 
-  /// One side: its endpoint, its router, the ring its ctrl frames land in,
-  /// and the rotating sources of the ctrl frames it sends.
+  /// One side: its endpoint, the routers of its recv and send CQs (only
+  /// READs are signaled, so Write-RNDV's send CQs stay empty), the ring its
+  /// ctrl frames land in, and the rotating sources of those it sends.
   struct Side {
     verbs::Endpoint& ep;
-    Router<RMsg> mail;
+    Router<RMsg> ctrl;
+    Router<RMsg> reads;
     verbs::MemoryRegion* ring = nullptr;
     verbs::MemoryRegion* src = nullptr;
     uint32_t seq = 0;
@@ -192,38 +182,27 @@ class RendezvousChannel : public ChannelBase {
     return r;
   }
 
-  /// `slot`'s next message of `type` on `side`. With one slot the caller
-  /// is the side's only waiter, so it polls its own CQ (the send CQ for a
-  /// READ's completion); with more, it awaits the slot's mailbox. Any other
-  /// message, and on the server one announcing more than max_msg, is
-  /// dropped and the wait goes on. A failed completion throws: it fails the
-  /// client's call, and ends the server's slot worker.
+  /// `slot`'s next message of `type` on `side`, off the send CQ for a
+  /// READ's completion and the recv CQ for the rest. Any other message, and
+  /// on the server one announcing more than max_msg, is dropped and the
+  /// wait goes on. A failed completion throws: it fails the client's call,
+  /// and ends the server's slot worker.
   sim::Task<RMsg> expect(Side& side, uint32_t slot, uint32_t type) {
+    const bool read = type == kReadDone;
+    Router<RMsg>& mail = read ? side.reads : side.ctrl;
+    verbs::CompletionQueue& cq = read ? *side.ep.scq : *side.ep.rcq;
     for (;;) {
-      Routed r{.slot = slot};
-      if (!one_slot()) {
-        std::optional<RMsg> m = co_await side.mail.next(slot);
-        if (!m) throw_wc("rndv", dead_status_);
-        r.msg = *m;
-      } else if (type == kReadDone) {
-        r = decode(side, co_await side.ep.send_wc());
-      } else {
-        r = decode(side, co_await side.ep.recv_wc());
-      }
+      while (co_await mail.turn(slot))
+        mail.sweep(co_await cq.reap(side.ep.poll, cfg_.window),
+                   [this, &side](const verbs::Wc& wc) {
+                     return decode(side, wc);
+                   });
+      const Routed r = mail.take(slot);
       if (r.status != verbs::WcStatus::kSuccess) throw_wc("rndv", r.status);
-      if (r.slot == slot && r.msg.type == type &&
+      if (r.msg.type == type &&
           (&side == &cli_ || r.msg.len <= cfg_.max_msg))
         co_return r.msg;
     }
-  }
-
-  /// Drains `side`'s recv CQ (its send CQ when `sends`) into its router.
-  sim::Task<void> drain(Side& side, bool sends) {
-    return side.mail.drain(
-        [&ep = side.ep, sends, n = cfg_.window] {
-          return sends ? ep.send_wcs(n) : ep.recv_wcs(n);
-        },
-        [this, &side](const verbs::Wc& wc) { return decode(side, wc); });
   }
 
   /// The server half of `slot`'s calls, looping for the slot's next

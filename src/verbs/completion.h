@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <deque>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "obs/counters.h"
@@ -193,6 +194,14 @@ class CompletionQueue {
     co_return out;
   }
 
+  /// What reap() resumes with: the entries it took, in order.
+  class Reap;
+
+  /// Up to max_n completions after one pickup, for a caller that polls one
+  /// at a time when alone: wait() when max_n is 1 (no batch poll counted),
+  /// else wait_many(). An awaiter over the task it starts: no extra frame.
+  Reap reap(PollMode mode, size_t max_n);
+
   /// Unblocks all waiters with a kWrFlushErr Wc; used for clean shutdown of
   /// server polling loops.
   void close() {
@@ -238,6 +247,35 @@ class CompletionQueue {
   uint64_t delivered_ = 0;
   uint64_t consumed_ = 0;
 };
+
+class CompletionQueue::Reap {
+ public:
+  explicit Reap(Task<Wc> one) : one_(std::move(one)) {}
+  explicit Reap(Task<std::vector<Wc>> many) : many_(std::move(many)) {}
+  bool await_ready() const noexcept { return false; }
+  std::coroutine_handle<> await_suspend(std::coroutine_handle<> h) {
+    if (one_.valid()) return std::move(one_).operator co_await().await_suspend(h);
+    return std::move(many_).operator co_await().await_suspend(h);
+  }
+  std::span<Wc> await_resume() {
+    if (!one_.valid())
+      return got_ = std::move(many_).operator co_await().await_resume();
+    wc_ = std::move(one_).operator co_await().await_resume();
+    return {&wc_, 1};
+  }
+
+ private:
+  Task<Wc> one_;
+  Task<std::vector<Wc>> many_;
+  Wc wc_;
+  std::vector<Wc> got_;
+};
+
+inline CompletionQueue::Reap CompletionQueue::reap(PollMode mode,
+                                                   size_t max_n) {
+  if (max_n == 1) return Reap(wait(mode));
+  return Reap(wait_many(mode, max_n));
+}
 
 /// ibv_poll_cq-shaped free function: non-blocking batch drain.
 inline std::vector<Wc> poll_cq(CompletionQueue& cq, size_t max_n) {

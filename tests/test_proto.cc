@@ -642,11 +642,11 @@ constexpr Golden kEventPinned[] = {
     {ProtocolKind::kPilaf, 1, 64, 58704, 0x825c0dfc45f2bad4ull},
     {ProtocolKind::kPilaf, 1, 16384, 80307, 0xab3c0e13d6cd7051ull},
     {ProtocolKind::kPilaf, 4, 64, 60864, 0xaa428be3dd84f0e9ull},
-    {ProtocolKind::kPilaf, 4, 16384, 85912, 0x7f27f6d270e93aa8ull},
+    {ProtocolKind::kPilaf, 4, 16384, 91246, 0x28cb8b05c030c7e8ull},
     {ProtocolKind::kFarm, 1, 64, 44232, 0x184b83c2bea622c8ull},
     {ProtocolKind::kFarm, 1, 16384, 65838, 0x664bda38e06d12c2ull},
     {ProtocolKind::kFarm, 4, 64, 45852, 0xa1ba7c5ed9b31da3ull},
-    {ProtocolKind::kFarm, 4, 16384, 70903, 0x11972d356d1a6975ull},
+    {ProtocolKind::kFarm, 4, 16384, 76238, 0x8e5a891c6a8eda60ull},
     {ProtocolKind::kRfp, 1, 64, 41832, 0x471af2d2adabfdfaull},
     {ProtocolKind::kRfp, 1, 16384, 61952, 0x66c16170b1e52b93ull},
     {ProtocolKind::kRfp, 4, 64, 36694, 0x68daa34bae6511bcull},
@@ -881,17 +881,33 @@ TEST(EagerPipe, DeclaredTotalIsNotReservedUpFront) {
 // ---- Completion routing: slot tags come off the wire, so the Router
 // checks them against the window before indexing a mailbox.
 
-/// A bare channel exposing a Router over its window of 4.
+/// A bare channel exposing a Router over its window of 4, one that marks
+/// the channel dead on a failed completion (as Direct's client's does).
 class RouterProbe : public ChannelBase {
  public:
   using Routed = Router<uint32_t>::Routed;
   RouterProbe(verbs::Node& client, verbs::Node& server)
       : ChannelBase(ProtocolKind::kEagerSendRecv, client, server, Handler{},
                     ChannelConfig{}.with_window(4)),
-        router(*this, 4) {}
+        router(*this, /*marks_dead=*/true) {}
   Router<uint32_t> router;
   bool dead() const { return dead_; }
   verbs::WcStatus dead_status() const { return dead_status_; }
+
+  /// Waits for `slot`'s message as a protocol's call does: when its turn
+  /// comes it leads, sweeping what `fetch(slot)` returns, each entry
+  /// decoded with the imm as the slot tag and imm * 10 as the message.
+  /// nullopt on a failure.
+  template <class Fetch>
+  Task<std::optional<uint32_t>> wait(uint32_t slot, Fetch fetch) {
+    while (co_await router.turn(slot))
+      router.sweep(co_await fetch(slot), [](const verbs::Wc& wc) -> Routed {
+        return {wc.status, wc.imm, wc.imm * 10};
+      });
+    const Routed r = router.take(slot);
+    if (r.status != verbs::WcStatus::kSuccess) co_return std::nullopt;
+    co_return r.msg;
+  }
 
  protected:
   sim::Task<Buffer> do_call(View, uint32_t) override { co_return Buffer{}; }
@@ -902,24 +918,23 @@ TEST(Router, DropsTagsPastTheWindowAndFailsEverySlot) {
   Simulator sim;
   verbs::Fabric fabric(sim);
   RouterProbe ch(*fabric.add_node(), *fabric.add_node());
-  // Every slot's call waits for its message.
-  std::vector<std::optional<uint32_t>> got(4);
-  for (uint32_t s = 0; s < 4; ++s) {
-    sim.spawn([](RouterProbe& ch, uint32_t s,
-                 std::optional<uint32_t>& got) -> Task<void> {
-      got = co_await ch.router.next(s);
-    }(ch, s, got[s]));
-  }
-  // One CQ sweep, decoded with the imm as the slot tag: tags 200 and 4 lie
-  // past the window, tag 1 is a reply, and the failed completion ends it.
+  // One CQ sweep: tags 200 and 4 lie past the window, tag 1 is a reply,
+  // and the failed completion ends it. The first caller leads and fetches
+  // it 1 us later, while the other slots' calls park.
   const std::vector<verbs::Wc> sweep = {
       {.imm = 200}, {.imm = 4}, {.imm = 1},
       {.status = verbs::WcStatus::kRetryExcErr}};
-  sim.spawn(ch.router.drain(
-      [&sweep]() -> Task<std::vector<verbs::Wc>> { co_return sweep; },
-      [](const verbs::Wc& wc) -> RouterProbe::Routed {
-        return {wc.status, wc.imm, wc.imm * 10};
-      }));
+  auto fetch = [&sim, &sweep](uint32_t) -> Task<std::vector<verbs::Wc>> {
+    co_await sim.sleep(1us);
+    co_return sweep;
+  };
+  std::vector<std::optional<uint32_t>> got(4);
+  for (uint32_t s = 0; s < 4; ++s) {
+    sim.spawn([](RouterProbe& ch, uint32_t s, auto fetch,
+                 std::optional<uint32_t>& got) -> Task<void> {
+      got = co_await ch.wait(s, fetch);
+    }(ch, s, fetch, got[s]));
+  }
   sim.run();
   EXPECT_EQ(got[1], std::optional<uint32_t>(10));
   for (uint32_t s : {0u, 2u, 3u})
@@ -927,6 +942,50 @@ TEST(Router, DropsTagsPastTheWindowAndFailsEverySlot) {
   EXPECT_TRUE(ch.dead());
   EXPECT_EQ(ch.dead_status(), verbs::WcStatus::kRetryExcErr);
   EXPECT_EQ(sim.live_tasks(), 0u);
+}
+
+TEST(Router, AFollowerLeadsWhenTheLeaderLeaves) {
+  // Window 4, and the first sweep carries only its leader's own reply: the
+  // other three callers are parked when that leader leaves, so they get
+  // their entries only if the lead passes to the oldest of them, whose
+  // sweep then carries every reply still due.
+  for (uint64_t seed : {0u, 1u, 2u, 3u}) {
+    SCOPED_TRACE("tiebreak seed " + std::to_string(seed));
+    Simulator sim;
+    sim.set_tiebreak_seed(seed);
+    sim.racecheck().set_mode(sim::RaceCheck::Mode::kAbort);
+    verbs::Fabric fabric(sim);
+    RouterProbe ch(*fabric.add_node(), *fabric.add_node());
+    std::vector<uint32_t> arrivals, leaders, due = {0, 1, 2, 3};
+    auto fetch = [&](uint32_t slot) -> Task<std::vector<verbs::Wc>> {
+      leaders.push_back(slot);
+      co_await sim.sleep(1us);
+      std::vector<verbs::Wc> sweep;
+      for (uint32_t s : due)
+        if (leaders.size() > 1 || s == slot) sweep.push_back({.imm = s});
+      std::erase_if(due, [&](uint32_t s) {
+        return leaders.size() > 1 || s == slot;
+      });
+      co_return sweep;
+    };
+    std::vector<std::optional<uint32_t>> got(4);
+    for (uint32_t s = 0; s < 4; ++s) {
+      sim.spawn([](RouterProbe& ch, uint32_t s, auto fetch,
+                   std::vector<uint32_t>& arrivals,
+                   std::optional<uint32_t>& got) -> Task<void> {
+        arrivals.push_back(s);
+        got = co_await ch.wait(s, fetch);
+      }(ch, s, fetch, arrivals, got[s]));
+    }
+    sim.run();
+    for (uint32_t s = 0; s < 4; ++s)
+      EXPECT_EQ(got[s], std::optional<uint32_t>(s * 10)) << "slot " << s;
+    ASSERT_EQ(leaders.size(), 2u);
+    EXPECT_EQ(leaders[0], arrivals[0]);
+    EXPECT_EQ(leaders[1], arrivals[1]) << "the lead skipped the oldest";
+    EXPECT_FALSE(ch.dead());
+    EXPECT_EQ(sim.live_tasks(), 0u);
+  }
 }
 
 /// `node`'s QP of the one channel on `fabric`, to forge frames on.
@@ -1323,6 +1382,103 @@ TEST(RendezvousClient, FailsAReplyAnnouncingMoreThanMaxMsg) {
     EXPECT_EQ(sim.live_tasks(), 0u);
   }
 }
+
+/// Runs `calls` calls one after another on a fresh `kind` channel (`window`
+/// slots) whose echo handler takes 50 us, each sending its own bytes. 10 us
+/// in, the server's QP sends the client a 2-byte SEND, a fragment shorter
+/// than its header that the response pipe rejects. Returns how each call
+/// ended by 1 ms of virtual time, after checking that no task outlives
+/// shutdown.
+std::vector<Outcome> eager_calls_after_a_forged_fragment(ProtocolKind kind,
+                                                        uint32_t window,
+                                                        int calls) {
+  Simulator sim;
+  verbs::Fabric fabric(sim);
+  verbs::Node* cl = fabric.add_node();
+  verbs::Node* sv = fabric.add_node();
+  Handler slow_echo = [&sim](View req) -> Task<Buffer> {
+    co_await sim.sleep(50us);
+    co_return Buffer(req.begin(), req.end());
+  };
+  auto ch = make_channel(kind, *cl, *sv, slow_echo,
+                         ChannelConfig{}.with_max_msg(4096).with_window(window));
+  verbs::QueuePair* qp = qp_on(fabric, *sv);
+  EXPECT_NE(qp, nullptr);
+  if (!qp) return {};
+  verbs::MemoryRegion* src = sv->pd().alloc_mr(2);
+  std::vector<Outcome> out(size_t(calls), Outcome::kPending);
+  sim.spawn([](RpcChannel& ch, std::vector<Outcome>& out) -> Task<void> {
+    for (size_t i = 0; i < out.size(); ++i) {
+      const Buffer req(64, std::byte(i + 1));
+      CallResult r = co_await ch.call(req, 64);
+      out[i] = r.ok() && *r == req ? Outcome::kOwnEcho : Outcome::kOther;
+    }
+  }(*ch, out));
+  sim.spawn([](Simulator& sim, verbs::QueuePair* qp,
+               verbs::MemoryRegion* src) -> Task<void> {
+    co_await sim.sleep(10us);
+    co_await qp->post_send(verbs::SendWr{.opcode = verbs::Opcode::kSend,
+                                         .local = {src->data(), 2},
+                                         .signaled = false});
+  }(sim, qp, src));
+  sim.run_until(sim::Time(1ms));
+  ch->shutdown();
+  sim.run();
+  EXPECT_EQ(sim.live_tasks(), 0u);
+  return out;
+}
+
+TEST(EagerClient, DropsAFragmentShorterThanItsHeader) {
+  // The client's half of the wire rule: a fragment the response pipe
+  // rejects is dropped and the caller keeps waiting, as the servers do.
+  // Every call then echoes its own bytes, so the channel is not dead and
+  // no call was handed an earlier call's reply.
+  for (ProtocolKind kind : {ProtocolKind::kEagerSendRecv, ProtocolKind::kHerd})
+    for (uint32_t window : {1u, 2u}) {
+      SCOPED_TRACE(std::string(to_string(kind)) + ", window " +
+                   std::to_string(window));
+      EXPECT_EQ(eager_calls_after_a_forged_fragment(kind, window, 3),
+                std::vector<Outcome>(3, Outcome::kOwnEcho));
+    }
+}
+
+class WindowedIdle : public ::testing::TestWithParam<ProtocolKind> {};
+
+TEST_P(WindowedIdle, ClientHoldsNoBusyCoreBetweenCalls) {
+  // With no call waiting, nothing polls the client's CQs: the callers poll
+  // them only while they wait. A task draining them would hold one of the
+  // client's cores here, with busy polling at window 4.
+  Simulator sim;
+  verbs::Fabric fabric(sim);
+  verbs::Node* cl = fabric.add_node();
+  verbs::Node* sv = fabric.add_node();
+  auto ch = make_channel(GetParam(), *cl, *sv, make_upcase_handler(*sv),
+                         ChannelConfig{}.with_window(4).with_poll(
+                             PollMode::kBusy));
+  int echoed = 0;
+  for (uint32_t lane = 0; lane < 4; ++lane)
+    sim.spawn([](RpcChannel& ch, uint32_t lane, int& echoed) -> Task<void> {
+      for (int i = 0; i < 2; ++i) {
+        const std::string req(512, static_cast<char>('a' + lane + i));
+        CallResult r = co_await ch.call(to_buffer(req), 512);
+        if (r.ok() && as_string(*r) == upcased(req)) ++echoed;
+      }
+    }(*ch, lane, echoed));
+  sim.run();
+  EXPECT_EQ(echoed, 8);
+  EXPECT_EQ(cl->cpu().busy_pollers(), 0);
+  ch->shutdown();
+  sim.run();
+  EXPECT_EQ(sim.live_tasks(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllKinds, WindowedIdle,
+                         ::testing::ValuesIn(kAllProtocols),
+                         [](const auto& info) {
+                           std::string n(to_string(info.param));
+                           std::replace(n.begin(), n.end(), '-', '_');
+                           return n;
+                         });
 
 // ---- Reliability framing: the RpcHeader comes off the wire, so its parse
 // is checked against the bytes actually received.
