@@ -115,9 +115,9 @@ Row run_config(uint64_t seed, uint32_t shards, sim::PollMode mode,
       .with_server_poll(mode)                  // study; sweep the server side
       .with_window(window)
       .with_max_msg(kMaxMsg);
-  std::vector<thrift::TRdmaEndPoint*> eps;
+  std::vector<proto::RpcChannel*> chs;
   for (uint32_t c = 0; c < clients; ++c)
-    eps.push_back(srv.accept(*client_nodes[c / kClientsPerNode],
+    chs.push_back(&srv.accept(*client_nodes[c / kClientsPerNode],
                               proto::ProtocolKind::kDirectWriteImm, cfg));
 
   // A window needs enough calls per client to actually fill it.
@@ -140,7 +140,7 @@ Row run_config(uint64_t seed, uint32_t shards, sim::PollMode mode,
           lat_sum += sim.now() - c0;
         }
         wg.done();
-      }(sim, eps[c]->channel(), kBytes, fill, lane_iters, wg, lat_sum));
+      }(sim, *chs[c], kBytes, fill, lane_iters, wg, lat_sum));
     }
   }
   sim::Time end{};

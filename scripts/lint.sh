@@ -100,6 +100,45 @@ grep -rnE --include='*.h' --include='*.cc' \
   | rule 'co-await-conditional-calls' \
          'co_await on (c ? f() : g()) crashes under GCC 12.2; use if/else.'
 
+# --- Rule 7: src/ modules include only the modules below them. --------------
+# The layers stack sim < obs < verbs < proto < {thrift, hint} < core <
+# {kv, tpch}; idl sits on hint and ycsb on sim. thrift and hint are siblings:
+# the Thrift layer reaches RDMA through proto channels alone, and the hint
+# planner never sees Thrift. A module missing from this table fails too, so
+# a new one has to take its place in the stack.
+layer_of() {
+  case "$1" in
+    sim)      echo 'sim' ;;
+    obs)      echo 'obs sim' ;;
+    verbs)    echo 'verbs obs sim' ;;
+    proto)    echo 'proto verbs obs sim' ;;
+    thrift)   echo 'thrift proto verbs obs sim' ;;
+    hint)     echo 'hint proto verbs obs sim' ;;
+    core)     echo 'core thrift hint proto verbs obs sim' ;;
+    kv|tpch)  echo "$1 core thrift hint proto verbs obs sim" ;;
+    idl)      echo 'idl hint proto verbs obs sim' ;;
+    ycsb)     echo 'ycsb sim' ;;
+  esac
+}
+for dir in src/*/; do
+  mod="$(basename "$dir")"
+  allowed="$(layer_of "$mod")"
+  if [ -z "$allowed" ]; then
+    echo "$dir: module $mod has no row in the layering table"
+    continue
+  fi
+  grep -rnE --include='*.h' --include='*.cc' '^#include "[a-z_]+/' "$dir" \
+    | while IFS= read -r hit; do
+        [[ $hit =~ \#include\ \"([a-z_]+)/ ]] && dep="${BASH_REMATCH[1]}"
+        case " $allowed " in
+          *" $dep "*) ;;
+          *) echo "$hit  ($mod may include only: $allowed)" ;;
+        esac
+      done
+done \
+  | rule 'module-layering' \
+         'a src/ module may include only itself and the modules below it.'
+
 # --- clang-tidy (optional: degrades to a notice when absent). ---------------
 if command -v clang-tidy >/dev/null 2>&1; then
   if [ -f "$build_dir/compile_commands.json" ]; then

@@ -8,9 +8,8 @@ HatServer::HatServer(verbs::Node& node, hint::ServiceHints hints,
                      EngineConfig cfg, thrift::SocketNet* net)
     : node_(node), hints_(std::move(hints)), cfg_(cfg), net_(net) {
   if (net_) {
-    tcp_server_ = std::make_unique<thrift::TServer>(
-        *net_, node_, cfg_.tcp_port, processor(),
-        thrift::TServer::Options{.kind = thrift::ServerKind::kThreaded});
+    tcp_server_ = std::make_unique<thrift::TServer>(*net_, node_,
+                                                    cfg_.tcp_port, processor());
     tcp_server_->start();
   }
 }

@@ -1,6 +1,7 @@
 // The hint-aware RDMA engine of §4.3 (Fig. 9), tying together the hint
-// hierarchy, the Figure-6 selection algorithm, the TRdma bridge, and the
-// protocol channels:
+// hierarchy, the Figure-6 selection algorithm, and the protocol channels.
+// HatConnection is the bridge that lets Thrift-generated stubs drive an
+// RDMA channel unchanged:
 //
 //   * at connection establishment, static (service-level) hints size and
 //     configure the engine;
@@ -19,7 +20,7 @@
 
 #include "core/runtime.h"
 #include "hint/selection.h"
-#include "thrift/rdma.h"
+#include "sim/sync.h"
 #include "thrift/server.h"
 
 namespace hatrpc::core {

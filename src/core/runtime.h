@@ -9,7 +9,7 @@
 // to the reply envelope that HatDispatcher::process has already begun (on a
 // Direct channel, in the registered memory the reply is posted from). The
 // envelope is a standard Thrift message (name, type, seqid) so the same
-// bytes flow over TSocket and TRdma unchanged.
+// bytes flow over TSocket and an RDMA channel unchanged.
 #pragma once
 
 #include <functional>

@@ -232,7 +232,6 @@ class ShardHandler : public hatshard::HatShardIf {
   std::optional<ViewRecord> peek(const std::string& key);
   uint64_t applied_ops() const { return applied_ops_; }
   uint64_t replays() const { return replays_; }
-  uint64_t version_counter() const { return next_version_; }
 
  private:
   static std::string encode_record(uint64_t version, std::string_view value);

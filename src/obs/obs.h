@@ -3,7 +3,6 @@
 #pragma once
 
 #include "obs/counters.h"   // IWYU pragma: export
-#include "obs/footprint.h"  // IWYU pragma: export
 #include "obs/histogram.h"  // IWYU pragma: export
 #include "obs/trace.h"      // IWYU pragma: export
 
@@ -12,7 +11,6 @@ namespace hatrpc::obs {
 struct Obs {
   Counters counters;
   Tracer tracer;
-  FootprintRegistry footprints;
 };
 
 }  // namespace hatrpc::obs

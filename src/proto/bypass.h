@@ -115,7 +115,7 @@ class BypassChannel : public ChannelBase {
     }
     if (event_server()) {
       if (cfg_.server_srq) sep_.qp->set_srq(cfg_.server_srq);
-      const uint32_t ring = std::max(cfg_.eager_slots, w);
+      const uint32_t ring = std::max(kEagerSlots, w);
       for (uint32_t i = 0; i < ring; ++i)
         if (!cfg_.server_srq) sep_.qp->post_recv(verbs::RecvWr{.wr_id = i});
     } else {
@@ -217,7 +217,7 @@ class BypassChannel : public ChannelBase {
         // reads, then one payload read — and feed the observed delay back
         // into the estimate.
         const uint32_t guess =
-            std::min(hint > 0 ? hint : cfg_.eager_slot, cfg_.max_msg);
+            std::min(hint > 0 ? hint : kEagerSlot, cfg_.max_msg);
         sim::Time t0 = sim_.now();
         if (fetch_delay_ > sim::Duration{0}) co_await sim_.sleep(fetch_delay_);
         co_await issue_read(slot, 0, kExportHdr + guess);

@@ -172,9 +172,6 @@ struct ChannelConfig {
   /// Size of the pre-known per-connection message buffers used by the
   /// Direct-*/server-bypass protocols (and the rendezvous buffer pool).
   uint32_t max_msg = 256 << 10;
-  /// Eager circular-buffer geometry (paper §4.3: slot = 4KB threshold).
-  uint32_t eager_slot = 4096;
-  uint32_t eager_slots = 16;
   /// Hybrid protocols switch from eager to rendezvous above this.
   uint32_t rndv_threshold = 4096;
   /// Sliding window: how many calls may be in flight on the channel at
@@ -221,15 +218,6 @@ struct ChannelConfig {
     max_msg = bytes;
     return *this;
   }
-  ChannelConfig& with_eager(uint32_t slot_bytes, uint32_t slots) {
-    eager_slot = slot_bytes;
-    eager_slots = slots;
-    return *this;
-  }
-  ChannelConfig& with_rndv_threshold(uint32_t bytes) {
-    rndv_threshold = bytes;
-    return *this;
-  }
   ChannelConfig& with_window(uint32_t n) {
     window = n == 0 ? 1 : n;
     return *this;
@@ -253,8 +241,8 @@ struct ChannelConfig {
   }
 };
 
-/// Per-channel operation counters, used by tests to pin down each
-/// protocol's verbs footprint and by the res_util hint evaluation.
+/// Per-channel operation counters. Tests read them to pin down each
+/// protocol's verbs footprint; nothing in the library reads them.
 struct ChannelStats {
   uint64_t calls = 0;
   uint64_t sends = 0;       // two-sided SENDs issued (both directions)

@@ -101,7 +101,7 @@ class DirectChannel : public ChannelBase {
     srv_resp_src_ = alloc_server_mr(stride * w);
     loans_.resize(w);
     for (uint32_t b = w; b-- > 0;) free_blocks_.push_back(b);
-    ring_slots_ = std::max(cfg_.eager_slots, w);
+    ring_slots_ = std::max(kEagerSlots, w);
     if (kind_ == ProtocolKind::kDirectWriteImm) {
       // WRITE_WITH_IMM consumes a (bufferless) posted recv on each side.
       // The server takes its recvs from the shared pool when one is set.

@@ -19,6 +19,11 @@
 
 namespace hatrpc::proto {
 
+/// Eager circular-buffer geometry (paper §4.3: slot = 4 KB threshold). The
+/// other protocols' recv and control rings hold at least kEagerSlots too.
+inline constexpr uint32_t kEagerSlot = 4096;
+inline constexpr uint32_t kEagerSlots = 16;
+
 class EagerPipe {
  public:
   /// Sender stages into a ring on `src`'s node; receiver assembles from a
@@ -31,11 +36,11 @@ class EagerPipe {
         cost_(src.node->fabric().cost()) {
     send_ring_ = src_.node->pd().alloc_mr(ring_bytes());
     recv_ring_ = dst_.node->pd().alloc_mr(ring_bytes());
-    for (uint32_t i = 0; i < cfg_.eager_slots; ++i) post_recv_slot(i);
+    for (uint32_t i = 0; i < kEagerSlots; ++i) post_recv_slot(i);
   }
 
-  size_t ring_bytes() const {
-    return static_cast<size_t>(cfg_.eager_slot) * cfg_.eager_slots;
+  static constexpr size_t ring_bytes() {
+    return static_cast<size_t>(kEagerSlot) * kEagerSlots;
   }
 
   /// Sends one (possibly segmented) message. Multiple whole messages may be
@@ -47,8 +52,6 @@ class EagerPipe {
   /// routes by followed by `msg`, gathered straight into the staging slots.
   /// Returns false (with last_status() set) if a send completes in error.
   sim::Task<bool> send(View msg, std::optional<uint32_t> tag = std::nullopt) {
-    const uint32_t slot = cfg_.eager_slot;
-    const uint32_t nslots = cfg_.eager_slots;
     std::byte prefix[4];
     const size_t pre = tag ? sizeof prefix : 0;
     if (tag) put_u32(prefix, *tag);
@@ -59,13 +62,13 @@ class EagerPipe {
     // they are already visible — ibv_poll_cq batch semantics).
     while (outstanding_ > 0 && src_.scq->try_poll()) --outstanding_;
     while (first || off < total) {
-      uint32_t idx = cursor_ % nslots;
-      std::byte* s = send_ring_->data() + static_cast<size_t>(idx) * slot;
+      uint32_t idx = cursor_ % kEagerSlots;
+      std::byte* s = send_ring_->data() + static_cast<size_t>(idx) * kEagerSlot;
       uint32_t hdr = first ? 4u : 0u;
       uint32_t take = static_cast<uint32_t>(
-          std::min<size_t>(slot - hdr, total - off));
+          std::min<size_t>(kEagerSlot - hdr, total - off));
       // Slot reuse: the ring is full, wait for the oldest send to complete.
-      while (outstanding_ >= nslots) {
+      while (outstanding_ >= kEagerSlots) {
         verbs::Wc wc = co_await src_.send_wc();
         if (!wc.ok()) {
           last_status_ = wc.status;
@@ -122,7 +125,7 @@ class EagerPipe {
       }
       uint32_t idx = static_cast<uint32_t>(wc.wr_id);
       const std::byte* s =
-          recv_ring_->data() + static_cast<size_t>(idx) * cfg_.eager_slot;
+          recv_ring_->data() + static_cast<size_t>(idx) * kEagerSlot;
       uint32_t hdr = first ? 4u : 0u;
       if (first) total = get_u32(s);
       // Sizes come off the wire: a fragment shorter than its header, or one
@@ -174,8 +177,8 @@ class EagerPipe {
   void post_recv_slot(uint32_t idx) {
     dst_.qp->post_recv(verbs::RecvWr{
         .wr_id = idx,
-        .buf = {recv_ring_->data() + static_cast<size_t>(idx) * cfg_.eager_slot,
-                cfg_.eager_slot}});
+        .buf = {recv_ring_->data() + static_cast<size_t>(idx) * kEagerSlot,
+                kEagerSlot}});
   }
 
   verbs::Endpoint& src_;

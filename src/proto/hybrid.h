@@ -42,9 +42,6 @@ class HybridChannel : public RpcChannel {
     return s;
   }
 
-  RpcChannel& eager_path() { return *eager_; }
-  RpcChannel& rndv_path() { return *rndv_; }
-
   /// Live reconfiguration forwards to both inner channels: the threshold
   /// split is per call, so either path may serve the next one.
   void set_poll_modes(sim::PollMode client, sim::PollMode server) override {

@@ -96,7 +96,7 @@ class RendezvousChannel : public ChannelBase {
     // overwrite an earlier one that is still on the wire (FIN chased by the
     // next call's RTS). With a window, several calls keep ctrl messages in
     // flight at once, so the rings scale with the window too.
-    ctrl_slots_ = std::max(cfg_.eager_slots, 4 * w);
+    ctrl_slots_ = std::max(kEagerSlots, 4 * w);
     cli_.src = alloc_client_mr(kCtrlBytes * ctrl_slots_);
     srv_.src = alloc_server_mr(kCtrlBytes * ctrl_slots_);
     cli_.ring = alloc_client_mr(kCtrlBytes * ctrl_slots_);

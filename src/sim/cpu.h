@@ -212,12 +212,8 @@ class Cpu {
   SpinGuard pin_spinner(int core) { return SpinGuard(*this, core); }
 
   int busy_pollers() const { return busy_pollers_ + bound_spin_; }
-  int active_computations() const { return active_ + bound_active_; }
   int spinners(int core) const {
     return core_spin_[core_index(core)];
-  }
-  int bound_active(int core) const {
-    return core_active_[core_index(core)];
   }
 
  private:

@@ -139,7 +139,6 @@ class Simulator {
     tiebreak_seed_ = s;
     tiebreak_state_ = s;
   }
-  uint64_t tiebreak_seed() const { return tiebreak_seed_; }
 
   // ---- RaceCheck forwarding (no-ops when the checker is off; the token
   // ---- forms stay balanced across mode toggles by always dropping) ------
@@ -201,7 +200,6 @@ class Simulator {
                    const char* site, std::string detail) {
     if (rc_) rc_->report_lifetime(o, sub, name, site, std::move(detail));
   }
-  bool rc_on() const { return rc_ != nullptr; }
 
   /// Queues `h` to resume at absolute virtual time `t` (>= now). The
   /// returned handle can cancel or reschedule the resumption; it may be

@@ -254,8 +254,6 @@ class Event {
     core_->q.notify_all();
   }
 
-  bool is_set() const { return core_->set; }
-
  private:
   std::shared_ptr<Core> core_;
 };
@@ -269,13 +267,6 @@ class Semaphore {
     while (permits_ == 0) co_await q_.wait();
     --permits_;
     q_.simulator().rc_sync_acquire(this);
-  }
-
-  bool try_acquire() {
-    if (permits_ == 0) return false;
-    --permits_;
-    q_.simulator().rc_sync_acquire(this);
-    return true;
   }
 
   void release(size_t n = 1) {

@@ -1,15 +1,12 @@
-// Thrift server flavors over the socket transport (Fig. 2's server row):
-//   TSimpleServer     — one connection at a time;
-//   TThreadedServer   — a task per connection;
-//   TThreadPoolServer — per-connection tasks gated by a fixed worker pool.
-// All drive the same Processor (serialized request -> serialized response).
+// The Thrift server over the socket transport: TThreadedServer, a task per
+// connection, each driving the Processor (serialized request -> serialized
+// response). HatServer runs one for tcp-hinted functions.
 #pragma once
 
 #include <memory>
 #include <vector>
 
 #include "proto/channel.h"
-#include "sim/sync.h"
 #include "thrift/transport.h"
 
 namespace hatrpc::thrift {
@@ -19,24 +16,13 @@ namespace hatrpc::thrift {
 /// area to lend, so the reply always comes back as a buffer.
 using Processor = proto::Handler;
 
-enum class ServerKind { kSimple, kThreaded, kThreadPool };
-
 class TServer {
  public:
-  struct Options {
-    ServerKind kind = ServerKind::kThreaded;
-    size_t pool_workers = 8;  // TThreadPoolServer only
-  };
-
-  TServer(SocketNet& net, verbs::Node& node, uint16_t port,
-          Processor processor, Options opts)
-      : net_(net), node_(node), processor_(std::move(processor)),
-        opts_(opts), pool_(net.simulator(), opts.pool_workers) {
-    listener_ = net_.listen(node, port);
-  }
   TServer(SocketNet& net, verbs::Node& node, uint16_t port,
           Processor processor)
-      : TServer(net, node, port, std::move(processor), Options{}) {}
+      : net_(net), node_(node), processor_(std::move(processor)) {
+    listener_ = net_.listen(node, port);
+  }
 
   /// Spawns the accept loop.
   void start() { net_.simulator().spawn(accept_loop()); }
@@ -59,13 +45,7 @@ class TServer {
       SimSocket* sock = co_await listener_->accept();
       if (!sock) break;
       conns_.push_back(sock);
-      const uint64_t conn_id = next_conn_id_++;
-      if (opts_.kind == ServerKind::kSimple) {
-        // serial: next accept after close
-        co_await serve_connection(sock, conn_id);
-      } else {
-        net_.simulator().spawn(serve_connection(sock, conn_id));
-      }
+      net_.simulator().spawn(serve_connection(sock, next_conn_id_++));
     }
   }
 
@@ -82,14 +62,12 @@ class TServer {
         break;
       }
       if (!req) break;
-      if (opts_.kind == ServerKind::kThreadPool) co_await pool_.acquire();
       node_.counters().add(obs::Ctr::kRequests);
       const sim::Time t0 = net_.simulator().now();
       Buffer resp = (co_await processor_(*req, {})).take();
       if (obs.tracer.enabled())
         obs.tracer.complete("tserver/request", "thrift", t0,
                             net_.simulator().now() - t0, node_.id(), conn_id);
-      if (opts_.kind == ServerKind::kThreadPool) pool_.release();
       ++served_;
       try {
         co_await framed.send(resp);
@@ -106,8 +84,6 @@ class TServer {
   SocketNet& net_;
   verbs::Node& node_;
   Processor processor_;
-  Options opts_;
-  sim::Semaphore pool_;
   Listener* listener_ = nullptr;
   std::vector<SimSocket*> conns_;
   bool stopping_ = false;

@@ -1,6 +1,6 @@
-// Message-level transports. Thrift's client/server exchange whole
-// serialized messages; TFramedTransport frames them over a byte stream
-// (TSocket), while TRdma (rdma.h) maps them onto an RDMA protocol channel.
+// Message-level transport over a socket. Thrift's client/server exchange
+// whole serialized messages; TFramedTransport frames them over a byte stream
+// (TSocket). The RDMA path carries whole messages natively (proto channels).
 #pragma once
 
 #include <optional>
@@ -13,30 +13,21 @@ namespace hatrpc::thrift {
 using Buffer = std::vector<std::byte>;
 using View = std::span<const std::byte>;
 
-/// One request or response as a unit.
-class MessageTransport {
- public:
-  virtual ~MessageTransport() = default;
-  virtual sim::Task<void> send(View msg) = 0;
-  /// nullopt on orderly EOF.
-  virtual sim::Task<std::optional<Buffer>> recv() = 0;
-  virtual void close() = 0;
-};
-
 /// [u32 length][payload] frames over a simulated TCP socket — Thrift's
-/// TFramedTransport on TSocket.
-class TFramedTransport final : public MessageTransport {
+/// TFramedTransport on TSocket. One request or response is one frame.
+class TFramedTransport {
  public:
   explicit TFramedTransport(SimSocket* sock) : sock_(sock) {}
 
-  sim::Task<void> send(View msg) override {
+  sim::Task<void> send(View msg) {
     Buffer frame(4 + msg.size());
     proto::put_u32(frame.data(), static_cast<uint32_t>(msg.size()));
     std::memcpy(frame.data() + 4, msg.data(), msg.size());
     co_await sock_->write(frame);
   }
 
-  sim::Task<std::optional<Buffer>> recv() override {
+  /// nullopt on orderly EOF.
+  sim::Task<std::optional<Buffer>> recv() {
     std::byte hdr[4];
     size_t got = co_await sock_->read(hdr, 1);
     if (got == 0) co_return std::nullopt;  // clean EOF between frames
@@ -47,9 +38,7 @@ class TFramedTransport final : public MessageTransport {
     co_return msg;
   }
 
-  void close() override { sock_->close(); }
-
-  SimSocket* socket() { return sock_; }
+  void close() { sock_->close(); }
 
  private:
   SimSocket* sock_;

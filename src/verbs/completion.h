@@ -98,7 +98,6 @@ class CompletionQueue {
   /// the owning shard registers ONE persistent spinner (Cpu::pin_spinner)
   /// that all of its connections' waits multiplex onto.
   void bind_core(int core) { core_ = core; }
-  int bound_core() const { return core_; }
 
   /// Mirrors per-CQE consumption into a shard-scope counter set (owned by
   /// the sharded server that steered this CQ's connection).

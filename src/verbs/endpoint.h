@@ -20,10 +20,7 @@ struct Endpoint {
   sim::Task<Wc> send_wc() { return scq->wait(poll); }
   sim::Task<Wc> recv_wc() { return rcq->wait(poll); }
 
-  /// Batched variants: one wake-up, up to max_n completions (in order).
-  sim::Task<std::vector<Wc>> send_wcs(size_t max_n) {
-    return scq->wait_many(poll, max_n);
-  }
+  /// Batched receive: one wake-up, up to max_n completions (in order).
   sim::Task<std::vector<Wc>> recv_wcs(size_t max_n) {
     return rcq->wait_many(poll, max_n);
   }

@@ -17,7 +17,6 @@
 #include "hint/selection.h"
 #include "proto/channel.h"
 #include "sim/sync.h"
-#include "thrift/rdma.h"
 #include "verbs/verbs.h"
 
 namespace hatrpc::hint {
@@ -350,69 +349,6 @@ TEST(LeasedReceive, LentDirectReplyPassesThroughAndSurvivesSlotReuse) {
   EXPECT_EQ(first, "first");
   EXPECT_EQ(second, "second");
   EXPECT_EQ(sim.live_tasks(), 0u);
-}
-
-// ---------------------------------------------------------------------------
-// PlanCache invalidation (thrift plumbing).
-// ---------------------------------------------------------------------------
-
-TEST(PlanCache, EpochBumpsOnlyWhenThePlanChanges) {
-  thrift::PlanCache cache;
-  Plan a = eager_prior();
-  EXPECT_EQ(cache.publish("get", a), 1u);
-  EXPECT_EQ(cache.publish("get", a), 1u) << "idempotent republish";
-  EXPECT_TRUE(cache.fresh("get", 1));
-  Plan b = a;
-  b.protocol = ProtocolKind::kWriteRndv;
-  EXPECT_EQ(cache.publish("get", b), 2u);
-  EXPECT_FALSE(cache.fresh("get", 1)) << "stale snapshots must invalidate";
-  auto s = cache.resolve("get");
-  ASSERT_TRUE(s.has_value());
-  EXPECT_EQ(s->plan.protocol, ProtocolKind::kWriteRndv);
-  EXPECT_FALSE(cache.resolve("missing").has_value());
-}
-
-TEST(PlanCache, AdaptiveAcceptPublishesAndRefreshInvalidatesClients) {
-  Simulator sim;
-  verbs::Fabric fabric(sim);
-  verbs::Node* sv = fabric.add_node();
-  verbs::Node* cl = fabric.add_node();
-  thrift::TServerRdma server(*sv, echo_handler(*sv));
-  thrift::PlanCache cache;
-
-  AdaptiveParams params = fast_params();
-  auto* ep = server.accept_adaptive(*cl, eager_prior(),
-                                    ChannelConfig{}.with_window(2), params,
-                                    &cache, "get");
-  ASSERT_TRUE(cache.resolve("get").has_value());
-  const uint64_t epoch0 = cache.resolve("get")->epoch;
-
-  thrift::TRdma transport(*ep);
-  transport.bind_plan(cache, "get");
-  sim.spawn([](Simulator& sim, thrift::TServerRdma& server,
-               thrift::TRdma& transport, thrift::PlanCache& cache,
-               thrift::TRdmaEndPoint* ep, uint64_t epoch0) -> Task<void> {
-    // First flush resolves the published prior.
-    transport.write(Buffer(512, std::byte{0x2a}));
-    co_await transport.flush();
-    EXPECT_EQ(transport.plan_refreshes(), 1u);
-
-    // Drive the controller across the 4 KB switch, then republish.
-    for (int i = 0; i < 12; ++i) {
-      transport.write(Buffer(32 << 10, std::byte{0x2b}));
-      co_await transport.flush();
-    }
-    EXPECT_TRUE(thrift::TServerRdma::refresh_plan(cache, "get", *ep))
-        << "controller re-selection must republish";
-    EXPECT_GT(cache.resolve("get")->epoch, epoch0);
-
-    // The stale client snapshot re-resolves on its next flush.
-    transport.write(Buffer(512, std::byte{0x2c}));
-    co_await transport.flush();
-    EXPECT_EQ(transport.plan_refreshes(), 2u);
-    server.stop();
-  }(sim, server, transport, cache, ep, epoch0));
-  sim.run();
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "all_protocols.h"
 #include "kv/hatkv.h"
 #include "proto/reliable.h"
 
@@ -22,6 +23,7 @@ namespace {
 
 using proto::Buffer;
 using proto::ChannelConfig;
+using proto::kAllProtocols;
 using proto::ProtocolKind;
 using proto::ReliableChannel;
 using proto::RetryPolicy;
@@ -46,15 +48,6 @@ std::string payload_for(int i) {
   while (s.size() < kSizes[i % 4]) s.push_back(static_cast<char>('a' + i % 26));
   return s;
 }
-
-constexpr ProtocolKind kAllKinds[] = {
-    ProtocolKind::kEagerSendRecv,    ProtocolKind::kDirectWriteSend,
-    ProtocolKind::kChainedWriteSend, ProtocolKind::kWriteRndv,
-    ProtocolKind::kReadRndv,         ProtocolKind::kDirectWriteImm,
-    ProtocolKind::kPilaf,            ProtocolKind::kFarm,
-    ProtocolKind::kRfp,              ProtocolKind::kHerd,
-    ProtocolKind::kHybridEagerRndv,  ProtocolKind::kArGrpc,
-};
 
 struct ChaosResult {
   std::vector<std::string> trace;     // FaultPlan's injection log
@@ -118,7 +111,7 @@ ChaosResult run_chaos(ProtocolKind kind, uint64_t seed) {
 }
 
 TEST(Faults, ChaosEchoAllProtocolsNeverHangOrCorrupt) {
-  for (ProtocolKind kind : kAllKinds) {
+  for (ProtocolKind kind : kAllProtocols) {
     ChaosResult r = run_chaos(kind, 0xC0FFEE);
     SCOPED_TRACE(std::string("kind=") + std::string(to_string(kind)));
     ASSERT_EQ(r.outcomes.size(), 24u);

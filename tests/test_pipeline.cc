@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "all_protocols.h"
 #include "proto/channel.h"
 #include "proto/reliable.h"
 #include "sim/sync.h"
@@ -23,6 +24,7 @@ namespace {
 
 using proto::Buffer;
 using proto::ChannelConfig;
+using proto::kAllProtocols;
 using proto::ProtocolKind;
 using proto::View;
 using sim::PollMode;
@@ -111,15 +113,6 @@ INSTANTIATE_TEST_SUITE_P(
                       ProtocolKind::kHerd, ProtocolKind::kHybridEagerRndv),
     kind_name);
 
-constexpr ProtocolKind kAllKinds[] = {
-    ProtocolKind::kEagerSendRecv,    ProtocolKind::kDirectWriteSend,
-    ProtocolKind::kChainedWriteSend, ProtocolKind::kWriteRndv,
-    ProtocolKind::kReadRndv,         ProtocolKind::kDirectWriteImm,
-    ProtocolKind::kPilaf,            ProtocolKind::kFarm,
-    ProtocolKind::kRfp,              ProtocolKind::kHerd,
-    ProtocolKind::kHybridEagerRndv,  ProtocolKind::kArGrpc,
-};
-
 class WindowedTeardown : public ::testing::TestWithParam<ProtocolKind> {};
 
 /// Four calls in flight on a window of 4 when the channel is aborted: each
@@ -170,7 +163,7 @@ TEST_P(WindowedTeardown, AbortFailsEveryInFlightCall) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllKinds, WindowedTeardown,
-                         ::testing::ValuesIn(kAllKinds), kind_name);
+                         ::testing::ValuesIn(kAllProtocols), kind_name);
 
 class WindowedTiebreak : public ::testing::TestWithParam<ProtocolKind> {};
 
@@ -192,7 +185,7 @@ TEST_P(WindowedTiebreak, EachCallerGetsItsOwnEcho) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllKinds, WindowedTiebreak,
-                         ::testing::ValuesIn(kAllKinds), kind_name);
+                         ::testing::ValuesIn(kAllProtocols), kind_name);
 
 TEST(Pipeline, EventPolledWindowedImm) {
   // The slot-tagged imm path through the event poller (interrupt pickup).
@@ -316,9 +309,8 @@ TEST(Pipeline, ServerSrqFeedsWindowedChannels) {
   EXPECT_EQ(bed.sv->counters().get(obs::Ctr::kSrqPosts), 32u);
   ChannelConfig cfg;
   cfg.with_poll(PollMode::kBusy).with_max_msg(4 << 10).with_window(8);
-  thrift::TRdmaEndPoint* ep =
-      server.accept(*bed.cl, ProtocolKind::kDirectWriteImm, cfg);
-  drive_echo(bed, ep->channel(), 8, 4);
+  drive_echo(bed, server.accept(*bed.cl, ProtocolKind::kDirectWriteImm, cfg),
+             8, 4);
   server.stop();
   bed.sim.run();
   // Initial depth + one repost per consumed request.

@@ -14,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "all_protocols.h"
 #include "proto/base.h"
 #include "proto/channel.h"
 #include "proto/eager_pipe.h"
@@ -28,15 +29,6 @@ using sim::PollMode;
 using sim::Simulator;
 using sim::Task;
 using namespace std::chrono_literals;
-
-constexpr ProtocolKind kAllProtocols[] = {
-    ProtocolKind::kEagerSendRecv,    ProtocolKind::kDirectWriteSend,
-    ProtocolKind::kChainedWriteSend, ProtocolKind::kWriteRndv,
-    ProtocolKind::kReadRndv,         ProtocolKind::kDirectWriteImm,
-    ProtocolKind::kPilaf,            ProtocolKind::kFarm,
-    ProtocolKind::kRfp,              ProtocolKind::kHerd,
-    ProtocolKind::kHybridEagerRndv,  ProtocolKind::kArGrpc,
-};
 
 /// Echo handler that upper-cases the payload so tests prove bytes really
 /// travelled through the server (and charges a small per-byte compute).
@@ -207,10 +199,10 @@ TEST(ProtocolFootprint, HerdRespondsWithSend) {
 }
 
 TEST(ProtocolFootprint, EagerSegmentsLargeMessages) {
-  ChannelConfig cfg;
-  cfg.eager_slot = 4096;
   RpcResult r = run_rpc(ProtocolKind::kEagerSendRecv, payload_of(65536), {});
-  // 64 KB / 4 KB slots -> at least 17 segments each way.
+  // 64 KB over 4 KB slots, each fragment with its header: at least 17
+  // segments each way.
+  static_assert(kEagerSlot == 4096);
   EXPECT_GE(r.stats.sends, 34u);
 }
 
@@ -1303,7 +1295,7 @@ TEST(EagerServer, DropsAFragmentShorterThanItsHeader) {
 TEST(EagerServer, RepostsTheRingSlotOfEveryDroppedFragment) {
   // One more rejected fragment than the ring has slots: each must give its
   // recv back, or the real call's SEND finds no posted recv.
-  const std::vector<Buffer> frames(ChannelConfig{}.eager_slots + 1,
+  const std::vector<Buffer> frames(kEagerSlots + 1,
                                    Buffer(2, std::byte{7}));
   for (uint32_t window : {1u, 2u})
     expect_server_drops(ProtocolKind::kEagerSendRecv, window, frames);

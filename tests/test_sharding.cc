@@ -1,13 +1,15 @@
 // Per-core sharded TServerRdma: round-robin steering, per-shard counter
-// accounting, core binding, and a golden pin of the default single-shard
-// server's timeline and counters.
+// accounting, core binding, a golden pin of the default single-shard
+// server's timeline and counters, and accept over every protocol kind.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "all_protocols.h"
 #include "sim/sync.h"
 #include "thrift/rdma.h"
 #include "verbs/fabric.h"
@@ -41,7 +43,7 @@ struct Bed {
 std::vector<size_t> shard_loads(const thrift::TServerRdma& srv) {
   std::vector<size_t> loads;
   for (uint32_t i = 0; i < srv.shard_count(); ++i)
-    loads.push_back(srv.shard(i).endpoints.size());
+    loads.push_back(srv.shard(i).channels.size());
   return loads;
 }
 
@@ -54,7 +56,7 @@ TEST(Steering, RoundRobinCyclesShards) {
     srv.accept(*bed.clients[c], proto::ProtocolKind::kEagerSendRecv,
                proto::ChannelConfig{});
     // Connection c lands on shard c % 4, in accept order.
-    EXPECT_EQ(srv.shard(c % 4).endpoints.size(), c / 4 + 1) << "accept " << c;
+    EXPECT_EQ(srv.shard(c % 4).channels.size(), c / 4 + 1) << "accept " << c;
   }
   EXPECT_EQ(shard_loads(srv), (std::vector<size_t>{2, 2, 2, 2}));
   for (uint32_t i = 0; i < 4; ++i)
@@ -76,15 +78,15 @@ TEST(ShardCounters, PollsSumToServerNodeTotal) {
   so.shards = 2;
   so.bind_cores = true;
   thrift::TServerRdma srv(*bed.server, echo_handler(*bed.server), so);
-  std::vector<thrift::TRdmaEndPoint*> eps;
+  std::vector<proto::RpcChannel*> chs;
   for (uint32_t c = 0; c < 4; ++c)
-    eps.push_back(srv.accept(*bed.clients[c],
-                             proto::ProtocolKind::kEagerSendRecv,
-                             proto::ChannelConfig{}));
+    chs.push_back(&srv.accept(*bed.clients[c],
+                              proto::ProtocolKind::kEagerSendRecv,
+                              proto::ChannelConfig{}));
   sim::WaitGroup wg(bed.sim);
   wg.add(4);
   for (uint32_t c = 0; c < 4; ++c)
-    bed.sim.spawn(call_n(bed.sim, eps[c]->channel(), 8, wg));
+    bed.sim.spawn(call_n(bed.sim, *chs[c], 8, wg));
   bed.sim.spawn([](sim::Simulator&, sim::WaitGroup& wg,
                    thrift::TServerRdma& srv) -> Task<void> {
     co_await wg.wait();
@@ -109,17 +111,17 @@ TEST(ShardCounters, WindowStallsMirrorClientNodeTotals) {
   thrift::TServerRdma::Options so;
   so.shards = 2;
   thrift::TServerRdma srv(*bed.server, echo_handler(*bed.server), so);
-  std::vector<thrift::TRdmaEndPoint*> eps;
+  std::vector<proto::RpcChannel*> chs;
   for (uint32_t c = 0; c < 2; ++c)
-    eps.push_back(srv.accept(*bed.clients[c],
-                             proto::ProtocolKind::kEagerSendRecv,
-                             proto::ChannelConfig{}.with_window(2)));
+    chs.push_back(&srv.accept(*bed.clients[c],
+                              proto::ProtocolKind::kEagerSendRecv,
+                              proto::ChannelConfig{}.with_window(2)));
   // Four concurrent lanes on a window-2 channel force stalls.
   sim::WaitGroup wg(bed.sim);
   wg.add(8);
   for (uint32_t c = 0; c < 2; ++c)
     for (int lane = 0; lane < 4; ++lane)
-      bed.sim.spawn(call_n(bed.sim, eps[c]->channel(), 6, wg));
+      bed.sim.spawn(call_n(bed.sim, *chs[c], 6, wg));
   bed.sim.spawn([](sim::Simulator&, sim::WaitGroup& wg,
                    thrift::TServerRdma& srv) -> Task<void> {
     co_await wg.wait();
@@ -161,15 +163,15 @@ TEST(Sharding, PerShardSrqAndPoolArePrivate) {
   EXPECT_NE(srv.shard(0).srq, nullptr);
   EXPECT_NE(srv.shard(0).srq, srv.shard(1).srq);
 
-  std::vector<thrift::TRdmaEndPoint*> eps;
+  std::vector<proto::RpcChannel*> chs;
   for (uint32_t c = 0; c < 4; ++c)
-    eps.push_back(srv.accept(*bed.clients[c],
-                             proto::ProtocolKind::kDirectWriteImm,
-                             proto::ChannelConfig{}));
+    chs.push_back(&srv.accept(*bed.clients[c],
+                              proto::ProtocolKind::kDirectWriteImm,
+                              proto::ChannelConfig{}));
   sim::WaitGroup wg(bed.sim);
   wg.add(4);
   for (uint32_t c = 0; c < 4; ++c)
-    bed.sim.spawn(call_n(bed.sim, eps[c]->channel(), 4, wg));
+    bed.sim.spawn(call_n(bed.sim, *chs[c], 4, wg));
   bed.sim.spawn([](sim::Simulator&, sim::WaitGroup& wg,
                    thrift::TServerRdma& srv) -> Task<void> {
     co_await wg.wait();
@@ -203,15 +205,15 @@ TEST(Sharding, DefaultServerReproducesTheUnshardedGolden) {
       "copy_bytes=2720\n";
   Bed bed(3);
   thrift::TServerRdma srv(*bed.server, echo_handler(*bed.server));
-  std::vector<thrift::TRdmaEndPoint*> eps;
+  std::vector<proto::RpcChannel*> chs;
   for (uint32_t c = 0; c < 3; ++c)
-    eps.push_back(srv.accept(*bed.clients[c],
-                             proto::ProtocolKind::kEagerSendRecv,
-                             proto::ChannelConfig{}.with_window(2)));
+    chs.push_back(&srv.accept(*bed.clients[c],
+                              proto::ProtocolKind::kEagerSendRecv,
+                              proto::ChannelConfig{}.with_window(2)));
   sim::WaitGroup wg(bed.sim);
   wg.add(3);
-  for (thrift::TRdmaEndPoint* ep : eps)
-    bed.sim.spawn(call_n(bed.sim, ep->channel(), 10, wg));
+  for (proto::RpcChannel* ch : chs)
+    bed.sim.spawn(call_n(bed.sim, *ch, 10, wg));
   sim::Time end{};
   bed.sim.spawn([](sim::Simulator& sim, sim::WaitGroup& wg, sim::Time& end,
                    thrift::TServerRdma& srv) -> Task<void> {
@@ -240,6 +242,54 @@ TEST(Sharding, ZeroShardsIsRejected) {
           so),
       std::invalid_argument);
 }
+
+// Every protocol kind, accepted by the default server and by a sharded one
+// with an SRQ, echoes under both polling disciplines and leaves no task
+// behind after stop(). 512 B and 8 KiB calls take both halves of the
+// hybrid kinds.
+using AcceptCase = std::tuple<proto::ProtocolKind, bool, sim::PollMode>;
+
+class TServerRdma : public ::testing::TestWithParam<AcceptCase> {};
+
+TEST_P(TServerRdma, AcceptServesEveryProtocolKind) {
+  const auto [kind, sharded, poll] = GetParam();
+  Bed bed(1);
+  thrift::TServerRdma::Options so;
+  if (sharded) so = {.srq_depth = 32, .shards = 2};
+  thrift::TServerRdma srv(*bed.server, echo_handler(*bed.server), so);
+  proto::RpcChannel& ch =
+      srv.accept(*bed.clients[0], kind, proto::ChannelConfig{}.with_poll(poll));
+  int echoed = 0;
+  bed.sim.spawn([](proto::RpcChannel& ch, thrift::TServerRdma& srv,
+                   int& echoed) -> Task<void> {
+    for (uint32_t bytes : {512u, 8192u}) {
+      proto::Buffer payload(bytes);
+      for (uint32_t i = 0; i < bytes; ++i)
+        payload[i] = std::byte(i * 7 + bytes);
+      proto::CallResult r = co_await ch.call(payload, bytes);
+      if (r.ok() && r.value() == payload) ++echoed;
+    }
+    srv.stop();
+  }(ch, srv, echoed));
+  bed.sim.run();
+  EXPECT_EQ(echoed, 2);
+  EXPECT_EQ(bed.sim.live_tasks(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Kinds, TServerRdma,
+    ::testing::Combine(::testing::ValuesIn(proto::kAllProtocols),
+                       ::testing::Bool(),
+                       ::testing::Values(sim::PollMode::kBusy,
+                                         sim::PollMode::kEvent)),
+    [](const auto& info) {
+      std::string name(proto::to_string(std::get<0>(info.param)));
+      std::erase(name, '-');
+      name += std::get<1>(info.param) ? "_Sharded" : "_Default";
+      name += std::get<2>(info.param) == sim::PollMode::kBusy ? "_Busy"
+                                                               : "_Event";
+      return name;
+    });
 
 }  // namespace
 }  // namespace hatrpc

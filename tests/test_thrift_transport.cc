@@ -1,12 +1,10 @@
 // Transport-layer tests: simulated TCP/IPoIB sockets (byte-stream
-// semantics, EOF, latency/bandwidth behaviour), framed messaging, the three
-// server flavors, and the TRdma bridge (TSocket-compatible programming
-// model over every RDMA protocol).
+// semantics, EOF, latency/bandwidth behaviour), framed messaging, and the
+// threaded TServer.
 #include <gtest/gtest.h>
 
 #include <string>
 
-#include "thrift/rdma.h"
 #include "thrift/server.h"
 
 namespace hatrpc::thrift {
@@ -164,8 +162,7 @@ Processor echo_processor(verbs::Node& node) {
 
 TEST(TServer, ThreadedServesConcurrentClients) {
   Net n;
-  TServer server(n.net, *n.b, 5, echo_processor(*n.b),
-                 {.kind = ServerKind::kThreaded});
+  TServer server(n.net, *n.b, 5, echo_processor(*n.b));
   server.start();
   int ok = 0;
   for (int i = 0; i < 4; ++i) {
@@ -185,67 +182,12 @@ TEST(TServer, ThreadedServesConcurrentClients) {
   EXPECT_EQ(server.requests_served(), 20u);
 }
 
-TEST(TServer, SimpleServerSerializesConnections) {
-  // With TSimpleServer a second client cannot progress until the first
-  // connection closes.
-  Net n;
-  TServer server(n.net, *n.b, 6, echo_processor(*n.b),
-                 {.kind = ServerKind::kSimple});
-  server.start();
-  sim::Time first_done{}, second_done{};
-  n.sim.spawn([](Net& n, sim::Time& done) -> Task<void> {
-    SimSocket* c = co_await n.net.connect(*n.a, *n.b, 6);
-    SocketRpcClient rpc(c);
-    co_await rpc.call(view_of("one"));
-    co_await n.sim.sleep(1ms);  // hold the connection
-    rpc.close();
-    done = n.sim.now();
-  }(n, first_done));
-  n.sim.spawn([](Net& n, sim::Time& done) -> Task<void> {
-    co_await n.sim.sleep(100us);  // connect strictly second
-    SimSocket* c = co_await n.net.connect(*n.a, *n.b, 6);
-    SocketRpcClient rpc(c);
-    co_await rpc.call(view_of("two"));
-    done = n.sim.now();
-    rpc.close();
-  }(n, second_done));
-  n.sim.run_until(sim::Time(50ms));
-  EXPECT_GT(second_done, first_done);
-}
-
-TEST(TServer, ThreadPoolBoundsConcurrency) {
-  Net n;
-  int in_handler = 0, max_in_handler = 0;
-  Processor slow = [&](View req) -> Task<Buffer> {
-    ++in_handler;
-    max_in_handler = std::max(max_in_handler, in_handler);
-    co_await n.sim.sleep(100us);
-    --in_handler;
-    co_return Buffer(req.begin(), req.end());
-  };
-  TServer server(n.net, *n.b, 7, slow,
-                 {.kind = ServerKind::kThreadPool, .pool_workers = 2});
-  server.start();
-  for (int i = 0; i < 6; ++i) {
-    n.sim.spawn([](Net& n, int& /*unused*/) -> Task<void> {
-      SimSocket* c = co_await n.net.connect(*n.a, *n.b, 7);
-      SocketRpcClient rpc(c);
-      co_await rpc.call(view_of("x"));
-      rpc.close();
-    }(n, in_handler));
-  }
-  n.sim.run_until(sim::Time(50ms));
-  EXPECT_LE(max_in_handler, 2);
-  EXPECT_EQ(server.requests_served(), 6u);
-}
-
 TEST(TServer, ConnectionTrackingShrinksAndStopIsIdempotent) {
   // conns_ must track LIVE connections only: a closed connection leaves the
   // list as its serve loop unwinds, and stop() after that must not touch
   // the dead socket again.
   Net n;
-  TServer server(n.net, *n.b, 8, echo_processor(*n.b),
-                 {.kind = ServerKind::kThreaded});
+  TServer server(n.net, *n.b, 8, echo_processor(*n.b));
   server.start();
   size_t open_while_connected = 0;
   n.sim.spawn([](Net& n, TServer& server, size_t& open) -> Task<void> {
@@ -274,8 +216,7 @@ TEST(TServer, ConnectionTrackingShrinksAndStopIsIdempotent) {
 
 TEST(TServer, StopClosesLiveConnections) {
   Net n;
-  TServer server(n.net, *n.b, 9, echo_processor(*n.b),
-                 {.kind = ServerKind::kThreaded});
+  TServer server(n.net, *n.b, 9, echo_processor(*n.b));
   server.start();
   bool server_hung_up = false;
   n.sim.spawn([](Net& n, TServer& server, bool& hung_up) -> Task<void> {
@@ -296,134 +237,6 @@ TEST(TServer, StopClosesLiveConnections) {
   n.sim.run();
   EXPECT_TRUE(server_hung_up);
   EXPECT_EQ(n.sim.live_tasks(), 0u);
-}
-
-TEST(TRdma, SocketCompatibleProgrammingModel) {
-  // The paper's key TRdma property: write / flush / read like TSocket.
-  Simulator sim;
-  verbs::Fabric fabric(sim);
-  verbs::Node* cl = fabric.add_node();
-  verbs::Node* sv = fabric.add_node();
-  TServerRdma server(*sv, [sv](proto::View req) -> Task<proto::Buffer> {
-    co_await sv->cpu().compute(300ns);
-    std::string s(reinterpret_cast<const char*>(req.data()), req.size());
-    s = "echo:" + s;
-    auto* p = reinterpret_cast<const std::byte*>(s.data());
-    co_return proto::Buffer(p, p + s.size());
-  });
-  TRdmaEndPoint* ep =
-      server.accept(*cl, proto::ProtocolKind::kDirectWriteImm, {});
-  std::string got;
-  sim.spawn([](TRdmaEndPoint* ep, std::string& got,
-               TServerRdma& server) -> Task<void> {
-    TRdma t(*ep);
-    t.set_response_size_hint(64);
-    std::string req = "trdma";
-    t.write(view_of(req));
-    co_await t.flush();
-    std::byte buf[64];
-    size_t k = co_await t.read(buf, sizeof buf);
-    got.assign(reinterpret_cast<char*>(buf), k);
-    server.stop();
-  }(ep, got, server));
-  sim.run();
-  EXPECT_EQ(got, "echo:trdma");
-  EXPECT_EQ(sim.live_tasks(), 0u);
-}
-
-TEST(TRdma, WorksOverEveryProtocolKind) {
-  for (auto kind : {proto::ProtocolKind::kEagerSendRecv,
-                    proto::ProtocolKind::kWriteRndv,
-                    proto::ProtocolKind::kRfp,
-                    proto::ProtocolKind::kHybridEagerRndv}) {
-    Simulator sim;
-    verbs::Fabric fabric(sim);
-    verbs::Node* cl = fabric.add_node();
-    verbs::Node* sv = fabric.add_node();
-    TServerRdma server(*sv, [](proto::View req) -> Task<proto::Buffer> {
-      co_return proto::Buffer(req.begin(), req.end());
-    });
-    TRdmaEndPoint* ep = server.accept(*cl, kind, {});
-    bool ok = false;
-    sim.spawn([](TRdmaEndPoint* ep, bool& ok, TServerRdma& srv)
-                  -> Task<void> {
-      TRdma t(*ep);
-      t.write(view_of("abc"));
-      t.set_response_size_hint(3);
-      co_await t.flush();
-      std::byte buf[8];
-      size_t k = co_await t.read(buf, 8);
-      ok = (k == 3 && std::memcmp(buf, "abc", 3) == 0);
-      srv.stop();
-    }(ep, ok, server));
-    sim.run();
-    EXPECT_TRUE(ok) << proto::to_string(kind);
-  }
-}
-
-TEST(TRdmaTransport, HandshakeEstablishesEndpointOverTcp) {
-  // The paper's TRdmaTransport: out-of-band TCP exchange, then RDMA.
-  Simulator sim;
-  verbs::Fabric fabric(sim);
-  SocketNet net(fabric);
-  verbs::Node* cl = fabric.add_node();
-  verbs::Node* sv = fabric.add_node();
-  TRdmaTransport transport(net, *sv, 7000,
-                           [](proto::View req) -> Task<proto::Buffer> {
-                             co_return proto::Buffer(req.begin(), req.end());
-                           });
-  std::string got;
-  sim::Time handshake_done{};
-  sim.spawn([](Simulator& sim, TRdmaTransport& transport, verbs::Node* cl,
-               std::string& got, sim::Time& t) -> Task<void> {
-    proto::ChannelConfig cfg;
-    TRdmaEndPoint* ep = co_await transport.connect(
-        *cl, proto::ProtocolKind::kDirectWriteImm, cfg);
-    t = sim.now();  // handshake cost real virtual time
-    proto::Buffer req = proto::to_buffer("post-handshake");
-    proto::Buffer resp = (co_await ep->channel().call(req, 64)).value();
-    got = std::string(proto::as_string(resp));
-    transport.stop();
-  }(sim, transport, cl, got, handshake_done));
-  sim.run();
-  EXPECT_EQ(got, "post-handshake");
-  EXPECT_EQ(transport.connections(), 1u);
-  // TCP connect (30us handshake) + request/reply round trip.
-  EXPECT_GT(handshake_done, 40us);
-}
-
-TEST(TRdmaTransport, ManyClientsHandshakeConcurrently) {
-  Simulator sim;
-  verbs::Fabric fabric(sim);
-  SocketNet net(fabric);
-  verbs::Node* sv = fabric.add_node();
-  TRdmaTransport transport(net, *sv, 7001,
-                           [](proto::View req) -> Task<proto::Buffer> {
-                             co_return proto::Buffer(req.begin(), req.end());
-                           });
-  int ok = 0;
-  sim::WaitGroup wg(sim);
-  wg.add(6);
-  for (int c = 0; c < 6; ++c) {
-    verbs::Node* cl = fabric.add_node();
-    sim.spawn([](TRdmaTransport& transport, verbs::Node* cl, int c, int& ok,
-                 sim::WaitGroup& wg) -> Task<void> {
-      TRdmaEndPoint* ep = co_await transport.connect(
-          *cl, proto::ProtocolKind::kEagerSendRecv, proto::ChannelConfig{});
-      std::string msg = "client-" + std::to_string(c);
-      proto::Buffer resp = (co_await ep->channel().call(
-          proto::to_buffer(msg), 64)).value();
-      if (proto::as_string(resp) == msg) ++ok;
-      wg.done();
-    }(transport, cl, c, ok, wg));
-  }
-  sim.spawn([](sim::WaitGroup& wg, TRdmaTransport& t) -> Task<void> {
-    co_await wg.wait();
-    t.stop();
-  }(wg, transport));
-  sim.run();
-  EXPECT_EQ(ok, 6);
-  EXPECT_EQ(transport.connections(), 6u);
 }
 
 }  // namespace
