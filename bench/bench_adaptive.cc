@@ -162,7 +162,7 @@ RunResult run_config(Mode mode, const std::vector<PhaseSpec>& phases) {
 
   // One footprint shared by every channel: the subscription signal is the
   // AGGREGATE in-flight count, which is what over-subscribes the server.
-  obs::FunctionFootprint fp("bench_adaptive");
+  obs::FunctionFootprint fp;
 
   std::vector<std::unique_ptr<proto::RpcChannel>> statics;
   std::vector<std::unique_ptr<hint::AdaptiveChannel>> adaptives;

@@ -111,7 +111,7 @@ class AdaptiveController {
   sim::Simulator& sim_;
   AdaptiveParams p_;
   Plan plan_;
-  obs::FunctionFootprint own_fp_{"adaptive"};
+  obs::FunctionFootprint own_fp_;
   obs::FunctionFootprint* fp_;
   bool payload_large_ = false;
   Subscription sub_ = Subscription::kUnder;
