@@ -286,17 +286,13 @@ Json run_workload(char workload, const Options& opt, bool& ok) {
   std::optional<sim::Duration> failover_time;
   if (sh.first_recovered_write)
     failover_time = *sh.first_recovered_write - sh.crash_at;
-  uint64_t failovers = 0, map_refreshes = 0;
-  for (auto& c : clients) {
-    failovers += c->stats().failovers;
-    map_refreshes += c->stats().map_refreshes;
-  }
   auto sum = [&](obs::Ctr ctr) {
     uint64_t t = 0;
     for (verbs::Node* n : servers) t += n->counters().get(ctr);
     for (verbs::Node* n : client_nodes) t += n->counters().get(ctr);
     return t;
   };
+  const uint64_t failovers = sum(obs::Ctr::kFailovers);
   const verbs::AuditReport audit = fabric.audit();
   ok = sh.lost_acked_writes == 0 && sh.replica_lag == 0 &&
        sh.op_errors == 0 && audit.clean();
@@ -338,7 +334,7 @@ Json run_workload(char workload, const Options& opt, bool& ok) {
                .put("load_span_us", us(sh.load_span))
                .put("run_span_us", us(sh.run_span))
                .put("failovers", failovers)
-               .put("map_refreshes", map_refreshes)
+               .put("map_refreshes", sum(obs::Ctr::kShardMapRefreshes))
                .put("one_sided_reads", sum(obs::Ctr::kOneSidedReads))
                .put("one_sided_fallbacks", sum(obs::Ctr::kOneSidedFallbacks))
                .put("chain_forwards", sum(obs::Ctr::kChainForwards))

@@ -139,6 +139,17 @@ done \
   | rule 'module-layering' \
          'a src/ module may include only itself and the modules below it.'
 
+# --- Rule 8: one counter set. -------------------------------------------------
+# The RPC stack's per-call facts (WQEs by opcode, retries, replays, failovers)
+# live in the obs counters and the fabric's trace. A hand-kept `struct *Stats`
+# beside them is a second copy that drifts: ChannelStats once dropped the
+# hybrids' inner calls, and its merges disagreed with each other. mdblite's
+# EnvStats and sim's arena stats have no obs twin and stay outside the rule.
+grep -rnE --include='*.h' --include='*.cc' '\bstruct\s+\w*Stats\b' \
+    src/proto src/hint src/core src/thrift src/kv/cluster.* \
+  | rule 'counter-twin' \
+         'count in obs counters or trace events, not in a hand-kept Stats struct.'
+
 # --- clang-tidy (optional: degrades to a notice when absent). ---------------
 if command -v clang-tidy >/dev/null 2>&1; then
   if [ -f "$build_dir/compile_commands.json" ]; then

@@ -140,24 +140,6 @@ void AdaptiveChannel::abort() {
   for (auto& e : retired_) e->ch->abort();
 }
 
-proto::ChannelStats AdaptiveChannel::stats() const {
-  proto::ChannelStats s;
-  auto acc = [&s](const Epoch& e) {
-    proto::ChannelStats cs = e.ch->stats();
-    s.calls += cs.calls;
-    s.sends += cs.sends;
-    s.writes += cs.writes;
-    s.write_imms += cs.write_imms;
-    s.reads += cs.reads;
-    s.read_retries += cs.read_retries;
-    s.client_registered += cs.client_registered;
-    s.server_registered += cs.server_registered;
-  };
-  for (const auto& e : retired_) acc(*e);
-  acc(*cur_);
-  return s;
-}
-
 uint64_t AdaptiveChannel::epoch_stalls(const Epoch& ep) const {
   // Heuristic stall attribution: the per-call delta of the epoch channel's
   // window_stalls counter. Concurrent calls on the same channel can blur
@@ -252,8 +234,8 @@ AdaptiveChannel::~AdaptiveChannel() {
 
 sim::Task<void> AdaptiveChannel::reap(std::shared_ptr<Epoch> old) {
   // In-flight calls drain on the old plan; only then does the old epoch's
-  // serve loop stop. The object itself stays alive in retired_, so stats()
-  // still counts its traffic.
+  // serve loop stop. The object itself stays alive in retired_, where
+  // shutdown() and abort() still reach it.
   co_await old->drained.wait();
   old->ch->shutdown();
   // From here on any call pinned to this epoch is a lifetime violation

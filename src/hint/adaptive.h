@@ -136,7 +136,6 @@ class AdaptiveChannel : public proto::RpcChannel {
   void shutdown() override;
   void abort() override;
   proto::ProtocolKind kind() const override { return cur_->ch->kind(); }
-  proto::ChannelStats stats() const override;
 
   // Manual overrides forward to the current epoch.
   void set_poll_modes(sim::PollMode client, sim::PollMode server) override {

@@ -663,12 +663,10 @@ void ClusterClient::drop_replica(const ShardMap::Replica& dead) {
 
 Task<void> ClusterClient::refresh_map() {
   map_ = co_await cluster_.fetch_map();
-  ++stats_.map_refreshes;
   node_.counters().add(obs::Ctr::kShardMapRefreshes);
 }
 
 Task<void> ClusterClient::failover(const ShardMap::Replica& dead) {
-  ++stats_.failovers;
   node_.counters().add(obs::Ctr::kFailovers);
   co_await cluster_.report_down(dead.node, dead.incarnation);
   co_await refresh_map();
@@ -693,7 +691,6 @@ Task<uint64_t> ClusterClient::Put(const std::string& key,
       Conn& c = conn_to(shard, head);
       const int64_t v = co_await c.stub->Put(
           key, value, static_cast<int64_t>(client_id_), seq);
-      ++stats_.ops;
       const uint64_t uv = static_cast<uint64_t>(v);
       uint64_t& floor = acked_[key];
       floor = std::max(floor, uv);
@@ -725,11 +722,9 @@ Task<ClusterClient::GetResult> ClusterClient::Get(const std::string& key) {
       bool tail_died = false;
       try {
         ReadViewClient& rv = view_client(shard, tail);
-        ++stats_.one_sided_reads;
         node_.counters().add(obs::Ctr::kOneSidedReads);
         std::optional<ViewRecord> rec = co_await rv.read(key);
         if (rec && rec->version >= acked_floor(key)) {
-          ++stats_.ops;
           uint64_t& floor = acked_[key];
           floor = std::max(floor, rec->version);
           co_return GetResult{std::move(rec->value), rec->version, true,
@@ -737,7 +732,6 @@ Task<ClusterClient::GetResult> ClusterClient::Get(const std::string& key) {
         }
         // Miss, torn, collision, or stale (raced a failover/replication):
         // the RPC path below is authoritative.
-        ++stats_.one_sided_fallbacks;
         node_.counters().add(obs::Ctr::kOneSidedFallbacks);
       } catch (const proto::RpcError&) {
         tail_died = true;
@@ -753,7 +747,6 @@ Task<ClusterClient::GetResult> ClusterClient::Get(const std::string& key) {
     try {
       Conn& c = conn_to(shard, head);
       hatshard::VersionedValue vv = co_await c.stub->Get(key);
-      ++stats_.ops;
       const uint64_t uv = static_cast<uint64_t>(vv.version);
       if (vv.found) {
         uint64_t& floor = acked_[key];

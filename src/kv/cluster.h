@@ -426,13 +426,6 @@ class ClusterClient {
     bool found = false;
     bool one_sided = false;
   };
-  struct Stats {
-    uint64_t ops = 0;
-    uint64_t failovers = 0;
-    uint64_t one_sided_reads = 0;
-    uint64_t one_sided_fallbacks = 0;
-    uint64_t map_refreshes = 0;
-  };
 
   /// Resolves the shard map from the cluster's hint hierarchy (the same
   /// lookup any hint consumer performs).
@@ -449,7 +442,6 @@ class ClusterClient {
 
   void close();
 
-  const Stats& stats() const { return stats_; }
   const ShardMap& map() const { return map_; }
   uint64_t client_id() const { return client_id_; }
 
@@ -484,7 +476,6 @@ class ClusterClient {
   /// Session floor per key: highest version this client wrote or read.
   /// One-sided results below it are stale and fall back to RPC.
   std::unordered_map<std::string, uint64_t> acked_;
-  Stats stats_;
   static constexpr int kMaxFailovers = 4;
 };
 

@@ -1,7 +1,7 @@
 // Shared scaffolding for protocol implementations: one connected Endpoint
-// per side (QP + send/recv CQs + polling discipline), MR accounting, copy
-// charging, serve-loop lifecycle, the call window's slots, the Router that
-// hands each completion to the call holding its slot, and the server half
+// per side (QP + send/recv CQs + polling discipline), copy charging,
+// serve-loop lifecycle, the call window's slots, the Router that hands each
+// completion to the call holding its slot, and the server half
 // (serve_request and the wire rule). Each protocol subclass implements
 // do_call() and serve().
 //
@@ -139,15 +139,6 @@ class ChannelBase : public RpcChannel {
     if (one_slot()) return work;
     sim_.spawn(std::move(work));
     return {};
-  }
-
-  verbs::MemoryRegion* alloc_client_mr(size_t n) {
-    stats_.client_registered += n;
-    return cl_.pd().alloc_mr(n);
-  }
-  verbs::MemoryRegion* alloc_server_mr(size_t n) {
-    stats_.server_registered += n;
-    return sv_.pd().alloc_mr(n);
   }
 
   /// The server-side copy of a bypass response into its export region

@@ -52,11 +52,9 @@ class BypassChannel : public ChannelBase {
     wr.remote = srv_req_slot_->remote(size_t(slot) * req_stride_);
     wr.signaled = false;
     if (event_server()) {
-      ++stats_.write_imms;
       wr.opcode = verbs::Opcode::kWriteImm;
       wr.imm = slot_imm(slot, wire);
     } else {
-      ++stats_.writes;
       wr.opcode = verbs::Opcode::kWrite;
     }
     co_await cep_.qp->post_send(std::move(wr));
@@ -97,19 +95,17 @@ class BypassChannel : public ChannelBase {
       for (uint32_t s = 0; s < w; ++s)
         std::memset(mr->data() + size_t(s) * stride, 0, hdr);
     };
-    cli_req_src_ = alloc_client_mr(size_t(req_stride_) * w);
-    srv_req_slot_ = alloc_server_mr(size_t(req_stride_) * w);
+    cli_req_src_ = cl_.pd().alloc_mr(size_t(req_stride_) * w);
+    srv_req_slot_ = sv_.pd().alloc_mr(size_t(req_stride_) * w);
     zero_headers(srv_req_slot_, req_stride_, kReqHdr);
     served_seq_.assign(w, 0);
     if (kind_ == ProtocolKind::kHerd) {
-      resp_pipe_.emplace(sep_, cep_, cfg_, &stats_, channel_counters());
-      stats_.client_registered += resp_pipe_->ring_bytes();
-      stats_.server_registered += resp_pipe_->ring_bytes();
+      resp_pipe_.emplace(sep_, cep_, cfg_, channel_counters());
     } else {
       // Exported region the client READs: [meta1 16B][meta2 16B][payload],
       // and the client buffer those READs land in, one stride per slot.
-      srv_export_ = alloc_server_mr(size_t(exp_stride_) * w);
-      cli_read_buf_ = alloc_client_mr(size_t(exp_stride_) * w);
+      srv_export_ = sv_.pd().alloc_mr(size_t(exp_stride_) * w);
+      cli_read_buf_ = cl_.pd().alloc_mr(size_t(exp_stride_) * w);
       zero_headers(srv_export_, exp_stride_, kExportHdr);
       zero_headers(cli_read_buf_, exp_stride_, kExportHdr);
     }
@@ -157,11 +153,17 @@ class BypassChannel : public ChannelBase {
       sep_.qp->post_recv(verbs::RecvWr{.wr_id = idx});
   }
 
+  /// A READ that found the reply not yet published; traced as a decision.
+  void note_read_retry() {
+    if (obs_->tracer.enabled())
+      obs_->tracer.instant("read-retry", "proto", sim_.now(), obs_pid(),
+                           obs_channel_id());
+  }
+
   /// Slot-tagged READ of `len` export bytes at `remote_off` into the slot's
   /// read stride at `local_off`; mail_ routes its completion by wr_id.
   sim::Task<void> issue_read(uint32_t slot, uint64_t remote_off, uint32_t len,
                              uint64_t local_off = 0) {
-    ++stats_.reads;
     const size_t base = size_t(slot) * exp_stride_;
     co_await cep_.qp->post_send(verbs::SendWr{
         .wr_id = slot,
@@ -186,7 +188,7 @@ class BypassChannel : public ChannelBase {
         while (true) {
           co_await issue_read(slot, 0, kMetaBytes);
           if (get_u64(b) == seq) break;
-          ++stats_.read_retries;
+          note_read_retry();
         }
         // ...then fetch meta2 (extent) and finally the payload.
         co_await issue_read(slot, 16, kMetaBytes);
@@ -203,7 +205,7 @@ class BypassChannel : public ChannelBase {
             len = reply_len(b + 24);
             break;
           }
-          ++stats_.read_retries;
+          note_read_retry();
         }
         co_await issue_read(slot, kExportHdr, len);
         co_return Buffer(b, b + len);
@@ -222,11 +224,11 @@ class BypassChannel : public ChannelBase {
         if (fetch_delay_ > sim::Duration{0}) co_await sim_.sleep(fetch_delay_);
         co_await issue_read(slot, 0, kExportHdr + guess);
         if (get_u64(b) != seq) {
-          ++stats_.read_retries;
+          note_read_retry();
           while (true) {
             co_await issue_read(slot, 0, kExportHdr);
             if (get_u64(b) == seq) break;
-            ++stats_.read_retries;
+            note_read_retry();
           }
           // The response became visible roughly one read RTT before the
           // succeeding poll returned; learn the larger delay.

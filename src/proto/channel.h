@@ -8,11 +8,10 @@
 // doorbells, control messages, memory polling) is charged where it occurs.
 //
 // API shape: call() is a non-virtual wrapper that owns the cross-cutting
-// concerns (call counting, failure accounting, virtual-time spans) and
-// folds transport failures into Result<Buffer, RpcError>; protocols
-// implement the protected do_call() and throw RpcError. Construction goes
-// through make_channel() — the concrete protocol classes are not
-// constructible directly.
+// concerns (failure accounting, virtual-time spans) and folds transport
+// failures into Result<Buffer, RpcError>; protocols implement the protected
+// do_call() and throw RpcError. Construction goes through make_channel() —
+// the concrete protocol classes are not constructible directly.
 #pragma once
 
 #include <coroutine>
@@ -241,19 +240,6 @@ struct ChannelConfig {
   }
 };
 
-/// Per-channel operation counters. Tests read them to pin down each
-/// protocol's verbs footprint; nothing in the library reads them.
-struct ChannelStats {
-  uint64_t calls = 0;
-  uint64_t sends = 0;       // two-sided SENDs issued (both directions)
-  uint64_t writes = 0;      // one-sided WRITEs
-  uint64_t write_imms = 0;  // WRITE_WITH_IMMs
-  uint64_t reads = 0;       // one-sided READs
-  uint64_t read_retries = 0;  // extra READs spent polling for readiness
-  size_t client_registered = 0;  // bytes of MR pinned at the client
-  size_t server_registered = 0;  // bytes of MR pinned at the server
-};
-
 using LeasedResult = Result<LeasedReply, RpcError>;
 
 class RpcChannel {
@@ -287,7 +273,6 @@ class RpcChannel {
   virtual void abort() { shutdown(); }
 
   virtual ProtocolKind kind() const = 0;
-  virtual ChannelStats stats() const { return stats_; }
 
   // ---- Live reconfiguration (adaptive hints) ----------------------------
   // The adaptive controller re-selects polling and window online; protocol
@@ -326,7 +311,10 @@ class RpcChannel {
 
   /// Hooks this channel into the fabric's observability layer: allocates a
   /// channel-scoped counter set and remembers the client node id as the
-  /// trace pid. Every constructor path calls this exactly once.
+  /// trace pid. Every protocol and wrapper constructor calls it once, except
+  /// hint::AdaptiveChannel's: that wrapper stays unbound so a frozen run
+  /// registers the same channel scopes as its static twin, and its calls
+  /// count and trace only in the inner channel they ride.
   void bind_obs(verbs::Fabric& fabric, uint32_t client_node_id) {
     obs_ = &fabric.obs();
     sim_clock_ = &fabric.simulator();
@@ -340,10 +328,9 @@ class RpcChannel {
   uint32_t obs_pid() const { return obs_pid_; }
 
   /// Bookkeeping shared by call() and call_leased(), kept in plain
-  /// functions so neither coroutine pays an extra frame. begin_call counts
-  /// the call and returns the span start (empty when tracing is off).
+  /// functions so neither coroutine pays an extra frame. begin_call returns
+  /// the span start (empty when tracing is off).
   std::optional<sim::Time> begin_call() {
-    ++stats_.calls;
     if (!obs_ || !obs_->tracer.enabled()) return std::nullopt;
     return sim_clock_->now();
   }
@@ -360,7 +347,6 @@ class RpcChannel {
           "rpc", *t0, sim_clock_->now() - *t0, obs_pid_, obs_id_);
   }
 
-  ChannelStats stats_;
   /// False on a channel that forwards each call to an inner channel of its
   /// own, which already counts the failure on the node.
   bool counts_node_failures_ = true;

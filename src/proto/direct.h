@@ -95,10 +95,10 @@ class DirectChannel : public ChannelBase {
                               "24-bit notify length field's oversize mark");
     const size_t stride = cfg_.max_msg;
     const uint32_t w = cfg_.window;
-    cli_req_src_ = alloc_client_mr(stride * w);
-    cli_resp_buf_ = alloc_client_mr(stride * w);
-    srv_req_buf_ = alloc_server_mr(stride * w);
-    srv_resp_src_ = alloc_server_mr(stride * w);
+    cli_req_src_ = cl_.pd().alloc_mr(stride * w);
+    cli_resp_buf_ = cl_.pd().alloc_mr(stride * w);
+    srv_req_buf_ = sv_.pd().alloc_mr(stride * w);
+    srv_resp_src_ = sv_.pd().alloc_mr(stride * w);
     loans_.resize(w);
     for (uint32_t b = w; b-- > 0;) free_blocks_.push_back(b);
     ring_slots_ = std::max(kEagerSlots, w);
@@ -111,10 +111,10 @@ class DirectChannel : public ChannelBase {
         if (!cfg_.server_srq) sep_.qp->post_recv(verbs::RecvWr{.wr_id = i});
       }
     } else {
-      cli_notify_src_ = alloc_client_mr(kNotifyBytes * w);
-      srv_notify_src_ = alloc_server_mr(kNotifyBytes * w);
-      cli_notify_ring_ = alloc_client_mr(kNotifyBytes * ring_slots_);
-      srv_notify_ring_ = alloc_server_mr(kNotifyBytes * ring_slots_);
+      cli_notify_src_ = cl_.pd().alloc_mr(kNotifyBytes * w);
+      srv_notify_src_ = sv_.pd().alloc_mr(kNotifyBytes * w);
+      cli_notify_ring_ = cl_.pd().alloc_mr(kNotifyBytes * ring_slots_);
+      srv_notify_ring_ = sv_.pd().alloc_mr(kNotifyBytes * ring_slots_);
       for (uint32_t i = 0; i < ring_slots_; ++i) {
         post_notify_recv(cep_.qp, cli_notify_ring_, i);
         post_notify_recv(sep_.qp, srv_notify_ring_, i);
@@ -226,7 +226,6 @@ class DirectChannel : public ChannelBase {
                        uint32_t slot, verbs::MemoryRegion* notify_region) {
     switch (kind_) {
       case ProtocolKind::kDirectWriteImm: {
-        ++stats_.write_imms;
         co_await qp->post_send(verbs::SendWr{.opcode = verbs::Opcode::kWriteImm,
                                              .local = {src, len},
                                              .remote = dst,
@@ -236,8 +235,6 @@ class DirectChannel : public ChannelBase {
       }
       case ProtocolKind::kDirectWriteSend:
       case ProtocolKind::kChainedWriteSend: {
-        ++stats_.writes;
-        ++stats_.sends;
         std::byte* n = notify_region->data() + size_t(slot) * kNotifyBytes;
         put_u32(n, note);
         put_u32(n + 4, slot);

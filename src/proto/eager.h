@@ -56,14 +56,10 @@ class EagerChannel : public ChannelBase {
                ChannelConfig cfg)
       : ChannelBase(ProtocolKind::kEagerSendRecv, client, server,
                     std::move(handler), cfg),
-        c2s_(cep_, sep_, cfg_, &stats_, channel_counters()),
-        s2c_(sep_, cep_, cfg_, &stats_, channel_counters()),
+        c2s_(cep_, sep_, cfg_, channel_counters()),
+        s2c_(sep_, cep_, cfg_, channel_counters()),
         send_mu_(sim_), srv_send_mu_(sim_),
-        replies_(*this) {
-    // Each pipe pins one ring per side.
-    stats_.client_registered += c2s_.ring_bytes() + s2c_.ring_bytes();
-    stats_.server_registered += c2s_.ring_bytes() + s2c_.ring_bytes();
-  }
+        replies_(*this) {}
 
   friend std::unique_ptr<RpcChannel> make_channel(ProtocolKind,
                                                   verbs::Node&, verbs::Node&,

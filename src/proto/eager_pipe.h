@@ -30,9 +30,8 @@ class EagerPipe {
   /// ring on `dst`'s node, with recvs pre-posted on dst's QP. `chan` (may
   /// be null) mirrors staging-copy bytes into the owning channel's scope.
   EagerPipe(verbs::Endpoint& src, verbs::Endpoint& dst,
-            const ChannelConfig& cfg, ChannelStats* stats,
-            obs::CounterSet* chan)
-      : src_(src), dst_(dst), cfg_(cfg), stats_(stats), chan_(chan),
+            const ChannelConfig& cfg, obs::CounterSet* chan)
+      : src_(src), dst_(dst), cfg_(cfg), chan_(chan),
         cost_(src.node->fabric().cost()) {
     send_ring_ = src_.node->pd().alloc_mr(ring_bytes());
     recv_ring_ = dst_.node->pd().alloc_mr(ring_bytes());
@@ -95,7 +94,6 @@ class EagerPipe {
           .opcode = verbs::Opcode::kSend,
           .local = {s, hdr + take},
           .signaled = true});
-      ++stats_->sends;
       ++outstanding_;
       off += take;
       ++cursor_;
@@ -184,7 +182,6 @@ class EagerPipe {
   verbs::Endpoint& src_;
   verbs::Endpoint& dst_;
   ChannelConfig cfg_;
-  ChannelStats* stats_;
   obs::CounterSet* chan_;
   const verbs::CostModel& cost_;
 

@@ -27,21 +27,6 @@ class HybridChannel : public RpcChannel {
 
   ProtocolKind kind() const override { return kind_; }
 
-  ChannelStats stats() const override {
-    ChannelStats s = stats_;
-    for (const RpcChannel* c : {eager_.get(), rndv_.get()}) {
-      ChannelStats cs = c->stats();
-      s.sends += cs.sends;
-      s.writes += cs.writes;
-      s.write_imms += cs.write_imms;
-      s.reads += cs.reads;
-      s.read_retries += cs.read_retries;
-      s.client_registered += cs.client_registered;
-      s.server_registered += cs.server_registered;
-    }
-    return s;
-  }
-
   /// Live reconfiguration forwards to both inner channels: the threshold
   /// split is per call, so either path may serve the next one.
   void set_poll_modes(sim::PollMode client, sim::PollMode server) override {

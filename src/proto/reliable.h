@@ -48,16 +48,6 @@ struct RetryPolicy {
   sim::Duration total_deadline = sim::Duration::zero();
 };
 
-struct ReliabilityStats {
-  uint64_t attempts = 0;    // inner call()s issued (>= calls)
-  uint64_t retries = 0;     // attempts beyond a call's first
-  uint64_t timeouts = 0;    // attempts abandoned at the deadline
-  uint64_t failures = 0;    // attempts that surfaced a typed error
-  uint64_t reconnects = 0;  // fresh channels built (incl. fallbacks)
-  uint64_t fallbacks = 0;   // degradations to the eager path
-  uint64_t replays = 0;     // server-side dedupe hits (response replayed)
-};
-
 /// Wraps a protocol channel with retry/timeout/reconnect logic. Holds the
 /// two nodes so a failed connection can be torn down and rebuilt via
 /// make_channel (fresh QPs + CQs through Fabric::connect).
@@ -81,15 +71,6 @@ class ReliableChannel : public RpcChannel {
   /// The protocol currently carrying traffic (kEagerSendRecv once degraded).
   ProtocolKind active_kind() const { return active_kind_; }
   bool degraded() const { return active_kind_ != kind_; }
-  const ReliabilityStats& reliability() const { return rstats_; }
-  uint64_t server_replays() const { return dedupe_->replays; }
-
-  ChannelStats stats() const override {
-    ChannelStats s = stats_;
-    merge(s, ch_->stats());
-    for (const auto& dead : graveyard_) merge(s, dead->stats());
-    return s;
-  }
 
  protected:
   sim::Task<Buffer> do_call(View req, uint32_t resp_size_hint) override {
@@ -99,13 +80,11 @@ class ReliableChannel : public RpcChannel {
     RpcErrc last = RpcErrc::kTimeout;
     std::string last_what = "no attempt made";
     for (int attempt = 1; attempt <= policy_.max_attempts; ++attempt) {
-      ++rstats_.attempts;
       // With a windowed channel several calls retry concurrently; remember
       // which incarnation this attempt ran on so only the FIRST failure of
       // an incarnation rebuilds it (the others retry on the new channel).
       const uint64_t at_epoch = epoch_;
       if (attempt > 1) {
-        ++rstats_.retries;
         count(obs::Ctr::kRetryAttempts);
         if (obs_->tracer.enabled())
           obs_->tracer.instant("retry-attempt", "reliable", sim_.now(),
@@ -127,14 +106,12 @@ class ReliableChannel : public RpcChannel {
         // Deadline expired with the attempt still in flight: tear the
         // channel down so the inner call unwinds (flush completions), then
         // join it before the channel object is retired.
-        ++rstats_.timeouts;
         count(obs::Ctr::kTimeouts);
         ch_->abort();
         co_await state->done.wait();
         last = RpcErrc::kTimeout;
         last_what = "attempt timed out";
       } else if (state->err) {
-        ++rstats_.failures;
         bool rethrow = false;
         try {
           std::rethrow_exception(state->err);
@@ -186,19 +163,8 @@ class ReliableChannel : public RpcChannel {
   struct DedupeState {
     std::unordered_map<uint64_t, Buffer> cache;
     std::deque<uint64_t> order;
-    uint64_t replays = 0;
     static constexpr size_t kMaxCached = 256;
   };
-
-  static void merge(ChannelStats& into, const ChannelStats& from) {
-    into.sends += from.sends;
-    into.writes += from.writes;
-    into.write_imms += from.write_imms;
-    into.reads += from.reads;
-    into.read_retries += from.read_retries;
-    into.client_registered += from.client_registered;
-    into.server_registered += from.server_registered;
-  }
 
   /// Counts a reliability event in this channel's scope and on the client
   /// node (where the retry machinery runs).
@@ -222,7 +188,6 @@ class ReliableChannel : public RpcChannel {
       // the loser's insert is a harmless overwrite of an equal response.
       rsim->rc_update(dedupe.get(), seq, "ReliableChannel.dedupe", RC_HERE);
       if (auto it = dedupe->cache.find(seq); it != dedupe->cache.end()) {
-        ++dedupe->replays;
         chan->add(obs::Ctr::kReplays);
         node->add(obs::Ctr::kReplays);
         // A replay is copied once: into the area when it fits.
@@ -300,13 +265,11 @@ class ReliableChannel : public RpcChannel {
   void reconnect(RpcErrc why, int attempt, uint64_t at_epoch) {
     if (at_epoch != epoch_) return;
     ++epoch_;
-    ++rstats_.reconnects;
     count(obs::Ctr::kReconnects);
     bool degrade = policy_.fallback_to_eager &&
                    active_kind_ != ProtocolKind::kEagerSendRecv &&
                    (why == RpcErrc::kRemoteAccess || attempt >= 2);
     if (degrade) {
-      ++rstats_.fallbacks;
       count(obs::Ctr::kFallbacks);
       active_kind_ = ProtocolKind::kEagerSendRecv;
     }
@@ -329,7 +292,6 @@ class ReliableChannel : public RpcChannel {
   std::shared_ptr<DedupeState> dedupe_;
   std::unique_ptr<RpcChannel> ch_;
   std::vector<std::unique_ptr<RpcChannel>> graveyard_;
-  ReliabilityStats rstats_;
   uint64_t next_seq_ = 0;
   uint64_t epoch_ = 0;  // bumped on every rebuild; guards double-reconnect
 };

@@ -36,7 +36,6 @@ class RendezvousChannel : public ChannelBase {
       // RTS -> wait CTS -> WRITE_IMM payload into the server's buffer.
       co_await send_ctrl(cli_, slot, kRts, len, {});
       const RMsg cts = co_await expect(cli_, slot, kCts);
-      ++stats_.write_imms;
       co_await cep_.qp->post_send(verbs::SendWr{
           .opcode = verbs::Opcode::kWriteImm,
           .local = {cli_payload_->data() + off, len},
@@ -58,7 +57,6 @@ class RendezvousChannel : public ChannelBase {
     co_await send_ctrl(cli_, slot, kRts, len, cli_payload_->remote(off));
     const RMsg rts = co_await expect(cli_, slot, kRts);
     check_reply_len(rts.len);
-    ++stats_.reads;
     co_await cep_.qp->post_send(verbs::SendWr{
         .wr_id = slot,
         .opcode = verbs::Opcode::kRead,
@@ -87,20 +85,20 @@ class RendezvousChannel : public ChannelBase {
                               "length field");
     const size_t stride = cfg_.max_msg;
     const uint32_t w = cfg_.window;
-    cli_payload_ = alloc_client_mr(stride * w);
-    cli_resp_buf_ = alloc_client_mr(stride * w);
-    srv_payload_ = alloc_server_mr(stride * w);
-    srv_resp_src_ = alloc_server_mr(stride * w);
+    cli_payload_ = cl_.pd().alloc_mr(stride * w);
+    cli_resp_buf_ = cl_.pd().alloc_mr(stride * w);
+    srv_payload_ = sv_.pd().alloc_mr(stride * w);
+    srv_resp_src_ = sv_.pd().alloc_mr(stride * w);
     // Ctrl SENDs are unsignaled and the payload is copied out in flight, so
     // the source slots rotate: reusing one buffer would let a later message
     // overwrite an earlier one that is still on the wire (FIN chased by the
     // next call's RTS). With a window, several calls keep ctrl messages in
     // flight at once, so the rings scale with the window too.
     ctrl_slots_ = std::max(kEagerSlots, 4 * w);
-    cli_.src = alloc_client_mr(kCtrlBytes * ctrl_slots_);
-    srv_.src = alloc_server_mr(kCtrlBytes * ctrl_slots_);
-    cli_.ring = alloc_client_mr(kCtrlBytes * ctrl_slots_);
-    srv_.ring = alloc_server_mr(kCtrlBytes * ctrl_slots_);
+    cli_.src = cl_.pd().alloc_mr(kCtrlBytes * ctrl_slots_);
+    srv_.src = sv_.pd().alloc_mr(kCtrlBytes * ctrl_slots_);
+    cli_.ring = cl_.pd().alloc_mr(kCtrlBytes * ctrl_slots_);
+    srv_.ring = sv_.pd().alloc_mr(kCtrlBytes * ctrl_slots_);
     for (uint32_t i = 0; i < ctrl_slots_; ++i) {
       post_ctrl_recv(cli_, i);
       post_ctrl_recv(srv_, i);
@@ -146,7 +144,6 @@ class RendezvousChannel : public ChannelBase {
   /// Sends a 20-byte ctrl frame: [slot << 24 | type][len][addr][rkey].
   sim::Task<void> send_ctrl(Side& side, uint32_t slot, uint32_t type,
                             uint32_t len, verbs::RemoteAddr addr) {
-    ++stats_.sends;
     std::byte* p = side.src->data() +
                    static_cast<size_t>(side.seq++ % ctrl_slots_) * kCtrlBytes;
     put_u32(p, slot_imm(slot, type));
@@ -218,7 +215,6 @@ class RendezvousChannel : public ChannelBase {
                              srv_payload_->remote(off));
           req_len = (co_await expect(srv_, slot, kData)).len;
         } else {
-          ++stats_.reads;
           co_await sep_.qp->post_send(verbs::SendWr{
               .wr_id = slot,
               .opcode = verbs::Opcode::kRead,
@@ -242,7 +238,6 @@ class RendezvousChannel : public ChannelBase {
         if (kind_ == ProtocolKind::kWriteRndv) {
           co_await send_ctrl(srv_, slot, kRts, rlen, {});
           const RMsg cts = co_await expect(srv_, slot, kCts);
-          ++stats_.write_imms;
           co_await sep_.qp->post_send(verbs::SendWr{
               .opcode = verbs::Opcode::kWriteImm,
               .local = {srv_resp_src_->data() + off, rlen},

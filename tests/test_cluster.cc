@@ -140,7 +140,7 @@ TEST(Cluster, PutGetAcrossShardsWithReplication) {
   for (int i = 0; i < 40; ++i)
     used.insert(rig.cluster->map().shard_of("key" + std::to_string(i)));
   EXPECT_GT(used.size(), 1u);
-  EXPECT_GT(rig.client->stats().one_sided_reads, 0u);
+  EXPECT_GT(rig.client_node->counters().get(obs::Ctr::kOneSidedReads), 0u);
 
   // Chain replication: every acknowledged record is on BOTH replicas of
   // its shard at the same version.
@@ -278,7 +278,7 @@ TEST(Cluster, StaleOneSidedReadFallsBackToRpc) {
     rig.cluster->stop();
   }(rig));
   rig.finish();
-  EXPECT_GT(rig.client->stats().one_sided_fallbacks, 0u);
+  EXPECT_GT(rig.client_node->counters().get(obs::Ctr::kOneSidedFallbacks), 0u);
 }
 
 TEST(Cluster, FailoverPreservesEveryAckedWrite) {
@@ -310,8 +310,8 @@ TEST(Cluster, FailoverPreservesEveryAckedWrite) {
       }(rig, acked));
   rig.finish();
   EXPECT_EQ(acked.size(), 120u);
-  EXPECT_GT(rig.client->stats().failovers, 0u);
-  EXPECT_GT(rig.client->stats().map_refreshes, 0u);
+  EXPECT_GT(rig.client_node->counters().get(obs::Ctr::kFailovers), 0u);
+  EXPECT_GT(rig.client_node->counters().get(obs::Ctr::kShardMapRefreshes), 0u);
   // The crashed node is out of every chain.
   for (const auto& shard : rig.cluster->map().shards) {
     for (const auto& r : shard.chain) EXPECT_NE(r.node, 0u);
@@ -401,7 +401,7 @@ TEST(Cluster, SameSeedCrashRunsAreDeterministic) {
     rig.finish();
     return std::tuple(rig.fabric.fault_plan()->trace(),
                       rig.sim.events_processed(),
-                      rig.client->stats().failovers,
+                      rig.client_node->counters().get(obs::Ctr::kFailovers),
                       rig.cluster->map().encode());
   };
   auto a = run(9);

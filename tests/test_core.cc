@@ -9,6 +9,7 @@
 
 #include "core/engine.h"
 #include "loopback_caller.h"
+#include "trace_counts.h"
 
 namespace hatrpc::core {
 namespace {
@@ -267,6 +268,7 @@ TEST(Engine, ChannelsMaterializeLazilyAndAreSharedPerPlan) {
 
 TEST(Engine, ChannelMatchesPlanProtocol) {
   Cluster c;
+  c.fabric.obs().tracer.enable();
   HatServer server(*c.server_node, heterogeneous_hints(), {});
   register_echo_methods(server);
   HatConnection conn(*c.client, server);
@@ -278,7 +280,8 @@ TEST(Engine, ChannelMatchesPlanProtocol) {
   const proto::RpcChannel* ch = conn.channel_for_plan(conn.plan_for("FastGet"));
   ASSERT_NE(ch, nullptr);
   EXPECT_EQ(ch->kind(), proto::ProtocolKind::kDirectWriteImm);
-  EXPECT_EQ(ch->stats().calls, 1u);
+  EXPECT_EQ(obs::TraceCounts(c.fabric.obs().tracer)["call/Direct-WriteIMM"],
+            1u);
 }
 
 TEST(Engine, TcpHintedFunctionUsesSocketPath) {

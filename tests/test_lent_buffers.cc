@@ -852,7 +852,7 @@ TEST(InPlaceReply, ReliableDirectReplayIsWrittenIntoTheArea) {
     }(sim, *ch, out));
     sim.run();
     EXPECT_EQ(sim.live_tasks(), 0u);
-    replays = ch->server_replays();
+    replays = ch->counters()->get(obs::Ctr::kReplays);
     out.counters = fabric.obs().counters.dump();
     return out;
   };

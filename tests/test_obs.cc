@@ -13,13 +13,16 @@
 #include <sstream>
 #include <string>
 
+#include "all_protocols.h"
 #include "proto/channel.h"
 #include "proto/reliable.h"
+#include "trace_counts.h"
 #include "verbs/fault.h"
 
 namespace hatrpc::proto {
 namespace {
 
+using sim::PollMode;
 using sim::Simulator;
 using sim::Task;
 using namespace std::chrono_literals;
@@ -33,10 +36,11 @@ Handler echo_handler(verbs::Node& server) {
 
 /// Steady-state per-call footprint: one warm-up call, then `calls` measured
 /// calls; returns the counter delta summed over every channel scope (hybrid
-/// kinds register one scope per sub-channel) plus the ChannelStats delta.
+/// kinds register one scope per sub-channel) plus the trace events that
+/// start while the measured calls run (one `wqe/<opcode>` span per WQE).
 struct Footprint {
   obs::CounterSet ctrs;   // channel-scope counter delta over `calls`
-  ChannelStats stats;     // ChannelStats delta over `calls`
+  obs::TraceCounts trace;  // trace events over `calls`
   int calls = 0;
 
   /// Exact per-call value; fails the test if the total isn't an exact
@@ -52,13 +56,16 @@ Footprint measure(ProtocolKind kind, size_t bytes, int calls = 4) {
   verbs::Fabric fabric(sim);
   verbs::Node* cl = fabric.add_node();
   verbs::Node* sv = fabric.add_node();
+  fabric.obs().tracer.enable();
   ChannelConfig cfg;
   cfg.with_max_msg(1 << 20);
   auto ch = make_channel(kind, *cl, *sv, echo_handler(*sv), cfg);
   Footprint f;
   f.calls = calls;
+  sim::Time from, to;
   sim.spawn([](verbs::Fabric& fabric, RpcChannel& ch, size_t bytes,
-               int calls, Footprint& f) -> Task<void> {
+               int calls, Footprint& f, sim::Time& from,
+               sim::Time& to) -> Task<void> {
     obs::Counters& ctrs = fabric.obs().counters;
     auto channel_sum = [&ctrs] {
       obs::CounterSet sum;
@@ -70,19 +77,16 @@ Footprint measure(ProtocolKind kind, size_t bytes, int calls = 4) {
     Buffer payload(bytes, std::byte{0x7e});
     (co_await ch.call(payload, uint32_t(bytes))).value();  // warm-up
     obs::CounterSet base = channel_sum();
-    ChannelStats sbase = ch.stats();
+    from = fabric.simulator().now();
     for (int i = 0; i < calls; ++i)
       (co_await ch.call(payload, uint32_t(bytes))).value();
     f.ctrs = channel_sum().delta_since(base);
-    ChannelStats now = ch.stats();
-    f.stats.sends = now.sends - sbase.sends;
-    f.stats.writes = now.writes - sbase.writes;
-    f.stats.write_imms = now.write_imms - sbase.write_imms;
-    f.stats.reads = now.reads - sbase.reads;
-    f.stats.read_retries = now.read_retries - sbase.read_retries;
+    to = fabric.simulator().now();
     ch.shutdown();
-  }(fabric, *ch, bytes, calls, f));
+  }(fabric, *ch, bytes, calls, f, from, to));
   sim.run();
+  // A WQE's span closes when it completes; by now every one has.
+  f.trace = obs::TraceCounts(fabric.obs().tracer, from, to);
   return f;
 }
 
@@ -121,36 +125,36 @@ TEST(OpCounts, WriteRendezvousCostsSixDoorbells) {
   Footprint f = measure(ProtocolKind::kWriteRndv, 8192);
   // RTS + CTS + WRITE_IMM, each direction, each its own doorbell.
   EXPECT_EQ(f.per_call(obs::Ctr::kDoorbells), 6u);
-  EXPECT_EQ(f.stats.sends, uint64_t(f.calls) * 4);
-  EXPECT_EQ(f.stats.write_imms, uint64_t(f.calls) * 2);
+  EXPECT_EQ(f.trace["wqe/send"], uint64_t(f.calls) * 4);
+  EXPECT_EQ(f.trace["wqe/write_imm"], uint64_t(f.calls) * 2);
 }
 
 TEST(OpCounts, ReadRendezvousCostsFiveDoorbells) {
   Footprint f = measure(ProtocolKind::kReadRndv, 8192);
   // RTS each way + completion notify + one READ per side.
   EXPECT_EQ(f.per_call(obs::Ctr::kDoorbells), 5u);
-  EXPECT_EQ(f.stats.reads, uint64_t(f.calls) * 2);
+  EXPECT_EQ(f.trace["wqe/read"], uint64_t(f.calls) * 2);
 }
 
 TEST(OpCounts, PilafIsThreeReadsOneWritePerCall) {
   Footprint f = measure(ProtocolKind::kPilaf, 512);
   // 2 metadata READs + 1 payload READ (retries excluded), 1 request WRITE.
-  EXPECT_EQ(f.stats.reads - f.stats.read_retries, uint64_t(f.calls) * 3);
-  EXPECT_EQ(f.stats.writes, uint64_t(f.calls));
+  EXPECT_EQ(f.trace["wqe/read"] - f.trace["read-retry"], uint64_t(f.calls) * 3);
+  EXPECT_EQ(f.trace["wqe/write"], uint64_t(f.calls));
 }
 
 TEST(OpCounts, FarmIsTwoReadsPerCall) {
   Footprint f = measure(ProtocolKind::kFarm, 512);
-  EXPECT_EQ(f.stats.reads - f.stats.read_retries, uint64_t(f.calls) * 2);
+  EXPECT_EQ(f.trace["wqe/read"] - f.trace["read-retry"], uint64_t(f.calls) * 2);
 }
 
 TEST(OpCounts, HybridSmallTakesEagerPathLargeTakesRendezvous) {
   Footprint small = measure(ProtocolKind::kHybridEagerRndv, 512);
   EXPECT_EQ(small.per_call(obs::Ctr::kDoorbells), 2u);  // eager footprint
-  EXPECT_EQ(small.stats.write_imms, 0u);
+  EXPECT_EQ(small.trace["wqe/write_imm"], 0u);
   Footprint large = measure(ProtocolKind::kHybridEagerRndv, 8192);
   EXPECT_EQ(large.per_call(obs::Ctr::kDoorbells), 6u);  // Write-RNDV
-  EXPECT_EQ(large.stats.write_imms, uint64_t(large.calls) * 2);
+  EXPECT_EQ(large.trace["wqe/write_imm"], uint64_t(large.calls) * 2);
 }
 
 TEST(OpCounts, DmaBytesScaleWithPayloadOnlyForZeroCopy) {
@@ -319,6 +323,63 @@ TEST(Tracer, DisabledTracerRecordsNothingFromChannels) {
   }(*ch));
   sim.run();
   EXPECT_EQ(fabric.obs().tracer.event_count(), 0u);
+}
+
+/// What one traced-or-not echo run leaves behind: its end time, its counter
+/// dump, and (traced) its events by name plus the WQEs every node posted.
+struct EchoRun {
+  sim::Time end{};
+  std::string dump;
+  obs::TraceCounts trace;
+  uint64_t wqes_posted = 0;
+};
+
+/// `window` callers each make three `bytes` echo calls on one `kind`
+/// channel polled with `poll` on both sides.
+EchoRun echo_run(ProtocolKind kind, uint32_t window, size_t bytes,
+                 PollMode poll, bool traced) {
+  Simulator sim;
+  verbs::Fabric fabric(sim);
+  if (traced) fabric.obs().tracer.enable();
+  verbs::Node* cl = fabric.add_node();
+  verbs::Node* sv = fabric.add_node();
+  auto ch = make_channel(kind, *cl, *sv, echo_handler(*sv),
+                         ChannelConfig{}.with_poll(poll).with_window(window));
+  uint32_t live = window;
+  for (uint32_t c = 0; c < window; ++c)
+    sim.spawn([](RpcChannel& ch, size_t bytes, uint32_t& live) -> Task<void> {
+      Buffer payload(bytes, std::byte{0x5a});
+      for (int i = 0; i < 3; ++i)
+        (co_await ch.call(payload, uint32_t(bytes))).value();
+      if (--live == 0) ch.shutdown();
+    }(*ch, bytes, live));
+  sim.run();
+  EXPECT_EQ(sim.live_tasks(), 0u);
+  return {sim.now(), fabric.obs().counters.dump(),
+          obs::TraceCounts(fabric.obs().tracer),
+          fabric.obs().counters.node_total(obs::Ctr::kWqesPosted)};
+}
+
+TEST(Tracer, TracingChangesNoRunAndSpansEveryWqe) {
+  // The per-opcode footprint tests read `wqe/*` spans in place of counters
+  // of their own; that holds only if tracing leaves the run untouched and
+  // the fabric closes one span per WQE posted.
+  for (ProtocolKind kind : kAllProtocols)
+    for (uint32_t window : {1u, 4u})
+      for (size_t bytes : {size_t{64}, size_t{16} << 10})
+        for (PollMode poll : {PollMode::kBusy, PollMode::kEvent}) {
+          SCOPED_TRACE(std::string(to_string(kind)) + " window " +
+                       std::to_string(window) + " " + std::to_string(bytes) +
+                       "B " + (poll == PollMode::kBusy ? "busy" : "event"));
+          const EchoRun off = echo_run(kind, window, bytes, poll, false);
+          const EchoRun on = echo_run(kind, window, bytes, poll, true);
+          EXPECT_EQ(on.end, off.end);
+          EXPECT_EQ(on.dump, off.dump);
+          EXPECT_GT(on.wqes_posted, 0u);
+          EXPECT_EQ(on.trace.with_prefix("wqe/"), on.wqes_posted);
+          EXPECT_EQ(on.trace["call/" + std::string(to_string(kind))],
+                    uint64_t{window} * 3);
+        }
 }
 
 // ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@
 #include "proto/reliable.h"
 #include "sim/sync.h"
 #include "thrift/rdma.h"
+#include "trace_counts.h"
 
 namespace hatrpc {
 namespace {
@@ -87,12 +88,14 @@ class WindowedProtocol : public ::testing::TestWithParam<ProtocolKind> {};
 
 TEST_P(WindowedProtocol, Window8EchoNoCrossTalk) {
   Bed bed;
+  bed.fabric.obs().tracer.enable();
   ChannelConfig cfg;
   cfg.with_poll(PollMode::kBusy).with_max_msg(8 << 10).with_window(8);
   auto ch = proto::make_channel(GetParam(), *bed.cl, *bed.sv, echo_handler(),
                                 cfg);
   drive_echo(bed, *ch, /*lanes=*/8, /*iters=*/4);
-  EXPECT_EQ(ch->stats().calls, 32u);
+  const obs::TraceCounts trace(bed.fabric.obs().tracer);
+  EXPECT_EQ(trace["call/" + std::string(proto::to_string(GetParam()))], 32u);
 }
 
 std::string kind_name(const ::testing::TestParamInfo<ProtocolKind>& info) {

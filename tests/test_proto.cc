@@ -1,8 +1,9 @@
 // Tests for the RDMA protocol engine: functional round-trip correctness for
 // every protocol across payload sizes (parameterized sweep), per-protocol
-// verbs-operation footprints (doorbells, READ counts, chaining), latency
-// orderings the paper's Fig. 4 analysis relies on, memory-registration
-// accounting, and clean shutdown.
+// verbs-operation footprints (WQEs by opcode and READ retries, counted from
+// the run's trace), latency orderings the paper's Fig. 4 analysis relies
+// on, memory-registration accounting (the server node's mr_bytes), and
+// clean shutdown.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "all_protocols.h"
+#include "trace_counts.h"
 #include "proto/base.h"
 #include "proto/channel.h"
 #include "proto/eager_pipe.h"
@@ -47,9 +49,15 @@ Handler make_upcase_handler(verbs::Node& server) {
 struct RpcResult {
   std::string response;
   sim::Time elapsed{};
-  ChannelStats stats;
+  obs::TraceCounts trace;  // the run's spans and instants by name
+  uint64_t server_mr_bytes = 0;  // registered at the server node
   size_t leaked_tasks = 0;
 };
+
+/// The span name of one returned call on a `kind` channel.
+std::string call_span(ProtocolKind kind) {
+  return "call/" + std::string(to_string(kind));
+}
 
 RpcResult run_rpc(ProtocolKind kind, const std::string& payload,
                   ChannelConfig cfg, int repeats = 1) {
@@ -57,6 +65,7 @@ RpcResult run_rpc(ProtocolKind kind, const std::string& payload,
   verbs::Fabric fabric(sim);
   verbs::Node* client = fabric.add_node();
   verbs::Node* server = fabric.add_node();
+  fabric.obs().tracer.enable();
   auto ch = make_channel(kind, *client, *server,
                          make_upcase_handler(*server), cfg);
   RpcResult result;
@@ -71,7 +80,8 @@ RpcResult run_rpc(ProtocolKind kind, const std::string& payload,
     ch.shutdown();
   }(sim, *ch, payload, repeats, result));
   sim.run();
-  result.stats = ch->stats();
+  result.trace = obs::TraceCounts(fabric.obs().tracer);
+  result.server_mr_bytes = server->counters().get(obs::Ctr::kMrBytes);
   result.leaked_tasks = sim.live_tasks();
   return result;
 }
@@ -105,7 +115,7 @@ TEST_P(ProtocolRoundTrip, EchoesAcrossSizesAndPolling) {
   std::string payload = payload_of(size);
   RpcResult r = run_rpc(kind, payload, cfg, /*repeats=*/2);
   EXPECT_EQ(r.response, upcased(payload)) << to_string(kind);
-  EXPECT_EQ(r.stats.calls, 2u);
+  EXPECT_EQ(r.trace[call_span(kind)], 2u);
   EXPECT_EQ(r.leaked_tasks, 0u) << "server loop leaked for "
                                 << to_string(kind);
   EXPECT_GT(r.elapsed, 0ns);
@@ -130,38 +140,51 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(ProtocolFootprint, DirectWriteImmUsesOneWqePerDirection) {
   RpcResult r = run_rpc(ProtocolKind::kDirectWriteImm, payload_of(512), {});
-  EXPECT_EQ(r.stats.write_imms, 2u);  // request + response
-  EXPECT_EQ(r.stats.sends, 0u);
-  EXPECT_EQ(r.stats.writes, 0u);
-  EXPECT_EQ(r.stats.reads, 0u);
+  EXPECT_EQ(r.trace["wqe/write_imm"], 2u);  // request + response
+  EXPECT_EQ(r.trace["wqe/send"], 0u);
+  EXPECT_EQ(r.trace["wqe/write"], 0u);
+  EXPECT_EQ(r.trace["wqe/read"], 0u);
 }
 
 TEST(ProtocolFootprint, DirectWriteSendUsesWritePlusSend) {
   RpcResult r = run_rpc(ProtocolKind::kDirectWriteSend, payload_of(512), {});
-  EXPECT_EQ(r.stats.writes, 2u);
-  EXPECT_EQ(r.stats.sends, 2u);
-  EXPECT_EQ(r.stats.write_imms, 0u);
+  EXPECT_EQ(r.trace["wqe/write"], 2u);
+  EXPECT_EQ(r.trace["wqe/send"], 2u);
+  EXPECT_EQ(r.trace["wqe/write_imm"], 0u);
 }
 
 TEST(ProtocolFootprint, PilafIssuesAtLeastThreeReads) {
   RpcResult r = run_rpc(ProtocolKind::kPilaf, payload_of(512), {});
-  EXPECT_GE(r.stats.reads, 3u);  // 2 metadata + 1 payload (+ retries)
-  EXPECT_EQ(r.stats.reads - r.stats.read_retries, 3u);
+  EXPECT_GE(r.trace["wqe/read"], 3u);  // 2 metadata + 1 payload (+ retries)
+  EXPECT_EQ(r.trace["wqe/read"] - r.trace["read-retry"], 3u);
 }
 
 TEST(ProtocolFootprint, FarmIssuesAtLeastTwoReads) {
   RpcResult r = run_rpc(ProtocolKind::kFarm, payload_of(512), {});
-  EXPECT_GE(r.stats.reads, 2u);
-  EXPECT_EQ(r.stats.reads - r.stats.read_retries, 2u);
+  EXPECT_GE(r.trace["wqe/read"], 2u);
+  EXPECT_EQ(r.trace["wqe/read"] - r.trace["read-retry"], 2u);
+}
+
+TEST(ProtocolFootprint, SlowRepliesRetryOnlyTheReadinessProbe) {
+  // A 64 KiB echo keeps the handler busy past the first probe READ, so the
+  // probe repeats (one read-retry instant each) and the other READs stay
+  // exact: Pilaf's 3 per call, FaRM's 2.
+  for (auto [kind, reads] : {std::pair{ProtocolKind::kPilaf, 3u},
+                             std::pair{ProtocolKind::kFarm, 2u}}) {
+    RpcResult r = run_rpc(kind, payload_of(65536), {}, 4);
+    EXPECT_GT(r.trace["read-retry"], 0u) << to_string(kind);
+    EXPECT_EQ(r.trace["wqe/read"] - r.trace["read-retry"], 4u * reads)
+        << to_string(kind);
+  }
 }
 
 TEST(ProtocolFootprint, RfpFetchesWithSingleSizedRead) {
   // Repeat enough calls for the adaptive fetch delay to converge; the
   // steady state is one sized READ per call (plus the request WRITE).
   RpcResult r = run_rpc(ProtocolKind::kRfp, payload_of(512), {}, 20);
-  EXPECT_EQ(r.stats.writes, 20u);  // one request write per call
+  EXPECT_EQ(r.trace["wqe/write"], 20u);  // one request write per call
   double reads_per_call =
-      double(r.stats.reads - r.stats.read_retries) / 20.0;
+      double(r.trace["wqe/read"] - r.trace["read-retry"]) / 20.0;
   EXPECT_LT(reads_per_call, 1.6);  // ~1 sized fetch (+ rare slow-path pair)
 }
 
@@ -171,6 +194,7 @@ TEST(ProtocolFootprint, RfpUndersizedHintPaysASecondRead) {
   verbs::Fabric fabric(sim);
   verbs::Node* client = fabric.add_node();
   verbs::Node* server = fabric.add_node();
+  fabric.obs().tracer.enable();
   auto ch = make_channel(ProtocolKind::kRfp, *client, *server,
                          make_upcase_handler(*server), {});
   std::string payload = payload_of(8192);
@@ -186,16 +210,16 @@ TEST(ProtocolFootprint, RfpUndersizedHintPaysASecondRead) {
   }(*ch, payload, got));
   sim.run();
   EXPECT_EQ(got, upcased(payload));
-  auto s = ch->stats();
+  const obs::TraceCounts s(fabric.obs().tracer);
   // Each call needs more than the single sized fetch (tail or slow path).
-  EXPECT_GE(s.reads - s.read_retries, 10u);
+  EXPECT_GE(s["wqe/read"] - s["read-retry"], 10u);
 }
 
 TEST(ProtocolFootprint, HerdRespondsWithSend) {
   RpcResult r = run_rpc(ProtocolKind::kHerd, payload_of(512), {});
-  EXPECT_EQ(r.stats.writes, 1u);  // request
-  EXPECT_GE(r.stats.sends, 1u);   // response via SEND
-  EXPECT_EQ(r.stats.reads, 0u);
+  EXPECT_EQ(r.trace["wqe/write"], 1u);  // request
+  EXPECT_GE(r.trace["wqe/send"], 1u);   // response via SEND
+  EXPECT_EQ(r.trace["wqe/read"], 0u);
 }
 
 TEST(ProtocolFootprint, EagerSegmentsLargeMessages) {
@@ -203,15 +227,15 @@ TEST(ProtocolFootprint, EagerSegmentsLargeMessages) {
   // 64 KB over 4 KB slots, each fragment with its header: at least 17
   // segments each way.
   static_assert(kEagerSlot == 4096);
-  EXPECT_GE(r.stats.sends, 34u);
+  EXPECT_GE(r.trace["wqe/send"], 34u);
 }
 
 TEST(ProtocolFootprint, RendezvousExchangesControlMessages) {
   RpcResult w = run_rpc(ProtocolKind::kWriteRndv, payload_of(8192), {});
-  EXPECT_GE(w.stats.sends, 4u);       // RTS/CTS each way
-  EXPECT_EQ(w.stats.write_imms, 2u);  // payload each way
+  EXPECT_GE(w.trace["wqe/send"], 4u);       // RTS/CTS each way
+  EXPECT_EQ(w.trace["wqe/write_imm"], 2u);  // payload each way
   RpcResult rr = run_rpc(ProtocolKind::kReadRndv, payload_of(8192), {});
-  EXPECT_EQ(rr.stats.reads, 2u);  // server reads req, client reads resp
+  EXPECT_EQ(rr.trace["wqe/read"], 2u);  // server reads req, client reads resp
 }
 
 TEST(ProtocolFootprint, HybridSwitchesAtThreshold) {
@@ -219,15 +243,15 @@ TEST(ProtocolFootprint, HybridSwitchesAtThreshold) {
   cfg.rndv_threshold = 4096;
   RpcResult small = run_rpc(ProtocolKind::kHybridEagerRndv, payload_of(512),
                             cfg);
-  EXPECT_EQ(small.stats.write_imms, 0u);  // eager path only
+  EXPECT_EQ(small.trace["wqe/write_imm"], 0u);  // eager path only
   RpcResult large = run_rpc(ProtocolKind::kHybridEagerRndv, payload_of(8192),
                             cfg);
-  EXPECT_EQ(large.stats.write_imms, 2u);  // Write-RNDV path
+  EXPECT_EQ(large.trace["wqe/write_imm"], 2u);  // Write-RNDV path
 }
 
 TEST(ProtocolFootprint, ArGrpcUsesReadRendezvousAboveThreshold) {
   RpcResult large = run_rpc(ProtocolKind::kArGrpc, payload_of(8192), {});
-  EXPECT_EQ(large.stats.reads, 2u);
+  EXPECT_EQ(large.trace["wqe/read"], 2u);
 }
 
 // ---------------------------------------------------------------------------
@@ -239,10 +263,9 @@ TEST(ProtocolMemory, DirectProtocolsPinMaxMsgPerConnection) {
   cfg.max_msg = 256 << 10;
   RpcResult direct = run_rpc(ProtocolKind::kDirectWriteImm, "x", cfg);
   RpcResult eager = run_rpc(ProtocolKind::kEagerSendRecv, "x", cfg);
-  EXPECT_GE(direct.stats.server_registered, size_t{2} * cfg.max_msg);
+  EXPECT_GE(direct.server_mr_bytes, size_t{2} * cfg.max_msg);
   // Eager pins only the slot rings: far less server memory per connection.
-  EXPECT_LT(eager.stats.server_registered,
-            direct.stats.server_registered / 2);
+  EXPECT_LT(eager.server_mr_bytes, direct.server_mr_bytes / 2);
 }
 
 // ---------------------------------------------------------------------------
@@ -312,6 +335,7 @@ TEST(ProtocolSequencing, ManySequentialCallsStayCorrect) {
     verbs::Fabric fabric(sim);
     verbs::Node* client = fabric.add_node();
     verbs::Node* server = fabric.add_node();
+    fabric.obs().tracer.enable();
     auto ch = make_channel(k, *client, *server, make_upcase_handler(*server),
                            {});
     int mismatches = -1;
@@ -328,7 +352,8 @@ TEST(ProtocolSequencing, ManySequentialCallsStayCorrect) {
     }(*ch, mismatches));
     sim.run();
     EXPECT_EQ(mismatches, 0) << to_string(k);
-    EXPECT_EQ(ch->stats().calls, 50u) << to_string(k);
+    EXPECT_EQ(obs::TraceCounts(fabric.obs().tracer)[call_span(k)], 50u)
+        << to_string(k);
   }
 }
 
@@ -384,6 +409,7 @@ TEST(ProtocolLimits, OversizedDirectReplyFailsOnlyThatCall) {
       verbs::Fabric fabric(sim);
       verbs::Node* client = fabric.add_node();
       verbs::Node* server = fabric.add_node();
+      fabric.obs().tracer.enable();
       Handler handler = [](View req) -> Task<Buffer> {
         if (as_string(req) == "big") co_return Buffer(16384, std::byte{'x'});
         co_return Buffer(req.begin(), req.end());
@@ -407,7 +433,10 @@ TEST(ProtocolLimits, OversizedDirectReplyFailsOnlyThatCall) {
       EXPECT_NO_THROW(sim.run_until(sim::Time(100ms)));
       EXPECT_EQ(big, delivers ? "16384 bytes" : error);
       EXPECT_EQ(after, "small");
-      EXPECT_EQ(ch->stats().calls, 2u);
+      // A call that throws out of call() closes no span, so only the calls
+      // that returned are counted.
+      EXPECT_EQ(obs::TraceCounts(fabric.obs().tracer)[call_span(kind)],
+                delivers ? 2u : 1u);
       EXPECT_EQ(sim.live_tasks(), 0u);
     }
   }
@@ -726,8 +755,7 @@ std::pair<std::optional<Buffer>, verbs::WcStatus> recv_raw_fragments(
   verbs::Endpoint src = verbs::make_endpoint(*a, PollMode::kBusy);
   verbs::Endpoint dst = verbs::make_endpoint(*b, PollMode::kBusy);
   verbs::connect(src, dst);
-  ChannelStats stats;
-  EagerPipe pipe(src, dst, ChannelConfig{}, &stats, nullptr);
+  EagerPipe pipe(src, dst, ChannelConfig{}, nullptr);
   verbs::MemoryRegion* mr = a->pd().alloc_mr(4096);
   std::pair<std::optional<Buffer>, verbs::WcStatus> out;
   sim.spawn([](verbs::Endpoint& src, verbs::MemoryRegion* mr, EagerPipe& pipe,
@@ -841,8 +869,7 @@ TEST(EagerPipe, DeclaredTotalIsNotReservedUpFront) {
   verbs::Endpoint src = verbs::make_endpoint(*a, PollMode::kBusy);
   verbs::Endpoint dst = verbs::make_endpoint(*b, PollMode::kBusy);
   verbs::connect(src, dst);
-  ChannelStats stats;
-  EagerPipe pipe(src, dst, ChannelConfig{}, &stats, nullptr);
+  EagerPipe pipe(src, dst, ChannelConfig{}, nullptr);
   verbs::MemoryRegion* mr = a->pd().alloc_mr(4096);
   std::fill_n(mr->data(), 4096, std::byte{1});
   put_u32(mr->data(), 0xFFFFFFF0u);
